@@ -3,15 +3,17 @@
     python3 perfbench/run.py --workload census --seed 1 --seconds 30 --trace 0
 
 Run from the root of a checkout. Workloads: census, sheaf_fp, cli, and
-sheaf_q for runs by hand (see workloads.py and README.md). With --trace 0 the last stdout line carries the
-end-to-end metrics; with --trace 1 the per-layer metrics of one traced
-pass. Everything measured is the checkout's own src/finsite; outputs go
-to .perfbench_out/ in the checkout.
+sheaf_q for runs by hand (see workloads.py and README.md). With --trace 0
+the last stdout line carries the end-to-end metrics; with --trace 1 the
+per-layer metrics of one traced pass. Everything measured is the
+checkout's own src/finsite; outputs go to .perfbench_out/ in the checkout.
 
 The script compiles the sources, times the set-up in SETUP_PROBES fresh
-interpreters, then starts the measuring worker. Every process it starts
-gets PYTHONHASHSEED pinned, because sieve enumeration iterates over sets
-of strings and its operation counts would otherwise vary per process.
+interpreters, then starts the measuring worker. Times are reported at the
+reference speed of refspeed.py; the wall times are printed after them.
+Every process it starts gets PYTHONHASHSEED pinned, because sieve
+enumeration iterates over sets of strings and its operation counts would
+otherwise vary per process.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ PACKAGE = os.path.join(SRC, "finsite")
 WORKER = os.path.join(HERE, "worker.py")
 
 HASH_SEED = "0"
-SETUP_PROBES = 4
+SETUP_PROBES = 10
 RUN_LIMIT_S = 170.0
 END_TO_END = (("setup_s", "s"), ("job_s", "s"), ("task_p50_ms", "ms"),
               ("task_tail_ms", "ms"), ("peak_rss_mb", "MB"))
@@ -128,11 +130,11 @@ def main(argv=None) -> int:
         print("error: finsite sources do not compile", file=sys.stderr)
         return 2
     common = ["--workload", args.workload, "--seed", str(args.seed)]
-    setups = [_worker(common + ["--setup-only"], deadline)["setup_s"]
+    setups = [_worker(common + ["--setup-only"], deadline)
               for _ in range(SETUP_PROBES)]
     out = _worker(common + ["--seconds", str(args.seconds),
                             "--trace", str(args.trace)], deadline)
-    setups.append(out["setup_s"])
+    setups.append(out)
 
     failures = out["failures"]
     record = {
@@ -140,14 +142,17 @@ def main(argv=None) -> int:
         "seconds": args.seconds, "trace": args.trace,
         "python": platform.python_version(), "hash_seed": HASH_SEED,
         "git_commit": _git_commit(), "src_digest": _source_digest(),
-        "setup_s_runs": setups, **out,
+        **out,
+        "setup_s_runs": [run["setup_s"] for run in setups],
+        "setup_s": statistics.median(run["setup_s"] for run in setups),
+        "wall_setup_s": statistics.median(run["wall_setup_s"]
+                                          for run in setups),
     }
     if args.trace:
         metrics = {name: {"value": value, "unit": unit}
                    for name, (value, unit) in out["metrics"].items()}
     else:
-        values = dict(out, setup_s=statistics.median(setups))
-        metrics = {name: {"value": values[name], "unit": unit}
+        metrics = {name: {"value": record[name], "unit": unit}
                    for name, unit in END_TO_END}
     record["result_metrics"] = metrics
     os.makedirs(os.path.join(ROOT, ".perfbench_out"), exist_ok=True)
@@ -174,6 +179,11 @@ def main(argv=None) -> int:
               " passes")
     for name, metric in metrics.items():
         print(f"{name} {metric['value']} {metric['unit']}")
+    if not args.trace:
+        print("in wall time, not scaled to the reference speed: "
+              + ", ".join(f"{name} {record['wall_' + name]} {unit}"
+                          for name, unit in END_TO_END
+                          if name != "peak_rss_mb"))
     print(f"record: {os.path.relpath(record_path, ROOT)}")
     print(json.dumps({"correct": not failures, "attempted": attempted,
                       "failed": len(failures), "metrics": metrics}))

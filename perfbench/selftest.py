@@ -2,9 +2,11 @@
 
     python3 perfbench/selftest.py
 
-Checks that tracing puts every original function back, that self time is
-derived correctly on a synthetic nested span, and that one seed always
-generates the same inputs. Exits 0 when all pass.
+Checks that tracing puts every original function back, that answer checks
+stay out of the trace, that self time is derived correctly on a synthetic
+nested span, that one seed always generates the same inputs, and that the
+speed sampler probes during a long block without timing its probes.
+Exits 0 when all pass.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ import json
 import os
 import sys
 import tempfile
+import time
 import types
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path[:0] = [HERE, os.path.join(ROOT, "src")]
 
+import refspeed  # noqa: E402
 import workloads  # noqa: E402
 import worker  # noqa: E402
 from tracer import Tracer  # noqa: E402
@@ -58,6 +62,25 @@ def test_originals_restored() -> None:
     assert rows["sieves.all_sieves"]["calls"] > 0
     assert tracer.method_calls["fincat.compose"][0] > 0
     assert tracer.rules_emitted == 8
+
+
+def test_checks_not_traced() -> None:
+    before = _bindings()
+    cat = workloads.fixture("chain3")
+    task = workloads.Task(
+        "enumerate", "enumerate chain3",
+        lambda: topology.enumerate_topologies(cat),
+        lambda got: len(got) == len(
+            topology.enumerate_consistent_families(cat)))
+    tracer = Tracer()
+    times, _, failures = worker.run_pass([task, task], tracer)
+    assert len(times) == 2 and not failures, failures
+    rows = tracer.summarize()
+    assert rows["task.enumerate"]["calls"] == 2
+    assert rows["topology.enumerate_topologies"]["calls"] == 2
+    assert "topology.enumerate_consistent_families" not in rows
+    after = _bindings()
+    assert all(after[k] is before[k] for k in before)
 
 
 def test_self_time_nested() -> None:
@@ -104,6 +127,19 @@ def test_inputs_repeat_per_seed() -> None:
             assert strip(first, f"{name}-a") != strip(other, f"{name}-c"), name
 
 
+def test_sampler_probes_long_blocks() -> None:
+    t0 = time.perf_counter()
+    with refspeed.Sampler() as sample:
+        end = time.perf_counter() + 3 * refspeed.INTERVAL_S
+        while time.perf_counter() < end:
+            pass
+    outer = time.perf_counter() - t0
+    # before, at least two during, after; the ones during are not timed
+    assert len(sample.probes) >= 4, sample.probes
+    assert sample.seconds < outer - sum(sample.probes[1:-1]) * 0.9
+    assert sample.scaled_seconds > 0
+
+
 def test_tail_rank() -> None:
     assert worker.tail_rank(440) == 429  # ten tasks beyond rank 429
     assert worker.tail_rank(11) == 0
@@ -111,8 +147,10 @@ def test_tail_rank() -> None:
 
 
 def main() -> int:
-    tests = [test_originals_restored, test_self_time_nested,
-             test_inputs_repeat_per_seed, test_tail_rank]
+    tests = [test_originals_restored, test_checks_not_traced,
+             test_self_time_nested,
+             test_inputs_repeat_per_seed, test_sampler_probes_long_blocks,
+             test_tail_rank]
     for test in tests:
         test()
         print(f"ok {test.__name__}")

@@ -6,7 +6,9 @@ the enclosing span. Modules that import a function by name (``topology``
 holds its own ``all_sieves``, ``pullback_sieve`` and ``check_axioms``
 references; ``torsion`` and ``typen`` hold sieve functions) keep a second
 binding, so installing rebinds every alias found in any ``finsite`` module
-and ``uninstall`` puts each original back.
+and ``uninstall`` puts each original back. The wrappers are built once,
+so the worker can install the tracer around each task alone and keep its
+answer checks, which call finsite too, out of the spans.
 
 A few hot methods are counted without spans, because a span per call would
 dominate what they cost. Spans stay in memory until ``write`` dumps them;
@@ -72,6 +74,8 @@ class Tracer:
         self.rref = RrefStats()
         self.rules_emitted = 0
         self._undo: list[tuple[object, str, object]] = []
+        self._replacements: (
+            list[tuple[object, str, object, object]] | None) = None
 
     # -- recording ---------------------------------------------------------
 
@@ -136,9 +140,10 @@ class Tracer:
                 if m is not None and (name == PACKAGE
                                       or name.startswith(PACKAGE + "."))]
 
-    def install(self) -> None:
-        if self._undo:
-            raise RuntimeError("tracer already installed")
+    def _bindings(self) -> list[tuple[object, str, object, object]]:
+        """Every (owner, attribute, original, replacement) the tracer sets:
+        each alias of a wrapped function in any finsite module, and the
+        counted methods. Built once, so installing again is cheap."""
         probes = {"linalg.rref": self.rref,
                   "topology.enumerate_topologies": self._count_emitted}
         wrappers: dict[int, tuple[object, object]] = {}
@@ -153,18 +158,27 @@ class Tracer:
                     continue
                 qual = f"{layer}.{name}"
                 wrappers[id(obj)] = (obj, self._wrap(qual, obj, probes.get(qual)))
+        out = []
         for mod in self._modules():
             for key, val in list(vars(mod).items()):
                 hit = wrappers.get(id(val))
                 if hit is not None and hit[0] is val:
-                    self._undo.append((mod, key, val))
-                    setattr(mod, key, hit[1])
+                    out.append((mod, key, val, hit[1]))
         for layer, cls_name, meth in COUNT_ONLY:
             cls = getattr(sys.modules[f"{PACKAGE}.{layer}"], cls_name)
             original = cls.__dict__[meth]
             cell = self.method_calls.setdefault(f"{layer}.{meth}", [0])
-            self._undo.append((cls, meth, original))
-            setattr(cls, meth, _counting(original, cell))
+            out.append((cls, meth, original, _counting(original, cell)))
+        return out
+
+    def install(self) -> None:
+        if self._undo:
+            raise RuntimeError("tracer already installed")
+        if self._replacements is None:
+            self._replacements = self._bindings()
+        for owner, key, original, replacement in self._replacements:
+            self._undo.append((owner, key, original))
+            setattr(owner, key, replacement)
 
     def uninstall(self) -> None:
         while self._undo:

@@ -6,7 +6,8 @@ checkout's src/. Prints one JSON object as its last stdout line.
     --setup-only   time the set-up and stop (run.py repeats this to take a
                    median of setup_s)
     --trace 0      passes over the task list until --seconds is used up;
-                   end-to-end metrics from per-task medians across passes
+                   end-to-end metrics from each task's median over them,
+                   at the reference speed of refspeed.py
     --trace 1      one untraced pass, then one pass under the span tracer;
                    per-layer metrics
 """
@@ -23,6 +24,9 @@ import subprocess
 import sys
 import time
 
+import refspeed  # imports nothing of finsite
+
+PROBE_START = refspeed.probe()
 T_START = time.perf_counter()  # set-up is timed from before finsite's import
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -34,10 +38,10 @@ from tracer import LAYERS, Tracer  # noqa: E402
 
 import finsite  # noqa: E402
 
+T_IMPORTED = time.perf_counter()
+
 IMPORT_PROBES = 5
 TAIL_BEYOND = 10
-MIN_SAMPLES = 5
-TOP_UP_SHARE = 0.1
 
 
 def _out_dir() -> str:
@@ -61,27 +65,44 @@ def _require_checkout_finsite(children: bool) -> None:
 
 
 def run_pass(tasks, tracer: Tracer | None = None):
-    """Run and check every task once. Returns per-task seconds and the
+    """Run and check every task once. Returns per-task wall seconds,
+    per-task seconds at the reference speed (None when traced) and the
     failures. Each task starts from a fresh collector state and its result
     is checked and dropped before the next one, so a task's time does not
-    depend on what ran before it."""
-    times, failures = [], []
+    depend on what ran before it. A tracer is installed around each task
+    alone: the checks call finsite too, and their calls are not the task's
+    work. Untraced tasks are timed with refspeed.Sampler."""
+    times, scaled, failures = [], [], []
+    last_probe = None
     for task in tasks:
         gc.collect()
-        t0 = time.perf_counter()
-        try:
-            if tracer is None:
-                result = task.run()
-            else:
+        if tracer is None:
+            with refspeed.Sampler(before=last_probe) as sample:
+                result = _attempt(task)
+            times.append(sample.seconds)
+            scaled.append(sample.scaled_seconds)
+            last_probe = sample.probes[-1]
+        else:
+            tracer.install()
+            try:
+                t0 = time.perf_counter()
                 with tracer.span(f"task.{task.kind}"):
-                    result = task.run()
-        except Exception as err:  # a refused or crashed task is a failure
-            result = err
-        times.append(time.perf_counter() - t0)
+                    result = _attempt(task)
+                times.append(time.perf_counter() - t0)
+            finally:
+                tracer.uninstall()
+            scaled.append(None)
         failure = _check(task, result)
         if failure:
             failures.append(failure)
-    return times, failures
+    return times, scaled, failures
+
+
+def _attempt(task):
+    try:
+        return task.run()
+    except Exception as err:  # a refused or crashed task is a failure
+        return err
 
 
 def _check(task, result) -> str | None:
@@ -109,66 +130,54 @@ def peak_rss_mb(children: bool) -> float:
 
 def _timed_passes(tasks, seconds: float):
     """Passes over the task list while at least half of another pass still
-    fits in the budget. Returns pass times, per-task timings, failures."""
-    pass_times, per_task, failures = [], [[] for _ in tasks], []
+    fits in the budget. Returns per-task raw seconds, per-task seconds at
+    the reference speed, and failures."""
+    raw, scaled, failures = [[] for _ in tasks], [[] for _ in tasks], []
     t_begin = time.perf_counter()
     cycle = []
     while True:
         t_cycle = time.perf_counter()
-        times, bad = run_pass(tasks)
+        times, scaled_times, bad = run_pass(tasks)
         failures.extend(bad)
-        pass_times.append(sum(times))
-        for slot, t in zip(per_task, times):
-            slot.append(t)
+        for i, (t, s) in enumerate(zip(times, scaled_times)):
+            raw[i].append(t)
+            scaled[i].append(s)
         cycle.append(time.perf_counter() - t_cycle)
         used = time.perf_counter() - t_begin
         if used + statistics.median(cycle) / 2 > seconds:
-            return pass_times, per_task, failures
+            return raw, scaled, failures
 
 
-def _top_up(tasks, per_task, failures, budget_s: float) -> int:
-    """Extra timings for the cheapest tasks, round-robin, until each has
-    MIN_SAMPLES or the budget is spent. Millisecond tasks timed once or
-    twice are too noisy for the median task time. Returns extra runs."""
-    order = sorted(range(len(tasks)),
-                   key=lambda i: statistics.median(per_task[i]))
-    t_end = time.perf_counter() + budget_s
-    extra = 0
-    for _ in range(MIN_SAMPLES):
-        for i in order:
-            if len(per_task[i]) >= MIN_SAMPLES:
-                continue
-            if time.perf_counter() + statistics.median(per_task[i]) > t_end:
-                return extra
-            times, bad = run_pass([tasks[i]])
-            failures.extend(bad)
-            per_task[i].append(times[0])
-            extra += 1
-    return extra
+def _scores(per_task: list[list[float]]) -> dict:
+    """job_s, task_p50_ms and task_tail_ms from per-task samples."""
+    medians = sorted(statistics.median(ts) for ts in per_task)
+    rank = tail_rank(len(medians))
+    return {"job_s": sum(medians),
+            "task_p50_ms": 1e3 * statistics.median(medians),
+            "task_tail_ms": 1e3 * medians[rank]}
 
 
 def measure(work, seconds: float) -> dict:
+    """End-to-end metrics at the reference speed (see refspeed.py), from
+    each task's median over the passes; the same figures in plain wall
+    time are kept in the record as wall_*."""
     tasks = work.tasks
     if work.name == "cli":
         # warm-up: one untimed call pulls interpreter and sources into cache
         tasks[0].run()
-    pass_times, per_task, failures = _timed_passes(tasks, seconds)
-    extra = _top_up(tasks, per_task, failures, TOP_UP_SHARE * seconds)
-    medians = [statistics.median(ts) for ts in per_task]
-    ranked = sorted(medians)
-    rank = tail_rank(len(ranked))
+    raw, scaled, failures = _timed_passes(tasks, seconds)
+    passes = len(raw[0])
+    rank = tail_rank(len(tasks))
+    wall = _scores(raw)
     return {
-        "attempted": len(pass_times) * len(tasks) + extra,
+        "attempted": passes * len(tasks),
         "failures": failures,
-        "passes": len(pass_times),
-        "pass_s": pass_times,
-        "top_up_runs": extra,
-        "task_median_ms": {t.label: 1e3 * m for t, m in zip(tasks, medians)},
-        "tail_percentile": 100.0 * (rank + 1) / len(ranked),
-        "tasks": len(ranked),
-        "job_s": statistics.median(pass_times),
-        "task_p50_ms": 1e3 * statistics.median(ranked),
-        "task_tail_ms": 1e3 * ranked[rank],
+        "passes": passes,
+        "samples": [[t.label, r, s] for t, r, s in zip(tasks, raw, scaled)],
+        "tail_percentile": 100.0 * (rank + 1) / len(tasks),
+        "tasks": len(tasks),
+        **{f"wall_{k}": v for k, v in wall.items()},
+        **_scores(scaled),
         "peak_rss_mb": peak_rss_mb(children=work.name == "cli"),
     }
 
@@ -188,11 +197,10 @@ def import_ms() -> tuple[float, float]:
 
 def trace(work, seed: int) -> dict:
     tasks = work.traced_tasks
-    times, failures = run_pass(tasks)
+    times, _, failures = run_pass(tasks)
     untraced = sum(times)
     tracer = Tracer()
-    with tracer.installed():
-        times, bad = run_pass(tasks, tracer)
+    times, _, bad = run_pass(tasks, tracer)
     traced = sum(times)
     failures.extend(bad)
     spans_path = os.path.join(_out_dir(), f"spans-{work.name}-{seed}.tsv.gz")
@@ -280,11 +288,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     doc_dir = os.path.join(_out_dir(), f"docs-{args.workload}-{args.seed}")
-    work = workloads.setup(args.workload, args.seed, doc_dir)
-    setup_s = time.perf_counter() - T_START
+    drawn = workloads.draw(args.workload, args.seed)  # a seeded search: untimed
+    t_build = time.perf_counter()
+    work = workloads.setup(args.workload, args.seed, doc_dir, drawn)
+    wall_setup_s = (T_IMPORTED - T_START) + (time.perf_counter() - t_build)
+    setup_s = wall_setup_s * refspeed.REFERENCE_S / (
+        (PROBE_START + refspeed.probe()) / 2)  # set-up is too short to sample
     _require_checkout_finsite(children=not args.setup_only)
     if args.setup_only:
-        print(json.dumps({"setup_s": setup_s}))
+        print(json.dumps({"setup_s": setup_s, "wall_setup_s": wall_setup_s}))
         return 0
     gc.freeze()  # set-up objects are never garbage; keep them out of collections
     if args.trace:
@@ -292,6 +304,7 @@ def main(argv=None) -> int:
     else:
         out = measure(work, args.seconds)
     out["setup_s"] = setup_s
+    out["wall_setup_s"] = wall_setup_s
     out["inputs"] = work.inputs
     print(json.dumps(out))
     return 0

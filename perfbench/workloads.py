@@ -135,14 +135,16 @@ def _candidate_count(cat: fincat.FiniteCategory) -> int:
     return total
 
 
-def _banded_poset(rng: random.Random, name: str):
+def _banded_poset(rng: random.Random) -> list[list[str]]:
+    """Order relations of a random poset whose candidate product lies in
+    POSET_CANDIDATE_BAND, found by rejection sampling."""
     low, high = POSET_CANDIDATE_BAND
     while True:
         pairs = _poset_pairs(rng, POSET_SIZE)
         cat = fincat.build_poset_category(
-            [f"p{i}" for i in range(POSET_SIZE)], pairs, name=name)
+            [f"p{i}" for i in range(POSET_SIZE)], pairs)
         if low <= _candidate_count(cat) <= high:
-            return cat, pairs
+            return pairs
 
 
 def _serials(rules) -> set[str]:
@@ -168,14 +170,13 @@ def _enumerate_task(cat: fincat.FiniteCategory, expected: int | None) -> Task:
                 lambda: topology.enumerate_topologies(cat), check)
 
 
-def _census(seed: int) -> Workload:
-    rng = random.Random(f"perfbench:census:{seed}")
+def _census(drawn: dict) -> Workload:
     tasks = [_enumerate_task(fixture(name), count)
              for name, count in CENSUS_COUNTS.items()]
-    posets = []
-    for i in range(RANDOM_POSETS):
-        cat, pairs = _banded_poset(rng, f"poset{i}")
-        posets.append(pairs)
+    posets = drawn["posets"]
+    for k, pairs in enumerate(posets):
+        cat = fincat.build_poset_category(
+            [f"p{i}" for i in range(POSET_SIZE)], pairs, name=f"poset{k}")
         tasks.append(_enumerate_task(cat, None))
     for h in SPEC_CENSUS_HORIZONS:
         tasks.append(Task(
@@ -385,9 +386,22 @@ def _cli(seed: int, doc_dir: str) -> Workload:
                     dict(inputs, argvs=argvs))
 
 
-def setup(name: str, seed: int, doc_dir: str) -> Workload:
+def draw(name: str, seed: int) -> dict:
+    """The seeded inputs that are found by search rather than drawn
+    directly: the census posets. How long the search takes depends on the
+    seed alone, so the worker runs it before it times the set-up."""
+    if name != "census":
+        return {}
+    rng = random.Random(f"perfbench:census:{seed}")
+    return {"posets": [_banded_poset(rng) for _ in range(RANDOM_POSETS)]}
+
+
+def setup(name: str, seed: int, doc_dir: str,
+          drawn: dict | None = None) -> Workload:
+    if drawn is None:
+        drawn = draw(name, seed)
     if name == "census":
-        return _census(seed)
+        return _census(drawn)
     if name == "sheaf_fp":
         return _sheaf(name, seed, ("Fp:2", "Fp:3"))
     if name == "sheaf_q":
