@@ -73,7 +73,6 @@ class FiniteCategory:
     morphisms: tuple[str, ...] = field(default=(), compare=False)
     hom_sets: Mapping[tuple[str, str], tuple[str, ...]] = field(default=None, compare=False)
     out_of: Mapping[str, tuple[str, ...]] = field(default=None, compare=False)
-    into: Mapping[str, tuple[str, ...]] = field(default=None, compare=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteCategory):
@@ -98,27 +97,17 @@ class FiniteCategory:
             raise UnknownObject(x)
         return self.out_of.get(x, ())
 
-    def morphisms_into(self, y: str) -> tuple[str, ...]:
-        if y not in self.identity:
-            raise UnknownObject(y)
-        return self.into.get(y, ())
-
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.dom[m]) == m
-
-    def maximal_sieve_members(self, x: str) -> tuple[str, ...]:
-        return self.morphisms_from(x)
 
 
 def _index(name, objects, dom, cod, identity, compose) -> FiniteCategory:
     morphisms = tuple(sorted(dom))
     hom_sets: dict[tuple[str, str], list[str]] = {}
     out_of: dict[str, list[str]] = {o: [] for o in objects}
-    into: dict[str, list[str]] = {o: [] for o in objects}
     for m in morphisms:
         hom_sets.setdefault((dom[m], cod[m]), []).append(m)
         out_of[dom[m]].append(m)
-        into[cod[m]].append(m)
     return FiniteCategory(
         name=name,
         objects=tuple(objects),
@@ -129,7 +118,6 @@ def _index(name, objects, dom, cod, identity, compose) -> FiniteCategory:
         morphisms=morphisms,
         hom_sets={k: tuple(v) for k, v in hom_sets.items()},
         out_of={k: tuple(v) for k, v in out_of.items()},
-        into={k: tuple(v) for k, v in into.items()},
     )
 
 
@@ -302,11 +290,6 @@ def classify_category(cat: FiniteCategory) -> CategoryFlags:
 def leq_order(cat: FiniteCategory) -> dict[str, set[str]]:
     """x |-> {y : Hom(x, y) nonempty}. A partial order iff directed."""
     return {x: {y for y in cat.objects if cat.hom(x, y)} for x in cat.objects}
-
-
-def maximal_objects(cat: FiniteCategory) -> list[str]:
-    leq = leq_order(cat)
-    return [x for x in cat.objects if leq[x] == {x}]
 
 
 def objects_in_decreasing_order(cat: FiniteCategory) -> list[str]:

@@ -66,9 +66,6 @@ class FieldSpec:
             return pow(a, -1, self.p)
         return Fraction(1) / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def parse(self, s: str):
         """Parse a serialized entry: "2", "-3/7" (rationals allowed / only)."""
         s = s.strip()
@@ -178,14 +175,6 @@ def mat_add(field: FieldSpec, a: Mat, b: Mat) -> Mat:
         for i in range(a.rows)))
 
 
-def mat_sub(field: FieldSpec, a: Mat, b: Mat) -> Mat:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ShapeMismatch("shape mismatch in sub")
-    return Mat(a.rows, a.cols, tuple(
-        tuple(field.sub(a.entries[i][j], b.entries[i][j]) for j in range(a.cols))
-        for i in range(a.rows)))
-
-
 def mat_scale(field: FieldSpec, c, a: Mat) -> Mat:
     return Mat(a.rows, a.cols, tuple(
         tuple(field.mul(c, x) for x in r) for r in a.entries))
@@ -291,16 +280,24 @@ def solve(field: FieldSpec, a: Mat, b: Vector) -> Vector | None:
 
 
 def solve_matrix(field: FieldSpec, a: Mat, b: Mat) -> Mat | None:
-    """X with a X = b, or None if some column is unsolvable."""
+    """X with a X = b, or None if some column is unsolvable.
+
+    One elimination of [a | b]; each column agrees with solve (free
+    variables 0). A zero-column b needs no elimination.
+    """
     if b.rows != a.rows:
         raise ShapeMismatch("rhs row mismatch")
-    cols = []
-    for j in range(b.cols):
-        x = solve(field, a, b.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return from_cols(cols, rows=a.cols)
+    if b.cols == 0:
+        return zeros(field, a.cols, 0)
+    aug = Mat(a.rows, a.cols + b.cols,
+              tuple(r + b.entries[i] for i, r in enumerate(a.entries)))
+    r, pivots = rref(field, aug)
+    if pivots and pivots[-1] >= a.cols:
+        return None
+    x = [[field.zero()] * b.cols for _ in range(a.cols)]
+    for i, pc in enumerate(pivots):
+        x[pc] = r.entries[i][a.cols:]
+    return Mat(a.cols, b.cols, tuple(tuple(row) for row in x))
 
 
 def inverse(field: FieldSpec, a: Mat) -> Mat | None:
@@ -321,10 +318,6 @@ def independent_columns(field: FieldSpec, a: Mat) -> list[int]:
     return list(rref(field, a)[1])
 
 
-def column_space_basis(field: FieldSpec, a: Mat) -> list[Vector]:
-    return [a.col(j) for j in independent_columns(field, a)]
-
-
 def span_basis(field: FieldSpec, vectors: Iterable[Vector], dim: int) -> list[Vector]:
     """Canonical basis of the span of `vectors` inside k^dim."""
     vecs = [v for v in vectors if any(x != 0 for x in v)]
@@ -340,6 +333,17 @@ def in_span(field: FieldSpec, basis: Sequence[Vector], v: Vector, dim: int) -> b
     if not basis:
         return False
     return solve(field, from_cols(basis, rows=dim), v) is not None
+
+
+def complement_indices(field: FieldSpec, vectors: Sequence[Vector],
+                       dim: int) -> list[int]:
+    """Indices i of the standard vectors e_i picked greedily, in order, to
+    extend span(vectors) to all of k^dim."""
+    if not vectors:
+        return list(range(dim))
+    k = len(vectors)
+    stacked = hstack([from_cols(vectors, rows=dim), identity(field, dim)])
+    return [p - k for p in independent_columns(field, stacked) if p >= k]
 
 
 def intersect_spans(field: FieldSpec, a: Sequence[Vector], b: Sequence[Vector],

@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .errors import (
@@ -337,24 +337,16 @@ def map_from_vector(v: KModule, w: KModule, vec: Vector) -> ModuleMap:
     return make_module_map(v, w, comps, check=False)
 
 
-def hom_space(v: KModule, w: KModule) -> list[ModuleMap]:
-    """Canonical basis of the space of module maps v -> w.
-
-    The naturality equations over all morphisms form one linear system in
-    the flattened components; the kernel basis is returned as maps.
-    """
-    if v.field != w.field:
-        raise FieldMismatch("hom space across different fields")
+def _naturality_rows(v: KModule, w: KModule) -> tuple[dict, int, list[tuple]]:
+    """Layout, unknown count, and rows of comp_y V_f - W_f comp_x = 0 over
+    every morphism f: x -> y, in the flattened components of a map v -> w."""
     field = v.field
-    cat = v.cat
     layout = {x: (r, c, off) for x, r, c, off in _map_layout(v, w)}
     n = sum(r * c for r, c, _ in layout.values())
-    if n == 0:
-        return []
     zero = field.zero()
     rows: list[tuple] = []
-    for f in cat.morphisms:
-        x, y = cat.dom[f], cat.cod[f]
+    for f in v.cat.morphisms:
+        x, y = v.cat.dom[f], v.cat.cod[f]
         vf, wf = v.action[f], w.action[f]
         ry, cy, offy = layout[y]
         rx, cx, offx = layout[x]
@@ -368,8 +360,22 @@ def hom_space(v: KModule, w: KModule) -> list[ModuleMap]:
                     row[offx + d * cx + b] = field.sub(row[offx + d * cx + b],
                                                        wf.entries[a][d])
                 rows.append(tuple(row))
+    return layout, n, rows
+
+
+def hom_space(v: KModule, w: KModule) -> list[ModuleMap]:
+    """Canonical basis of the space of module maps v -> w.
+
+    The naturality equations over all morphisms form one linear system in
+    the flattened components; the kernel basis is returned as maps.
+    """
+    if v.field != w.field:
+        raise FieldMismatch("hom space across different fields")
+    _, n, rows = _naturality_rows(v, w)
+    if n == 0:
+        return []
     a = Mat(len(rows), n, tuple(rows))
-    return [map_from_vector(v, w, k) for k in linalg.kernel_basis(field, a)]
+    return [map_from_vector(v, w, k) for k in linalg.kernel_basis(v.field, a)]
 
 
 # ---------------------------------------------------------------------------
@@ -402,26 +408,16 @@ def submodule_from_spans(v: KModule, spans: Mapping[str, Sequence[Vector]],
                                                  v.dims[y])
                     changed = True
     dims = {x: len(basis[x]) for x in cat.objects}
+    comps = {x: linalg.from_cols(basis[x], rows=v.dims[x]) for x in cat.objects}
     action = {}
     for f in cat.morphisms:
         x, y = cat.dom[f], cat.cod[f]
-        cols = []
-        for b in basis[x]:
-            img = v.apply(f, b)
-            if dims[y]:
-                coords = linalg.solve(
-                    field, linalg.from_cols(basis[y], rows=v.dims[y]), img)
-                if coords is None:
-                    raise PreconditionFailed(
-                        f"spans not closed under the action at {f}")
-            else:
-                coords = ()
-            cols.append(coords)
-        action[f] = linalg.from_cols(cols, rows=dims[y])
+        action[f] = linalg.solve_matrix(
+            field, comps[y], linalg.matmul(field, v.action[f], comps[x]))
+        if action[f] is None:
+            raise PreconditionFailed(f"spans not closed under the action at {f}")
     sub = make_module(cat, field, dims, action, check=False)
-    incl = make_module_map(
-        sub, v, {x: linalg.from_cols(basis[x], rows=v.dims[x])
-                 for x in cat.objects}, check=False)
+    incl = make_module_map(sub, v, comps, check=False)
     return sub, incl
 
 
@@ -626,31 +622,10 @@ def is_injective(v: KModule) -> bool:
     field = v.field
     cat = v.cat
     i0, iota = canonical_injective_embedding(v)
-    layout: dict[str, tuple[int, int, int]] = {}
-    off = 0
-    for x in cat.objects:
-        layout[x] = (v.dims[x], i0.dims[x], off)
-        off += v.dims[x] * i0.dims[x]
-    n = off
-    zero = field.zero()
-    rows: list[tuple] = []
-    rhs: list = []
     # naturality: r_y I0_f - V_f r_x = 0 for every f: x -> y
-    for f in cat.morphisms:
-        x, y = cat.dom[f], cat.cod[f]
-        i0f, vf = i0.action[f], v.action[f]
-        ry, cy, offy = layout[y]
-        rx, cx, offx = layout[x]
-        for a in range(ry):
-            for b in range(cx):
-                row = [zero] * n
-                for c in range(cy):
-                    row[offy + a * cy + c] = i0f.entries[c][b]
-                for d in range(rx):
-                    row[offx + d * cx + b] = field.sub(row[offx + d * cx + b],
-                                                       vf.entries[a][d])
-                rows.append(tuple(row))
-                rhs.append(zero)
+    layout, n, rows = _naturality_rows(i0, v)
+    zero = field.zero()
+    rhs: list = [zero] * len(rows)
     # retraction: r_y iota_y = identity at every object
     one = field.one()
     for y in cat.objects:
@@ -664,6 +639,100 @@ def is_injective(v: KModule) -> bool:
                 rhs.append(one if a == b else zero)
     system = Mat(len(rows), n, tuple(rows))
     return linalg.solve(field, system, tuple(rhs)) is not None
+
+
+# ---------------------------------------------------------------------------
+# compatible families
+
+@dataclass(frozen=True)
+class CompatibleFamilies:
+    """Basis of the compatible families of a module W over a set of
+    morphisms out of one object, closed under postcomposition by W's
+    category.
+
+    A family is stored as one block vector, a block per member in the
+    member tuple's order holding a vector of W at the member's codomain;
+    compatibility means W_g b_f = b_{gf} for every member f and every g
+    out of its codomain.
+    """
+
+    members: tuple[str, ...]
+    block_dims: tuple[int, ...]
+    offsets: Mapping[str, int]
+    total: int
+    basis: tuple[Vector, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
+
+    def block(self, family: Vector, member: str) -> Vector:
+        off = self.offsets[member]
+        i = self.members.index(member)
+        return tuple(family[off:off + self.block_dims[i]])
+
+
+def compatible_families(cat: FiniteCategory, w: KModule,
+                        members: Sequence[str]) -> CompatibleFamilies:
+    """Solve W_g b_f = b_{gf} over the members f (morphisms of cat) and the
+    non-identity g of W's category out of cod f, and return the kernel.
+
+    No members gives no blocks and a zero-dimensional space.
+    """
+    field = w.field
+    members = tuple(members)
+    block_dims = tuple(w.dims[cat.cod[f]] for f in members)
+    offsets: dict[str, int] = {}
+    total = 0
+    for f, d in zip(members, block_dims):
+        offsets[f] = total
+        total += d
+    zero = field.zero()
+    rows: list[tuple] = []
+    for f in members:
+        for g in w.cat.morphisms_from(cat.cod[f]):
+            if w.cat.is_identity(g):
+                continue
+            gf = cat.compose(g, f)
+            wg = w.action[g]
+            for a in range(wg.rows):
+                row = [zero] * total
+                for b in range(wg.cols):
+                    row[offsets[f] + b] = wg.entries[a][b]
+                row[offsets[gf] + a] = field.sub(row[offsets[gf] + a],
+                                                 field.one())
+                rows.append(tuple(row))
+    system = Mat(len(rows), total, tuple(rows))
+    return CompatibleFamilies(members=members, block_dims=block_dims,
+                              offsets=offsets, total=total,
+                              basis=tuple(linalg.kernel_basis(field, system)))
+
+
+def reindexing_action(cat: FiniteCategory, w: KModule,
+                      families: Mapping[str, CompatibleFamilies],
+                      escaped: Callable[[str], Exception]) -> dict[str, Mat]:
+    """The matrices of the reindexing action (u.b)_g = b_{g u} of every
+    morphism u: x -> y of cat, in the family bases at x and y.
+
+    The composite g u must be a member at x for every member g at y.
+    Raises escaped(u) when a reindexed family leaves the span at y.
+    """
+    action = {}
+    for u in cat.morphisms:
+        src, dst = families[cat.dom[u]], families[cat.cod[u]]
+        cols = []
+        for fam in src.basis:
+            col: list = []
+            for g in dst.members:
+                off = src.offsets[cat.compose(g, u)]
+                col.extend(fam[off:off + w.dims[cat.cod[g]]])
+            cols.append(col)
+        action[u] = linalg.solve_matrix(
+            w.field, linalg.from_cols(dst.basis, rows=dst.total),
+            linalg.from_cols(cols, rows=dst.total))
+        if action[u] is None:
+            raise escaped(u)
+    return action
 
 
 # ---------------------------------------------------------------------------
@@ -703,77 +772,19 @@ def coinduction_with_counit(cat: FiniteCategory, sub: FiniteCategory,
         raise NotFullSubcategory("module does not live on the subcategory")
     field = w.field
     keep = set(sub.objects)
-
-    index: dict[str, list[str]] = {}
-    offsets: dict[str, dict[str, int]] = {}
-    totals: dict[str, int] = {}
+    families = {}
     for x in cat.objects:
-        fs = [f for f in cat.morphisms_from(x) if cat.cod[f] in keep]
-        index[x] = fs
-        off: dict[str, int] = {}
-        total = 0
-        for f in fs:
-            off[f] = total
-            total += w.dims[cat.cod[f]]
-        offsets[x] = off
-        totals[x] = total
-
-    kernels: dict[str, list[Vector]] = {}
-    zero = field.zero()
-    for x in cat.objects:
-        rows: list[tuple] = []
-        for f in index[x]:
-            d = cat.cod[f]
-            for h in sub.morphisms_from(d):
-                wh = w.action[h]
-                tgt = cat.compose(h, f)
-                for a in range(wh.rows):
-                    row = [zero] * totals[x]
-                    for b in range(wh.cols):
-                        row[offsets[x][f] + b] = wh.entries[a][b]
-                    row[offsets[x][tgt] + a] = field.sub(
-                        row[offsets[x][tgt] + a], field.one())
-                    rows.append(tuple(row))
-        system = Mat(len(rows), totals[x], tuple(rows))
-        kernels[x] = linalg.kernel_basis(field, system)
-    dims = {x: len(kernels[x]) for x in cat.objects}
-
-    def reindex(u: str, vec: Vector) -> Vector:
-        x, y = cat.dom[u], cat.cod[u]
-        out = [zero] * totals[y]
-        for g in index[y]:
-            src = offsets[x][cat.compose(g, u)]
-            dst = offsets[y][g]
-            for i in range(w.dims[cat.cod[g]]):
-                out[dst + i] = vec[src + i]
-        return tuple(out)
-
-    action = {}
-    for u in cat.morphisms:
-        x, y = cat.dom[u], cat.cod[u]
-        cols = []
-        for k in kernels[x]:
-            vec = reindex(u, k)
-            if dims[y]:
-                coords = linalg.solve(
-                    field, linalg.from_cols(kernels[y], rows=totals[y]), vec)
-                if coords is None:
-                    raise PreconditionFailed(
-                        f"reindexed family escapes the solution space at {u}")
-            else:
-                if any(c != 0 for c in vec):
-                    raise PreconditionFailed(
-                        f"reindexed family escapes the solution space at {u}")
-                coords = ()
-            cols.append(coords)
-        action[u] = linalg.from_cols(cols, rows=dims[y])
+        into_sub = [f for f in cat.morphisms_from(x) if cat.cod[f] in keep]
+        families[x] = compatible_families(cat, w, into_sub)
+    action = reindexing_action(cat, w, families, lambda u: PreconditionFailed(
+        f"reindexed family escapes the solution space at {u}"))
+    dims = {x: families[x].dimension for x in cat.objects}
     coind = make_module(cat, field, dims, action, check=True)
 
     counit_comps = {}
     for d in sub.objects:
-        idd = cat.identity[d]
-        base = offsets[d][idd]
-        rows = tuple(tuple(kernels[d][j][base + r] for j in range(dims[d]))
+        base = families[d].offsets[cat.identity[d]]
+        rows = tuple(tuple(k[base + r] for k in families[d].basis)
                      for r in range(w.dims[d]))
         comp = Mat(w.dims[d], dims[d], rows)
         if not linalg.is_invertible(field, comp):
@@ -832,12 +843,8 @@ def random_module(cat: FiniteCategory, field: FieldSpec, seed: int,
         y = over[0]
         span_cols = [incl.components[y].col(j)
                      for j in range(incl.components[y].cols)]
-        for i in range(free.dims[y]):
-            e = tuple(field.one() if k == i else field.zero()
-                      for k in range(free.dims[y]))
-            if not linalg.in_span(field, span_cols, e, free.dims[y]):
-                spans[y].append(e)
-                break
+        i = linalg.complement_indices(field, span_cols, free.dims[y])[0]
+        spans[y].append(linalg.identity(field, free.dims[y]).col(i))
 
 
 def all_vectors(field: FieldSpec, dim: int) -> Iterator[Vector]:

@@ -22,13 +22,20 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from . import linalg, modrep, torsion
-from .errors import FinsiteError, NotRigid, PreconditionFailed
+from .errors import (
+    FinsiteError,
+    NotRigid,
+    PreconditionFailed,
+    StabilityFails,
+    ValidationFailed,
+)
 from .fincat import FiniteCategory, full_subcategory
 from .linalg import GF, FieldSpec, Mat, Vector
 from .modrep import KModule, ModuleMap
 from .sieves import Sieve
 from .topology import (
     GrothendieckTopology,
+    check_stability_only,
     irreducible_objects,
     minimal_covering_sieve,
     rigidity,
@@ -36,37 +43,12 @@ from .topology import (
 
 
 @dataclass(frozen=True)
-class MatchingSpace:
-    """Basis of the compatible families over one sieve.
-
-    A family is stored as one block vector, a block per sieve member in
-    the member tuple's order; compatibility means every postcomposition
-    carries the member's block onto the composite's block.
-    """
+class MatchingSpace(modrep.CompatibleFamilies):
+    """Basis of the compatible families over one sieve, a block per sieve
+    member in the member tuple's order."""
 
     base: str
     sieve: Sieve
-    block_dims: tuple[int, ...]
-    offsets: Mapping[str, int]
-    total: int
-    basis: tuple[Vector, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def block(self, family: Vector, member: str) -> Vector:
-        off = self.offsets[member]
-        i = self.sieve.members.index(member)
-        return tuple(family[off:off + self.block_dims[i]])
-
-    def to_doc(self, field: FieldSpec) -> dict:
-        return {
-            "base": self.base,
-            "sieve": list(self.sieve.members),
-            "dimension": self.dimension,
-            "families": [[field.fmt(a) for a in fam] for fam in self.basis],
-        }
 
 
 def matching_space(v: KModule, x: str, s: Sieve) -> MatchingSpace:
@@ -75,35 +57,8 @@ def matching_space(v: KModule, x: str, s: Sieve) -> MatchingSpace:
     The empty sieve has no blocks and a zero-dimensional space; the
     maximal sieve's space is isomorphic to the value at the base object.
     """
-    cat = v.cat
-    field = v.field
-    members = s.members
-    block_dims = tuple(v.dims[cat.cod[f]] for f in members)
-    offsets: dict[str, int] = {}
-    total = 0
-    for f, d in zip(members, block_dims):
-        offsets[f] = total
-        total += d
-    zero = field.zero()
-    rows: list[tuple] = []
-    for f in members:
-        for g in cat.morphisms_from(cat.cod[f]):
-            if cat.is_identity(g):
-                continue
-            gf = cat.compose(g, f)
-            wg = v.action[g]
-            for a in range(wg.rows):
-                row = [zero] * total
-                for b in range(wg.cols):
-                    row[offsets[f] + b] = field.add(row[offsets[f] + b],
-                                                    wg.entries[a][b])
-                row[offsets[gf] + a] = field.sub(row[offsets[gf] + a],
-                                                 field.one())
-                rows.append(tuple(row))
-    system = Mat(len(rows), total, tuple(rows))
-    basis = tuple(linalg.kernel_basis(field, system))
-    return MatchingSpace(base=x, sieve=s, block_dims=block_dims,
-                         offsets=offsets, total=total, basis=basis)
+    families = modrep.compatible_families(v.cat, v, s.members)
+    return MatchingSpace(base=x, sieve=s, **vars(families))
 
 
 def amalgamation_map(v: KModule, x: str, s: Sieve,
@@ -112,24 +67,12 @@ def amalgamation_map(v: KModule, x: str, s: Sieve,
     expressed in the matching-space basis."""
     if space is None:
         space = matching_space(v, x, s)
-    field = v.field
-    cat = v.cat
-    basis_mat = linalg.from_cols(space.basis, rows=space.total)
-    cols = []
-    for i in range(v.dims[x]):
-        raw = []
-        for f in s.members:
-            raw.extend(v.action[f].col(i))
-        if space.dimension:
-            coords = linalg.solve(field, basis_mat, tuple(raw))
-            if coords is None:
-                raise FinsiteError("induced family escaped the matching space")
-        else:
-            if any(a != 0 for a in raw):
-                raise FinsiteError("induced family escaped the matching space")
-            coords = ()
-        cols.append(coords)
-    return linalg.from_cols(cols, rows=space.dimension)
+    induced = linalg.vstack([v.action[f] for f in s.members], cols=v.dims[x])
+    coords = linalg.solve_matrix(
+        v.field, linalg.from_cols(space.basis, rows=space.total), induced)
+    if coords is None:
+        raise FinsiteError("induced family escaped the matching space")
+    return coords
 
 
 def restrict_family(space: MatchingSpace, family: Vector,
@@ -199,17 +142,13 @@ def sheaf_status(cat: FiniteCategory, j: GrothendieckTopology,
                 kernel_w.append((x, s.members,
                                  tuple(field.fmt(a) for a in ker[0])))
                 continue
-            if linalg.rank(field, amap) < space.dimension:
+            # injective here, so the rank is the column count
+            if amap.cols < space.dimension:
                 sheaf = False
                 cols = [amap.col(i) for i in range(amap.cols)]
-                for i in range(space.dimension):
-                    e = tuple(field.one() if k == i else field.zero()
-                              for k in range(space.dimension))
-                    if not linalg.in_span(field, cols, e, space.dimension):
-                        cokernel_w.append((x, s.members,
-                                           tuple(field.fmt(a)
-                                                 for a in space.basis[i])))
-                        break
+                i = linalg.complement_indices(field, cols, space.dimension)[0]
+                cokernel_w.append((x, s.members,
+                                   tuple(field.fmt(a) for a in space.basis[i])))
     witnesses: dict[str, tuple] = {}
     if kernel_w:
         witnesses["kernel"] = tuple(kernel_w)
@@ -280,19 +219,12 @@ def perpendicular_status(cat: FiniteCategory, j: GrothendieckTopology,
             target_len = sum(v.dims[y] * pres.sub.dims[y] for y in cat.objects)
             basis_mat = linalg.from_cols([modrep.map_to_vector(h) for h in hs],
                                          rows=target_len)
-            cols = []
-            for phi in hp:
-                vec = modrep.map_to_vector(
-                    modrep.compose_maps(phi, pres.inclusion))
-                if hs:
-                    coords = linalg.solve(field, basis_mat, vec)
-                    if coords is None:
-                        raise FinsiteError("restricted map escaped the"
-                                           " hom space")
-                else:
-                    coords = ()
-                cols.append(coords)
-            rmat = linalg.from_cols(cols, rows=len(hs))
+            restricted = linalg.from_cols(
+                [modrep.map_to_vector(modrep.compose_maps(phi, pres.inclusion))
+                 for phi in hp], rows=target_len)
+            rmat = linalg.solve_matrix(field, basis_mat, restricted)
+            if rmat is None:
+                raise FinsiteError("restricted map escaped the hom space")
             r = linalg.rank(field, rmat)
             if r < len(hp):
                 hom_w.append((x, s.members))
@@ -336,7 +268,7 @@ class SheafVerdict:
                 "ext1_zero": self.perpendicular.ext1_zero,
             },
             "consistent": self.consistent,
-            "witnesses": {k: list(w) for k, w in self.witnesses.items()},
+            "witnesses": {k: dict(w) for k, w in self.witnesses.items()},
         }
 
 
@@ -370,47 +302,24 @@ def plus_construction(cat: FiniteCategory, j: GrothendieckTopology,
     """
     field = v.field
     smin: dict[str, Sieve] = {}
-    spaces: dict[str, MatchingSpace] = {}
     for x in cat.objects:
         s = minimal_covering_sieve(cat, j, x)
         if s not in j.covers.get(x, frozenset()):
             raise PreconditionFailed(
                 f"covers at {x} are not intersection closed, no minimum sieve")
         smin[x] = s
-        spaces[x] = matching_space(v, x, s)
+    witness = check_stability_only(cat, j)
+    if witness is not None:
+        raise StabilityFails(witness, "cover rule is not stable under pullback")
+    spaces = {x: matching_space(v, x, smin[x]) for x in cat.objects}
     dims = {x: spaces[x].dimension for x in cat.objects}
-    action = {}
-    for u in cat.morphisms:
-        x, y = cat.dom[u], cat.cod[u]
-        target = linalg.from_cols(spaces[y].basis, rows=spaces[y].total)
-        cols = []
-        for fam in spaces[x].basis:
-            raw: list = []
-            for h in smin[y].members:
-                raw.extend(spaces[x].block(fam, cat.compose(h, u)))
-            if dims[y]:
-                coords = linalg.solve(field, target, tuple(raw))
-                if coords is None:
-                    raise FinsiteError("reindexed family escaped the"
-                                       " matching space")
-            else:
-                if any(a != 0 for a in raw):
-                    raise FinsiteError("reindexed family escaped the"
-                                       " matching space")
-                coords = ()
-            cols.append(coords)
-        action[u] = linalg.from_cols(cols, rows=dims[y])
+    action = modrep.reindexing_action(cat, v, spaces, lambda u: FinsiteError(
+        "reindexed family escaped the matching space"))
     vplus = modrep.make_module(cat, field, dims, action, check=True)
     unit = modrep.make_module_map(
         v, vplus, {x: amalgamation_map(v, x, smin[x], spaces[x])
                    for x in cat.objects}, check=True)
     return vplus, unit
-
-
-def _all_torsion(cat: FiniteCategory, j: GrothendieckTopology,
-                 v: KModule) -> bool:
-    spans = torsion.torsion_spans(cat, j, v)
-    return all(len(spans[x]) == v.dims[x] for x in cat.objects)
 
 
 def sheafify(cat: FiniteCategory, j: GrothendieckTopology,
@@ -423,10 +332,10 @@ def sheafify(cat: FiniteCategory, j: GrothendieckTopology,
     if not sheaf_status(cat, j, p2).sheaf:
         raise FinsiteError("double plus construction is not a sheaf")
     ker, _ = modrep.kernel_of_map(unit)
-    if not _all_torsion(cat, j, ker):
+    if not torsion.is_torsion(cat, j, ker):
         raise FinsiteError("sheafification unit kernel is not torsion")
     coker, _ = modrep.cokernel_of_map(unit)
-    if not _all_torsion(cat, j, coker):
+    if not torsion.is_torsion(cat, j, coker):
         raise FinsiteError("sheafification unit cokernel is not torsion")
     return p2, unit
 
@@ -453,21 +362,20 @@ def matching_colimit_dimension(cat: FiniteCategory, j: GrothendieckTopology,
         for k, small in enumerate(spaces):
             if i == k or not small.sieve.member_set < big.sieve.member_set:
                 continue
-            target = linalg.from_cols(small.basis, rows=small.total)
-            for b, fam in enumerate(big.basis):
-                raw = restrict_family(big, fam, small.sieve)
-                if small.dimension:
-                    coords = linalg.solve(field, target, raw)
-                    if coords is None:
-                        raise FinsiteError("restricted family escaped the"
-                                           " matching space")
-                else:
-                    coords = ()
+            restricted = linalg.from_cols(
+                [restrict_family(big, fam, small.sieve) for fam in big.basis],
+                rows=small.total)
+            coords = linalg.solve_matrix(
+                field, linalg.from_cols(small.basis, rows=small.total),
+                restricted)
+            if coords is None:
+                raise FinsiteError("restricted family escaped the"
+                                   " matching space")
+            for b in range(big.dimension):
                 row = [zero] * total
                 row[offsets[i] + b] = field.one()
-                for idx, cdd in enumerate(coords):
-                    row[offsets[k] + idx] = field.sub(row[offsets[k] + idx],
-                                                      cdd)
+                for idx in range(small.dimension):
+                    row[offsets[k] + idx] = field.neg(coords[idx, b])
                 rows.append(tuple(row))
     relations = Mat(len(rows), total, tuple(rows))
     return total - linalg.rank(field, relations)
@@ -522,7 +430,8 @@ def verify_rigid_equivalence(cat: FiniteCategory, j: GrothendieckTopology,
 
     Checks on samples: a module is torsion exactly when it vanishes on the
     irreducibles; coinduction from the irreducibles produces sheaves and
-    restricting back recovers the input up to isomorphism; and coinducing
+    restricting back recovers the input, certified by the invertible
+    counit that coinduction_with_counit returns; and coinducing
     the restriction of a sheafified sample recovers it up to isomorphism.
     """
     report = rigidity(cat, j)
@@ -541,7 +450,7 @@ def verify_rigid_equivalence(cat: FiniteCategory, j: GrothendieckTopology,
                                         max_dim=max_dim)
                    for _ in range(sample_count))
     for idx, v in enumerate(samples):
-        is_t = _all_torsion(cat, j, v)
+        is_t = torsion.is_torsion(cat, j, v)
         vanishes = all(v.dims[x] == 0 for x in d_objs)
         if is_t != vanishes:
             witnesses["torsion"].append((idx, dict(v.dims)))
@@ -549,11 +458,15 @@ def verify_rigid_equivalence(cat: FiniteCategory, j: GrothendieckTopology,
     for i in range(sample_count):
         w = modrep.random_module(sub, field, seed=rng.randrange(2 ** 30),
                                  max_dim=max_dim)
-        coind = modrep.coinduction(cat, sub, w)
+        # the counit is the certificate: it comes back natural and
+        # invertible, or the construction raises
+        try:
+            coind, _ = modrep.coinduction_with_counit(cat, sub, w)
+        except (PreconditionFailed, ValidationFailed):
+            witnesses["restrict_coinduce"].append((i, dict(w.dims)))
+            continue
         if not sheaf_status(cat, j, coind).sheaf:
             witnesses["sheaf"].append((i, dict(w.dims)))
-        if not modrep.are_isomorphic(modrep.restriction(cat, sub, coind), w):
-            witnesses["restrict_coinduce"].append((i, dict(w.dims)))
 
     for i in range(sample_count):
         v = modrep.random_module(cat, field, seed=rng.randrange(2 ** 30),

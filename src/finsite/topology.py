@@ -40,6 +40,7 @@ from .sieves import (
     Sieve,
     all_sieves,
     empty_sieve,
+    generated_sieve,
     intersect_sieves,
     make_sieve,
     maximal_sieve,
@@ -164,13 +165,9 @@ def check_axioms(cat: FiniteCategory, j: GrothendieckTopology,
                 if all(pullback_sieve(cat, t, f) in j.covers.get(cat.cod[f], frozenset())
                        for f in s.members):
                     transitivity_bad.append((x, s.members, t.members))
-        for s in sorted(jx, key=sieve_sort_key):
-            for t in universe[x]:
-                if s.member_set <= t.member_set and t not in jx:
-                    inclusion_bad.append((x, s.members, t.members))
-        for s, t in itertools.combinations(sorted(jx, key=sieve_sort_key), 2):
-            if intersect_sieves(s, t) not in jx:
-                intersection_bad.append((x, s.members, t.members))
+        inclusion, intersection = closure_violations(j, x, universe[x])
+        inclusion_bad.extend(inclusion)
+        intersection_bad.extend(intersection)
 
     if maximal_bad:
         witnesses["maximal"] = tuple(maximal_bad)
@@ -190,6 +187,21 @@ def check_axioms(cat: FiniteCategory, j: GrothendieckTopology,
         intersection_closed=not intersection_bad,
         witnesses=witnesses,
     )
+
+
+def closure_violations(j: GrothendieckTopology, x: str,
+                       universe: Sequence[Sieve]) -> tuple[list, list]:
+    """Witnesses (x, S, T) at x, as member tuples, of the two closure
+    properties of a topology's covers: a cover S inside a non-cover T of
+    the universe, and two covers S, T whose intersection is no cover."""
+    jx = j.covers.get(x, frozenset())
+    ordered = sorted(jx, key=sieve_sort_key)
+    inclusion = [(x, s.members, t.members) for s in ordered for t in universe
+                 if s.member_set <= t.member_set and t not in jx]
+    intersection = [(x, s.members, t.members)
+                    for s, t in itertools.combinations(ordered, 2)
+                    if intersect_sieves(s, t) not in jx]
+    return inclusion, intersection
 
 
 def check_stability_only(cat: FiniteCategory,
@@ -359,20 +371,8 @@ def rigidity(cat: FiniteCategory, j: GrothendieckTopology) -> RigidityReport:
     gen_sieves: dict[str, Sieve] = {}
     failures = []
     for y in cat.objects:
-        gens = [f for f in cat.morphisms_from(y) if cat.cod[f] in irr_set]
-        members: set[str] = set()
-        for f in gens:
-            members.add(f)
-        # close under postcomposition
-        frontier = list(members)
-        while frontier:
-            f = frontier.pop()
-            for g in cat.morphisms_from(cat.cod[f]):
-                gf = cat.compose(g, f)
-                if gf not in members:
-                    members.add(gf)
-                    frontier.append(gf)
-        s = Sieve(y, tuple(sorted(members)))
+        s = generated_sieve(cat, y, [f for f in cat.morphisms_from(y)
+                                     if cat.cod[f] in irr_set])
         gen_sieves[y] = s
         if s not in j.covers.get(y, frozenset()):
             failures.append((y, s.members))

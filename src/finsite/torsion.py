@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import linalg, modrep
@@ -31,12 +30,16 @@ from .modrep import KModule, ModuleMap
 from .sieves import (
     Sieve,
     all_sieves,
-    intersect_sieves,
     make_sieve,
     minimal_generators,
     sieve_sort_key,
 )
-from .topology import GrothendieckTopology, check_stability_only, make_rule
+from .topology import (
+    GrothendieckTopology,
+    check_stability_only,
+    closure_violations,
+    make_rule,
+)
 
 _ENUMERATION_CAP = 200_000
 
@@ -126,13 +129,9 @@ def torsion_class(cat: FiniteCategory, j: GrothendieckTopology,
     for x in cat.objects:
         if dims[x] < v.dims[x]:
             cols = [incl.components[x].col(k) for k in range(dims[x])]
-            for i in range(v.dims[x]):
-                e = tuple(field.one() if k == i else field.zero()
-                          for k in range(v.dims[x]))
-                if not linalg.in_span(field, cols, e, v.dims[x]):
-                    witnesses["obstruction"] = (x, tuple(field.fmt(a)
-                                                         for a in e))
-                    break
+            i = linalg.complement_indices(field, cols, v.dims[x])[0]
+            e = linalg.identity(field, v.dims[x]).col(i)
+            witnesses["obstruction"] = (x, tuple(field.fmt(a) for a in e))
             break
     if dims == {x: v.dims[x] for x in cat.objects}:
         classification = "torsion"
@@ -237,14 +236,9 @@ class TorsionPairReport:
         }
 
 
-def _rand_entry(field: FieldSpec, rng: random.Random):
-    if field.is_finite:
-        return rng.randrange(field.p)
-    return Fraction(rng.randint(-2, 2))
-
-
-def _is_torsion(cat: FiniteCategory, j: GrothendieckTopology,
-                v: KModule) -> bool:
+def is_torsion(cat: FiniteCategory, j: GrothendieckTopology,
+               v: KModule) -> bool:
+    """Every vector of v is killed by some cover."""
     spans = torsion_spans(cat, j, v)
     return all(len(spans[x]) == v.dims[x] for x in cat.objects)
 
@@ -267,7 +261,7 @@ def _random_submodule(v: KModule,
     for _ in range(rng.randint(1, 2)):
         x = rng.choice(busy)
         spans.setdefault(x, []).append(
-            tuple(_rand_entry(v.field, rng) for _ in range(v.dims[x])))
+            tuple(modrep._random_entry(v.field, rng) for _ in range(v.dims[x])))
     return modrep.submodule_from_spans(v, spans, close=True)
 
 
@@ -313,9 +307,9 @@ def verify_torsion_pair(cat: FiniteCategory, j: GrothendieckTopology,
         q_free, bad = _is_torsion_free(cat, j, q)
         if not q_free:
             tf_witnesses.append((idx, dict(v.dims)) + bad)
-        if not v.is_zero() and _is_torsion(cat, j, v):
+        if not v.is_zero() and is_torsion(cat, j, v):
             torsion_list.append((idx, v))
-        if not t.is_zero() and _is_torsion(cat, j, t):
+        if not t.is_zero() and is_torsion(cat, j, t):
             torsion_list.append((idx, t))
         if q_free and not q.is_zero():
             free_list.append((idx, q))
@@ -336,10 +330,10 @@ def verify_torsion_pair(cat: FiniteCategory, j: GrothendieckTopology,
         if made is None:
             continue
         w, w_incl = made
-        if not _is_torsion(cat, j, w):
+        if not is_torsion(cat, j, w):
             sub_witnesses.append((i, dict(w.dims)))
         t_over_w, _ = modrep.quotient_module(t, w_incl)
-        if not _is_torsion(cat, j, t_over_w):
+        if not is_torsion(cat, j, t_over_w):
             quo_witnesses.append((i, dict(t_over_w.dims)))
 
     witnesses: dict[str, tuple] = {}
@@ -377,18 +371,15 @@ def nullstellensatz_roundtrip(cat: FiniteCategory, j: GrothendieckTopology,
     """
     universe = {x: all_sieves(cat, x, max_sieves) for x in cat.objects}
     for x in cat.objects:
-        jx = set(j.covers.get(x, frozenset()))
-        for s in sorted(jx, key=sieve_sort_key):
-            for t in universe[x]:
-                if s.member_set <= t.member_set and t not in jx:
-                    raise PreconditionFailed(
-                        f"rule not inclusion closed at {x}:"
-                        f" {s.members} inside {t.members}")
-        for s, t in itertools.combinations(sorted(jx, key=sieve_sort_key), 2):
-            if intersect_sieves(s, t) not in jx:
-                raise PreconditionFailed(
-                    f"rule not intersection closed at {x}:"
-                    f" {s.members} with {t.members}")
+        inclusion, intersection = closure_violations(j, x, universe[x])
+        if inclusion:
+            _, s, t = inclusion[0]
+            raise PreconditionFailed(
+                f"rule not inclusion closed at {x}: {s} inside {t}")
+        if intersection:
+            _, s, t = intersection[0]
+            raise PreconditionFailed(
+                f"rule not intersection closed at {x}: {s} with {t}")
     field = GF(p)
     generators = [modrep.sieve_quotient_module(cat, field, s).quotient
                   for x in cat.objects for s in j.covers_at(x)]

@@ -247,13 +247,7 @@ def validate_spec(spec: DSpec, horizon: int | None = None) -> SpecValidation:
     """
     if horizon is None:
         horizon = len(spec.indicator) + (spec.cutoff or 0) + 3
-    values = d_sequence(spec, horizon)
-    rec = _check_recurrence(values)
-    pieces = _check_pieces(values)
-    return SpecValidation(valid=rec is None and pieces is None,
-                          recurrence_ok=rec is None,
-                          pieces_ok=pieces is None,
-                          violation=rec if rec is not None else pieces)
+    return validate_d_sequence(d_sequence(spec, horizon))
 
 
 def validate_d_sequence(values: Sequence[DValue]) -> SpecValidation:

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from finsite import sheaves
+from finsite import fincat, modrep, sheaves
 from finsite.cli import run
+from finsite.linalg import GF
 from finsite.sheaves import PerpendicularStatus, SaturationStatus, SheafVerdict
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -125,6 +126,57 @@ def test_sheaf_check_verdict(tmp_path):
     assert code == 0
     doc = json.loads(text)
     assert doc["sheaf"] is False and doc["consistent"] is True
+
+
+def test_sheaf_check_json_carries_witness_payloads():
+    code, text = run(["--format", "json", "sheaf", "check",
+                      "--category", "quiver2", "--topology", "dense",
+                      "--module", P_Y])
+    assert code == 0
+    witnesses = json.loads(text)["witnesses"]
+    assert witnesses["sheaf"] == {"cokernel": [["x", ["f", "g"], ["1", "0"]]]}
+    assert witnesses["saturation"] == {"r1": [["x", 2]]}
+    assert witnesses["perpendicular"] == {"ext1": [["x", ["f", "g"]]]}
+
+
+def test_sheafify_unstable_rule_is_a_verdict(tmp_path):
+    # minimum cover {0->2} at 0 exists, but it pulls back along 0->1 to
+    # {1->2}, which does not cover 1
+    topo = {"covers": {"0": [["0->2"], ["0->1", "0->2"],
+                             ["0->1", "0->2", "1_0"]],
+                       "1": [["1->2", "1_1"]],
+                       "2": [["1_2"]]}}
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(topo))
+    cat = fincat.build_poset_category(
+        ["0", "1", "2"], [("0", "1"), ("1", "2")], name="chain3")
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps(modrep.module_to_doc(
+        modrep.random_module(cat, GF(2), seed=0, max_dim=2))))
+    on = ["--category", "chain3", "--topology", str(path),
+          "--module", str(module)]
+    code, text = run(["sheaf", "sheafify", *on])
+    assert code == 1
+    assert text.startswith("StabilityFails:")
+    code, _ = run(["sheaf", "check", *on])
+    assert code == 1
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("sheafify_quiver2_dense_p_y",
+     ["sheaf", "sheafify", "--module", P_Y]),
+    ("classify_quiver2_dense_dense_sheaf",
+     ["torsion", "classify", "--module", SHEAF]),
+    ("equivalence_quiver2_dense", ["sheaf", "equivalence"]),
+    ("pair_quiver2_dense", ["torsion", "pair"]),
+])
+def test_golden_quiver2_dense_json(name, argv):
+    code, text = run(["--format", "json", *argv, "--category", "quiver2",
+                      "--topology", "dense"])
+    assert code == 0
+    with open(os.path.join(DATA, "golden", name + ".json"),
+              encoding="utf-8") as handle:
+        assert text == handle.read()
 
 
 def test_sheaf_check_inconsistent_row(monkeypatch):

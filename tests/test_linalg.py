@@ -107,3 +107,66 @@ def test_rank_nullity_mod_p(rows):
     f3 = GF(3)
     a = from_rows(rows)
     assert linalg.rank(f3, a) + len(linalg.kernel_basis(f3, a)) == a.cols
+
+
+FIELDS = (GF(2), GF(3), QQ)
+
+
+@st.composite
+def systems(draw):
+    """(field, a, b): shapes from 0 up, half of them with b = a x."""
+    field = draw(st.sampled_from(FIELDS))
+    rows, cols, rhs = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.integers(-2, 2).map(field.of)
+
+    def matrix(r, c):
+        return Mat(r, c, tuple(tuple(draw(entry) for _ in range(c))
+                               for _ in range(r)))
+
+    a = matrix(rows, cols)
+    b = (linalg.matmul(field, a, matrix(cols, rhs)) if draw(st.booleans())
+         else matrix(rows, rhs))
+    return field, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_solve_matrix_matches_per_column_solve(system):
+    field, a, b = system
+    per_column = [linalg.solve(field, a, b.col(j)) for j in range(b.cols)]
+    got = linalg.solve_matrix(field, a, b)
+    if any(x is None for x in per_column):
+        assert got is None
+    else:
+        assert got == from_cols(per_column, rows=a.cols)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_solve_matrix_degenerate_shapes(field):
+    def zeros(r, c):
+        return linalg.zeros(field, r, c)
+
+    assert linalg.solve_matrix(field, zeros(0, 3), zeros(0, 2)) == zeros(3, 2)
+    assert linalg.solve_matrix(field, zeros(2, 0), zeros(2, 3)) == zeros(0, 3)
+    unsolvable = from_rows([[field.one()], [field.zero()]])
+    assert linalg.solve_matrix(field, zeros(2, 0), unsolvable) is None
+    identity = linalg.identity(field, 2)
+    assert linalg.solve_matrix(field, identity, zeros(2, 0)) == zeros(2, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 4), st.data())
+def test_complement_indices_match_in_span_scan(field, dim, data):
+    entry = st.integers(-2, 2).map(field.of)
+    vectors = data.draw(st.lists(st.tuples(*[entry] * dim), max_size=4))
+    units = [linalg.identity(field, dim).col(i) for i in range(dim)]
+    picked: list[int] = []
+    span = list(vectors)
+    for i, e in enumerate(units):
+        if not linalg.in_span(field, span, e, dim):
+            picked.append(i)
+            span.append(e)
+    got = linalg.complement_indices(field, vectors, dim)
+    assert got == picked
+    rank = len(linalg.span_basis(field, vectors, dim))
+    assert rank + len(got) == dim

@@ -274,6 +274,28 @@ def test_rigid_equivalence_no_irreducibles(cat_quiver2):
     assert rep.irreducibles == ()
 
 
+def test_rigid_equivalence_records_a_failed_counit(cat_quiver2, monkeypatch):
+    real = modrep.coinduction_with_counit
+    calls = []
+
+    def degenerate_first_two(cat, sub, w):
+        # the first two calls coinduce the sampled core modules
+        calls.append(w)
+        if len(calls) <= 2:
+            raise PreconditionFailed("counit degenerate at y")
+        return real(cat, sub, w)
+
+    monkeypatch.setattr(modrep, "coinduction_with_counit",
+                        degenerate_first_two)
+    dense = topology.named_topology(cat_quiver2, "dense")
+    rep = sheaves.verify_rigid_equivalence(cat_quiver2, dense,
+                                           sample_count=2, max_dim=2)
+    assert not rep.restrict_after_coinduce_identity
+    assert len(rep.witnesses["restrict_coinduce"]) == 2
+    assert rep.coinduction_makes_sheaves
+    assert rep.coinduce_after_restrict_identity
+
+
 def test_rigid_equivalence_rejects_nonrigid(cat_idem_monoid):
     dense = topology.named_topology(cat_idem_monoid, "dense")
     assert not topology.rigidity(cat_idem_monoid, dense).rigid
