@@ -130,9 +130,11 @@ def all_sieves(cat: FiniteCategory, x: str,
     complete list is the closure of {empty} + principal sieves under pairwise
     union.
     """
-    found: set[Sieve] = {empty_sieve(cat, x)}
-    for f in cat.morphisms_from(x):
-        found.add(principal_sieve(cat, f))
+    # an insertion-ordered dict, not a set: the union calls made then do
+    # not depend on string hashing (PYTHONHASHSEED)
+    found = dict.fromkeys([empty_sieve(cat, x)]
+                          + [principal_sieve(cat, f)
+                             for f in cat.morphisms_from(x)])
     frontier = list(found)
     while frontier:
         s = frontier.pop()
@@ -142,7 +144,7 @@ def all_sieves(cat: FiniteCategory, x: str,
                 if len(found) >= max_sieves:
                     raise SizeBudgetExceeded(
                         f"more than {max_sieves} sieves on {x}")
-                found.add(u)
+                found[u] = None
                 frontier.append(u)
     return sorted(found, key=sieve_sort_key)
 

@@ -7,8 +7,11 @@ every failure. Rules and topologies are the same data.
 
 On a finite category every topology's covers at x are closed under finite
 intersection and inclusion, hence form the up-set of a unique minimum sieve.
-Enumeration exploits that: candidates are choices of one minimum sieve per
-object, and every emitted candidate is re-verified with check_axioms.
+Enumeration exploits that: a backtracking search picks one minimum sieve per
+object and prunes on two local conditions, stability and transitivity of the
+minimum sieves, which together are necessary and sufficient for the up-set
+rule to be a topology. Its budget counts the (object, sieve) pairs tried,
+and every rule it emits is re-verified with check_axioms.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    FinsiteError,
     NotAnIdeal,
     NotDirectedEI,
     NotRigid,
@@ -261,24 +265,94 @@ def enumerate_topologies(cat: FiniteCategory,
     """All Grothendieck topologies, sorted by total cover count then by
     canonical serialization.
 
-    Candidates are up-sets of one chosen minimum sieve per object (complete
-    by the closure properties of covers on a finite category); each candidate
-    is re-verified with check_axioms before being emitted, so correctness
-    never rests on the pruning.
+    A topology is the up-set J(x) = up(m(x)) of one minimum sieve per
+    object, and such a rule is a topology exactly when two local
+    conditions hold:
+
+    - stability: m(y) is inside f*(m(x)) for every f: x -> y;
+    - transitivity: every sieve T on x with m(cod f) inside f*(T) for all
+      f in m(x) contains m(x).
+
+    A backtracking search assigns m(x) object by object, fewest outgoing
+    morphisms first so that codomains are mostly fixed before their
+    domains, and tests each condition as soon as every object it mentions
+    is assigned. Both tests are lookups in tables built once: the index of
+    f*(S) for every sieve S and every f, and sieve inclusion per object.
+    ``budget`` bounds the candidate tests, the (object, sieve) pairs tried.
+    Every complete assignment is re-verified with check_axioms, so
+    correctness never rests on the pruning; a rejected one is a library
+    bug and raises FinsiteError.
     """
     universe = {x: all_sieves(cat, x, max_sieves) for x in cat.objects}
-    total = 1
+    order = sorted(cat.objects, key=lambda x: len(cat.morphisms_from(x)))
+    pos = {x: i for i, x in enumerate(order)}
+    # above[x][a]: bitmask of the sieves on x containing sieve a
+    above = {}
     for x in cat.objects:
-        total *= len(universe[x])
-        if total > budget:
-            raise SizeBudgetExceeded(
-                f"{total}+ candidate rules exceeds budget {budget}")
+        sets = [s.member_set for s in universe[x]]
+        above[x] = [sum(1 << b for b, t in enumerate(sets) if s <= t)
+                    for s in sets]
+    # forced[f][b]: bitmask of the sieves S on dom f whose pullback f*(S)
+    # contains sieve b on cod f
+    index = {x: {s: i for i, s in enumerate(universe[x])} for x in cat.objects}
+    forced = {}
+    for f in cat.morphisms:
+        y = cat.cod[f]
+        pull = [index[y][pullback_sieve(cat, s, f)]
+                for s in universe[cat.dom[f]]]
+        forced[f] = [sum(1 << a for a, p in enumerate(pull) if up >> p & 1)
+                     for up in above[y]]
+    # stability of f is tested at the later of its two endpoints; the
+    # transitivity of (x, a) once the codomains of a's members are placed
+    edges_at: list[list[str]] = [[] for _ in order]
+    for f in cat.morphisms:
+        if not cat.is_identity(f):
+            edges_at[max(pos[cat.dom[f]], pos[cat.cod[f]])].append(f)
+    ready = {x: [max([pos[x]] + [pos[cat.cod[f]] for f in s.members])
+                 for s in universe[x]]
+             for x in cat.objects}
+    full = {x: (1 << len(universe[x])) - 1 for x in cat.objects}
+
+    m: dict[str, int] = {}
+
+    def stable(f: str) -> int:
+        return forced[f][m[cat.cod[f]]] >> m[cat.dom[f]] & 1
+
+    def transitive(x: str) -> bool:
+        a = m[x]
+        hyp = full[x]
+        for f in universe[x][a].members:
+            hyp &= forced[f][m[cat.cod[f]]]
+        return not hyp & ~above[x][a]
+
     found = []
-    for choice in itertools.product(*(universe[x] for x in cat.objects)):
-        rule = make_rule(cat, {x: _upset(universe[x], s)
-                               for x, s in zip(cat.objects, choice)})
-        if check_axioms(cat, rule, max_sieves).is_topology:
+    tests = 0
+
+    def extend(i: int) -> None:
+        nonlocal tests
+        if i == len(order):
+            rule = make_rule(cat, {x: _upset(universe[x], universe[x][m[x]])
+                                   for x in cat.objects})
+            if not check_axioms(cat, rule, max_sieves).is_topology:
+                raise FinsiteError(
+                    f"topology search on {cat.name} emitted a rule that "
+                    "check_axioms rejects")
             found.append(rule)
+            return
+        x = order[i]
+        for a in range(len(universe[x])):
+            tests += 1
+            if tests > budget:
+                raise SizeBudgetExceeded(
+                    f"more than {budget} candidate tests")
+            m[x] = a
+            if (all(stable(f) for f in edges_at[i])
+                    and all(transitive(z) for z in order[:i + 1]
+                            if ready[z][m[z]] == i)):
+                extend(i + 1)
+        del m[x]
+
+    extend(0)
     found.sort(key=topology_sort_key)
     return found
 

@@ -112,6 +112,13 @@ def test_enumerate_json_counts():
     assert set(names) == {"trivial", None, "dense", "maximal"}
 
 
+def test_enumerate_chain7():
+    code, text = run(["--format", "json", "topology", "enumerate",
+                      "--category", "chain7"])
+    assert code == 0
+    assert json.loads(text)["count"] == 128
+
+
 def test_sheaf_check_verdict(tmp_path):
     code, text = run(["--format", "json", "sheaf", "check",
                       "--category", "quiver2", "--topology", "dense",

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finsite
 from finsite import fincat, sieves
 from finsite.errors import InvalidSieve, WrongDomain
 
@@ -110,3 +114,37 @@ def test_sieve_doc_roundtrip(cat_quiver2):
     doc = sieves.sieve_to_doc(s)
     assert doc == {"base": "x", "members": ["f", "g"]}
     assert sieves.sieve_from_doc(cat_quiver2, doc) == s
+
+
+UNION_COUNT_SCRIPT = """
+from finsite import fincat, sieves
+calls = [0]
+union = sieves.union_sieves
+def counting(a, b):
+    calls[0] += 1
+    return union(a, b)
+sieves.union_sieves = counting
+orbit, _ = fincat.build_orbit_category(fincat.symmetric_group_table(3))
+diamond = fincat.build_poset_category(
+    ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+for cat in (orbit, diamond):
+    for x in cat.objects:
+        sieves.all_sieves(cat, x)
+print(calls[0])
+"""
+
+
+def test_all_sieves_work_ignores_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(finsite.__file__)))
+    counts = []
+    # at least one of these seeds changed the count when found was a set
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", UNION_COUNT_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        counts.append(int(done.stdout))
+    assert len(set(counts)) == 1, counts

@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsite import fincat, sieves, topology
-from finsite.errors import NotAnIdeal, NotDirectedEI, OreConditionFails
+from finsite.errors import (
+    FinsiteError,
+    NotAnIdeal,
+    NotDirectedEI,
+    OreConditionFails,
+    SizeBudgetExceeded,
+)
 
-from conftest import ei_fixture_categories
+from conftest import chain, ei_fixture_categories, idem_monoid
 
 
 def sv(cat, x, members):
@@ -92,6 +102,114 @@ def test_enumerate_chain2(cat_chain2):
         tuple(sorted([("0->1",), ("1_1",)])),
         tuple(sorted([(), ()])),
     ])
+
+
+def brute_force_topologies(cat):
+    """Oracle: certify the up-set rule of every element of the product of
+    per-object sieve lists with check_axioms, in the enumeration's order."""
+    universe = {x: sieves.all_sieves(cat, x) for x in cat.objects}
+    found = []
+    for choice in itertools.product(*(universe[x] for x in cat.objects)):
+        rule = topology.make_rule(cat, {
+            x: [t for t in universe[x] if s.member_set <= t.member_set]
+            for x, s in zip(cat.objects, choice)})
+        if topology.check_axioms(cat, rule).is_topology:
+            found.append(rule)
+    found.sort(key=topology.topology_sort_key)
+    return found
+
+
+def assert_search_matches_oracle(cat):
+    search = topology.enumerate_topologies(cat)
+    oracle = brute_force_topologies(cat)
+    assert ([topology.canonical_serialization(j) for j in search]
+            == [topology.canonical_serialization(j) for j in oracle])
+
+
+@st.composite
+def posets(draw):
+    n = draw(st.integers(1, 5))
+    # objects in a drawn order; relations follow a drawn linear extension
+    objs = draw(st.permutations([f"p{i}" for i in range(n)]))
+    ext = draw(st.permutations(objs))
+    pairs = [(a, b) for a, b in itertools.combinations(ext, 2)
+             if draw(st.booleans())]
+    return fincat.build_poset_category(objs, pairs)
+
+
+@st.composite
+def acyclic_quivers(draw):
+    n = draw(st.integers(1, 3))
+    verts = [f"v{i}" for i in range(n)]
+    edges = list(itertools.combinations(verts, 2))
+    if not edges:
+        return fincat.build_quiver_category(verts, [])
+    ends = draw(st.lists(st.sampled_from(edges), max_size=4))
+    return fincat.build_quiver_category(
+        verts, [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+
+
+def transformation_monoid(n: int) -> fincat.FiniteCategory:
+    """Every map {0..n-1} -> {0..n-1} under composition, identity first."""
+    ident = tuple(range(n))
+    maps = [ident] + [m for m in itertools.product(range(n), repeat=n)
+                      if m != ident]
+    idx = {m: i for i, m in enumerate(maps)}
+    table = [[idx[tuple(g[f[k]] for k in range(n))] for f in maps]
+             for g in maps]
+    return fincat.build_monoid_category(table, name=f"T{n}")
+
+
+@settings(max_examples=30, deadline=None)
+@given(posets())
+def test_search_matches_product_on_posets(cat):
+    assert_search_matches_oracle(cat)
+
+
+@settings(max_examples=30, deadline=None)
+@given(acyclic_quivers())
+def test_search_matches_product_on_quivers(cat):
+    assert_search_matches_oracle(cat)
+
+
+def test_search_matches_product_on_monoids():
+    for name, table in [("C2", fincat.cyclic_group_table(2)),
+                        ("C3", fincat.cyclic_group_table(3)),
+                        ("S3", fincat.symmetric_group_table(3))]:
+        assert_search_matches_oracle(
+            fincat.build_monoid_category(table, name=name))
+    assert_search_matches_oracle(idem_monoid())
+    t3 = transformation_monoid(3)
+    assert len(sieves.all_sieves(t3, "*")) == 10
+    assert len(topology.enumerate_topologies(t3)) == 4
+    assert_search_matches_oracle(t3)
+
+
+def test_search_matches_product_on_fixtures():
+    # trunc_fi2, orbit(C3) and orbit(S3) have a morphism into an object
+    # assigned later, so some conditions wait for that object
+    cats = ei_fixture_categories()
+    cats.append(fincat.build_orbit_category(
+        fincat.symmetric_group_table(3))[0])
+    for cat in cats:
+        assert_search_matches_oracle(cat)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_chain_carries_two_to_the_n_topologies(n):
+    assert len(topology.enumerate_topologies(chain(n))) == 2 ** n
+
+
+def test_small_enumeration_budget_is_refused():
+    with pytest.raises(SizeBudgetExceeded):
+        topology.enumerate_topologies(chain(4), budget=5)
+
+
+def test_rejected_leaf_is_an_error_not_a_drop(cat_quiver2, monkeypatch):
+    rejected = topology.AxiomReport(True, False, True, True, True)
+    monkeypatch.setattr(topology, "check_axioms", lambda *a, **k: rejected)
+    with pytest.raises(FinsiteError):
+        topology.enumerate_topologies(cat_quiver2)
 
 
 def test_consistent_families_match_enumeration():
