@@ -13,10 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Mapping, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from . import fincat, linalg, modrep, sheaves, sieves, topology, torsion, typen
 from .errors import (
+    MALFORMED_INPUT,
     CyclicQuiver,
     FieldMismatch,
     FinsiteError,
@@ -28,15 +30,17 @@ from .errors import (
     SizeBudgetExceeded,
     UnknownObject,
     ValidationFailed,
+    Violation,
     WrongDomain,
 )
 
-# input-shaped failures: the command never got a well-formed question
+# input-shaped failures: the command never got a well-formed question.
+# Input that fails to parse becomes ValidationFailed where it is parsed
+# (_parsing); a bare KeyError or ValueError anywhere else is a bug.
 _INPUT_ERRORS = (
     ValidationFailed, UnknownObject, WrongDomain, InvalidSieve,
     CyclicQuiver, NotAPoset, NotAGroupTable, ShapeMismatch, FieldMismatch,
-    InfiniteFieldUnsupported, SizeBudgetExceeded,
-    ValueError, KeyError, OSError, json.JSONDecodeError,
+    InfiniteFieldUnsupported, SizeBudgetExceeded, OSError,
 )
 
 _NAMED_TOPOLOGIES = ("trivial", "maximal", "dense", "atomic")
@@ -44,6 +48,26 @@ _NAMED_TOPOLOGIES = ("trivial", "maximal", "dense", "atomic")
 
 # ---------------------------------------------------------------------------
 # input resolution
+
+class _Malformed(ValidationFailed):
+    """Input that does not parse as the document or argument it should be."""
+
+
+@contextmanager
+def _parsing(subject: str) -> Iterator[None]:
+    """Report a failure to parse CLI input as ValidationFailed.
+
+    Wraps only the steps that read a document or an argument (JSON, dict
+    keys, int(), name splitting, the library's document readers and the
+    builders that check their parameters), so the builtins they raise
+    there mean malformed input.
+    """
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise _Malformed(subject, [Violation(MALFORMED_INPUT, (), detail)]) from exc
+
 
 def _builtin_category(name: str, budget: fincat.SizeBudget) -> fincat.FiniteCategory:
     if name == "quiver2":
@@ -82,25 +106,34 @@ def _load_json(path: str):
 
 
 def _resolve_category(spec: str, budget: fincat.SizeBudget) -> fincat.FiniteCategory:
-    if spec.endswith(".json") or "/" in spec:
-        return fincat.validate_category(_load_json(spec), budget)
-    return _builtin_category(spec, budget)
+    with _parsing("category"):
+        if spec.endswith(".json") or "/" in spec:
+            return fincat.validate_category(_load_json(spec), budget)
+        return _builtin_category(spec, budget)
 
 
 def _resolve_topology(cat: fincat.FiniteCategory,
                       spec: str) -> topology.GrothendieckTopology:
     if spec in _NAMED_TOPOLOGIES:
         return topology.named_topology(cat, spec)
-    return topology.topology_from_doc(cat, _load_json(spec))
+    with _parsing("topology"):
+        return topology.topology_from_doc(cat, _load_json(spec))
 
 
 def _resolve_module(cat: fincat.FiniteCategory, path: str) -> modrep.KModule:
-    return modrep.module_from_doc(cat, _load_json(path))
+    with _parsing("module"):
+        return modrep.module_from_doc(cat, _load_json(path))
 
 
 def _resolve_spec(raw: str) -> typen.DSpec:
-    doc = json.loads(raw) if raw.lstrip().startswith("{") else _load_json(raw)
-    return typen.spec_from_doc(doc)
+    with _parsing("spec"):
+        doc = json.loads(raw) if raw.lstrip().startswith("{") else _load_json(raw)
+        return typen.spec_from_doc(doc)
+
+
+def _resolve_field(label: str) -> linalg.FieldSpec:
+    with _parsing("field"):
+        return modrep.parse_field_label(label)
 
 
 def _budget(args) -> fincat.SizeBudget:
@@ -225,6 +258,8 @@ def _cmd_category_validate(args) -> tuple[int, Any, str]:
     budget = _budget(args)
     try:
         cat = _resolve_category(args.category, budget)
+    except _Malformed:
+        raise
     except ValidationFailed as err:
         doc = {"ok": False,
                "violations": [{"kind": v.kind, "witness": list(v.witness),
@@ -242,8 +277,9 @@ def _cmd_category_validate(args) -> tuple[int, Any, str]:
 
 
 def _cmd_category_build(args) -> tuple[int, Any, str]:
-    params = json.loads(args.params) if args.params else {}
-    cat = fincat.build_standard_category(args.kind, params, _budget(args))
+    with _parsing("params"):
+        params = json.loads(args.params) if args.params else {}
+        cat = fincat.build_standard_category(args.kind, params, _budget(args))
     doc = fincat.category_to_doc(cat)
     text = _kv_table([("name", cat.name),
                       ("objects", " ".join(cat.objects)),
@@ -365,7 +401,7 @@ def _cmd_torsion_classify(args) -> tuple[int, Any, str]:
 def _cmd_torsion_pair(args) -> tuple[int, Any, str]:
     cat = _resolve_category(args.category, _budget(args))
     j = _resolve_topology(cat, args.topology)
-    field = modrep.parse_field_label(args.field)
+    field = _resolve_field(args.field)
     report = torsion.verify_torsion_pair(cat, j, field=field,
                                          sample_count=args.samples,
                                          seed=args.seed)
@@ -382,7 +418,7 @@ def _cmd_torsion_pair(args) -> tuple[int, Any, str]:
 def _cmd_torsion_roundtrip(args) -> tuple[int, Any, str]:
     cat = _resolve_category(args.category, _budget(args))
     j = _resolve_topology(cat, args.topology)
-    field = modrep.parse_field_label(args.field)
+    field = _resolve_field(args.field)
     if not field.is_finite:
         raise InfiniteFieldUnsupported(
             "the annihilator round trip enumerates vectors; pick Fp:P")
@@ -424,7 +460,7 @@ def _cmd_sheaf_sheafify(args) -> tuple[int, Any, str]:
 def _cmd_sheaf_equivalence(args) -> tuple[int, Any, str]:
     cat = _resolve_category(args.category, _budget(args))
     j = _resolve_topology(cat, args.topology)
-    field = modrep.parse_field_label(args.field)
+    field = _resolve_field(args.field)
     report = sheaves.verify_rigid_equivalence(cat, j, field=field,
                                               sample_count=args.samples,
                                               seed=args.seed)
@@ -449,7 +485,8 @@ def _cmd_typen_validate(args) -> tuple[int, Any, str]:
 
 
 def _cmd_typen_census(args) -> tuple[int, Any, str]:
-    census = typen.spec_census(args.horizon)
+    with _parsing("horizon"):
+        census = typen.spec_census(args.horizon)
     doc = census.to_doc()
     text = (f"generic: {len(census.generic)},"
             f" nongeneric: {len(census.nongeneric)}\n")
@@ -457,8 +494,9 @@ def _cmd_typen_census(args) -> tuple[int, Any, str]:
 
 
 def _cmd_typen_pullback(args) -> tuple[int, Any, str]:
-    rank = None if args.rank in ("empty", "none") else int(args.rank)
-    s = typen.symbolic_pullback(args.object, rank, args.deg)
+    with _parsing("pullback"):
+        rank = None if args.rank in ("empty", "none") else int(args.rank)
+        s = typen.symbolic_pullback(args.object, rank, args.deg)
     doc = {"n": s.n, "rank": s.rank, "display": repr(s)}
     return 0, doc, repr(s) + "\n"
 

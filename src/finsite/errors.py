@@ -60,6 +60,9 @@ NON_IDENTITY_AT_OBJECT = "NonIdentityAtObject"
 FUNCTORIALITY_VIOLATION = "FunctorialityViolation"
 NATURALITY_VIOLATION = "NaturalityViolation"
 
+# Violation kind tag for command line input that does not parse.
+MALFORMED_INPUT = "MalformedInput"
+
 
 class SizeBudgetExceeded(FinsiteError):
     """A construction or search would exceed the configured size budget."""

@@ -5,12 +5,20 @@ floating point anywhere. Matrices carry their shape explicitly so zero-row
 and zero-column cases stay unambiguous. Elimination pivots on the first
 nonzero entry in row-major order, so echelon forms, kernels, and selected
 bases are reproducible across runs.
+
+The matrices are tiny, so the cost is per-scalar Python overhead. The hot
+kernels (matmul, mat_vec, mat_add, mat_scale, rref) branch on the field
+once per call: ints with one local modulus over F_p, Fractions over Q.
+`Echelon` is the one incremental subspace (span_basis, in_span and
+complement_indices wrap it): it grows one vector at a time and tests
+membership without a fresh elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ShapeMismatch
@@ -150,34 +158,54 @@ def mat_eq_zero(m: Mat) -> bool:
     return all(x == 0 for r in m.entries for x in r)
 
 
+def _columns(b: Mat) -> tuple[tuple, ...]:
+    return tuple(zip(*b.entries)) if b.rows else ((),) * b.cols
+
+
 def matmul(field: FieldSpec, a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    z = field.zero()
-    out = []
-    for i in range(a.rows):
-        arow = a.entries[i]
-        row = []
-        for j in range(b.cols):
-            acc = z
-            for k in range(a.cols):
-                acc = field.add(acc, field.mul(arow[k], b.entries[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return Mat(a.rows, b.cols, tuple(out))
+    cols = _columns(b)
+    p = field.p
+    if p is None:
+        zero = Fraction(0)
+        out = tuple(tuple(sum(map(mul, row, col), zero) for col in cols)
+                    for row in a.entries)
+    else:
+        out = tuple(tuple(sum(map(mul, row, col)) % p for col in cols)
+                    for row in a.entries)
+    return Mat(a.rows, b.cols, out)
 
 
 def mat_add(field: FieldSpec, a: Mat, b: Mat) -> Mat:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeMismatch("shape mismatch in add")
-    return Mat(a.rows, a.cols, tuple(
-        tuple(field.add(a.entries[i][j], b.entries[i][j]) for j in range(a.cols))
-        for i in range(a.rows)))
+    p = field.p
+    if p is None:
+        out = tuple(tuple(x + y for x, y in zip(ra, rb))
+                    for ra, rb in zip(a.entries, b.entries))
+    else:
+        out = tuple(tuple((x + y) % p for x, y in zip(ra, rb))
+                    for ra, rb in zip(a.entries, b.entries))
+    return Mat(a.rows, a.cols, out)
 
 
 def mat_scale(field: FieldSpec, c, a: Mat) -> Mat:
-    return Mat(a.rows, a.cols, tuple(
-        tuple(field.mul(c, x) for x in r) for r in a.entries))
+    return Mat(a.rows, a.cols, tuple(_scaled(field.p, c, r) for r in a.entries))
+
+
+def _scaled(p: int | None, c, xs) -> tuple:
+    """The entries of c xs, reduced mod p over F_p."""
+    if p is None:
+        return tuple(c * x for x in xs)
+    return tuple(c * x % p for x in xs)
+
+
+def _axpy(p: int | None, xs, c, ys) -> list:
+    """The entries of xs - c ys, reduced mod p over F_p."""
+    if p is None:
+        return [x - c * y for x, y in zip(xs, ys)]
+    return [(x - c * y) % p for x, y in zip(xs, ys)]
 
 
 def transpose(a: Mat) -> Mat:
@@ -225,6 +253,7 @@ def block_diag(field: FieldSpec, mats: Sequence[Mat]) -> Mat:
 
 def rref(field: FieldSpec, a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns, first-nonzero pivoting."""
+    p = field.p
     m = [list(r) for r in a.entries]
     pivots = []
     r = 0
@@ -235,12 +264,13 @@ def rref(field: FieldSpec, a: Mat) -> tuple[Mat, tuple[int, ...]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        # rows r onwards are zero left of c, the pivot row among them, so
+        # row operations need only the columns from c on
+        tail = m[r][c:] = _scaled(p, field.inv(m[r][c]), m[r][c:])
         for i in range(a.rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i][c:] = _axpy(p, m[i][c:], f, tail)
         pivots.append(c)
         r += 1
     return Mat(a.rows, a.cols, tuple(tuple(row) for row in m)), tuple(pivots)
@@ -318,32 +348,86 @@ def independent_columns(field: FieldSpec, a: Mat) -> list[int]:
     return list(rref(field, a)[1])
 
 
+class Echelon:
+    """A subspace of k^dim, grown one vector at a time.
+
+    `basis` holds the added vectors that were not in the span of those
+    added before them, in order: the greedy selection span_basis makes.
+    Behind it sits the reduced echelon form of that span, one row per
+    pivot column (zero before the pivot, 1 at it, 0 at every other
+    pivot), so membership is one pass of row subtractions.
+    """
+
+    def __init__(self, field: FieldSpec, dim: int,
+                 vectors: Iterable[Vector] = ()) -> None:
+        self.field = field
+        self.dim = dim
+        self.basis: list[Vector] = []
+        self._rows: dict[int, list] = {}  # pivot column -> row from it on
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+    def _residue(self, v: Vector) -> list:
+        """v minus its part in the span: zero exactly when v is inside."""
+        p = self.field.p
+        w = list(v)
+        for c, row in self._rows.items():
+            f = w[c]
+            if f != 0:
+                w[c:] = _axpy(p, w[c:], f, row)
+        return w
+
+    def contains(self, v: Vector) -> bool:
+        return not any(x != 0 for x in self._residue(v))
+
+    def add(self, v: Vector) -> bool:
+        """Add v to the span; True when it was outside (and is now kept)."""
+        w = self._residue(v)
+        c = next((i for i, x in enumerate(w) if x != 0), None)
+        if c is None:
+            return False
+        p = self.field.p
+        row = list(_scaled(p, self.field.inv(w[c]), w[c:]))
+        for pc, other in self._rows.items():
+            f = other[c - pc] if pc < c else 0
+            if f != 0:
+                other[c - pc:] = _axpy(p, other[c - pc:], f, row)
+        self._rows[c] = row
+        self.basis.append(tuple(v))
+        return True
+
+    def missing_unit(self) -> int | None:
+        """Index i of the first standard vector e_i outside the span, or
+        None when the span is all of k^dim. In reduced echelon form e_i is
+        inside exactly when i is a pivot whose row is e_i itself."""
+        for i in range(self.dim):
+            row = self._rows.get(i)
+            if row is None or any(x != 0 for x in row[1:]):
+                return i
+        return None
+
+
 def span_basis(field: FieldSpec, vectors: Iterable[Vector], dim: int) -> list[Vector]:
-    """Canonical basis of the span of `vectors` inside k^dim."""
-    vecs = [v for v in vectors if any(x != 0 for x in v)]
-    if not vecs:
-        return []
-    m = from_cols(vecs, rows=dim)
-    return [m.col(j) for j in independent_columns(field, m)]
+    """Canonical basis of the span of `vectors` inside k^dim: each vector
+    not in the span of the ones before it, in order."""
+    return Echelon(field, dim, vectors).basis
 
 
 def in_span(field: FieldSpec, basis: Sequence[Vector], v: Vector, dim: int) -> bool:
-    if all(x == 0 for x in v):
-        return True
-    if not basis:
-        return False
-    return solve(field, from_cols(basis, rows=dim), v) is not None
+    return Echelon(field, dim, basis).contains(v)
 
 
 def complement_indices(field: FieldSpec, vectors: Sequence[Vector],
                        dim: int) -> list[int]:
     """Indices i of the standard vectors e_i picked greedily, in order, to
     extend span(vectors) to all of k^dim."""
-    if not vectors:
-        return list(range(dim))
-    k = len(vectors)
-    stacked = hstack([from_cols(vectors, rows=dim), identity(field, dim)])
-    return [p - k for p in independent_columns(field, stacked) if p >= k]
+    span = Echelon(field, dim, vectors)
+    units = identity(field, dim)
+    return [i for i in range(dim) if span.add(units.entries[i])]
 
 
 def intersect_spans(field: FieldSpec, a: Sequence[Vector], b: Sequence[Vector],
@@ -366,14 +450,11 @@ def intersect_spans(field: FieldSpec, a: Sequence[Vector], b: Sequence[Vector],
 def mat_vec(field: FieldSpec, a: Mat, v: Vector) -> Vector:
     if len(v) != a.cols:
         raise ShapeMismatch("vector length mismatch")
-    z = field.zero()
-    out = []
-    for i in range(a.rows):
-        acc = z
-        for j in range(a.cols):
-            acc = field.add(acc, field.mul(a.entries[i][j], v[j]))
-        out.append(acc)
-    return tuple(out)
+    p = field.p
+    if p is None:
+        zero = Fraction(0)
+        return tuple(sum(map(mul, row, v), zero) for row in a.entries)
+    return tuple(sum(map(mul, row, v)) % p for row in a.entries)
 
 
 def mat_to_strings(field: FieldSpec, a: Mat) -> list[list[str]]:

@@ -381,34 +381,41 @@ def hom_space(v: KModule, w: KModule) -> list[ModuleMap]:
 # ---------------------------------------------------------------------------
 # submodules and quotients
 
-def submodule_from_spans(v: KModule, spans: Mapping[str, Sequence[Vector]],
-                         close: bool = True) -> tuple[KModule, ModuleMap]:
-    """Submodule spanned by the given vectors, with its inclusion.
+def _saturate(v: KModule, spans: Mapping[str, linalg.Echelon],
+              done: dict[str, int], close: bool) -> None:
+    """Add to spans[cod f] the images under f of the basis at dom f, for
+    every morphism f, until nothing new appears; close=False raises
+    PreconditionFailed at the first image outside its span instead.
 
-    close=True saturates the spans under the action first; close=False
-    requires the spans to be action-closed already and raises
-    PreconditionFailed otherwise.
+    done[f] counts the basis vectors at dom f already pushed through f;
+    spans only grow, so their images need no second test. Each pass takes
+    the basis at dom f as it stood when f came up, so the bases are the
+    ones a full re-test of every image per pass would select.
     """
-    field = v.field
     cat = v.cat
-    basis = {x: linalg.span_basis(field, list(spans.get(x, ())), v.dims[x])
-             for x in cat.objects}
     changed = True
     while changed:
         changed = False
         for f in cat.morphisms:
-            x, y = cat.dom[f], cat.cod[f]
-            for b in basis[x]:
-                img = v.apply(f, b)
-                if not linalg.in_span(field, basis[y], img, v.dims[y]):
+            basis = spans[cat.dom[f]].basis
+            target = spans[cat.cod[f]]
+            start, done[f] = done[f], len(basis)
+            for b in basis[start:done[f]]:
+                if target.add(v.apply(f, b)):
                     if not close:
                         raise PreconditionFailed(
                             f"spans not closed under the action at {f}")
-                    basis[y] = linalg.span_basis(field, basis[y] + [img],
-                                                 v.dims[y])
                     changed = True
-    dims = {x: len(basis[x]) for x in cat.objects}
-    comps = {x: linalg.from_cols(basis[x], rows=v.dims[x]) for x in cat.objects}
+
+
+def _submodule(v: KModule, spans: Mapping[str, linalg.Echelon],
+               ) -> tuple[KModule, ModuleMap]:
+    """The submodule on action-closed spans, with its inclusion."""
+    field = v.field
+    cat = v.cat
+    dims = {x: spans[x].rank for x in cat.objects}
+    comps = {x: linalg.from_cols(spans[x].basis, rows=v.dims[x])
+             for x in cat.objects}
     action = {}
     for f in cat.morphisms:
         x, y = cat.dom[f], cat.cod[f]
@@ -419,6 +426,20 @@ def submodule_from_spans(v: KModule, spans: Mapping[str, Sequence[Vector]],
     sub = make_module(cat, field, dims, action, check=False)
     incl = make_module_map(sub, v, comps, check=False)
     return sub, incl
+
+
+def submodule_from_spans(v: KModule, spans: Mapping[str, Sequence[Vector]],
+                         close: bool = True) -> tuple[KModule, ModuleMap]:
+    """Submodule spanned by the given vectors, with its inclusion.
+
+    close=True saturates the spans under the action first; close=False
+    requires the spans to be action-closed already and raises
+    PreconditionFailed otherwise.
+    """
+    echelons = {x: linalg.Echelon(v.field, v.dims[x], spans.get(x, ()))
+                for x in v.cat.objects}
+    _saturate(v, echelons, dict.fromkeys(v.cat.morphisms, 0), close)
+    return _submodule(v, echelons)
 
 
 def quotient_module(v: KModule,
@@ -811,7 +832,12 @@ def random_module(cat: FiniteCategory, field: FieldSpec, seed: int,
     Built as a quotient of a direct sum of representables by a random
     action-closed subspace, so functoriality holds by construction; the
     quotient constructor re-verifies it anyway. Oversized values are cut
-    down by growing the relation subspace at the offending object.
+    down by growing the relation subspace at the offending object: the
+    first standard vector outside it joins, and the closure is saturated
+    again from where it stood. The inclusion and the quotient are built
+    once, at the end. The quotient depends only on the relation subspace
+    at each object, not on its basis, so the module for a seed is the
+    one a fresh closure per added relation would give.
     """
     if max_dim < 0:
         raise PreconditionFailed("max_dim must be nonnegative")
@@ -826,25 +852,25 @@ def random_module(cat: FiniteCategory, field: FieldSpec, seed: int,
         summands.extend(yoneda_module(cat, field, x)
                         for _ in range(copies[x]))
     free = direct_sum(cat, field, summands)
-    spans: dict[str, list[Vector]] = {x: [] for x in cat.objects}
+    relations = {x: linalg.Echelon(field, free.dims[x]) for x in cat.objects}
     busy = [x for x in cat.objects if free.dims[x] > 0]
     if busy:
         for _ in range(rng.randint(0, max(1, free.total_dim() // 2))):
             x = rng.choice(busy)
-            spans[x].append(tuple(_random_entry(field, rng)
-                                  for _ in range(free.dims[x])))
+            relations[x].add(tuple(_random_entry(field, rng)
+                                   for _ in range(free.dims[x])))
 
+    done = dict.fromkeys(cat.morphisms, 0)
     while True:
-        _, incl = submodule_from_spans(free, spans, close=True)
-        quo, _ = quotient_module(free, incl)
-        over = [y for y in cat.objects if quo.dims[y] > max_dim]
-        if not over:
-            return quo
-        y = over[0]
-        span_cols = [incl.components[y].col(j)
-                     for j in range(incl.components[y].cols)]
-        i = linalg.complement_indices(field, span_cols, free.dims[y])[0]
-        spans[y].append(linalg.identity(field, free.dims[y]).col(i))
+        _saturate(free, relations, done, close=True)
+        y = next((y for y in cat.objects
+                  if free.dims[y] - relations[y].rank > max_dim), None)
+        if y is None:
+            break
+        i = relations[y].missing_unit()
+        relations[y].add(linalg.identity(field, free.dims[y]).entries[i])
+    _, incl = _submodule(free, relations)
+    return quotient_module(free, incl)[0]
 
 
 def all_vectors(field: FieldSpec, dim: int) -> Iterator[Vector]:

@@ -146,7 +146,7 @@ def sheaf_status(cat: FiniteCategory, j: GrothendieckTopology,
             if amap.cols < space.dimension:
                 sheaf = False
                 cols = [amap.col(i) for i in range(amap.cols)]
-                i = linalg.complement_indices(field, cols, space.dimension)[0]
+                i = linalg.Echelon(field, space.dimension, cols).missing_unit()
                 cokernel_w.append((x, s.members,
                                    tuple(field.fmt(a) for a in space.basis[i])))
     witnesses: dict[str, tuple] = {}

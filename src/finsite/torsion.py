@@ -129,7 +129,7 @@ def torsion_class(cat: FiniteCategory, j: GrothendieckTopology,
     for x in cat.objects:
         if dims[x] < v.dims[x]:
             cols = [incl.components[x].col(k) for k in range(dims[x])]
-            i = linalg.complement_indices(field, cols, v.dims[x])[0]
+            i = linalg.Echelon(field, v.dims[x], cols).missing_unit()
             e = linalg.identity(field, v.dims[x]).col(i)
             witnesses["obstruction"] = (x, tuple(field.fmt(a) for a in e))
             break

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from finsite import fincat, modrep, sheaves
+from finsite import fincat, modrep, sheaves, torsion
 from finsite.cli import run
 from finsite.linalg import GF
 from finsite.sheaves import PerpendicularStatus, SaturationStatus, SheafVerdict
@@ -333,3 +333,36 @@ def test_category_validate_reports_violations(tmp_path):
     parsed = json.loads(text)
     assert parsed["ok"] is False
     assert parsed["violations"]
+
+
+@pytest.mark.parametrize("error", (KeyError, ValueError))
+def test_library_bug_is_not_an_input_error(monkeypatch, error):
+    # a builtin raised inside a library call is a bug, not bad input: it
+    # propagates instead of becoming exit 2
+    def broken(cat, j, v):
+        raise error("internal")
+
+    monkeypatch.setattr(torsion, "torsion_class", broken)
+    with pytest.raises(error):
+        run(["torsion", "classify", "--category", "quiver2",
+             "--topology", "dense", "--module", SHEAF])
+
+
+def test_wrongly_shaped_documents_are_exit_2(tmp_path):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    dims_listed = tmp_path / "dims.json"
+    dims_listed.write_text(json.dumps({"field": "Q", "dims": [1]}))
+    for argv in (
+            ["category", "validate", "--category", str(listed)],
+            ["topology", "check", "--category", "quiver2",
+             "--topology", str(listed)],
+            ["sheaf", "check", "--category", "quiver2", "--topology", "dense",
+             "--module", str(dims_listed)],
+            ["typen", "validate", "--spec", str(listed)],
+            ["category", "build", "--kind", "poset", "--params", "[1]"],
+            ["torsion", "pair", "--category", "quiver2", "--topology", "dense",
+             "--field", "Fp:4"]):
+        code, text = run(argv)
+        assert code == 2, (argv, text)
+        assert text.startswith("error: ") and "MalformedInput" in text, text

@@ -170,3 +170,189 @@ def test_complement_indices_match_in_span_scan(field, dim, data):
     assert got == picked
     rank = len(linalg.span_basis(field, vectors, dim))
     assert rank + len(got) == dim
+
+
+# ---------------------------------------------------------------------------
+# per-field kernels and Echelon against FieldSpec-dispatch references: the
+# generic scalar-at-a-time code the kernels replaced, kept here as oracles
+
+def ref_matmul(field, a, b):
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = field.zero()
+            for k in range(a.cols):
+                acc = field.add(acc, field.mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return Mat(a.rows, b.cols, tuple(out))
+
+
+def ref_mat_vec(field, a, v):
+    return ref_matmul(field, a, from_cols([v], rows=a.cols)).col(0)
+
+
+def ref_mat_add(field, a, b):
+    return Mat(a.rows, a.cols, tuple(
+        tuple(field.add(x, y) for x, y in zip(ra, rb))
+        for ra, rb in zip(a.entries, b.entries)))
+
+
+def ref_mat_scale(field, c, a):
+    return Mat(a.rows, a.cols, tuple(tuple(field.mul(c, x) for x in r)
+                                     for r in a.entries))
+
+
+def ref_rref(field, a):
+    m = [list(r) for r in a.entries]
+    pivots = []
+    r = 0
+    for c in range(a.cols):
+        if r == a.rows:
+            break
+        pr = next((i for i in range(r, a.rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(a.rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return Mat(a.rows, a.cols, tuple(tuple(row) for row in m)), tuple(pivots)
+
+
+def ref_span_basis(field, vectors, dim):
+    vecs = [v for v in vectors if any(x != 0 for x in v)]
+    if not vecs:
+        return []
+    m = from_cols(vecs, rows=dim)
+    return [m.col(j) for j in ref_rref(field, m)[1]]
+
+
+def ref_in_span(field, basis, v, dim):
+    if all(x == 0 for x in v):
+        return True
+    if not basis:
+        return False
+    aug = from_cols(list(basis) + [v], rows=dim)
+    return len(basis) not in ref_rref(field, aug)[1]
+
+
+def ref_complement_indices(field, vectors, dim):
+    k = len(vectors)
+    stacked = linalg.hstack([from_cols(vectors, rows=dim),
+                             linalg.identity(field, dim)], rows=dim)
+    return [p - k for p in ref_rref(field, stacked)[1] if p >= k]
+
+
+ALL_FIELDS = (GF(2), GF(3), GF(5), QQ)
+
+
+def entries(field):
+    if field.is_finite:
+        return st.integers(0, field.p - 1)
+    return st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(field, a, b, c, v, scalar): a and c r x k, b k x n, v of length k,
+    every dimension from 0 up."""
+    field = draw(st.sampled_from(ALL_FIELDS))
+    r, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = entries(field)
+
+    def matrix(rows, cols):
+        return Mat(rows, cols, tuple(tuple(draw(entry) for _ in range(cols))
+                                     for _ in range(rows)))
+
+    v = tuple(draw(entry) for _ in range(k))
+    return field, matrix(r, k), matrix(k, n), matrix(r, k), v, draw(entry)
+
+
+@settings(max_examples=250, deadline=None)
+@given(kernel_inputs())
+def test_kernels_match_reference(inputs):
+    field, a, b, c, v, s = inputs
+    for got, want in (
+            (linalg.matmul(field, a, b), ref_matmul(field, a, b)),
+            (linalg.mat_add(field, a, c), ref_mat_add(field, a, c)),
+            (linalg.mat_scale(field, s, a), ref_mat_scale(field, s, a)),
+            (linalg.rref(field, a)[0], ref_rref(field, a)[0]),
+            (linalg.rref(field, linalg.hstack([a, c], rows=a.rows))[0],
+             ref_rref(field, linalg.hstack([a, c], rows=a.rows))[0])):
+        assert got == want
+        assert (linalg.mat_to_strings(field, got)
+                == linalg.mat_to_strings(field, want))
+    assert linalg.rref(field, a)[1] == ref_rref(field, a)[1]
+    assert linalg.mat_vec(field, a, v) == ref_mat_vec(field, a, v)
+
+
+@st.composite
+def vector_families(draw):
+    """(field, dim, vectors): drawn vectors followed by linear combinations
+    of earlier ones, so dependent and zero vectors occur over every field."""
+    field = draw(st.sampled_from(ALL_FIELDS))
+    dim = draw(st.integers(0, 5))
+    entry = entries(field)
+    vectors = [tuple(draw(entry) for _ in range(dim))
+               for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 3))):
+        if not vectors:
+            break
+        picks = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=3))
+        combo = [field.zero()] * dim
+        for w in picks:
+            c = draw(entry)
+            combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, w)]
+        vectors.insert(draw(st.integers(0, len(vectors))), tuple(combo))
+    return field, dim, vectors
+
+
+@settings(max_examples=250, deadline=None)
+@given(vector_families(), st.data())
+def test_echelon_matches_rref_oracles(family, data):
+    field, dim, vectors = family
+    span = linalg.Echelon(field, dim)
+    kept = [span.add(v) for v in vectors]
+    basis = ref_span_basis(field, vectors, dim)
+    assert span.basis == basis
+    assert [v for v, k in zip(vectors, kept) if k] == basis
+    assert span.rank == len(basis)
+    assert linalg.span_basis(field, vectors, dim) == basis
+    entry = entries(field)
+    probes = [tuple(data.draw(entry) for _ in range(dim)) for _ in range(3)]
+    probes += list(vectors) + [linalg.identity(field, dim).col(i)
+                               for i in range(dim)]
+    for w in probes:
+        want = ref_in_span(field, basis, w, dim)
+        assert span.contains(w) == want
+        assert linalg.in_span(field, vectors, w, dim) == want
+    complement = ref_complement_indices(field, vectors, dim)
+    assert linalg.complement_indices(field, vectors, dim) == complement
+    assert span.missing_unit() == (complement[0] if complement else None)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_kernels_on_empty_shapes(field):
+    zeros = linalg.zeros
+    assert linalg.matmul(field, zeros(field, 2, 0), zeros(field, 0, 3)) \
+        == zeros(field, 2, 3)
+    assert linalg.matmul(field, zeros(field, 0, 2), zeros(field, 2, 3)) \
+        == zeros(field, 0, 3)
+    assert linalg.matmul(field, zeros(field, 2, 3), zeros(field, 3, 0)) \
+        == zeros(field, 2, 0)
+    assert linalg.mat_vec(field, zeros(field, 2, 0), ()) == (field.zero(),) * 2
+    assert linalg.mat_vec(field, zeros(field, 0, 2), (field.one(),) * 2) == ()
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        assert linalg.rref(field, zeros(field, *shape)) == (zeros(field, *shape), ())
+        assert linalg.mat_add(field, zeros(field, *shape), zeros(field, *shape)) \
+            == zeros(field, *shape)
+    empty = linalg.Echelon(field, 0)
+    assert not empty.add(()) and empty.contains(()) and empty.missing_unit() is None
+    assert empty.basis == [] and linalg.complement_indices(field, [], 0) == []

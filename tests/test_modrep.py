@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsite import fincat, linalg, modrep, sieves
+from finsite import fincat, linalg, modrep, sieves, topology, torsion
 from finsite.errors import (
     FUNCTORIALITY_VIOLATION,
     NON_IDENTITY_AT_OBJECT,
@@ -18,7 +20,7 @@ from finsite.errors import (
 )
 from finsite.linalg import GF, QQ, Mat
 
-from conftest import chain, diamond, quiver2
+from conftest import chain, diamond, idem_monoid, quiver2
 
 F2 = GF(2)
 F3 = GF(3)
@@ -304,6 +306,61 @@ def test_random_module_respects_cap_and_functoriality(cat_diamond):
         v = modrep.random_module(cat_diamond, QQ, seed=seed, max_dim=2)
         assert all(d <= 2 for d in v.dims.values())
         modrep.make_module(cat_diamond, QQ, v.dims, v.action, check=True)
+
+
+GOLDEN_STREAM = os.path.join(os.path.dirname(__file__), "data", "golden",
+                             "random_modules.json")
+
+
+def stream_categories() -> dict[str, fincat.FiniteCategory]:
+    orbit, _ = fincat.build_orbit_category(fincat.cyclic_group_table(3),
+                                           name="orbit_C3")
+    return {"quiver2": quiver2(), "chain3": chain(3), "diamond": diamond(),
+            "trunc_fi2": fincat.build_trunc_fi_category(2), "orbit_C3": orbit,
+            "idem_monoid": idem_monoid()}
+
+
+def test_random_module_stream_is_pinned():
+    # module_to_doc of every seeded sample, and the torsion inclusions of a
+    # few of them under every topology (which pins the basis order that
+    # submodule_from_spans selects), as the stream stood when pinned
+    with open(GOLDEN_STREAM, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    modules, inclusions = {}, {}
+    for name, cat in stream_categories().items():
+        tops = topology.enumerate_topologies(cat)
+        for field in (F2, F3, QQ):
+            for seed in range(10):
+                for max_dim in (1, 2, 3):
+                    v = modrep.random_module(cat, field, seed, max_dim)
+                    key = f"{name}/{field.label()}/{seed}/{max_dim}"
+                    modules[key] = modrep.module_to_doc(v)
+                    if seed < 3 and max_dim == 3:
+                        for i, j in enumerate(tops):
+                            _, incl = torsion.torsion_submodule(cat, j, v)
+                            inclusions[f"{key}/{i}"] = {
+                                x: linalg.mat_to_strings(field,
+                                                         incl.components[x])
+                                for x in cat.objects}
+    assert modules == golden["modules"]
+    assert inclusions == golden["torsion_inclusions"]
+
+
+@pytest.mark.parametrize("field", (F2, F3, QQ))
+def test_random_module_builds_one_quotient(monkeypatch, field):
+    calls = []
+    quotient = modrep.quotient_module
+
+    def counted(v, incl):
+        calls.append(v)
+        return quotient(v, incl)
+
+    monkeypatch.setattr(modrep, "quotient_module", counted)
+    for name, cat in stream_categories().items():
+        for seed in range(10):
+            calls.clear()
+            modrep.random_module(cat, field, seed, max_dim=1)
+            assert len(calls) == 1, (name, seed)
 
 
 def test_are_isomorphic_accepts_base_change(cat_quiver2):
