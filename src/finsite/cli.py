@@ -473,7 +473,8 @@ def _cmd_sheaf_equivalence(args) -> tuple[int, Any, str]:
 
 def _cmd_typen_validate(args) -> tuple[int, Any, str]:
     spec = _resolve_spec(args.spec)
-    outcome = typen.validate_spec(spec, horizon=args.horizon)
+    with _parsing("horizon"):
+        outcome = typen.validate_spec(spec, horizon=args.horizon)
     doc = outcome.to_doc()
     doc["rigid"] = typen.rigid_spec(spec) if outcome.valid else None
     pairs = [("valid", _bool(outcome.valid)),

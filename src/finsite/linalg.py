@@ -11,7 +11,8 @@ kernels (matmul, mat_vec, mat_add, mat_scale, rref) branch on the field
 once per call: ints with one local modulus over F_p, Fractions over Q.
 `Echelon` is the one incremental subspace (span_basis, in_span and
 complement_indices wrap it): it grows one vector at a time and tests
-membership without a fresh elimination.
+membership without a fresh elimination. There is no separate inverse:
+quotient_module reads a complement and its inverse off one rref of [B | I].
 """
 
 from __future__ import annotations
@@ -330,22 +331,8 @@ def solve_matrix(field: FieldSpec, a: Mat, b: Mat) -> Mat | None:
     return Mat(a.cols, b.cols, tuple(tuple(row) for row in x))
 
 
-def inverse(field: FieldSpec, a: Mat) -> Mat | None:
-    if a.rows != a.cols:
-        return None
-    x = solve_matrix(field, a, identity(field, a.rows))
-    if x is None:
-        return None
-    return x if matmul(field, a, x).entries == identity(field, a.rows).entries else None
-
-
 def is_invertible(field: FieldSpec, a: Mat) -> bool:
     return a.rows == a.cols and rank(field, a) == a.rows
-
-
-def independent_columns(field: FieldSpec, a: Mat) -> list[int]:
-    """Greedy left-to-right selection of a column basis (deterministic)."""
-    return list(rref(field, a)[1])
 
 
 class Echelon:

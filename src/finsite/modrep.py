@@ -25,6 +25,7 @@ from .errors import (
     NON_IDENTITY_AT_OBJECT,
     SHAPE_VIOLATION,
     FieldMismatch,
+    FinsiteError,
     InfiniteFieldUnsupported,
     NotFullSubcategory,
     PreconditionFailed,
@@ -212,25 +213,37 @@ def direct_sum(cat: FiniteCategory, field: FieldSpec,
     return make_module(cat, field, dims, action, check=False)
 
 
+def _relabel(field: FieldSpec, src: Sequence, dst: Sequence,
+             image: Callable) -> Mat:
+    """The matrix sending the basis vector labelled a in src to the one
+    labelled image(a) in dst, and to 0 when dst has no such label."""
+    index = {h: i for i, h in enumerate(dst)}
+    zero, one = field.zero(), field.one()
+    targets = [index.get(image(a)) for a in src]
+    return Mat(len(dst), len(src),
+               tuple(tuple(one if t == i else zero for t in targets)
+                     for i in range(len(dst))))
+
+
+def _postcomposition_module(cat: FiniteCategory, field: FieldSpec,
+                            basis: Mapping[str, tuple[str, ...]]) -> KModule:
+    """The module free on basis[y], a set of morphisms out of one object,
+    at each y; u acts by f -> u f, and by 0 when u f is not a label."""
+    action = {u: _relabel(field, basis[cat.dom[u]], basis[cat.cod[u]],
+                          lambda f, u=u: cat.compose(u, f))
+              for u in cat.morphisms}
+    return make_module(cat, field, {y: len(basis[y]) for y in cat.objects},
+                       action, basis_labels=basis, check=False)
+
+
 def yoneda_module(cat: FiniteCategory, field: FieldSpec, x: str) -> KModule:
     """The representable module at x: the value at y is free on Hom(x, y),
     and a morphism u acts on basis vectors by postcomposition."""
     if x not in cat.identity:
         raise ValidationFailed("representable",
                                [Violation(SHAPE_VIOLATION, (x,), "unknown object")])
-    basis = {y: cat.hom(x, y) for y in cat.objects}
-    dims = {y: len(basis[y]) for y in cat.objects}
-    action = {}
-    for u in cat.morphisms:
-        src, dst = basis[cat.dom[u]], basis[cat.cod[u]]
-        index = {h: i for i, h in enumerate(dst)}
-        cols = []
-        for f in src:
-            col = [field.zero()] * len(dst)
-            col[index[cat.compose(u, f)]] = field.one()
-            cols.append(tuple(col))
-        action[u] = linalg.from_cols(cols, rows=len(dst))
-    return make_module(cat, field, dims, action, basis_labels=basis, check=False)
+    return _postcomposition_module(cat, field,
+                                   {y: cat.hom(x, y) for y in cat.objects})
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +460,10 @@ def quotient_module(v: KModule,
     """Quotient of v by an included submodule, with the projection.
 
     The quotient basis is the canonical complement: standard basis vectors
-    selected greedily after the submodule basis.
+    selected greedily after the submodule basis. One rref of [B | I],
+    which is E [B | I], per object picks the submodule columns and then the
+    complement units R; E inverts [submodule columns | R], so its rows past
+    the submodule pivots are the projection P. P [B | R] = [0 | I] is checked.
     """
     if sub_inclusion.target != v:
         raise PreconditionFailed("inclusion does not land in the module")
@@ -459,18 +475,19 @@ def quotient_module(v: KModule,
     for x in cat.objects:
         b = sub_inclusion.components[x]
         n = v.dims[x]
-        stacked = linalg.hstack([b, linalg.identity(field, n)], rows=n)
-        pivots = linalg.independent_columns(field, stacked)
-        sub_cols = [b.col(p) for p in pivots if p < b.cols]
-        comp_cols = [stacked.col(p) for p in pivots if p >= b.cols]
-        dims[x] = n - len(sub_cols)
-        reps[x] = linalg.from_cols(comp_cols, rows=n)
-        if n == 0:
-            projections[x] = linalg.zeros(field, 0, 0)
-            continue
-        full = linalg.from_cols(sub_cols + comp_cols, rows=n)
-        inv = linalg.inverse(field, full)
-        projections[x] = Mat(dims[x], n, inv.entries[len(sub_cols):])
+        r, pivots = linalg.rref(
+            field, linalg.hstack([b, linalg.identity(field, n)], rows=n))
+        k = sum(1 for p in pivots if p < b.cols)
+        dims[x] = n - k
+        reps[x] = _relabel(field, [p - b.cols for p in pivots[k:]], range(n),
+                           lambda i: i)
+        projections[x] = Mat(dims[x], n,
+                             tuple(row[b.cols:] for row in r.entries[k:]))
+        if not (linalg.mat_eq_zero(linalg.matmul(field, projections[x], b))
+                and linalg.matmul(field, projections[x], reps[x])
+                == linalg.identity(field, dims[x])):
+            raise FinsiteError(f"quotient projection at {x} does not invert"
+                               " the complement")
     action = {}
     for f in cat.morphisms:
         x, y = cat.dom[f], cat.cod[f]
@@ -523,49 +540,24 @@ class SievePresentation:
 
 def sieve_quotient_module(cat: FiniteCategory, field: FieldSpec,
                           s: Sieve) -> SievePresentation:
+    """The representable at s.base presented by s, in closed form: sub and
+    quotient are free on the members and on the other morphisms, u acting
+    by postcomposition (by 0 when u f falls into the sieve)."""
     x = s.base
     ambient = yoneda_module(cat, field, x)
     mset = s.member_set
-
-    def part_module(inside: bool) -> KModule:
-        basis = {y: tuple(f for f in cat.hom(x, y) if (f in mset) == inside)
-                 for y in cat.objects}
-        dims = {y: len(basis[y]) for y in cat.objects}
-        action = {}
-        for u in cat.morphisms:
-            src, dst = basis[cat.dom[u]], basis[cat.cod[u]]
-            index = {h: i for i, h in enumerate(dst)}
-            cols = []
-            for f in src:
-                col = [field.zero()] * len(dst)
-                uf = cat.compose(u, f)
-                # in the quotient a basis vector maps to zero when the
-                # composite falls into the sieve
-                if (uf in mset) == inside:
-                    col[index[uf]] = field.one()
-                cols.append(tuple(col))
-            action[u] = linalg.from_cols(cols, rows=len(dst))
-        return make_module(cat, field, dims, action, basis_labels=basis,
-                           check=False)
-
-    sub = part_module(inside=True)
-    quotient = part_module(inside=False)
-
-    def unit_columns(labels: Mapping[str, tuple[str, ...]], y: str) -> Mat:
-        index = {h: i for i, h in enumerate(cat.hom(x, y))}
-        cols = []
-        for f in labels[y]:
-            col = [field.zero()] * len(index)
-            col[index[f]] = field.one()
-            cols.append(tuple(col))
-        return linalg.from_cols(cols, rows=len(index))
-
+    hom = {y: cat.hom(x, y) for y in cat.objects}
+    sub = _postcomposition_module(
+        cat, field, {y: tuple(f for f in hom[y] if f in mset) for y in hom})
+    quotient = _postcomposition_module(
+        cat, field, {y: tuple(f for f in hom[y] if f not in mset) for y in hom})
     inclusion = make_module_map(
         sub, ambient,
-        {y: unit_columns(sub.basis_labels, y) for y in cat.objects}, check=True)
+        {y: _relabel(field, sub.basis_labels[y], hom[y], lambda f: f)
+         for y in cat.objects}, check=True)
     projection = make_module_map(
         ambient, quotient,
-        {y: linalg.transpose(unit_columns(quotient.basis_labels, y))
+        {y: _relabel(field, hom[y], quotient.basis_labels[y], lambda f: f)
          for y in cat.objects}, check=True)
     idx = cat.identity[x]
     gen = [field.zero()] * quotient.dims[x]
@@ -584,19 +576,11 @@ def standard_injective(cat: FiniteCategory, field: FieldSpec, x: str) -> KModule
     u: y -> z acts by (u.phi)(h) = phi(h u). Maps from any W into it are
     exactly linear functionals on W_x, which makes it injective."""
     basis = {y: cat.hom(y, x) for y in cat.objects}
-    dims = {y: len(basis[y]) for y in cat.objects}
-    action = {}
-    for u in cat.morphisms:
-        src = basis[cat.dom[u]]
-        dst = basis[cat.cod[u]]
-        index = {h: i for i, h in enumerate(src)}
-        rows = []
-        for h in dst:
-            row = [field.zero()] * len(src)
-            row[index[cat.compose(h, u)]] = field.one()
-            rows.append(tuple(row))
-        action[u] = Mat(len(dst), len(src), tuple(rows))
-    return make_module(cat, field, dims, action, basis_labels=basis, check=False)
+    action = {u: linalg.transpose(_relabel(
+        field, basis[cat.cod[u]], basis[cat.dom[u]],
+        lambda h, u=u: cat.compose(h, u))) for u in cat.morphisms}
+    return make_module(cat, field, {y: len(basis[y]) for y in cat.objects},
+                       action, basis_labels=basis, check=False)
 
 
 def canonical_injective_embedding(v: KModule,

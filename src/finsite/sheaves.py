@@ -26,7 +26,6 @@ from .errors import (
     FinsiteError,
     NotRigid,
     PreconditionFailed,
-    StabilityFails,
     ValidationFailed,
 )
 from .fincat import FiniteCategory, full_subcategory
@@ -35,9 +34,9 @@ from .modrep import KModule, ModuleMap
 from .sieves import Sieve
 from .topology import (
     GrothendieckTopology,
-    check_stability_only,
     irreducible_objects,
     minimal_covering_sieve,
+    require_stable,
     rigidity,
 )
 
@@ -308,9 +307,7 @@ def plus_construction(cat: FiniteCategory, j: GrothendieckTopology,
             raise PreconditionFailed(
                 f"covers at {x} are not intersection closed, no minimum sieve")
         smin[x] = s
-    witness = check_stability_only(cat, j)
-    if witness is not None:
-        raise StabilityFails(witness, "cover rule is not stable under pullback")
+    require_stable(cat, j)
     spaces = {x: matching_space(v, x, smin[x]) for x in cat.objects}
     dims = {x: spaces[x].dimension for x in cat.objects}
     action = modrep.reindexing_action(cat, v, spaces, lambda u: FinsiteError(

@@ -28,6 +28,7 @@ from .errors import (
     NotRigid,
     OreConditionFails,
     SizeBudgetExceeded,
+    StabilityFails,
     UnknownObject,
 )
 from .fincat import (
@@ -145,7 +146,7 @@ def check_axioms(cat: FiniteCategory, j: GrothendieckTopology,
     """
     witnesses: dict[str, tuple] = {}
     maximal_bad = []
-    stability_bad = []
+    stability_bad = list(_stability_violations(cat, j))
     transitivity_bad = []
     inclusion_bad = []
     intersection_bad = []
@@ -155,13 +156,6 @@ def check_axioms(cat: FiniteCategory, j: GrothendieckTopology,
         jx = set(j.covers.get(x, frozenset()))
         if maximal_sieve(cat, x) not in jx:
             maximal_bad.append((x,))
-        for s in sorted(jx, key=sieve_sort_key):
-            # stability quantifies over every morphism out of x, not only
-            # members of s (a member's pullback is always the maximal sieve)
-            for f in cat.morphisms_from(x):
-                pb = pullback_sieve(cat, s, f)
-                if pb not in j.covers.get(cat.cod[f], frozenset()):
-                    stability_bad.append((x, s.members, f))
         for t in universe[x]:
             if t in jx:
                 continue
@@ -208,15 +202,27 @@ def closure_violations(j: GrothendieckTopology, x: str,
     return inclusion, intersection
 
 
-def check_stability_only(cat: FiniteCategory,
-                         j: GrothendieckTopology) -> tuple | None:
-    """First stability violation (x, sieve members, f), or None."""
+def _stability_violations(cat: FiniteCategory, j: GrothendieckTopology):
+    """Every stability violation (x, sieve members, f), in order; stability
+    quantifies over every morphism out of x, not only the sieve's members."""
     for x in cat.objects:
         for s in sorted(j.covers.get(x, frozenset()), key=sieve_sort_key):
             for f in cat.morphisms_from(x):
                 if pullback_sieve(cat, s, f) not in j.covers.get(cat.cod[f], frozenset()):
-                    return (x, s.members, f)
-    return None
+                    yield (x, s.members, f)
+
+
+def check_stability_only(cat: FiniteCategory,
+                         j: GrothendieckTopology) -> tuple | None:
+    """First stability violation (x, sieve members, f), or None."""
+    return next(_stability_violations(cat, j), None)
+
+
+def require_stable(cat: FiniteCategory, j: GrothendieckTopology) -> None:
+    """Raise StabilityFails at the first stability violation."""
+    witness = check_stability_only(cat, j)
+    if witness is not None:
+        raise StabilityFails(witness, "cover rule is not stable under pullback")
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +494,19 @@ def restrict_to_ideal(cat: FiniteCategory, j: GrothendieckTopology,
 # smallest topology containing a rule; sipp topology on orbit categories
 
 def saturate_rule(cat: FiniteCategory, j: GrothendieckTopology,
-                  max_sieves: int = 4096,
-                  max_rounds: int = 10_000) -> GrothendieckTopology:
+                  max_sieves: int = 4096) -> GrothendieckTopology:
     """Smallest topology containing the rule: iterate closure under the
     maximal-sieve axiom, stability, and transitivity to a fixpoint. Each
     added sieve is forced in any topology containing the rule, so the
-    fixpoint is the least one.
+    fixpoint is the least one. Every pass that changes something adds a
+    sieve of the finite universe, so the loop ends.
     """
     universe = {x: all_sieves(cat, x, max_sieves) for x in cat.objects}
     covers = {x: set(j.covers.get(x, frozenset())) for x in cat.objects}
     for x in cat.objects:
         covers[x].add(maximal_sieve(cat, x))
-    for _ in range(max_rounds):
+    changed = True
+    while changed:
         changed = False
         for x in cat.objects:
             for s in list(covers[x]):
@@ -516,9 +523,7 @@ def saturate_rule(cat: FiniteCategory, j: GrothendieckTopology,
                        for s in covers[x]):
                     covers[x].add(t)
                     changed = True
-        if not changed:
-            return make_rule(cat, covers)
-    raise SizeBudgetExceeded("rule saturation did not stabilize")
+    return make_rule(cat, covers)
 
 
 def sipp_topology(orbit_cat: FiniteCategory, orbit_data: OrbitData,

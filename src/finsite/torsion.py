@@ -21,7 +21,6 @@ from .errors import (
     PreconditionFailed,
     ShapeMismatch,
     SizeBudgetExceeded,
-    StabilityFails,
     UnknownObject,
 )
 from .fincat import FiniteCategory
@@ -31,28 +30,28 @@ from .sieves import (
     Sieve,
     all_sieves,
     make_sieve,
-    minimal_generators,
     sieve_sort_key,
 )
 from .topology import (
     GrothendieckTopology,
-    check_stability_only,
     closure_violations,
     make_rule,
+    require_stable,
 )
 
 _ENUMERATION_CAP = 200_000
+_HOM_PAIR_CAP = 400  # (torsion, torsion-free) sample pairs whose hom is solved
 
 
 def sieve_kernel(v: KModule, s: Sieve) -> list[Vector]:
     """Basis of the vectors at the sieve's base killed by every member.
 
-    Only a generating set of the sieve is intersected; the remaining
-    members are composites and kill the same vectors. The empty sieve has
-    no generators and kills nothing, so it yields the whole space.
+    Every member's matrix is stacked; composites add no condition, so the
+    kernel (hence the row space and its echelon form) is a generating
+    set's. The empty sieve kills nothing, so it yields the whole space.
     """
-    gens = minimal_generators(v.cat, s)
-    stacked = linalg.vstack([v.action[f] for f in gens], cols=v.dims[s.base])
+    stacked = linalg.vstack([v.action[f] for f in s.members],
+                            cols=v.dims[s.base])
     return linalg.kernel_basis(v.field, stacked)
 
 
@@ -80,9 +79,7 @@ def torsion_submodule(cat: FiniteCategory, j: GrothendieckTopology,
     kernels to be closed under the action; the closure is re-verified by
     the submodule constructor.
     """
-    witness = check_stability_only(cat, j)
-    if witness is not None:
-        raise StabilityFails(witness, "cover rule is not stable under pullback")
+    require_stable(cat, j)
     return modrep.submodule_from_spans(v, torsion_spans(cat, j, v), close=False)
 
 
@@ -269,7 +266,7 @@ def verify_torsion_pair(cat: FiniteCategory, j: GrothendieckTopology,
                         field: FieldSpec = GF(2), sample_count: int = 20,
                         seed: int = 0, max_dim: int = 3,
                         extra_modules: Sequence[KModule] = (),
-                        hom_pair_cap: int = 400) -> TorsionPairReport:
+                        ) -> TorsionPairReport:
     """Probe the torsion/torsion-free pair on sampled modules.
 
     Samples are the sieve-quotient generators of the rule, any caller
@@ -284,9 +281,7 @@ def verify_torsion_pair(cat: FiniteCategory, j: GrothendieckTopology,
     nothing more, and demanding full topology-hood here would make the
     negative cases unobservable.
     """
-    witness = check_stability_only(cat, j)
-    if witness is not None:
-        raise StabilityFails(witness, "cover rule is not stable under pullback")
+    require_stable(cat, j)
     rng = random.Random(f"finsite:pair:{field.label()}:{seed}")
     samples: list[KModule] = []
     for x in cat.objects:
@@ -302,23 +297,25 @@ def verify_torsion_pair(cat: FiniteCategory, j: GrothendieckTopology,
     free_list: list[tuple[int, KModule]] = []
     tf_witnesses: list[tuple] = []
     for idx, v in enumerate(samples):
+        # t is v's torsion part: v is torsion when t is all of it, and
+        # torsion-free when t is zero
         t, incl = torsion_submodule(cat, j, v)
         q, _ = modrep.quotient_module(v, incl)
         q_free, bad = _is_torsion_free(cat, j, q)
         if not q_free:
             tf_witnesses.append((idx, dict(v.dims)) + bad)
-        if not v.is_zero() and is_torsion(cat, j, v):
+        if not v.is_zero() and t.dims == v.dims:
             torsion_list.append((idx, v))
         if not t.is_zero() and is_torsion(cat, j, t):
             torsion_list.append((idx, t))
         if q_free and not q.is_zero():
             free_list.append((idx, q))
-        if not v.is_zero() and _is_torsion_free(cat, j, v)[0]:
+        if not v.is_zero() and t.is_zero():
             free_list.append((idx, v))
 
     hom_witnesses: list[tuple] = []
     pairs = itertools.islice(itertools.product(torsion_list, free_list),
-                             hom_pair_cap)
+                             _HOM_PAIR_CAP)
     for (i, t), (k, f) in pairs:
         if modrep.hom_space(t, f):
             hom_witnesses.append((i, k, dict(t.dims), dict(f.dims)))

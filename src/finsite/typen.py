@@ -243,10 +243,14 @@ def validate_spec(spec: DSpec, horizon: int | None = None) -> SpecValidation:
 
     The recurrence route checks the step-down law directly; the piece
     route re-derives it from the legal run shapes. The two are equivalent
-    and both verdicts are reported so tests can hold them to that.
+    and both verdicts are reported so tests can hold them to that. A
+    horizon that stops before the end of the spec's data (the word, and
+    the cutoff of a nongeneric spec) raises ValueError.
     """
     if horizon is None:
         horizon = len(spec.indicator) + (spec.cutoff or 0) + 3
+    if horizon < max(len(spec.indicator), spec.cutoff or 0) + 1:
+        raise ValueError(f"horizon {horizon} does not cover the spec {spec!r}")
     return validate_d_sequence(d_sequence(spec, horizon))
 
 

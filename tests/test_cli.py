@@ -287,6 +287,16 @@ def test_typen_census_output():
                                  "tail": 0}
 
 
+def test_typen_validate_short_horizon_is_malformed():
+    spec = '{"kind": "nongeneric", "indicator": [1], "cutoff": 1}'
+    code, text = run(["typen", "validate", "--spec", spec])
+    assert code == 1
+    assert "1 must be followed by 0, got -inf" in text
+    code, text = run(["typen", "validate", "--spec", spec, "--horizon", "1"])
+    assert code == 2
+    assert "MalformedInput" in text
+
+
 def test_typen_validate_reports_rigidity():
     code, text = run(["--format", "json", "typen", "validate",
                       "--spec", SPEC_110])

@@ -20,7 +20,7 @@ from finsite.errors import (
 )
 from finsite.linalg import GF, QQ, Mat
 
-from conftest import chain, diamond, idem_monoid, quiver2
+from conftest import chain, diamond, ei_fixture_categories, idem_monoid, quiver2
 
 F2 = GF(2)
 F3 = GF(3)
@@ -367,7 +367,7 @@ def test_are_isomorphic_accepts_base_change(cat_quiver2):
     v = dense_sheaf_module(cat_quiver2, F3)
     # conjugate the value at x by an invertible matrix
     t = Mat(2, 2, ((F3.of(1), F3.of(1)), (F3.of(0), F3.of(1))))
-    tinv = linalg.inverse(F3, t)
+    tinv = linalg.solve_matrix(F3, t, linalg.identity(F3, 2))
     w = modrep.make_module(
         cat_quiver2, F3, v.dims,
         {"1_x": v.action["1_x"], "1_y": v.action["1_y"],
@@ -408,3 +408,219 @@ def test_all_vectors_finite_only():
     assert len(list(modrep.all_vectors(F3, 2))) == 9
     with pytest.raises(Exception):
         list(modrep.all_vectors(QQ, 1))
+
+
+# ---------------------------------------------------------------------------
+# the hand-built relabelling loops and the two-elimination quotient, kept as
+# oracles of the shared relabelling helper and the one-elimination quotient
+
+def old_yoneda_module(cat, field, x):
+    basis = {y: cat.hom(x, y) for y in cat.objects}
+    action = {}
+    for u in cat.morphisms:
+        src, dst = basis[cat.dom[u]], basis[cat.cod[u]]
+        index = {h: i for i, h in enumerate(dst)}
+        cols = []
+        for f in src:
+            col = [field.zero()] * len(dst)
+            col[index[cat.compose(u, f)]] = field.one()
+            cols.append(tuple(col))
+        action[u] = linalg.from_cols(cols, rows=len(dst))
+    return modrep.make_module(cat, field, {y: len(basis[y]) for y in basis},
+                              action, basis_labels=basis, check=False)
+
+
+def old_standard_injective(cat, field, x):
+    basis = {y: cat.hom(y, x) for y in cat.objects}
+    action = {}
+    for u in cat.morphisms:
+        src, dst = basis[cat.dom[u]], basis[cat.cod[u]]
+        index = {h: i for i, h in enumerate(src)}
+        rows = []
+        for h in dst:
+            row = [field.zero()] * len(src)
+            row[index[cat.compose(h, u)]] = field.one()
+            rows.append(tuple(row))
+        action[u] = Mat(len(dst), len(src), tuple(rows))
+    return modrep.make_module(cat, field, {y: len(basis[y]) for y in basis},
+                              action, basis_labels=basis, check=False)
+
+
+def old_sieve_quotient_module(cat, field, s):
+    x = s.base
+    ambient = old_yoneda_module(cat, field, x)
+    mset = s.member_set
+
+    def part_module(inside):
+        basis = {y: tuple(f for f in cat.hom(x, y) if (f in mset) == inside)
+                 for y in cat.objects}
+        action = {}
+        for u in cat.morphisms:
+            src, dst = basis[cat.dom[u]], basis[cat.cod[u]]
+            index = {h: i for i, h in enumerate(dst)}
+            cols = []
+            for f in src:
+                col = [field.zero()] * len(dst)
+                uf = cat.compose(u, f)
+                if (uf in mset) == inside:
+                    col[index[uf]] = field.one()
+                cols.append(tuple(col))
+            action[u] = linalg.from_cols(cols, rows=len(dst))
+        return modrep.make_module(cat, field,
+                                  {y: len(basis[y]) for y in basis}, action,
+                                  basis_labels=basis, check=False)
+
+    sub, quotient = part_module(True), part_module(False)
+
+    def unit_columns(labels, y):
+        index = {h: i for i, h in enumerate(cat.hom(x, y))}
+        cols = []
+        for f in labels[y]:
+            col = [field.zero()] * len(index)
+            col[index[f]] = field.one()
+            cols.append(tuple(col))
+        return linalg.from_cols(cols, rows=len(index))
+
+    inclusion = modrep.make_module_map(
+        sub, ambient, {y: unit_columns(sub.basis_labels, y)
+                       for y in cat.objects})
+    projection = modrep.make_module_map(
+        ambient, quotient,
+        {y: linalg.transpose(unit_columns(quotient.basis_labels, y))
+         for y in cat.objects})
+    gen = [field.zero()] * quotient.dims[x]
+    if cat.identity[x] not in mset:
+        gen[quotient.basis_labels[x].index(cat.identity[x])] = field.one()
+    return modrep.SievePresentation(
+        base=x, ambient=ambient, sub=sub, inclusion=inclusion,
+        quotient=quotient, projection=projection, generator=tuple(gen))
+
+
+def old_inverse(field, a):
+    x = linalg.solve_matrix(field, a, linalg.identity(field, a.rows))
+    assert linalg.matmul(field, a, x) == linalg.identity(field, a.rows)
+    return x
+
+
+def old_quotient_module(v, sub_inclusion):
+    field, cat = v.field, v.cat
+    reps, projections, dims = {}, {}, {}
+    for x in cat.objects:
+        b = sub_inclusion.components[x]
+        n = v.dims[x]
+        stacked = linalg.hstack([b, linalg.identity(field, n)], rows=n)
+        pivots = linalg.rref(field, stacked)[1]
+        sub_cols = [b.col(p) for p in pivots if p < b.cols]
+        comp_cols = [stacked.col(p) for p in pivots if p >= b.cols]
+        dims[x] = n - len(sub_cols)
+        reps[x] = linalg.from_cols(comp_cols, rows=n)
+        if n == 0:
+            projections[x] = linalg.zeros(field, 0, 0)
+            continue
+        inv = old_inverse(field, linalg.from_cols(sub_cols + comp_cols, rows=n))
+        projections[x] = Mat(dims[x], n, inv.entries[len(sub_cols):])
+    action = {f: linalg.matmul(field, projections[cat.cod[f]],
+                               linalg.matmul(field, v.action[f],
+                                             reps[cat.dom[f]]))
+              for f in cat.morphisms}
+    q = modrep.make_module(cat, field, dims, action)
+    return q, modrep.make_module_map(v, q, projections)
+
+
+def module_bytes(v):
+    labels = (None if v.basis_labels is None
+              else {x: v.basis_labels[x] for x in v.cat.objects})
+    return modrep.module_to_doc(v), labels
+
+
+def map_bytes(m):
+    return {x: linalg.mat_to_strings(m.source.field, m.components[x])
+            for x in m.source.cat.objects}
+
+
+FIXTURES = ei_fixture_categories() + [idem_monoid()]
+fixtures = st.sampled_from(FIXTURES)
+fields = st.sampled_from((F2, F3, QQ))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cat=fixtures, field=fields)
+def test_relabelled_modules_match_hand_built(cat, field):
+    for x in cat.objects:
+        assert (module_bytes(modrep.yoneda_module(cat, field, x))
+                == module_bytes(old_yoneda_module(cat, field, x)))
+        assert (module_bytes(modrep.standard_injective(cat, field, x))
+                == module_bytes(old_standard_injective(cat, field, x)))
+        for s in sieves.all_sieves(cat, x):
+            new = modrep.sieve_quotient_module(cat, field, s)
+            old = old_sieve_quotient_module(cat, field, s)
+            assert new.base == old.base
+            for part in ("ambient", "sub", "quotient"):
+                assert (module_bytes(getattr(new, part))
+                        == module_bytes(getattr(old, part))), part
+            assert map_bytes(new.inclusion) == map_bytes(old.inclusion)
+            assert map_bytes(new.projection) == map_bytes(old.projection)
+            assert new.generator == old.generator
+
+
+def assert_quotients_match(v, incl):
+    q, proj = modrep.quotient_module(v, incl)
+    q_old, proj_old = old_quotient_module(v, incl)
+    assert module_bytes(q) == module_bytes(q_old)
+    assert map_bytes(proj) == map_bytes(proj_old)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cat=fixtures, field=fields, seed=st.integers(0, 10_000),
+       max_dim=st.integers(0, 3), data=st.data())
+def test_quotient_matches_two_elimination_oracle(cat, field, seed, max_dim,
+                                                 data):
+    v = modrep.random_module(cat, field, seed, max_dim)
+    # a saturated random submodule, and the same inclusion with every
+    # column repeated (dependent columns)
+    spans = {}
+    for x in cat.objects:
+        if v.dims[x] and data.draw(st.booleans()):
+            spans[x] = [tuple(field.of(a) for a in data.draw(
+                st.lists(st.integers(-2, 2), min_size=v.dims[x],
+                         max_size=v.dims[x])))]
+    _, incl = modrep.submodule_from_spans(v, spans)
+    assert_quotients_match(v, incl)
+    doubled = {x: linalg.hstack([incl.components[x]] * 2, rows=v.dims[x])
+               for x in cat.objects}
+    assert_quotients_match(v, modrep.ModuleMap(incl.source, v, doubled))
+    # the image of a random combination of maps w -> v
+    w = modrep.random_module(cat, field, seed + 1, 2)
+    basis = modrep.hom_space(w, v)
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis),
+                                max_size=len(basis)))
+    comps = {x: linalg.zeros(field, v.dims[x], w.dims[x]) for x in cat.objects}
+    for c, h in zip(coeffs, basis):
+        comps = {x: linalg.mat_add(field, comps[x], linalg.mat_scale(
+            field, field.of(c), h.components[x])) for x in cat.objects}
+    assert_quotients_match(v, modrep.make_module_map(w, v, comps))
+
+
+def test_quotient_with_dependent_columns_and_zero_objects(cat_quiver2):
+    # P(y) is zero at x; the doubled inclusion repeats every column
+    for field in (F2, F3, QQ):
+        v = modrep.direct_sum(cat_quiver2, field, [
+            modrep.yoneda_module(cat_quiver2, field, "x"),
+            modrep.yoneda_module(cat_quiver2, field, "y")])
+        assert v.dims["x"] == 1
+        py = modrep.yoneda_module(cat_quiver2, field, "y")
+        assert py.dims["x"] == 0
+        s = sieves.make_sieve(cat_quiver2, "x", ["f"])
+        incl = modrep.sieve_quotient_module(cat_quiver2, field, s).inclusion
+        assert_quotients_match(incl.target, incl)
+        doubled = modrep.ModuleMap(incl.source, incl.target, {
+            x: linalg.hstack([incl.components[x]] * 2,
+                             rows=incl.target.dims[x])
+            for x in cat_quiver2.objects})
+        assert_quotients_match(incl.target, doubled)
+        _, zero_incl = modrep.submodule_from_spans(py, {})
+        assert_quotients_match(py, zero_incl)
+        _, all_incl = modrep.submodule_from_spans(v, {"x": [(field.one(), )]})
+        q, _ = modrep.quotient_module(v, all_incl)
+        assert q.dims == {"x": 0, "y": 1}
+        assert_quotients_match(v, all_incl)

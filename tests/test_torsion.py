@@ -14,7 +14,7 @@ from finsite.errors import (
 )
 from finsite.linalg import GF, QQ, Mat
 
-from conftest import chain, quiver2
+from conftest import chain, ei_fixture_categories, quiver2
 
 F2 = GF(2)
 
@@ -279,3 +279,44 @@ def test_torsion_membership_matches_annihilator(cat_quiver2):
                     in_torsion = linalg.in_span(F2, spans[x], vec, v.dims[x])
                     ann = torsion.annihilator_sieve(v, x, vec)
                     assert in_torsion == (ann in jx)
+
+
+# ---------------------------------------------------------------------------
+# sieve kernels
+
+def generator_sieve_kernel(v, s):
+    """The kernel through a generating set of the sieve only."""
+    gens = sieves.minimal_generators(v.cat, s)
+    stacked = linalg.vstack([v.action[f] for f in gens], cols=v.dims[s.base])
+    return linalg.kernel_basis(v.field, stacked)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cat=st.sampled_from(ei_fixture_categories()),
+       field=st.sampled_from((GF(2), GF(3), QQ)),
+       seed=st.integers(0, 10_000), max_dim=st.integers(0, 3))
+def test_sieve_kernel_matches_generator_oracle(cat, field, seed, max_dim):
+    v = modrep.random_module(cat, field, seed, max_dim)
+    for x in cat.objects:
+        for s in sieves.all_sieves(cat, x):
+            assert torsion.sieve_kernel(v, s) == generator_sieve_kernel(v, s)
+
+
+def test_stability_witness_is_the_first_axiom_witness(cat_quiver2):
+    # {f} pulls back along g, and {g} along f, to the empty sieve at y
+    rule = topology.make_rule(cat_quiver2, {
+        "x": [sieves.make_sieve(cat_quiver2, "x", ["f"]),
+              sieves.make_sieve(cat_quiver2, "x", ["g"]),
+              sieves.maximal_sieve(cat_quiver2, "x")],
+        "y": [sieves.maximal_sieve(cat_quiver2, "y")],
+    })
+    witnesses = topology.check_axioms(cat_quiver2, rule).witnesses
+    assert witnesses["stability"] == (("x", ("f",), "g"), ("x", ("g",), "f"))
+    first = topology.check_stability_only(cat_quiver2, rule)
+    assert first == witnesses["stability"][0]
+    with pytest.raises(StabilityFails) as err:
+        topology.require_stable(cat_quiver2, rule)
+    assert err.value.witness == first
+    dense = topology.named_topology(cat_quiver2, "dense")
+    assert topology.check_stability_only(cat_quiver2, dense) is None
+    topology.require_stable(cat_quiver2, dense)

@@ -94,6 +94,20 @@ def test_nongeneric_validity_needs_zero_before_cutoff():
     assert not outcome.recurrence_ok and not outcome.pieces_ok
 
 
+def test_validate_spec_rejects_a_short_horizon():
+    # indicator [1] with cutoff 1 is invalid; a one-position window would
+    # see only the leading 1 and certify it
+    spec = typen.make_spec("nongeneric", (1,), cutoff=1)
+    assert not typen.validate_spec(spec).valid
+    with pytest.raises(ValueError):
+        typen.validate_spec(spec, horizon=1)
+    assert not typen.validate_spec(spec, horizon=2).valid
+    word = typen.make_spec("generic", (1, 1, 0), tail=0)
+    with pytest.raises(ValueError):
+        typen.validate_spec(word, horizon=3)
+    assert typen.validate_spec(word, horizon=4).valid
+
+
 def test_raw_sequence_examples():
     assert typen.validate_d_sequence((2, 1, 0, 0)).valid
     assert typen.validate_d_sequence((1, 0, NEG_INF)).valid
