@@ -287,18 +287,6 @@ def classify_category(cat: FiniteCategory) -> CategoryFlags:
     return CategoryFlags(directed=directed, ei=ei, skeletal=skeletal, ore=ore)
 
 
-def leq_order(cat: FiniteCategory) -> dict[str, set[str]]:
-    """x |-> {y : Hom(x, y) nonempty}. A partial order iff directed."""
-    return {x: {y for y in cat.objects if cat.hom(x, y)} for x in cat.objects}
-
-
-def objects_in_decreasing_order(cat: FiniteCategory) -> list[str]:
-    """Objects sorted so that everything above (reachable from) an object
-    comes earlier. Requires directedness."""
-    leq = leq_order(cat)
-    return sorted(cat.objects, key=lambda x: (len(leq[x]), x))
-
-
 # ---------------------------------------------------------------------------
 # full subcategories
 

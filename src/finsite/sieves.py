@@ -72,25 +72,16 @@ def is_maximal(cat: FiniteCategory, s: Sieve) -> bool:
 
 def generated_sieve(cat: FiniteCategory, x: str,
                     generators: Iterable[str]) -> Sieve:
-    """Smallest sieve on x containing the generators."""
+    """Smallest sieve on x containing the generators: {g.f : f in gens,
+    g out of cod f}, closed already since h.(g.f) = (h.g).f."""
     gens = list(generators)
     for f in gens:
         if f not in cat.dom:
             raise InvalidSieve(f"unknown morphism {f!r}")
         if cat.dom[f] != x:
             raise WrongDomain(f"{f} has domain {cat.dom[f]}, not {x}")
-    members: set[str] = set()
-    frontier = list(gens)
-    while frontier:
-        f = frontier.pop()
-        if f in members:
-            continue
-        members.add(f)
-        for g in cat.morphisms_from(cat.cod[f]):
-            gf = cat.compose(g, f)
-            if gf not in members:
-                frontier.append(gf)
-    return Sieve(x, tuple(sorted(members)))
+    return Sieve(x, tuple(sorted({cat.compose(g, f) for f in gens
+                                  for g in cat.morphisms_from(cat.cod[f])})))
 
 
 def principal_sieve(cat: FiniteCategory, f: str) -> Sieve:
@@ -126,26 +117,22 @@ def all_sieves(cat: FiniteCategory, x: str,
                max_sieves: int = DEFAULT_MAX_SIEVES) -> list[Sieve]:
     """Every sieve on x, canonically ordered (size, then member tuple).
 
-    Every sieve is the union of the principal sieves of its members, so the
-    complete list is the closure of {empty} + principal sieves under pairwise
-    union.
+    Each f out of x in turn adds principal(f) union every sieve found so
+    far, starting from {empty}. A sieve is the union of the principal sieves
+    of its members, so it is found at its last member: the list is complete.
     """
     # an insertion-ordered dict, not a set: the union calls made then do
     # not depend on string hashing (PYTHONHASHSEED)
-    found = dict.fromkeys([empty_sieve(cat, x)]
-                          + [principal_sieve(cat, f)
-                             for f in cat.morphisms_from(x)])
-    frontier = list(found)
-    while frontier:
-        s = frontier.pop()
-        for t in list(found):
-            u = union_sieves(s, t)
+    found = {empty_sieve(cat, x): None}
+    for f in cat.morphisms_from(x):
+        p = principal_sieve(cat, f)
+        for s in list(found):
+            u = union_sieves(s, p)
             if u not in found:
                 if len(found) >= max_sieves:
                     raise SizeBudgetExceeded(
                         f"more than {max_sieves} sieves on {x}")
                 found[u] = None
-                frontier.append(u)
     return sorted(found, key=sieve_sort_key)
 
 

@@ -12,6 +12,11 @@ object and prunes on two local conditions, stability and transitivity of the
 minimum sieves, which together are necessary and sufficient for the up-set
 rule to be a topology. Its budget counts the (object, sieve) pairs tried,
 and every rule it emits is re-verified with check_axioms.
+
+The subcategory topology J_D of an object set D covers x by every sieve
+containing the morphisms from x into D (subcategory_sieve). On a finite
+directed EI category the topologies are exactly the 2^(number of objects)
+J_D (the paper's classification); enumerate_consistent_families lists them.
 """
 
 from __future__ import annotations
@@ -25,26 +30,21 @@ from .errors import (
     FinsiteError,
     NotAnIdeal,
     NotDirectedEI,
-    NotRigid,
     OreConditionFails,
     SizeBudgetExceeded,
     StabilityFails,
     UnknownObject,
 )
 from .fincat import (
-    CategoryFlags,
     Embedding,
     FiniteCategory,
     OrbitData,
     classify_category,
     full_subcategory,
-    leq_order,
-    objects_in_decreasing_order,
 )
 from .sieves import (
     Sieve,
     all_sieves,
-    empty_sieve,
     generated_sieve,
     intersect_sieves,
     make_sieve,
@@ -363,48 +363,31 @@ def enumerate_topologies(cat: FiniteCategory,
     return found
 
 
+def subcategory_sieve(cat: FiniteCategory, objs: Iterable[str],
+                      x: str) -> Sieve:
+    """J_D's minimum cover at x, for D = objs: the sieve generated by every
+    morphism from x into D. It is maximal when x is in D, and J_D is a
+    topology on any category."""
+    d = set(objs)
+    return generated_sieve(cat, x, [f for f in cat.morphisms_from(x)
+                                    if cat.cod[f] in d])
+
+
 def enumerate_consistent_families(cat: FiniteCategory,
                                   max_sieves: int = 4096
                                   ) -> list[GrothendieckTopology]:
-    """Topologies on a directed EI category via consistent minimum-sieve
-    families: processing objects from the top of the order downward, the
-    minimum sieve at x is either the maximal sieve or the set of morphisms
-    that factor through the minimum sieve of some strictly higher object.
-    Raises NotDirectedEI when the category is not directed EI.
+    """The topologies of a directed EI category: J_D for every object set D
+    (isomorphism classes are single objects there), sorted like
+    enumerate_topologies. Raises NotDirectedEI on any other category.
     """
     flags = classify_category(cat)
     if not (flags.directed and flags.ei):
         raise NotDirectedEI(f"{cat.name} is not directed EI")
     universe = {x: all_sieves(cat, x, max_sieves) for x in cat.objects}
-    order = objects_in_decreasing_order(cat)
-    leq = leq_order(cat)
-
-    families: list[dict[str, Sieve]] = [{}]
-    for x in order:
-        extended = []
-        for fam in families:
-            higher_union: set[str] = set()
-            for y in leq[x]:
-                if y == x:
-                    continue
-                sy = fam[y].member_set
-                for f in cat.hom(x, y):
-                    for g in sorted(sy):
-                        higher_union.add(cat.compose(g, f))
-            induced = Sieve(x, tuple(sorted(higher_union)))
-            choices = [maximal_sieve(cat, x)]
-            if induced != choices[0]:
-                choices.append(induced)
-            for choice in choices:
-                fam2 = dict(fam)
-                fam2[x] = choice
-                extended.append(fam2)
-        families = extended
-
-    out = []
-    for fam in families:
-        out.append(make_rule(cat, {x: _upset(universe[x], fam[x])
-                                   for x in cat.objects}))
+    out = [make_rule(cat, {x: _upset(universe[x], subcategory_sieve(cat, d, x))
+                           for x in cat.objects})
+           for r in range(len(cat.objects) + 1)
+           for d in itertools.combinations(cat.objects, r)]
     out.sort(key=topology_sort_key)
     return out
 
@@ -447,15 +430,9 @@ def rigidity(cat: FiniteCategory, j: GrothendieckTopology) -> RigidityReport:
     When rigid, the minimal cover of each object is reported as well.
     """
     irr = irreducible_objects(cat, j)
-    irr_set = set(irr)
-    gen_sieves: dict[str, Sieve] = {}
-    failures = []
-    for y in cat.objects:
-        s = generated_sieve(cat, y, [f for f in cat.morphisms_from(y)
-                                     if cat.cod[f] in irr_set])
-        gen_sieves[y] = s
-        if s not in j.covers.get(y, frozenset()):
-            failures.append((y, s.members))
+    gen_sieves = {y: subcategory_sieve(cat, irr, y) for y in cat.objects}
+    failures = [(y, s.members) for y, s in gen_sieves.items()
+                if s not in j.covers.get(y, frozenset())]
     rigid = not failures
     minimal = None
     if rigid:

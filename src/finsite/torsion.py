@@ -80,6 +80,12 @@ def torsion_submodule(cat: FiniteCategory, j: GrothendieckTopology,
     the submodule constructor.
     """
     require_stable(cat, j)
+    return _torsion_part(cat, j, v)
+
+
+def _torsion_part(cat: FiniteCategory, j: GrothendieckTopology,
+                  v: KModule) -> tuple[KModule, ModuleMap]:
+    """torsion_submodule for a rule already known to be stable."""
     return modrep.submodule_from_spans(v, torsion_spans(cat, j, v), close=False)
 
 
@@ -299,7 +305,7 @@ def verify_torsion_pair(cat: FiniteCategory, j: GrothendieckTopology,
     for idx, v in enumerate(samples):
         # t is v's torsion part: v is torsion when t is all of it, and
         # torsion-free when t is zero
-        t, incl = torsion_submodule(cat, j, v)
+        t, incl = _torsion_part(cat, j, v)
         q, _ = modrep.quotient_module(v, incl)
         q_free, bad = _is_torsion_free(cat, j, q)
         if not q_free:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import finsite
 from finsite import fincat, sieves
-from finsite.errors import InvalidSieve, WrongDomain
+from finsite.errors import InvalidSieve, SizeBudgetExceeded, WrongDomain
 
-from conftest import ei_fixture_categories
+from conftest import chain, diamond, ei_fixture_categories, idem_monoid
 
 
 def brute_force_sieves(cat, x):
@@ -27,6 +27,98 @@ def brute_force_sieves(cat, x):
                    for f in subset for g in cat.morphisms_from(cat.cod[f])):
                 found.append(sieves.Sieve(x, tuple(sorted(mset))))
     return sorted(found, key=sieves.sieve_sort_key)
+
+
+def bfs_generated_sieve(cat, x, generators):
+    """Oracle: the breadth-first closure of the generators under
+    postcomposition."""
+    members = set()
+    frontier = list(generators)
+    while frontier:
+        f = frontier.pop()
+        if f in members:
+            continue
+        members.add(f)
+        for g in cat.morphisms_from(cat.cod[f]):
+            frontier.append(cat.compose(g, f))
+    return sieves.Sieve(x, tuple(sorted(members)))
+
+
+def pairwise_union_sieves(cat, x):
+    """Oracle: close {empty} and the principal sieves under pairwise union
+    until nothing new appears."""
+    found = dict.fromkeys(
+        [sieves.empty_sieve(cat, x)]
+        + [bfs_generated_sieve(cat, x, [f]) for f in cat.morphisms_from(x)])
+    frontier = list(found)
+    while frontier:
+        s = frontier.pop()
+        for t in list(found):
+            u = sieves.union_sieves(s, t)
+            if u not in found:
+                found[u] = None
+                frontier.append(u)
+    return sorted(found, key=sieves.sieve_sort_key)
+
+
+def group(name, table):
+    return fincat.build_monoid_category(table, name=name)
+
+
+def sieve_fixture_categories():
+    """Every fixture category, EI or not, for the sieve oracles."""
+    return ei_fixture_categories() + [
+        idem_monoid(),
+        group("C2", fincat.cyclic_group_table(2)),
+        group("C3", fincat.cyclic_group_table(3)),
+        group("S3", fincat.symmetric_group_table(3)),
+        fincat.build_orbit_category(fincat.symmetric_group_table(3))[0],
+        fincat.build_trunc_fi_category(3),
+        fincat.build_trunc_vi_category(2, 2),
+    ]
+
+
+SIEVE_FIXTURES = sieve_fixture_categories()
+
+
+def test_generated_sieve_matches_bfs_on_every_morphism():
+    for cat in SIEVE_FIXTURES:
+        for x in cat.objects:
+            outs = cat.morphisms_from(x)
+            for f in outs:
+                assert (sieves.generated_sieve(cat, x, [f])
+                        == bfs_generated_sieve(cat, x, [f])), (cat.name, f)
+            assert (sieves.generated_sieve(cat, x, outs)
+                    == bfs_generated_sieve(cat, x, outs))
+            assert sieves.generated_sieve(cat, x, []).members == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_generated_sieve_matches_bfs_on_generator_subsets(data):
+    cat = data.draw(st.sampled_from(SIEVE_FIXTURES))
+    x = data.draw(st.sampled_from(cat.objects))
+    gens = data.draw(st.lists(st.sampled_from(cat.morphisms_from(x)),
+                              unique=True))
+    assert (sieves.generated_sieve(cat, x, gens)
+            == bfs_generated_sieve(cat, x, gens))
+
+
+def test_all_sieves_matches_pairwise_unions():
+    for cat in SIEVE_FIXTURES:
+        for x in cat.objects:
+            assert (sieves.all_sieves(cat, x)
+                    == pairwise_union_sieves(cat, x)), (cat.name, x)
+
+
+def test_all_sieves_budget_counts_every_sieve():
+    cases = [(chain(4), "0"), (group("S3", fincat.symmetric_group_table(3)), "*")]
+    cases += [(diamond(), x) for x in diamond().objects]
+    for cat, x in cases:
+        k = len(pairwise_union_sieves(cat, x))
+        assert len(sieves.all_sieves(cat, x, max_sieves=k)) == k
+        with pytest.raises(SizeBudgetExceeded):
+            sieves.all_sieves(cat, x, max_sieves=k - 1)
 
 
 def test_quiver_sieve_counts(cat_quiver2):

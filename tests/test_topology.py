@@ -220,6 +220,146 @@ def test_consistent_families_match_enumeration():
         assert [cover_shape(j) for j in fams] == [cover_shape(j) for j in brute]
 
 
+def search_consistent_families(cat):
+    """Oracle: the consistent minimum-sieve family search. From the top of
+    the order down, the minimum sieve at x is the maximal sieve or the
+    morphisms that factor through the minimum sieve of a strictly higher
+    object."""
+    universe = {x: sieves.all_sieves(cat, x) for x in cat.objects}
+    above = {x: [y for y in cat.objects if y != x and cat.hom(x, y)]
+             for x in cat.objects}
+    families = [{}]
+    for x in sorted(cat.objects, key=lambda x: (len(above[x]), x)):
+        extended = []
+        for fam in families:
+            induced = sieves.Sieve(x, tuple(sorted(
+                {cat.compose(g, f) for y in above[x] for f in cat.hom(x, y)
+                 for g in fam[y].members})))
+            top = sieves.maximal_sieve(cat, x)
+            for choice in dict.fromkeys([top, induced]):
+                extended.append({**fam, x: choice})
+        families = extended
+    out = [topology.make_rule(cat, {
+        x: [t for t in universe[x] if fam[x].member_set <= t.member_set]
+        for x in cat.objects}) for fam in families]
+    out.sort(key=topology.topology_sort_key)
+    return out
+
+
+def directed_ei_fixture_categories():
+    return ei_fixture_categories() + [
+        chain(4), chain(5), chain(6),
+        fincat.build_orbit_category(fincat.cyclic_group_table(2))[0],
+        fincat.build_orbit_category(fincat.symmetric_group_table(3))[0],
+        fincat.build_trunc_fi_category(3),
+        fincat.build_trunc_vi_category(2, 2),
+        fincat.build_trunc_vi_category(3, 2),
+    ]
+
+
+def test_consistent_families_match_family_search():
+    for cat in directed_ei_fixture_categories():
+        assert ([topology.canonical_serialization(j)
+                 for j in topology.enumerate_consistent_families(cat)]
+                == [topology.canonical_serialization(j)
+                    for j in search_consistent_families(cat)]), cat.name
+
+
+def test_subcategory_sieve_examples(cat_quiver2, cat_chain3):
+    assert topology.subcategory_sieve(cat_quiver2, ["y"], "x").members == (
+        "f", "g")
+    assert topology.subcategory_sieve(cat_quiver2, ["x"], "x").members == (
+        "1_x", "f", "g")
+    assert topology.subcategory_sieve(cat_quiver2, [], "y").members == ()
+    assert topology.subcategory_sieve(cat_chain3, {"1"}, "0").members == (
+        "0->1", "0->2")
+
+
+def iso_class_count(cat):
+    """Number of isomorphism classes, found by brute force."""
+    def iso(x, y):
+        return any(cat.compose(g, f) == cat.identity[x]
+                   and cat.compose(f, g) == cat.identity[y]
+                   for f in cat.hom(x, y) for g in cat.hom(y, x))
+    reps = []
+    for x in cat.objects:
+        if not any(iso(r, x) for r in reps):
+            reps.append(x)
+    return len(reps)
+
+
+def indiscrete2():
+    """Two isomorphic objects with one morphism between any two: EI, not
+    skeletal, one isomorphism class."""
+    objs = ["a", "b"]
+    mors = [(f"{x}{y}", x, y) for x in objs for y in objs]
+    compose = {(f"{y}{z}", f"{x}{y}"): f"{x}{z}"
+               for x in objs for y in objs for z in objs}
+    return fincat.make_category("indiscrete2", objs, mors,
+                                {"a": "aa", "b": "bb"}, compose)
+
+
+def test_ei_topology_count_is_two_to_the_iso_classes():
+    cats = ei_fixture_categories() + [
+        fincat.build_monoid_category(fincat.cyclic_group_table(2), name="C2"),
+        fincat.build_monoid_category(fincat.cyclic_group_table(3), name="C3"),
+        fincat.build_monoid_category(fincat.symmetric_group_table(3),
+                                     name="S3"),
+        fincat.build_orbit_category(fincat.symmetric_group_table(3),
+                                    name="orbit_S3")[0],
+        fincat.build_trunc_fi_category(3),
+        fincat.build_trunc_vi_category(2, 2),
+        indiscrete2(),
+    ]
+    counts = {}
+    for cat in cats:
+        assert fincat.classify_category(cat).ei, cat.name
+        counts[cat.name] = len(topology.enumerate_topologies(cat))
+        assert counts[cat.name] == 2 ** iso_class_count(cat), cat.name
+    assert counts["C2"] == counts["indiscrete2"] == 2
+    assert counts["orbit_S3"] == 16
+
+
+def minimal_ideal(table, names):
+    """The smallest nonempty two-sided ideal of a finite monoid."""
+    n = len(table)
+    ideals = [set(sub) for r in range(1, n + 1)
+              for sub in itertools.combinations(range(n), r)
+              if all(table[a][i] in sub and table[i][a] in sub
+                     for i in sub for a in range(n))]
+    smallest = min(ideals, key=len)
+    assert all(smallest <= i for i in ideals)
+    return tuple(sorted(names[i] for i in smallest))
+
+
+NON_GROUP_MONOIDS = [
+    # e.e = e
+    ("idem_monoid", [[0, 1], [1, 1]], ["1", "e"]),
+    # a.a = z, z absorbing
+    ("zero_monoid", [[0, 1, 2], [1, 2, 2], [2, 2, 2]], ["1", "a", "z"]),
+    # u.v = u for u, v in {l, r}, identity adjoined
+    ("left_zero", [[0, 1, 2], [1, 1, 1], [2, 2, 2]], ["1", "l", "r"]),
+]
+
+
+@pytest.mark.parametrize("name, table, names", NON_GROUP_MONOIDS)
+def test_non_group_monoid_has_a_topology_that_is_no_subcategory_topology(
+        name, table, names):
+    cat = fincat.build_monoid_category(table, element_names=names, name=name)
+    assert not fincat.classify_category(cat).ei
+    j_d = [topology.make_rule(cat, {"*": [
+               t for t in sieves.all_sieves(cat, "*")
+               if topology.subcategory_sieve(cat, d, "*").member_set
+               <= t.member_set]})
+           for d in ([], ["*"])]
+    others = [j for j in topology.enumerate_topologies(cat)
+              if not any(j == k for k in j_d)]
+    witness = [topology.minimal_covering_sieve(cat, j, "*").members
+               for j in others]
+    assert witness == [minimal_ideal(table, names)], witness
+    assert others[0] == topology.named_topology(cat, "dense")
+
+
 def test_consistent_families_requires_directed_ei(cat_idem_monoid):
     with pytest.raises(NotDirectedEI):
         topology.enumerate_consistent_families(cat_idem_monoid)

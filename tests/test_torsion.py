@@ -237,6 +237,35 @@ def test_torsion_pair_fails_without_transitivity(cat_chain3):
     assert not rep.passed
 
 
+def test_torsion_pair_scans_stability_once(cat_trunc_fi2, monkeypatch):
+    rules = topology.enumerate_topologies(cat_trunc_fi2)
+    scans = []
+    scan = topology.check_stability_only
+
+    def counting(cat, j):
+        scans.append(cat.name)
+        return scan(cat, j)
+
+    monkeypatch.setattr(topology, "check_stability_only", counting)
+    for j in (rules[0], rules[-1]):
+        scans.clear()
+        torsion.verify_torsion_pair(cat_trunc_fi2, j, sample_count=20)
+        assert len(scans) == 1
+
+
+def test_torsion_class_requires_stability(cat_quiver2):
+    rule = topology.make_rule(cat_quiver2, {
+        "x": [sieves.make_sieve(cat_quiver2, "x", ["f"]),
+              sieves.maximal_sieve(cat_quiver2, "x")],
+        "y": [sieves.maximal_sieve(cat_quiver2, "y")],
+    })
+    v = dense_sheaf_module(cat_quiver2, F2)
+    with pytest.raises(StabilityFails):
+        torsion.torsion_class(cat_quiver2, rule, v)
+    with pytest.raises(StabilityFails):
+        torsion.verify_torsion_pair(cat_quiver2, rule, sample_count=1)
+
+
 def test_torsion_pair_to_doc(cat_quiver2):
     dense = topology.named_topology(cat_quiver2, "dense")
     rep = torsion.verify_torsion_pair(cat_quiver2, dense, sample_count=4)
