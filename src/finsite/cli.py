@@ -5,7 +5,9 @@ JSON documents, dispatches to one library operation, and renders the
 result either as a machine document (--format json, canonically ordered)
 or as a fixed-width table. Exit codes separate mathematics from plumbing:
 0 when every verdict in the output passed, 1 when a verified property
-failed (with witnesses in the output), 2 for usage and input errors.
+failed (with witnesses in the output), 2 for usage and input errors, and
+3 when a size budget refused the work (the input may be fine, only too
+large for the budget).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
 _INPUT_ERRORS = (
     ValidationFailed, UnknownObject, WrongDomain, InvalidSieve,
     CyclicQuiver, NotAPoset, NotAGroupTable, ShapeMismatch, FieldMismatch,
-    InfiniteFieldUnsupported, SizeBudgetExceeded, OSError,
+    InfiniteFieldUnsupported, OSError,
 )
 
 _NAMED_TOPOLOGIES = ("trivial", "maximal", "dense", "atomic")
@@ -664,6 +666,8 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
         code, doc, table_text = args.handler(args)
     except _INPUT_ERRORS as err:
         return 2, f"error: {err}\n"
+    except SizeBudgetExceeded as err:
+        return 3, f"SizeBudgetExceeded: {err}\n"
     except FinsiteError as err:
         return 1, f"{type(err).__name__}: {err}\n"
     if args.format == "json":

@@ -13,11 +13,20 @@ once per call: ints with one local modulus over F_p, Fractions over Q.
 complement_indices wrap it): it grows one vector at a time and tests
 membership without a fresh elimination. There is no separate inverse:
 quotient_module reads a complement and its inverse off one rref of [B | I].
+
+`Mat` is a slotted immutable value: equality, hash and repr go by
+(rows, cols, entries), and assignment raises. Every construction, internal
+ones included, checks that the entries have the declared shape, because a
+mis-sized matrix would otherwise surface far from its cause, as an
+IndexError inside an elimination or as a wrong verdict. One sheaf check
+builds hundreds of thousands of matrices, so that check is one length test
+and one plain loop over the rows, and the kernels build their outputs with
+list comprehensions rather than generators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
@@ -105,17 +114,47 @@ def GF(p: int) -> FieldSpec:
 Vector = tuple  # length-n tuple of field elements
 
 
-@dataclass(frozen=True)
 class Mat:
-    """Immutable dense matrix with explicit shape."""
+    """Immutable dense matrix with explicit shape.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple, ...]
+    A slotted value: equality, hash and repr are those of the triple
+    (rows, cols, entries), assignment raises, and copies and pickles
+    rebuild through the constructor, so they are shape-checked too.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ShapeMismatch(f"entries do not match shape {self.rows}x{self.cols}")
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple, ...]) -> None:
+        if len(entries) != rows:
+            raise ShapeMismatch(f"entries do not match shape {rows}x{cols}")
+        for r in entries:
+            if len(r) != cols:
+                raise ShapeMismatch(f"entries do not match shape {rows}x{cols}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rows, self.cols, self.entries)
+                == (other.rows, other.cols, other.entries))
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        return (f"Mat(rows={self.rows!r}, cols={self.cols!r},"
+                f" entries={self.entries!r})")
+
+    def __reduce__(self):
+        return self.__class__, (self.rows, self.cols, self.entries)
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
@@ -146,13 +185,13 @@ def from_cols(cols: Sequence[Sequence], rows: int | None = None) -> Mat:
 
 
 def zeros(field: FieldSpec, rows: int, cols: int) -> Mat:
-    z = field.zero()
-    return Mat(rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+    return Mat(rows, cols, ((field.zero(),) * cols,) * rows)
 
 
 def identity(field: FieldSpec, n: int) -> Mat:
     z, o = field.zero(), field.one()
-    return Mat(n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+    return Mat(n, n, tuple([tuple([o if i == j else z for j in range(n)])
+                            for i in range(n)]))
 
 
 def mat_eq_zero(m: Mat) -> bool:
@@ -170,11 +209,11 @@ def matmul(field: FieldSpec, a: Mat, b: Mat) -> Mat:
     p = field.p
     if p is None:
         zero = Fraction(0)
-        out = tuple(tuple(sum(map(mul, row, col), zero) for col in cols)
-                    for row in a.entries)
+        out = tuple([tuple([sum(map(mul, row, col), zero) for col in cols])
+                     for row in a.entries])
     else:
-        out = tuple(tuple(sum(map(mul, row, col)) % p for col in cols)
-                    for row in a.entries)
+        out = tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
+                     for row in a.entries])
     return Mat(a.rows, b.cols, out)
 
 
@@ -183,23 +222,23 @@ def mat_add(field: FieldSpec, a: Mat, b: Mat) -> Mat:
         raise ShapeMismatch("shape mismatch in add")
     p = field.p
     if p is None:
-        out = tuple(tuple(x + y for x, y in zip(ra, rb))
-                    for ra, rb in zip(a.entries, b.entries))
+        out = tuple([tuple([x + y for x, y in zip(ra, rb)])
+                     for ra, rb in zip(a.entries, b.entries)])
     else:
-        out = tuple(tuple((x + y) % p for x, y in zip(ra, rb))
-                    for ra, rb in zip(a.entries, b.entries))
+        out = tuple([tuple([(x + y) % p for x, y in zip(ra, rb)])
+                     for ra, rb in zip(a.entries, b.entries)])
     return Mat(a.rows, a.cols, out)
 
 
 def mat_scale(field: FieldSpec, c, a: Mat) -> Mat:
-    return Mat(a.rows, a.cols, tuple(_scaled(field.p, c, r) for r in a.entries))
+    return Mat(a.rows, a.cols, tuple([_scaled(field.p, c, r) for r in a.entries]))
 
 
 def _scaled(p: int | None, c, xs) -> tuple:
     """The entries of c xs, reduced mod p over F_p."""
     if p is None:
-        return tuple(c * x for x in xs)
-    return tuple(c * x % p for x in xs)
+        return tuple([c * x for x in xs])
+    return tuple([c * x % p for x in xs])
 
 
 def _axpy(p: int | None, xs, c, ys) -> list:
@@ -261,8 +300,10 @@ def rref(field: FieldSpec, a: Mat) -> tuple[Mat, tuple[int, ...]]:
     for c in range(a.cols):
         if r == a.rows:
             break
-        pr = next((i for i in range(r, a.rows) if m[i][c] != 0), None)
-        if pr is None:
+        for pr in range(r, a.rows):
+            if m[pr][c] != 0:
+                break
+        else:
             continue
         m[r], m[pr] = m[pr], m[r]
         # rows r onwards are zero left of c, the pivot row among them, so
@@ -274,7 +315,7 @@ def rref(field: FieldSpec, a: Mat) -> tuple[Mat, tuple[int, ...]]:
                 m[i][c:] = _axpy(p, m[i][c:], f, tail)
         pivots.append(c)
         r += 1
-    return Mat(a.rows, a.cols, tuple(tuple(row) for row in m)), tuple(pivots)
+    return Mat(a.rows, a.cols, tuple(map(tuple, m))), tuple(pivots)
 
 
 def rank(field: FieldSpec, a: Mat) -> int:
@@ -328,7 +369,7 @@ def solve_matrix(field: FieldSpec, a: Mat, b: Mat) -> Mat | None:
     x = [[field.zero()] * b.cols for _ in range(a.cols)]
     for i, pc in enumerate(pivots):
         x[pc] = r.entries[i][a.cols:]
-    return Mat(a.cols, b.cols, tuple(tuple(row) for row in x))
+    return Mat(a.cols, b.cols, tuple(map(tuple, x)))
 
 
 def is_invertible(field: FieldSpec, a: Mat) -> bool:
@@ -440,8 +481,8 @@ def mat_vec(field: FieldSpec, a: Mat, v: Vector) -> Vector:
     p = field.p
     if p is None:
         zero = Fraction(0)
-        return tuple(sum(map(mul, row, v), zero) for row in a.entries)
-    return tuple(sum(map(mul, row, v)) % p for row in a.entries)
+        return tuple([sum(map(mul, row, v), zero) for row in a.entries])
+    return tuple([sum(map(mul, row, v)) % p for row in a.entries])
 
 
 def mat_to_strings(field: FieldSpec, a: Mat) -> list[list[str]]:

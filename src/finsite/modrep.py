@@ -30,6 +30,7 @@ from .errors import (
     NotFullSubcategory,
     PreconditionFailed,
     ShapeMismatch,
+    SizeBudgetExceeded,
     ValidationFailed,
     Violation,
 )
@@ -133,14 +134,16 @@ def make_module(cat: FiniteCategory, field: FieldSpec,
     """Build a module, verifying shapes, identities, and functoriality.
 
     check=False skips verification for constructions whose invariants hold
-    by construction; every public entry point leaves it on.
+    by construction; every public entry point leaves it on. The check sees
+    dims as given, so a missing or unknown object is a violation; with
+    check=False an object missing from dims gets dimension 0.
     """
-    dims = {x: int(dims.get(x, 0)) for x in cat.objects}
     action = dict(action)
     if check:
         violations = _module_violations(cat, field, dims, action)
         if violations:
             raise ValidationFailed("module", violations)
+    dims = {x: int(dims.get(x, 0)) for x in cat.objects}
     return KModule(field=field, cat=cat, dims=dims, action=action,
                    basis_labels=basis_labels)
 
@@ -221,8 +224,8 @@ def _relabel(field: FieldSpec, src: Sequence, dst: Sequence,
     zero, one = field.zero(), field.one()
     targets = [index.get(image(a)) for a in src]
     return Mat(len(dst), len(src),
-               tuple(tuple(one if t == i else zero for t in targets)
-                     for i in range(len(dst))))
+               tuple([tuple([one if t == i else zero for t in targets])
+                      for i in range(len(dst))]))
 
 
 def _postcomposition_module(cat: FiniteCategory, field: FieldSpec,
@@ -350,16 +353,32 @@ def map_from_vector(v: KModule, w: KModule, vec: Vector) -> ModuleMap:
     return make_module_map(v, w, comps, check=False)
 
 
+# entries (equations x unknowns) of one dense naturality system; the
+# largest in the sheaf benchmark and the acceptance gates has about 1,000
+_HOM_SYSTEM_CAP = 250_000
+
+
 def _naturality_rows(v: KModule, w: KModule) -> tuple[dict, int, list[tuple]]:
     """Layout, unknown count, and rows of comp_y V_f - W_f comp_x = 0 over
-    every morphism f: x -> y, in the flattened components of a map v -> w."""
+    every morphism f: x -> y, in the flattened components of a map v -> w.
+
+    Raises SizeBudgetExceeded, before building anything, when the system
+    would hold more than _HOM_SYSTEM_CAP entries.
+    """
     field = v.field
+    cat = v.cat
     layout = {x: (r, c, off) for x, r, c, off in _map_layout(v, w)}
     n = sum(r * c for r, c, _ in layout.values())
+    equations = sum(w.dims[cat.cod[f]] * v.dims[cat.dom[f]]
+                    for f in cat.morphisms)
+    if equations * n > _HOM_SYSTEM_CAP:
+        raise SizeBudgetExceeded(
+            f"naturality system of {equations} equations in {n} unknowns"
+            f" exceeds {_HOM_SYSTEM_CAP} entries")
     zero = field.zero()
     rows: list[tuple] = []
-    for f in v.cat.morphisms:
-        x, y = v.cat.dom[f], v.cat.cod[f]
+    for f in cat.morphisms:
+        x, y = cat.dom[f], cat.cod[f]
         vf, wf = v.action[f], w.action[f]
         ry, cy, offy = layout[y]
         rx, cx, offx = layout[x]
@@ -380,7 +399,8 @@ def hom_space(v: KModule, w: KModule) -> list[ModuleMap]:
     """Canonical basis of the space of module maps v -> w.
 
     The naturality equations over all morphisms form one linear system in
-    the flattened components; the kernel basis is returned as maps.
+    the flattened components; the kernel basis is returned as maps. A
+    system of more than _HOM_SYSTEM_CAP entries raises SizeBudgetExceeded.
     """
     if v.field != w.field:
         raise FieldMismatch("hom space across different fields")

@@ -32,13 +32,25 @@ def test_exit_code_contract():
         (["typen", "validate", "--spec", SPEC_110], 0),
         (["typen", "validate", "--spec",
           '{"kind": "nongeneric", "indicator": [1, 1], "cutoff": 2}'], 1),
-        (["typen", "crosscheck", "--spec", SPEC_110, "--horizon", "5"], 2),
+        (["typen", "crosscheck", "--spec", SPEC_110, "--horizon", "5"], 3),
+        (["topology", "enumerate", "--category", "chain4",
+          "--budget", "3"], 3),
         (["typen", "pullback", "--object", "3", "--rank", "bogus",
           "--deg", "1"], 2),
     ]
     for argv, want in cases:
         code, text = run(argv)
         assert code == want, (argv, code, text)
+
+
+def test_linear_system_budget_is_exit_3(monkeypatch):
+    argv = ["sheaf", "check", "--category", "quiver2", "--topology", "dense",
+            "--module", SHEAF]
+    assert run(argv)[0] == 0
+    monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", 1)
+    code, text = run(argv)
+    assert code == 3, text
+    assert text.startswith("SizeBudgetExceeded: naturality system of"), text
 
 
 def test_usage_error_is_exit_2():

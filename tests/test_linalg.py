@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsite import linalg
+from finsite.errors import ShapeMismatch
 from finsite.linalg import GF, QQ, Mat, from_cols, from_rows
 
 
@@ -353,3 +357,112 @@ def test_kernels_on_empty_shapes(field):
     empty = linalg.Echelon(field, 0)
     assert not empty.add(()) and empty.contains(()) and empty.missing_unit() is None
     assert empty.basis == [] and linalg.complement_indices(field, [], 0) == []
+
+
+# ---------------------------------------------------------------------------
+# the slotted Mat against the frozen dataclass it replaced, kept as an oracle
+
+@dataclass(frozen=True)
+class DataclassMat:
+    rows: int
+    cols: int
+    entries: tuple[tuple, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+            raise ShapeMismatch(f"entries do not match shape {self.rows}x{self.cols}")
+
+    def row(self, i):
+        return self.entries[i]
+
+    def col(self, j):
+        return tuple(r[j] for r in self.entries)
+
+    def __getitem__(self, ij):
+        return self.entries[ij[0]][ij[1]]
+
+
+@st.composite
+def shaped_entries(draw, field=None):
+    """(field, rows, cols, entries), every dimension from 0 up."""
+    if field is None:
+        field = draw(st.sampled_from(ALL_FIELDS))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = entries(field)
+    return field, rows, cols, tuple(tuple(draw(entry) for _ in range(cols))
+                                    for _ in range(rows))
+
+
+def _repr_of_dataclass(m):
+    # the oracle's class has another name; the fields must print the same
+    return repr(DataclassMat(m.rows, m.cols, m.entries)).replace(
+        "DataclassMat(", "Mat(", 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_entries(), st.data())
+def test_mat_value_semantics_match_dataclass(shaped, data):
+    field, rows, cols, es = shaped
+    m, ref = Mat(rows, cols, es), DataclassMat(rows, cols, es)
+    assert repr(m) == _repr_of_dataclass(m)
+    assert hash(m) == hash(ref)
+    same = Mat(rows, cols, tuple(tuple(r) for r in list(es)))
+    assert m == same and not m != same and hash(m) == hash(same)
+    _, r2, c2, es2 = data.draw(shaped_entries(field))
+    other, ref_other = Mat(r2, c2, es2), DataclassMat(r2, c2, es2)
+    assert (m == other) == (ref == ref_other)
+    assert (m != other) == (ref != ref_other)
+    assert (m == ref) is False and (ref == m) is False
+    assert (m == es) is False
+    for i in range(rows):
+        assert m.row(i) == ref.row(i)
+        for j in range(cols):
+            assert m[i, j] == ref[i, j]
+    for j in range(cols):
+        assert m.col(j) == ref.col(j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_entries(), st.data())
+def test_mat_rejects_every_misshapen_entries(shaped, data):
+    field, rows, cols, es = shaped
+    extra_row = tuple(field.zero() for _ in range(cols))
+    bad = [es + (extra_row,)]  # long
+    if rows:
+        bad.append(es[:-1])  # short
+        i = data.draw(st.integers(0, rows - 1))
+        bad.append(es[:i] + (es[i] + (field.one(),),) + es[i + 1:])  # ragged
+        if cols:
+            bad.append(es[:i] + (es[i][:-1],) + es[i + 1:])
+    for wrong in bad:
+        with pytest.raises(ShapeMismatch):
+            DataclassMat(rows, cols, wrong)
+        with pytest.raises(ShapeMismatch):
+            Mat(rows, cols, wrong)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_entries())
+def test_mat_is_immutable(shaped):
+    _, rows, cols, es = shaped
+    m = Mat(rows, cols, es)
+    for name, value in (("rows", rows + 1), ("cols", cols + 1),
+                        ("entries", ()), ("extra", 0)):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert (m.rows, m.cols, m.entries) == (rows, cols, es)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_entries())
+def test_mat_copies_and_pickles(shaped):
+    _, rows, cols, es = shaped
+    m = Mat(rows, cols, es)
+    for twin in (copy.copy(m), copy.deepcopy(m),
+                 pickle.loads(pickle.dumps(m)),
+                 pickle.loads(pickle.dumps(m, protocol=0))):
+        assert type(twin) is Mat
+        assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+    assert copy.deepcopy({"a": m})["a"] == m

@@ -16,6 +16,7 @@ from finsite.errors import (
     FieldMismatch,
     NotFullSubcategory,
     PreconditionFailed,
+    SizeBudgetExceeded,
     ValidationFailed,
 )
 from finsite.linalg import GF, QQ, Mat
@@ -88,6 +89,25 @@ def test_validate_module_rejects_bad_shape(cat_chain2):
     assert any(v.kind == SHAPE_VIOLATION for v in err.value.violations)
 
 
+def test_make_module_checks_dims_as_given():
+    cat = fincat.build_poset_category(["a", "b"], [("a", "b")])
+    action = {"1_a": linalg.identity(F2, 1), "1_b": linalg.identity(F2, 0),
+              "a->b": linalg.zeros(F2, 0, 1)}
+    missing = (SHAPE_VIOLATION, ("b",), "missing or negative dimension")
+    unknown = (SHAPE_VIOLATION, ("bogus",), "unknown object")
+    for dims, want in (({"a": 1, "bogus": 3}, [missing, unknown]),
+                       ({"a": 1, "b": 0, "bogus": 3}, [unknown]),
+                       ({"a": 1, "b": -1}, [missing])):
+        with pytest.raises(ValidationFailed) as err:
+            modrep.make_module(cat, F2, dims, action)
+        assert [(v.kind, v.witness, v.detail)
+                for v in err.value.violations] == want
+    # unchecked construction still fills in the missing objects with 0
+    v = modrep.make_module(cat, F2, {"a": 1}, action, check=False)
+    assert v.dims == {"a": 1, "b": 0}
+    assert modrep.make_module(cat, F2, {"a": 1, "b": 0}, action) == v
+
+
 def test_module_doc_roundtrip(cat_quiver2):
     v = dense_sheaf_module(cat_quiver2, F3)
     doc = modrep.module_to_doc(v)
@@ -132,6 +152,22 @@ def test_hom_space_members_are_natural(cat_quiver2):
     for phi in modrep.hom_space(v, w):
         # make_module_map re-checks naturality
         modrep.make_module_map(v, w, phi.components, check=True)
+
+
+def test_hom_space_system_budget(monkeypatch, cat_quiver2):
+    v = dense_sheaf_module(cat_quiver2, F3)
+    w = modrep.yoneda_module(cat_quiver2, F3, "x")
+    unknowns = sum(w.dims[x] * v.dims[x] for x in cat_quiver2.objects)
+    equations = sum(w.dims[cat_quiver2.cod[f]] * v.dims[cat_quiver2.dom[f]]
+                    for f in cat_quiver2.morphisms)
+    assert equations * unknowns > 0
+    basis = modrep.hom_space(v, w)
+    # a system of exactly the budget is solved, one entry more is refused
+    monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", equations * unknowns)
+    assert modrep.hom_space(v, w) == basis
+    monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", equations * unknowns - 1)
+    with pytest.raises(SizeBudgetExceeded, match=f"{equations} equations"):
+        modrep.hom_space(v, w)
 
 
 def test_compose_and_identity_maps(cat_quiver2):
