@@ -89,7 +89,8 @@ def _builtin_category(name: str, budget: fincat.SizeBudget) -> fincat.FiniteCate
             name="diamond", budget=budget)
     if name == "idem_monoid":
         return fincat.build_monoid_category(
-            [[0, 1], [1, 1]], element_names=["1", "e"], name="idem_monoid")
+            [[0, 1], [1, 1]], element_names=["1", "e"], name="idem_monoid",
+            budget=budget)
     if name.startswith("trunc_fi:"):
         return fincat.build_trunc_fi_category(int(name.split(":")[1]),
                                               budget=budget)
@@ -124,7 +125,7 @@ def _resolve_topology(cat: fincat.FiniteCategory,
 
 def _resolve_module(cat: fincat.FiniteCategory, path: str) -> modrep.KModule:
     with _parsing("module"):
-        return modrep.module_from_doc(cat, _load_json(path))
+        return modrep.validate_module(cat, _load_json(path))
 
 
 def _resolve_spec(raw: str) -> typen.DSpec:

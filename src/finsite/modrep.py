@@ -185,10 +185,6 @@ def module_to_doc(v: KModule) -> dict:
     }
 
 
-def module_from_doc(cat: FiniteCategory, doc: Mapping[str, Any]) -> KModule:
-    return validate_module(cat, doc)
-
-
 # ---------------------------------------------------------------------------
 # stock modules
 
@@ -571,14 +567,16 @@ def sieve_quotient_module(cat: FiniteCategory, field: FieldSpec,
         cat, field, {y: tuple(f for f in hom[y] if f in mset) for y in hom})
     quotient = _postcomposition_module(
         cat, field, {y: tuple(f for f in hom[y] if f not in mset) for y in hom})
+    # both maps match labels, so they are natural by construction; the
+    # tests check them on every sieve of the fixtures
     inclusion = make_module_map(
         sub, ambient,
         {y: _relabel(field, sub.basis_labels[y], hom[y], lambda f: f)
-         for y in cat.objects}, check=True)
+         for y in cat.objects}, check=False)
     projection = make_module_map(
         ambient, quotient,
         {y: _relabel(field, hom[y], quotient.basis_labels[y], lambda f: f)
-         for y in cat.objects}, check=True)
+         for y in cat.objects}, check=False)
     idx = cat.identity[x]
     gen = [field.zero()] * quotient.dims[x]
     if idx not in mset:
@@ -733,6 +731,20 @@ def compatible_families(cat: FiniteCategory, w: KModule,
                               basis=tuple(linalg.kernel_basis(field, system)))
 
 
+def induced_family_map(v: KModule, x: str,
+                       families: CompatibleFamilies) -> Mat:
+    """The map sending a vector a at x to its induced family (V_f a)_f over
+    the members, all morphisms out of x, in the family basis."""
+    induced = linalg.vstack([v.action[f] for f in families.members],
+                            cols=v.dims[x])
+    coords = linalg.solve_matrix(
+        v.field, linalg.from_cols(families.basis, rows=families.total),
+        induced)
+    if coords is None:
+        raise FinsiteError("induced family escaped the family space")
+    return coords
+
+
 def reindexing_action(cat: FiniteCategory, w: KModule,
                       families: Mapping[str, CompatibleFamilies],
                       escaped: Callable[[str], Exception]) -> dict[str, Mat]:
@@ -781,6 +793,23 @@ def coinduction(cat: FiniteCategory, sub: FiniteCategory,
     return coinduction_with_counit(cat, sub, w)[0]
 
 
+def _coinduce(cat: FiniteCategory, sub: FiniteCategory, w: KModule,
+              ) -> tuple[KModule, dict[str, CompatibleFamilies]]:
+    """The coinduction of w, with its family space at every object."""
+    require_full_subcategory(cat, sub)
+    if w.cat != sub:
+        raise NotFullSubcategory("module does not live on the subcategory")
+    keep = set(sub.objects)
+    families = {}
+    for x in cat.objects:
+        into_sub = [f for f in cat.morphisms_from(x) if cat.cod[f] in keep]
+        families[x] = compatible_families(cat, w, into_sub)
+    action = reindexing_action(cat, w, families, lambda u: PreconditionFailed(
+        f"reindexed family escapes the solution space at {u}"))
+    dims = {x: families[x].dimension for x in cat.objects}
+    return make_module(cat, w.field, dims, action, check=True), families
+
+
 def coinduction_with_counit(cat: FiniteCategory, sub: FiniteCategory,
                             w: KModule) -> tuple[KModule, ModuleMap]:
     """Right Kan extension of w along the inclusion of a full subcategory.
@@ -792,27 +821,14 @@ def coinduction_with_counit(cat: FiniteCategory, sub: FiniteCategory,
     the result with w (each component is invertible for full subcategories);
     it is returned as a module map over the subcategory.
     """
-    require_full_subcategory(cat, sub)
-    if w.cat != sub:
-        raise NotFullSubcategory("module does not live on the subcategory")
-    field = w.field
-    keep = set(sub.objects)
-    families = {}
-    for x in cat.objects:
-        into_sub = [f for f in cat.morphisms_from(x) if cat.cod[f] in keep]
-        families[x] = compatible_families(cat, w, into_sub)
-    action = reindexing_action(cat, w, families, lambda u: PreconditionFailed(
-        f"reindexed family escapes the solution space at {u}"))
-    dims = {x: families[x].dimension for x in cat.objects}
-    coind = make_module(cat, field, dims, action, check=True)
-
+    coind, families = _coinduce(cat, sub, w)
     counit_comps = {}
     for d in sub.objects:
         base = families[d].offsets[cat.identity[d]]
         rows = tuple(tuple(k[base + r] for k in families[d].basis)
                      for r in range(w.dims[d]))
-        comp = Mat(w.dims[d], dims[d], rows)
-        if not linalg.is_invertible(field, comp):
+        comp = Mat(w.dims[d], coind.dims[d], rows)
+        if not linalg.is_invertible(w.field, comp):
             raise PreconditionFailed(f"counit degenerate at {d}")
         counit_comps[d] = comp
     counit = make_module_map(restriction(cat, sub, coind), w, counit_comps,
@@ -820,8 +836,25 @@ def coinduction_with_counit(cat: FiniteCategory, sub: FiniteCategory,
     return coind, counit
 
 
+def coinduction_unit(cat: FiniteCategory, sub: FiniteCategory,
+                     v: KModule) -> tuple[KModule, ModuleMap]:
+    """The coinduction of v's restriction to a full subcategory, with the
+    unit v -> coind(res v) of restriction and coinduction: a vector a at x
+    goes to its family (V_f a) over the morphisms f from x into sub.
+
+    The counit being invertible, the unit is invertible exactly on the
+    image of coinduction: for a rigid topology whose irreducible objects
+    make up sub, exactly on the sheaves.
+    """
+    coind, families = _coinduce(cat, sub, restriction(cat, sub, v))
+    unit = make_module_map(
+        v, coind, {x: induced_family_map(v, x, families[x])
+                   for x in cat.objects}, check=True)
+    return coind, unit
+
+
 # ---------------------------------------------------------------------------
-# random modules and isomorphism testing
+# random modules
 
 def _random_entry(field: FieldSpec, rng: random.Random):
     if field.is_finite:
@@ -853,8 +886,9 @@ def random_module(cat: FiniteCategory, field: FieldSpec, seed: int,
         copies[cat.objects[0]] = 1
     summands = []
     for x in cat.objects:
-        summands.extend(yoneda_module(cat, field, x)
-                        for _ in range(copies[x]))
+        if copies[x]:
+            # modules are immutable, so the copies can share one build
+            summands.extend([yoneda_module(cat, field, x)] * copies[x])
     free = direct_sum(cat, field, summands)
     relations = {x: linalg.Echelon(field, free.dims[x]) for x in cat.objects}
     busy = [x for x in cat.objects if free.dims[x] > 0]
@@ -883,66 +917,3 @@ def all_vectors(field: FieldSpec, dim: int) -> Iterator[Vector]:
         raise InfiniteFieldUnsupported("cannot enumerate vectors over Q")
     return itertools.product(range(field.p), repeat=dim)
 
-
-_ISO_SEARCH_CAP = 200_000
-_ISO_SAMPLES = 5_000
-
-
-def are_isomorphic(v: KModule, w: KModule, seed: int = 0) -> bool:
-    """Test for an invertible natural transformation v -> w.
-
-    Dimension vectors are screened first; then combinations of a hom-space
-    basis are searched for objectwise invertibility. Over a finite field the
-    search is exhaustive when p^d is small. Over the rationals a full grid
-    of size (total dim + 1)^d is exact when affordable, because the product
-    of the component determinants is a polynomial of per-variable degree at
-    most the total dimension, and a nonzero polynomial cannot vanish on a
-    grid longer than its degree in every variable. Past those caps the
-    search falls back to seeded sampling, which can only err by returning
-    False for an isomorphic pair.
-    """
-    if v.field != w.field:
-        raise FieldMismatch("isomorphism test across different fields")
-    field = v.field
-    cat = v.cat
-    if dict(v.dims) != dict(w.dims):
-        return False
-    if v.total_dim() == 0:
-        return True
-    basis = hom_space(v, w)
-    if not basis:
-        return False
-
-    def invertible(coeffs: Sequence) -> bool:
-        for x in cat.objects:
-            if v.dims[x] == 0:
-                continue
-            m = linalg.zeros(field, w.dims[x], v.dims[x])
-            for c, h in zip(coeffs, basis):
-                if c != 0:
-                    m = linalg.mat_add(field, m,
-                                       linalg.mat_scale(field, c, h.components[x]))
-            if not linalg.is_invertible(field, m):
-                return False
-        return True
-
-    d = len(basis)
-    one = field.one()
-    for i in range(d):
-        if invertible(tuple(one if j == i else field.zero() for j in range(d))):
-            return True
-    delta = v.total_dim()
-    if field.is_finite:
-        if field.p ** d <= _ISO_SEARCH_CAP:
-            return any(invertible(c)
-                       for c in itertools.product(range(field.p), repeat=d))
-        rng = random.Random(f"finsite:iso:{seed}")
-        return any(invertible(tuple(rng.randrange(field.p) for _ in range(d)))
-                   for _ in range(_ISO_SAMPLES))
-    if (delta + 1) ** d <= _ISO_SEARCH_CAP:
-        grid = [Fraction(i) for i in range(delta + 1)]
-        return any(invertible(c) for c in itertools.product(grid, repeat=d))
-    rng = random.Random(f"finsite:iso:{seed}")
-    return any(invertible(tuple(Fraction(rng.randint(-delta, delta))
-                                for _ in range(d)))
-               for _ in range(_ISO_SAMPLES))

@@ -60,20 +60,6 @@ def matching_space(v: KModule, x: str, s: Sieve) -> MatchingSpace:
     return MatchingSpace(base=x, sieve=s, **vars(families))
 
 
-def amalgamation_map(v: KModule, x: str, s: Sieve,
-                     space: MatchingSpace | None = None) -> Mat:
-    """The map sending a vector at the base to its induced family,
-    expressed in the matching-space basis."""
-    if space is None:
-        space = matching_space(v, x, s)
-    induced = linalg.vstack([v.action[f] for f in s.members], cols=v.dims[x])
-    coords = linalg.solve_matrix(
-        v.field, linalg.from_cols(space.basis, rows=space.total), induced)
-    if coords is None:
-        raise FinsiteError("induced family escaped the matching space")
-    return coords
-
-
 def restrict_family(space: MatchingSpace, family: Vector,
                     smaller: Sieve) -> Vector:
     """Drop the blocks outside a subsieve; still a matching family there."""
@@ -133,7 +119,7 @@ def sheaf_status(cat: FiniteCategory, j: GrothendieckTopology,
     for x in cat.objects:
         for s in j.covers_at(x):
             space = matching_space(v, x, s)
-            amap = amalgamation_map(v, x, s, space)
+            amap = modrep.induced_family_map(v, x, space)
             ker = linalg.kernel_basis(field, amap)
             if ker:
                 separated = False
@@ -314,7 +300,7 @@ def plus_construction(cat: FiniteCategory, j: GrothendieckTopology,
         "reindexed family escaped the matching space"))
     vplus = modrep.make_module(cat, field, dims, action, check=True)
     unit = modrep.make_module_map(
-        v, vplus, {x: amalgamation_map(v, x, smin[x], spaces[x])
+        v, vplus, {x: modrep.induced_family_map(v, x, spaces[x])
                    for x in cat.objects}, check=True)
     return vplus, unit
 
@@ -428,8 +414,10 @@ def verify_rigid_equivalence(cat: FiniteCategory, j: GrothendieckTopology,
     Checks on samples: a module is torsion exactly when it vanishes on the
     irreducibles; coinduction from the irreducibles produces sheaves and
     restricting back recovers the input, certified by the invertible
-    counit that coinduction_with_counit returns; and coinducing
-    the restriction of a sheafified sample recovers it up to isomorphism.
+    counit that coinduction_with_counit returns; and coinducing the
+    restriction of a sheafified sample recovers it, certified by the unit
+    V -> coind(res V) that coinduction_unit returns being invertible at
+    every object.
     """
     report = rigidity(cat, j)
     if not report.rigid:
@@ -469,8 +457,9 @@ def verify_rigid_equivalence(cat: FiniteCategory, j: GrothendieckTopology,
         v = modrep.random_module(cat, field, seed=rng.randrange(2 ** 30),
                                  max_dim=max_dim)
         vs, _ = sheafify(cat, j, v)
-        back = modrep.coinduction(cat, sub, modrep.restriction(cat, sub, vs))
-        if not modrep.are_isomorphic(back, vs):
+        _, unit = modrep.coinduction_unit(cat, sub, vs)
+        if not all(linalg.is_invertible(field, unit.components[x])
+                   for x in cat.objects):
             witnesses["coinduce_restrict"].append((i, dict(vs.dims)))
 
     packed = {k: tuple(w) for k, w in witnesses.items() if w}

@@ -196,8 +196,7 @@ def test_06_sheafification_contract():
                         for side in (ker, coker):
                             got = torsion.torsion_class(cat, j, side)
                             assert got.classification == "torsion"
-                        again, unit2 = sheaves.sheafify(cat, j, w)
-                        assert modrep.are_isomorphic(again, w)
+                        _, unit2 = sheaves.sheafify(cat, j, w)
                         # w is a sheaf, so its unit must be invertible
                         k2, _ = modrep.kernel_of_map(unit2)
                         c2, _ = modrep.cokernel_of_map(unit2)

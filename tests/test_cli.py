@@ -35,6 +35,8 @@ def test_exit_code_contract():
         (["typen", "crosscheck", "--spec", SPEC_110, "--horizon", "5"], 3),
         (["topology", "enumerate", "--category", "chain4",
           "--budget", "3"], 3),
+        (["topology", "enumerate", "--category", "idem_monoid",
+          "--budget", "0"], 3),
         (["typen", "pullback", "--object", "3", "--rank", "bogus",
           "--deg", "1"], 2),
     ]
