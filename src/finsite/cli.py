@@ -8,6 +8,18 @@ or as a fixed-width table. Exit codes separate mathematics from plumbing:
 failed (with witnesses in the output), 2 for usage and input errors, and
 3 when a size budget refused the work (the input may be fine, only too
 large for the budget).
+
+One table declares the commands. `_COMMANDS` lists each command's group,
+name, handler and argument names, in help order; `_ARGS` maps an argument
+name to its flag and `add_argument` keywords; `build_parser` reads both.
+Before dispatch, `_resolve_inputs` turns the inputs a command declares into
+library objects, always in this order: the category (under --budget) onto
+`args.cat`, the topology onto `args.j`, the module onto `args.v`, the field
+onto `args.field` and the spec onto `args.spec`. The first unusable input in
+that order is the one reported, whatever the command, and handlers start
+from the resolved objects. `category validate` declares its document as
+`category_doc`, which the resolver skips: for that command an invalid
+category is the verdict (exit 1), not unusable input.
 """
 
 from __future__ import annotations
@@ -78,6 +90,8 @@ def _builtin_category(name: str, budget: fincat.SizeBudget) -> fincat.FiniteCate
             name="quiver2", budget=budget)
     if name.startswith("chain"):
         n = int(name[len("chain"):])
+        if n < 0:
+            raise ValueError(f"chain length must be natural, got {n}")
         objs = [str(i) for i in range(n)]
         return fincat.build_poset_category(
             objs, [(str(i), str(i + 1)) for i in range(n - 1)],
@@ -115,35 +129,37 @@ def _resolve_category(spec: str, budget: fincat.SizeBudget) -> fincat.FiniteCate
         return _builtin_category(spec, budget)
 
 
-def _resolve_topology(cat: fincat.FiniteCategory,
-                      spec: str) -> topology.GrothendieckTopology:
-    if spec in _NAMED_TOPOLOGIES:
-        return topology.named_topology(cat, spec)
-    with _parsing("topology"):
-        return topology.topology_from_doc(cat, _load_json(spec))
-
-
-def _resolve_module(cat: fincat.FiniteCategory, path: str) -> modrep.KModule:
-    with _parsing("module"):
-        return modrep.validate_module(cat, _load_json(path))
-
-
-def _resolve_spec(raw: str) -> typen.DSpec:
-    with _parsing("spec"):
-        doc = json.loads(raw) if raw.lstrip().startswith("{") else _load_json(raw)
-        return typen.spec_from_doc(doc)
-
-
-def _resolve_field(label: str) -> linalg.FieldSpec:
-    with _parsing("field"):
-        return modrep.parse_field_label(label)
-
-
 def _budget(args) -> fincat.SizeBudget:
-    if getattr(args, "budget", None) is None:
+    if args.budget is None:
         return fincat.DEFAULT_BUDGET
     return fincat.SizeBudget(max_objects=args.budget,
                              max_morphisms=args.budget)
+
+
+def _resolve_inputs(args) -> None:
+    """Resolve the inputs the command declares, in the module's order."""
+    names = args.inputs
+    if "category" in names:
+        args.cat = _resolve_category(args.category, _budget(args))
+    if "topology" in names:
+        if args.topology in _NAMED_TOPOLOGIES:
+            args.j = topology.named_topology(args.cat, args.topology)
+        else:
+            with _parsing("topology"):
+                args.j = topology.topology_from_doc(
+                    args.cat, _load_json(args.topology))
+    if "module" in names:
+        with _parsing("module"):
+            args.v = modrep.validate_module(args.cat, _load_json(args.module))
+    if "field" in names or "finite_field" in names:
+        with _parsing("field"):
+            args.field = modrep.parse_field_label(args.field)
+    if "spec" in names:
+        with _parsing("spec"):
+            raw = args.spec
+            args.spec = typen.spec_from_doc(
+                json.loads(raw) if raw.lstrip().startswith("{")
+                else _load_json(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -243,24 +259,12 @@ def _class_descriptors(cat: fincat.FiniteCategory,
     return render(t_conds, t_zero), render(f_conds, f_zero)
 
 
-def _topology_display_name(cat: fincat.FiniteCategory,
-                           j: topology.GrothendieckTopology) -> str | None:
-    for kind in ("trivial", "dense", "maximal"):
-        try:
-            if topology.named_topology(cat, kind) == j:
-                return kind
-        except FinsiteError:
-            continue
-    return None
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (exit_code, document, table_text)
 
 def _cmd_category_validate(args) -> tuple[int, Any, str]:
-    budget = _budget(args)
     try:
-        cat = _resolve_category(args.category, budget)
+        cat = _resolve_category(args.category, _budget(args))
     except _Malformed:
         raise
     except ValidationFailed as err:
@@ -291,14 +295,21 @@ def _cmd_category_build(args) -> tuple[int, Any, str]:
 
 
 def _cmd_topology_enumerate(args) -> tuple[int, Any, str]:
-    cat = _resolve_category(args.category, _budget(args))
+    cat = args.cat
     tops = topology.enumerate_topologies(cat, max_sieves=args.max_sieves)
+    named = []
+    for kind in ("trivial", "dense", "maximal"):
+        try:
+            named.append((kind, topology.named_topology(cat, kind)))
+        except SizeBudgetExceeded:
+            # all_sieves' default cap, which --max-sieves may exceed
+            continue
     entries = []
     for i, j in enumerate(tops, start=1):
         t_desc, f_desc = _class_descriptors(cat, j)
         entries.append({
             "index": i,
-            "name": _topology_display_name(cat, j),
+            "name": next((kind for kind, rule in named if rule == j), None),
             "covers": topology.topology_to_doc(j)["covers"],
             "torsion_class": t_desc,
             "torsion_free_class": f_desc,
@@ -321,43 +332,28 @@ def _cmd_topology_enumerate(args) -> tuple[int, Any, str]:
     return 0, doc, "\n".join(lines)
 
 
+_AXIOMS = ("is_topology", "maximal_ok", "stability_ok", "transitivity_ok",
+           "inclusion_closed", "intersection_closed")
+
+
 def _cmd_topology_check(args) -> tuple[int, Any, str]:
-    cat = _resolve_category(args.category, _budget(args))
-    j = _resolve_topology(cat, args.topology)
-    report = topology.check_axioms(cat, j, max_sieves=args.max_sieves)
-    doc = {
-        "is_topology": report.is_topology,
-        "maximal_ok": report.maximal_ok,
-        "stability_ok": report.stability_ok,
-        "transitivity_ok": report.transitivity_ok,
-        "inclusion_closed": report.inclusion_closed,
-        "intersection_closed": report.intersection_closed,
-        "witnesses": report.witnesses,
-    }
-    text = _kv_table([
-        ("is_topology", _bool(report.is_topology)),
-        ("maximal_ok", _bool(report.maximal_ok)),
-        ("stability_ok", _bool(report.stability_ok)),
-        ("transitivity_ok", _bool(report.transitivity_ok)),
-        ("inclusion_closed", _bool(report.inclusion_closed)),
-        ("intersection_closed", _bool(report.intersection_closed)),
-    ])
+    report = topology.check_axioms(args.cat, args.j, max_sieves=args.max_sieves)
+    doc = {k: getattr(report, k) for k in _AXIOMS}
+    doc["witnesses"] = report.witnesses
+    text = _kv_table([(k, _bool(doc[k])) for k in _AXIOMS])
     return (0 if report.is_topology else 1), doc, text
 
 
 def _cmd_topology_named(args) -> tuple[int, Any, str]:
-    cat = _resolve_category(args.category, _budget(args))
-    j = topology.named_topology(cat, args.name)
+    j = topology.named_topology(args.cat, args.name)
     doc = topology.topology_to_doc(j)
     rows = [(x, "; ".join(_sieve_label(s) for s in j.covers_at(x)))
-            for x in cat.objects]
+            for x in args.cat.objects]
     return 0, doc, _table(("object", "covers"), rows)
 
 
 def _cmd_topology_rigidity(args) -> tuple[int, Any, str]:
-    cat = _resolve_category(args.category, _budget(args))
-    j = _resolve_topology(cat, args.topology)
-    report = topology.rigidity(cat, j)
+    report = topology.rigidity(args.cat, args.j)
     doc = {
         "rigid": report.rigid,
         "irreducibles": list(report.irreducibles),
@@ -375,10 +371,8 @@ def _cmd_topology_rigidity(args) -> tuple[int, Any, str]:
 
 
 def _cmd_torsion_submodule(args) -> tuple[int, Any, str]:
-    cat = _resolve_category(args.category, _budget(args))
-    j = _resolve_topology(cat, args.topology)
-    v = _resolve_module(cat, args.module)
-    sub, incl = torsion.torsion_submodule(cat, j, v)
+    cat, v = args.cat, args.v
+    sub, incl = torsion.torsion_submodule(cat, args.j, v)
     doc = {
         "dims": dict(sub.dims),
         "module_dims": dict(v.dims),
@@ -390,22 +384,16 @@ def _cmd_torsion_submodule(args) -> tuple[int, Any, str]:
 
 
 def _cmd_torsion_classify(args) -> tuple[int, Any, str]:
-    cat = _resolve_category(args.category, _budget(args))
-    j = _resolve_topology(cat, args.topology)
-    v = _resolve_module(cat, args.module)
-    report = torsion.torsion_class(cat, j, v)
+    report = torsion.torsion_class(args.cat, args.j, args.v)
     doc = report.to_doc()
     pairs = [("classification", report.classification)]
     pairs.extend((f"torsion_dim({x})", str(report.dims[x]))
-                 for x in cat.objects)
+                 for x in args.cat.objects)
     return 0, doc, _kv_table(pairs)
 
 
 def _cmd_torsion_pair(args) -> tuple[int, Any, str]:
-    cat = _resolve_category(args.category, _budget(args))
-    j = _resolve_topology(cat, args.topology)
-    field = _resolve_field(args.field)
-    report = torsion.verify_torsion_pair(cat, j, field=field,
+    report = torsion.verify_torsion_pair(args.cat, args.j, field=args.field,
                                          sample_count=args.samples,
                                          seed=args.seed)
     doc = report.to_doc()
@@ -419,13 +407,11 @@ def _cmd_torsion_pair(args) -> tuple[int, Any, str]:
 
 
 def _cmd_torsion_roundtrip(args) -> tuple[int, Any, str]:
-    cat = _resolve_category(args.category, _budget(args))
-    j = _resolve_topology(cat, args.topology)
-    field = _resolve_field(args.field)
-    if not field.is_finite:
+    if not args.field.is_finite:
         raise InfiniteFieldUnsupported(
             "the annihilator round trip enumerates vectors; pick Fp:P")
-    agrees, doc = torsion.nullstellensatz_roundtrip(cat, j, field.p)
+    agrees, doc = torsion.nullstellensatz_roundtrip(args.cat, args.j,
+                                                    args.field.p)
     pairs = [("agrees", _bool(agrees))]
     pairs.extend((f"realized({x})", str(n))
                  for x, n in sorted(doc["realized_counts"].items()))
@@ -433,10 +419,7 @@ def _cmd_torsion_roundtrip(args) -> tuple[int, Any, str]:
 
 
 def _cmd_sheaf_check(args) -> tuple[int, Any, str]:
-    cat = _resolve_category(args.category, _budget(args))
-    j = _resolve_topology(cat, args.topology)
-    v = _resolve_module(cat, args.module)
-    verdict = sheaves.sheaf_verdict(cat, j, v)
+    verdict = sheaves.sheaf_verdict(args.cat, args.j, args.v)
     doc = verdict.to_doc()
     pairs = [("separated", _bool(verdict.separated)),
              ("sheaf", _bool(verdict.sheaf)),
@@ -447,10 +430,8 @@ def _cmd_sheaf_check(args) -> tuple[int, Any, str]:
 
 
 def _cmd_sheaf_sheafify(args) -> tuple[int, Any, str]:
-    cat = _resolve_category(args.category, _budget(args))
-    j = _resolve_topology(cat, args.topology)
-    v = _resolve_module(cat, args.module)
-    sh, unit = sheaves.sheafify(cat, j, v)
+    cat, v = args.cat, args.v
+    sh, unit = sheaves.sheafify(cat, args.j, v)
     doc = {
         "module": modrep.module_to_doc(sh),
         "unit": {x: linalg.mat_to_strings(v.field, unit.components[x])
@@ -461,10 +442,8 @@ def _cmd_sheaf_sheafify(args) -> tuple[int, Any, str]:
 
 
 def _cmd_sheaf_equivalence(args) -> tuple[int, Any, str]:
-    cat = _resolve_category(args.category, _budget(args))
-    j = _resolve_topology(cat, args.topology)
-    field = _resolve_field(args.field)
-    report = sheaves.verify_rigid_equivalence(cat, j, field=field,
+    report = sheaves.verify_rigid_equivalence(args.cat, args.j,
+                                              field=args.field,
                                               sample_count=args.samples,
                                               seed=args.seed)
     doc = report.to_doc()
@@ -475,11 +454,10 @@ def _cmd_sheaf_equivalence(args) -> tuple[int, Any, str]:
 
 
 def _cmd_typen_validate(args) -> tuple[int, Any, str]:
-    spec = _resolve_spec(args.spec)
     with _parsing("horizon"):
-        outcome = typen.validate_spec(spec, horizon=args.horizon)
+        outcome = typen.validate_spec(args.spec, horizon=args.horizon)
     doc = outcome.to_doc()
-    doc["rigid"] = typen.rigid_spec(spec) if outcome.valid else None
+    doc["rigid"] = typen.rigid_spec(args.spec) if outcome.valid else None
     pairs = [("valid", _bool(outcome.valid)),
              ("recurrence_ok", _bool(outcome.recurrence_ok)),
              ("pieces_ok", _bool(outcome.pieces_ok)),
@@ -506,8 +484,8 @@ def _cmd_typen_pullback(args) -> tuple[int, Any, str]:
 
 
 def _cmd_typen_crosscheck(args) -> tuple[int, Any, str]:
-    spec = _resolve_spec(args.spec)
-    report = typen.truncation_crosscheck(spec, args.horizon)
+    with _parsing("horizon"):
+        report = typen.truncation_crosscheck(args.spec, args.horizon)
     doc = report.to_doc()
     pairs = [("passed", _bool(report.passed)),
              ("sieve_inventory_ok", _bool(report.sieve_inventory_ok)),
@@ -518,34 +496,72 @@ def _cmd_typen_crosscheck(args) -> tuple[int, Any, str]:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table
 
-def _add_category(p, required: bool = True):
-    p.add_argument("--category", required=required,
-                   help="category document path or builtin name")
-    p.add_argument("--budget", type=int, default=None,
-                   help="size budget for objects and morphisms")
+_CATEGORY = ("--category", dict(required=True,
+                                help="category document path or builtin name"))
 
+# argument name -> (flag, add_argument keywords); two names may share a
+# flag when their keywords or their resolution differ
+_ARGS: dict[str, tuple[str, dict[str, Any]]] = {
+    "category": _CATEGORY,
+    "category_doc": _CATEGORY,
+    "budget": ("--budget", dict(type=int, default=None,
+                                help="size budget for objects and morphisms")),
+    "kind": ("--kind", dict(
+        required=True,
+        help="poset|free_acyclic_quiver|orbit|trunc_fi|trunc_vi")),
+    "params": ("--params", dict(default="",
+                                help="JSON object of builder parameters")),
+    "max_sieves": ("--max-sieves", dict(type=int, default=4096)),
+    "topology": ("--topology", dict(
+        required=True,
+        help="topology document path or one of: "
+             + "|".join(_NAMED_TOPOLOGIES))),
+    "name": ("--name", dict(required=True, choices=_NAMED_TOPOLOGIES)),
+    "module": ("--module", dict(required=True)),
+    "field": ("--field", dict(default="Fp:2", help="Q or Fp:P")),
+    "finite_field": ("--field", dict(default="Fp:2",
+                                     help="Fp:P (finite only)")),
+    "samples": ("--samples", dict(type=int, default=20)),
+    "seed": ("--seed", dict(type=int, default=0)),
+    "spec": ("--spec", dict(required=True,
+                            help="spec document path or inline JSON")),
+    "horizon": ("--horizon", dict(type=int, required=True)),
+    "optional_horizon": ("--horizon", dict(type=int, default=None)),
+    "object": ("--object", dict(type=int, required=True)),
+    "rank": ("--rank", dict(
+        required=True,
+        help="natural number, or empty for the empty sieve")),
+    "deg": ("--deg", dict(type=int, required=True)),
+}
 
-def _add_topology(p):
-    p.add_argument("--topology", required=True,
-                   help="topology document path or one of: "
-                        + "|".join(_NAMED_TOPOLOGIES))
+_ON = ("category", "budget", "topology")
+_SAMPLING = ("field", "samples", "seed")
 
-
-def _add_sampling(p):
-    p.add_argument("--field", default="Fp:2", help="Q or Fp:P")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _sub(group, name: str) -> argparse.ArgumentParser:
-    # --format is declared top-level but accepted trailing as well; SUPPRESS
-    # keeps the leaf from clobbering what the top parser already wrote
-    p = group.add_parser(name)
-    p.add_argument("--format", choices=("json", "table"),
-                   default=argparse.SUPPRESS)
-    return p
+# (group, command, handler, argument names), in help order
+_COMMANDS: list[tuple[str, str, Callable[..., tuple[int, Any, str]],
+                      tuple[str, ...]]] = [
+    ("category", "validate", _cmd_category_validate,
+     ("category_doc", "budget")),
+    ("category", "build", _cmd_category_build, ("kind", "params", "budget")),
+    ("topology", "enumerate", _cmd_topology_enumerate,
+     ("category", "budget", "max_sieves")),
+    ("topology", "check", _cmd_topology_check, (*_ON, "max_sieves")),
+    ("topology", "named", _cmd_topology_named, ("category", "budget", "name")),
+    ("topology", "rigidity", _cmd_topology_rigidity, _ON),
+    ("torsion", "submodule", _cmd_torsion_submodule, (*_ON, "module")),
+    ("torsion", "classify", _cmd_torsion_classify, (*_ON, "module")),
+    ("torsion", "pair", _cmd_torsion_pair, (*_ON, *_SAMPLING)),
+    ("torsion", "roundtrip", _cmd_torsion_roundtrip, (*_ON, "finite_field")),
+    ("sheaf", "check", _cmd_sheaf_check, (*_ON, "module")),
+    ("sheaf", "sheafify", _cmd_sheaf_sheafify, (*_ON, "module")),
+    ("sheaf", "equivalence", _cmd_sheaf_equivalence, (*_ON, *_SAMPLING)),
+    ("typen", "validate", _cmd_typen_validate, ("spec", "optional_horizon")),
+    ("typen", "census", _cmd_typen_census, ("horizon",)),
+    ("typen", "pullback", _cmd_typen_pullback, ("object", "rank", "deg")),
+    ("typen", "crosscheck", _cmd_typen_crosscheck, ("spec", "horizon")),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -556,102 +572,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "table"),
                         default="table")
     groups = parser.add_subparsers(dest="group", required=True)
-
-    cat_group = groups.add_parser("category").add_subparsers(
-        dest="command", required=True)
-    p = _sub(cat_group, "validate")
-    _add_category(p)
-    p.set_defaults(handler=_cmd_category_validate)
-    p = _sub(cat_group, "build")
-    p.add_argument("--kind", required=True,
-                   help="poset|free_acyclic_quiver|orbit|trunc_fi|trunc_vi")
-    p.add_argument("--params", default="",
-                   help="JSON object of builder parameters")
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(handler=_cmd_category_build)
-
-    top_group = groups.add_parser("topology").add_subparsers(
-        dest="command", required=True)
-    p = _sub(top_group, "enumerate")
-    _add_category(p)
-    p.add_argument("--max-sieves", type=int, default=4096)
-    p.set_defaults(handler=_cmd_topology_enumerate)
-    p = _sub(top_group, "check")
-    _add_category(p)
-    _add_topology(p)
-    p.add_argument("--max-sieves", type=int, default=4096)
-    p.set_defaults(handler=_cmd_topology_check)
-    p = _sub(top_group, "named")
-    _add_category(p)
-    p.add_argument("--name", required=True, choices=_NAMED_TOPOLOGIES)
-    p.set_defaults(handler=_cmd_topology_named)
-    p = _sub(top_group, "rigidity")
-    _add_category(p)
-    _add_topology(p)
-    p.set_defaults(handler=_cmd_topology_rigidity)
-
-    tor_group = groups.add_parser("torsion").add_subparsers(
-        dest="command", required=True)
-    p = _sub(tor_group, "submodule")
-    _add_category(p)
-    _add_topology(p)
-    p.add_argument("--module", required=True)
-    p.set_defaults(handler=_cmd_torsion_submodule)
-    p = _sub(tor_group, "classify")
-    _add_category(p)
-    _add_topology(p)
-    p.add_argument("--module", required=True)
-    p.set_defaults(handler=_cmd_torsion_classify)
-    p = _sub(tor_group, "pair")
-    _add_category(p)
-    _add_topology(p)
-    _add_sampling(p)
-    p.set_defaults(handler=_cmd_torsion_pair)
-    p = _sub(tor_group, "roundtrip")
-    _add_category(p)
-    _add_topology(p)
-    p.add_argument("--field", default="Fp:2", help="Fp:P (finite only)")
-    p.set_defaults(handler=_cmd_torsion_roundtrip)
-
-    sh_group = groups.add_parser("sheaf").add_subparsers(
-        dest="command", required=True)
-    p = _sub(sh_group, "check")
-    _add_category(p)
-    _add_topology(p)
-    p.add_argument("--module", required=True)
-    p.set_defaults(handler=_cmd_sheaf_check)
-    p = _sub(sh_group, "sheafify")
-    _add_category(p)
-    _add_topology(p)
-    p.add_argument("--module", required=True)
-    p.set_defaults(handler=_cmd_sheaf_sheafify)
-    p = _sub(sh_group, "equivalence")
-    _add_category(p)
-    _add_topology(p)
-    _add_sampling(p)
-    p.set_defaults(handler=_cmd_sheaf_equivalence)
-
-    ty_group = groups.add_parser("typen").add_subparsers(
-        dest="command", required=True)
-    p = _sub(ty_group, "validate")
-    p.add_argument("--spec", required=True,
-                   help="spec document path or inline JSON")
-    p.add_argument("--horizon", type=int, default=None)
-    p.set_defaults(handler=_cmd_typen_validate)
-    p = _sub(ty_group, "census")
-    p.add_argument("--horizon", type=int, required=True)
-    p.set_defaults(handler=_cmd_typen_census)
-    p = _sub(ty_group, "pullback")
-    p.add_argument("--object", type=int, required=True)
-    p.add_argument("--rank", required=True,
-                   help="natural number, or empty for the empty sieve")
-    p.add_argument("--deg", type=int, required=True)
-    p.set_defaults(handler=_cmd_typen_pullback)
-    p = _sub(ty_group, "crosscheck")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.set_defaults(handler=_cmd_typen_crosscheck)
-
+    commands = {}
+    for group, name, handler, inputs in _COMMANDS:
+        if group not in commands:
+            commands[group] = groups.add_parser(group).add_subparsers(
+                dest="command", required=True)
+        p = commands[group].add_parser(name)
+        # --format is declared top-level but accepted trailing as well;
+        # SUPPRESS keeps the leaf from clobbering what the top parser wrote
+        p.add_argument("--format", choices=("json", "table"),
+                       default=argparse.SUPPRESS)
+        for arg in inputs:
+            flag, keywords = _ARGS[arg]
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler, inputs=inputs)
     return parser
 
 
@@ -664,6 +598,7 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
         # argparse already printed its message to stderr
         return (2 if exc.code else 0), ""
     try:
+        _resolve_inputs(args)
         code, doc, table_text = args.handler(args)
     except _INPUT_ERRORS as err:
         return 2, f"error: {err}\n"

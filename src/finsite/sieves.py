@@ -36,23 +36,21 @@ def sieve_sort_key(s: Sieve):
     return (len(s.members), s.members)
 
 
-def make_sieve(cat: FiniteCategory, base: str, members: Iterable[str],
-               check: bool = True) -> Sieve:
+def make_sieve(cat: FiniteCategory, base: str, members: Iterable[str]) -> Sieve:
     if base not in cat.identity:
         raise UnknownObject(base)
     mem = tuple(sorted(set(members)))
-    if check:
-        for f in mem:
-            if f not in cat.dom:
-                raise InvalidSieve(f"unknown morphism {f!r}")
-            if cat.dom[f] != base:
-                raise WrongDomain(f"{f} has domain {cat.dom[f]}, not {base}")
-        mset = set(mem)
-        for f in mem:
-            for g in cat.morphisms_from(cat.cod[f]):
-                if cat.compose(g, f) not in mset:
-                    raise InvalidSieve(
-                        f"not postcomposition closed: {g}.{f} missing on {base}")
+    for f in mem:
+        if f not in cat.dom:
+            raise InvalidSieve(f"unknown morphism {f!r}")
+        if cat.dom[f] != base:
+            raise WrongDomain(f"{f} has domain {cat.dom[f]}, not {base}")
+    mset = set(mem)
+    for f in mem:
+        for g in cat.morphisms_from(cat.cod[f]):
+            if cat.compose(g, f) not in mset:
+                raise InvalidSieve(
+                    f"not postcomposition closed: {g}.{f} missing on {base}")
     return Sieve(base, mem)
 
 

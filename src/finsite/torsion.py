@@ -163,7 +163,7 @@ def annihilator_sieve(v: KModule, x: str, vec: Sequence) -> Sieve:
     w = tuple(v.field.of(a) for a in vec)
     members = [f for f in v.cat.morphisms_from(x)
                if all(a == 0 for a in v.apply(f, w))]
-    return make_sieve(v.cat, x, members, check=True)
+    return make_sieve(v.cat, x, members)
 
 
 def realized_annihilators(cat: FiniteCategory, modules: Iterable[KModule],

@@ -300,6 +300,7 @@ def symbolic_pullback(m: int, r: int | None, deg: int) -> SymbolicSieve:
     threshold drops by deg, bottoming out at the maximal sieve; the empty
     sieve pulls back to the empty sieve.
     """
+    SymbolicSieve(m, r)  # rejects a negative object or rank
     if deg < 0:
         raise ValueError("degrees are natural numbers")
     n = m + deg
@@ -370,22 +371,19 @@ def concrete_sieve(cat: FiniteCategory, sym: SymbolicSieve) -> Sieve:
     return make_sieve(cat, x, members)
 
 
-def _covers_from_spec(cat: FiniteCategory, spec: DSpec,
-                      horizon: int) -> GrothendieckTopology:
-    """The spec's cover rule, clipped to the truncation window."""
+def _covers_from_spec(cat: FiniteCategory, spec: DSpec, horizon: int,
+                      ranked: Mapping[tuple[int, int | None], Sieve]
+                      ) -> GrothendieckTopology:
+    """The spec's cover rule, clipped to the truncation window; ranked
+    holds the realized S(m, r) of that window."""
     covers: dict[str, list[Sieve]] = {}
     for m in range(horizon + 1):
         v = d_value(spec, m)
-        top_rank = horizon - m
-        sieves = []
         if v is NEG_INF:
             sieves = list(all_sieves(cat, str(m)))
-        elif v is INF:
-            sieves = [concrete_sieve(cat, SymbolicSieve(m, r))
-                      for r in range(top_rank + 1)]
         else:
-            sieves = [concrete_sieve(cat, SymbolicSieve(m, r))
-                      for r in range(min(v, top_rank) + 1)]
+            top = horizon - m if v is INF else min(v, horizon - m)
+            sieves = [ranked[m, r] for r in range(top + 1)]
         covers[str(m)] = sieves
     return make_rule(cat, covers)
 
@@ -426,6 +424,8 @@ def truncation_crosscheck(spec: DSpec, horizon: int) -> CrosscheckReport:
     skipped: clipping at the boundary objects discards exactly the sieves
     a transitivity check would need.
     """
+    if horizon < 0:
+        raise ValueError("horizon must be natural")
     outcome = validate_spec(spec)
     if not outcome.valid:
         raise PreconditionFailed(f"invalid spec: {outcome.violation}")
@@ -436,10 +436,15 @@ def truncation_crosscheck(spec: DSpec, horizon: int) -> CrosscheckReport:
     witnesses: dict[str, list] = {"inventory": [], "pullback": [],
                                   "stability": []}
 
+    def ranks(m: int) -> list[int | None]:
+        return [*range(horizon - m + 1), None]
+
+    # every S(m, r) of the window realized once; rank None is the empty sieve
+    ranked = {(m, r): concrete_sieve(cat, SymbolicSieve(m, r))
+              for m in range(horizon + 1) for r in ranks(m)}
+
     for m in range(horizon + 1):
-        expected = {concrete_sieve(cat, SymbolicSieve(m, r))
-                    for r in range(horizon - m + 1)}
-        expected.add(make_sieve(cat, str(m), ()))
+        expected = {ranked[m, r] for r in ranks(m)}
         found = set(all_sieves(cat, str(m)))
         if found != expected:
             witnesses["inventory"].append(
@@ -448,15 +453,14 @@ def truncation_crosscheck(spec: DSpec, horizon: int) -> CrosscheckReport:
 
     for f in cat.morphisms:
         m, n = int(cat.dom[f]), int(cat.cod[f])
-        deg = n - m
-        for r in list(range(horizon - m + 1)) + [None]:
-            sym = symbolic_pullback(m, r, deg)
-            concrete = pullback_sieve(cat, concrete_sieve(
-                cat, SymbolicSieve(m, r)), f)
-            if concrete != concrete_sieve(cat, sym):
+        for r in ranks(m):
+            sym = symbolic_pullback(m, r, n - m)
+            # a formula landing outside the window is a disagreement too
+            realized = ranked.get((sym.n, sym.rank))
+            if pullback_sieve(cat, ranked[m, r], f) != realized:
                 witnesses["pullback"].append((f, r))
 
-    rule = _covers_from_spec(cat, spec, horizon)
+    rule = _covers_from_spec(cat, spec, horizon, ranked)
     bad = check_stability_only(cat, rule)
     if bad is not None:
         witnesses["stability"].append(bad)

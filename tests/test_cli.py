@@ -39,6 +39,10 @@ def test_exit_code_contract():
           "--budget", "0"], 3),
         (["typen", "pullback", "--object", "3", "--rank", "bogus",
           "--deg", "1"], 2),
+        (["typen", "crosscheck", "--spec", SPEC_110, "--horizon", "-1"], 2),
+        (["typen", "pullback", "--object", "-1", "--rank", "2",
+          "--deg", "1"], 2),
+        (["topology", "enumerate", "--category", "chain-1"], 2),
     ]
     for argv, want in cases:
         code, text = run(argv)

@@ -160,8 +160,9 @@ def test_symbolic_pullback_examples():
     empty = typen.symbolic_pullback(3, None, 2)
     assert empty.is_empty and empty.n == 5
     assert typen.symbolic_pullback(4, 2, 0) == typen.SymbolicSieve(4, 2)
-    with pytest.raises(ValueError):
-        typen.symbolic_pullback(3, 1, -1)
+    for bad in ((3, 1, -1), (-1, 2, 1), (3, -2, 0)):
+        with pytest.raises(ValueError):
+            typen.symbolic_pullback(*bad)
 
 
 def test_symbolic_pullback_composes():
@@ -218,9 +219,21 @@ def test_crosscheck_guards():
     spec = typen.make_spec("generic", (1, 1, 0))
     with pytest.raises(SizeBudgetExceeded):
         typen.truncation_crosscheck(spec, 5)
+    with pytest.raises(ValueError):
+        typen.truncation_crosscheck(spec, -1)
     bad = typen.make_spec("nongeneric", (1, 1), cutoff=2)
     with pytest.raises(PreconditionFailed):
         typen.truncation_crosscheck(bad, 2)
+
+
+def test_crosscheck_flags_a_wrong_pullback_formula(monkeypatch):
+    # a formula that forgets to lower the rank along the morphism
+    monkeypatch.setattr(typen, "symbolic_pullback",
+                        lambda m, r, deg: typen.SymbolicSieve(m + deg, r))
+    report = typen.truncation_crosscheck(typen.make_spec("generic", ()), 2)
+    assert not report.pullback_agreement_ok
+    assert report.sieve_inventory_ok and report.stability_ok
+    assert ("[0>1]()", 1) in report.witnesses["pullback"]
 
 
 def test_crosscheck_report_doc():
