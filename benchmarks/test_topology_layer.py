@@ -1,0 +1,52 @@
+"""Microbenchmarks of the topology layer.
+
+`check_axioms` is the one scan of a cover rule's axioms: the topology
+search re-verifies every rule it emits with it, and `saturate_rule` runs it
+to a fixpoint. These time `check_axioms` over all 64 topologies of chain6,
+the largest chain of the census, and `sipp_topology`, one saturation, on
+orbit(S4) for p = 2 and 3. They are not part of the tier-1 suite
+(`testpaths` lists only `tests`); run them with
+
+    python -m pytest benchmarks --benchmark-only
+
+The times are wall-clock and not scaled to a reference speed, so compare
+only runs made back to back on one machine.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from finsite import fincat, topology
+
+
+@pytest.fixture(scope="module")
+def chain6():
+    objs = [str(i) for i in range(6)]
+    cat = fincat.build_poset_category(
+        objs, [(str(i), str(i + 1)) for i in range(5)], name="chain6")
+    rules = topology.enumerate_topologies(cat)
+    assert len(rules) == 64
+    return cat, rules
+
+
+@pytest.fixture(scope="module")
+def orbit_s4():
+    return fincat.build_orbit_category(fincat.symmetric_group_table(4),
+                                       name="orbit_S4")
+
+
+def test_check_axioms_chain6(benchmark, chain6):
+    cat, rules = chain6
+
+    def certify_all():
+        return all(topology.check_axioms(cat, j).is_topology for j in rules)
+
+    assert benchmark(certify_all)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_sipp_topology_orbit_s4(benchmark, orbit_s4, p):
+    cat, data = orbit_s4
+    j = benchmark(topology.sipp_topology, cat, data, p)
+    assert topology.check_axioms(cat, j).is_topology

@@ -27,7 +27,7 @@ def main() -> None:
           f"(kernel dims {kernel.dims})")
     print(f"now a sheaf: {sheaves.sheaf_status(cat, dense, fixed).sheaf}")
 
-    sub, _ = topology.full_subcategory(cat, ["y"])
+    sub = topology.full_subcategory(cat, ["y"])
     coinduced = modrep.coinduction(cat, sub, modrep.restriction(cat, sub, p_x))
     _, unit = modrep.coinduction_unit(cat, sub, fixed)
     invertible = all(linalg.is_invertible(field, unit.components[x])

@@ -15,11 +15,12 @@ name to its flag and `add_argument` keywords; `build_parser` reads both.
 Before dispatch, `_resolve_inputs` turns the inputs a command declares into
 library objects, always in this order: the category (under --budget) onto
 `args.cat`, the topology onto `args.j`, the module onto `args.v`, the field
-onto `args.field` and the spec onto `args.spec`. The first unusable input in
-that order is the one reported, whatever the command, and handlers start
-from the resolved objects. `category validate` declares its document as
-`category_doc`, which the resolver skips: for that command an invalid
-category is the verdict (exit 1), not unusable input.
+onto `args.field` and the spec onto `args.spec`; a required horizon is then
+checked to be natural. The first unusable input in that order is the one
+reported, whatever the command, and handlers start from the resolved
+objects. `category validate` declares its document as `category_doc`, which
+the resolver skips: for that command an invalid category is the verdict
+(exit 1), not unusable input.
 """
 
 from __future__ import annotations
@@ -160,6 +161,10 @@ def _resolve_inputs(args) -> None:
             args.spec = typen.spec_from_doc(
                 json.loads(raw) if raw.lstrip().startswith("{")
                 else _load_json(raw))
+    if "horizon" in names:
+        with _parsing("horizon"):
+            if args.horizon < 0:
+                raise ValueError("horizon must be natural")
 
 
 # ---------------------------------------------------------------------------
@@ -227,27 +232,16 @@ def _class_descriptors(cat: fincat.FiniteCategory,
     smin = {x: topology.minimal_covering_sieve(cat, j, x)
             for x in cat.objects}
     t_zero = [x for x in cat.objects if sieves.is_maximal(cat, smin[x])]
-    t_conds = [f"V_{x} = 0" for x in t_zero]
-    for x in cat.objects:
-        s = smin[x]
-        if sieves.is_maximal(cat, s) or not s.members:
-            continue
-        gens = sieves.minimal_generators(cat, s)
-        if all(cat.cod[g] in t_zero for g in gens):
-            continue
-        t_conds.extend(f"V_{g} = 0" for g in gens)
-    f_conds = []
-    kernel_conds = []
     f_zero = [x for x in cat.objects if not smin[x].members]
-    f_conds.extend(f"V_{x} = 0" for x in f_zero)
+    t_conds = [f"V_{x} = 0" for x in t_zero]
+    f_conds = [f"V_{x} = 0" for x in f_zero]
     for x in cat.objects:
-        s = smin[x]
-        if sieves.is_maximal(cat, s) or not s.members:
+        if x in t_zero or x in f_zero:
             continue
-        gens = sieves.minimal_generators(cat, s)
-        kernel_conds.append(
-            " ∩ ".join(f"ker V_{g}" for g in gens) + " = 0")
-    f_conds.extend(kernel_conds)
+        gens = sieves.minimal_generators(cat, smin[x])
+        if not all(cat.cod[g] in t_zero for g in gens):
+            t_conds.extend(f"V_{g} = 0" for g in gens)
+        f_conds.append(" ∩ ".join(f"ker V_{g}" for g in gens) + " = 0")
 
     def render(conds, zeroed):
         if not conds:
@@ -296,14 +290,9 @@ def _cmd_category_build(args) -> tuple[int, Any, str]:
 
 def _cmd_topology_enumerate(args) -> tuple[int, Any, str]:
     cat = args.cat
-    tops = topology.enumerate_topologies(cat, max_sieves=args.max_sieves)
-    named = []
-    for kind in ("trivial", "dense", "maximal"):
-        try:
-            named.append((kind, topology.named_topology(cat, kind)))
-        except SizeBudgetExceeded:
-            # all_sieves' default cap, which --max-sieves may exceed
-            continue
+    tops = topology.enumerate_topologies(cat)
+    named = [(kind, topology.named_topology(cat, kind))
+             for kind in ("trivial", "dense", "maximal")]
     entries = []
     for i, j in enumerate(tops, start=1):
         t_desc, f_desc = _class_descriptors(cat, j)
@@ -337,7 +326,7 @@ _AXIOMS = ("is_topology", "maximal_ok", "stability_ok", "transitivity_ok",
 
 
 def _cmd_topology_check(args) -> tuple[int, Any, str]:
-    report = topology.check_axioms(args.cat, args.j, max_sieves=args.max_sieves)
+    report = topology.check_axioms(args.cat, args.j)
     doc = {k: getattr(report, k) for k in _AXIOMS}
     doc["witnesses"] = report.witnesses
     text = _kv_table([(k, _bool(doc[k])) for k in _AXIOMS])
@@ -467,8 +456,7 @@ def _cmd_typen_validate(args) -> tuple[int, Any, str]:
 
 
 def _cmd_typen_census(args) -> tuple[int, Any, str]:
-    with _parsing("horizon"):
-        census = typen.spec_census(args.horizon)
+    census = typen.spec_census(args.horizon)
     doc = census.to_doc()
     text = (f"generic: {len(census.generic)},"
             f" nongeneric: {len(census.nongeneric)}\n")
@@ -484,8 +472,7 @@ def _cmd_typen_pullback(args) -> tuple[int, Any, str]:
 
 
 def _cmd_typen_crosscheck(args) -> tuple[int, Any, str]:
-    with _parsing("horizon"):
-        report = typen.truncation_crosscheck(args.spec, args.horizon)
+    report = typen.truncation_crosscheck(args.spec, args.horizon)
     doc = report.to_doc()
     pairs = [("passed", _bool(report.passed)),
              ("sieve_inventory_ok", _bool(report.sieve_inventory_ok)),
@@ -513,7 +500,6 @@ _ARGS: dict[str, tuple[str, dict[str, Any]]] = {
         help="poset|free_acyclic_quiver|orbit|trunc_fi|trunc_vi")),
     "params": ("--params", dict(default="",
                                 help="JSON object of builder parameters")),
-    "max_sieves": ("--max-sieves", dict(type=int, default=4096)),
     "topology": ("--topology", dict(
         required=True,
         help="topology document path or one of: "
@@ -545,9 +531,8 @@ _COMMANDS: list[tuple[str, str, Callable[..., tuple[int, Any, str]],
     ("category", "validate", _cmd_category_validate,
      ("category_doc", "budget")),
     ("category", "build", _cmd_category_build, ("kind", "params", "budget")),
-    ("topology", "enumerate", _cmd_topology_enumerate,
-     ("category", "budget", "max_sieves")),
-    ("topology", "check", _cmd_topology_check, (*_ON, "max_sieves")),
+    ("topology", "enumerate", _cmd_topology_enumerate, ("category", "budget")),
+    ("topology", "check", _cmd_topology_check, _ON),
     ("topology", "named", _cmd_topology_named, ("category", "budget", "name")),
     ("topology", "rigidity", _cmd_topology_rigidity, _ON),
     ("torsion", "submodule", _cmd_torsion_submodule, (*_ON, "module")),

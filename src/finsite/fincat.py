@@ -290,16 +290,8 @@ def classify_category(cat: FiniteCategory) -> CategoryFlags:
 # ---------------------------------------------------------------------------
 # full subcategories
 
-@dataclass(frozen=True)
-class Embedding:
-    """Id correspondences of a full subcategory (sub id -> ambient id)."""
-
-    objects: Mapping[str, str]
-    morphisms: Mapping[str, str]
-
-
 def full_subcategory(cat: FiniteCategory, objs: Iterable[str],
-                     name: str | None = None) -> tuple[FiniteCategory, Embedding]:
+                     name: str | None = None) -> FiniteCategory:
     objs = list(dict.fromkeys(objs))
     for o in objs:
         if o not in cat.identity:
@@ -311,17 +303,14 @@ def full_subcategory(cat: FiniteCategory, objs: Iterable[str],
     compose = {pair: gf for pair, gf in cat.compose_table.items()
                if pair[0] in mor_ids and pair[1] in mor_ids}
     identity = {o: cat.identity[o] for o in objs}
-    sub = make_category(name or f"{cat.name}|{','.join(objs)}",
-                        objs, morphisms, identity, compose)
-    emb = Embedding(objects={o: o for o in objs},
-                    morphisms={m: m for m in mor_ids})
-    return sub, emb
+    return make_category(name or f"{cat.name}|{','.join(objs)}",
+                         objs, morphisms, identity, compose)
 
 
 def is_full_subcategory(cat: FiniteCategory, sub: FiniteCategory) -> bool:
     if not set(sub.objects) <= set(cat.objects):
         return False
-    expected, _ = full_subcategory(cat, sub.objects, name=sub.name)
+    expected = full_subcategory(cat, sub.objects, name=sub.name)
     return expected == sub
 
 

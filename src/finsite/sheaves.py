@@ -423,7 +423,7 @@ def verify_rigid_equivalence(cat: FiniteCategory, j: GrothendieckTopology,
     if not report.rigid:
         raise NotRigid(f"failures at {[y for y, _ in report.failures]}")
     d_objs = irreducible_objects(cat, j)
-    sub, _ = full_subcategory(cat, d_objs)
+    sub = full_subcategory(cat, d_objs)
     rng = random.Random(f"finsite:rigid:{field.label()}:{seed}")
     witnesses: dict[str, list] = {"torsion": [], "sheaf": [],
                                   "restrict_coinduce": [],

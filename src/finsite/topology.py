@@ -3,7 +3,10 @@
 A cover rule assigns to each object x a set of sieves on x (the covers).
 "Topology" status is a certificate: check_axioms verifies the maximal-sieve
 axiom, stability under pullback, and transitivity, and reports witnesses for
-every failure. Rules and topologies are the same data.
+every failure. Rules and topologies are the same data. check_axioms is the
+only scan of a rule's axioms and closure properties: saturate_rule, the
+smallest topology containing a rule, is a fixpoint over its witnesses, and
+torsion's annihilator round trip reads its closure witnesses.
 
 On a finite category every topology's covers at x are closed under finite
 intersection and inclusion, hence form the up-set of a unique minimum sieve.
@@ -36,7 +39,6 @@ from .errors import (
     UnknownObject,
 )
 from .fincat import (
-    Embedding,
     FiniteCategory,
     OrbitData,
     classify_category,
@@ -133,73 +135,49 @@ class AxiomReport:
         return self.maximal_ok and self.stability_ok and self.transitivity_ok
 
 
-def check_axioms(cat: FiniteCategory, j: GrothendieckTopology,
-                 max_sieves: int = 4096) -> AxiomReport:
+def check_axioms(cat: FiniteCategory, j: GrothendieckTopology) -> AxiomReport:
     """Verify the three covering axioms directly, with witnesses.
 
     maximal: the maximal sieve on x covers x. stability: covers pull back to
     covers along every morphism. transitivity: a sieve all of whose pullbacks
     along some cover are covers is itself a cover. Also reports the two
-    derived closure properties (inclusion, pairwise intersection).
+    closure properties every topology's covers have: inclusion (a cover S
+    inside a non-cover T) and pairwise intersection (two covers S, T whose
+    intersection is no cover), as witnesses (x, S, T) of member tuples.
     Transitivity witnesses are collected exhaustively: every pair (S, T) with
     S a cover forcing the non-cover T is recorded.
     """
-    witnesses: dict[str, tuple] = {}
-    maximal_bad = []
-    stability_bad = list(_stability_violations(cat, j))
-    transitivity_bad = []
-    inclusion_bad = []
-    intersection_bad = []
-    universe = {x: all_sieves(cat, x, max_sieves) for x in cat.objects}
-
+    found: dict[str, list[tuple]] = {
+        "maximal": [], "stability": list(_stability_violations(cat, j)),
+        "transitivity": [], "inclusion": [], "intersection": []}
     for x in cat.objects:
-        jx = set(j.covers.get(x, frozenset()))
+        jx = j.covers.get(x, frozenset())
+        ordered = sorted(jx, key=sieve_sort_key)
+        universe = all_sieves(cat, x)
         if maximal_sieve(cat, x) not in jx:
-            maximal_bad.append((x,))
-        for t in universe[x]:
+            found["maximal"].append((x,))
+        for t in universe:
             if t in jx:
                 continue
-            for s in sorted(jx, key=sieve_sort_key):
+            for s in ordered:
                 if all(pullback_sieve(cat, t, f) in j.covers.get(cat.cod[f], frozenset())
                        for f in s.members):
-                    transitivity_bad.append((x, s.members, t.members))
-        inclusion, intersection = closure_violations(j, x, universe[x])
-        inclusion_bad.extend(inclusion)
-        intersection_bad.extend(intersection)
-
-    if maximal_bad:
-        witnesses["maximal"] = tuple(maximal_bad)
-    if stability_bad:
-        witnesses["stability"] = tuple(stability_bad)
-    if transitivity_bad:
-        witnesses["transitivity"] = tuple(transitivity_bad)
-    if inclusion_bad:
-        witnesses["inclusion"] = tuple(inclusion_bad)
-    if intersection_bad:
-        witnesses["intersection"] = tuple(intersection_bad)
+                    found["transitivity"].append((x, s.members, t.members))
+        found["inclusion"].extend(
+            (x, s.members, t.members) for s in ordered for t in universe
+            if s.member_set <= t.member_set and t not in jx)
+        found["intersection"].extend(
+            (x, s.members, t.members)
+            for s, t in itertools.combinations(ordered, 2)
+            if intersect_sieves(s, t) not in jx)
     return AxiomReport(
-        maximal_ok=not maximal_bad,
-        stability_ok=not stability_bad,
-        transitivity_ok=not transitivity_bad,
-        inclusion_closed=not inclusion_bad,
-        intersection_closed=not intersection_bad,
-        witnesses=witnesses,
+        maximal_ok=not found["maximal"],
+        stability_ok=not found["stability"],
+        transitivity_ok=not found["transitivity"],
+        inclusion_closed=not found["inclusion"],
+        intersection_closed=not found["intersection"],
+        witnesses={kind: tuple(w) for kind, w in found.items() if w},
     )
-
-
-def closure_violations(j: GrothendieckTopology, x: str,
-                       universe: Sequence[Sieve]) -> tuple[list, list]:
-    """Witnesses (x, S, T) at x, as member tuples, of the two closure
-    properties of a topology's covers: a cover S inside a non-cover T of
-    the universe, and two covers S, T whose intersection is no cover."""
-    jx = j.covers.get(x, frozenset())
-    ordered = sorted(jx, key=sieve_sort_key)
-    inclusion = [(x, s.members, t.members) for s in ordered for t in universe
-                 if s.member_set <= t.member_set and t not in jx]
-    intersection = [(x, s.members, t.members)
-                    for s, t in itertools.combinations(ordered, 2)
-                    if intersect_sieves(s, t) not in jx]
-    return inclusion, intersection
 
 
 def _stability_violations(cat: FiniteCategory, j: GrothendieckTopology):
@@ -266,8 +244,8 @@ def _upset(universe: Sequence[Sieve], s_min: Sieve) -> list[Sieve]:
 
 
 def enumerate_topologies(cat: FiniteCategory,
-                         budget: int = DEFAULT_ENUM_BUDGET,
-                         max_sieves: int = 4096) -> list[GrothendieckTopology]:
+                         budget: int = DEFAULT_ENUM_BUDGET
+                         ) -> list[GrothendieckTopology]:
     """All Grothendieck topologies, sorted by total cover count then by
     canonical serialization.
 
@@ -289,7 +267,7 @@ def enumerate_topologies(cat: FiniteCategory,
     correctness never rests on the pruning; a rejected one is a library
     bug and raises FinsiteError.
     """
-    universe = {x: all_sieves(cat, x, max_sieves) for x in cat.objects}
+    universe = {x: all_sieves(cat, x) for x in cat.objects}
     order = sorted(cat.objects, key=lambda x: len(cat.morphisms_from(x)))
     pos = {x: i for i, x in enumerate(order)}
     # above[x][a]: bitmask of the sieves on x containing sieve a
@@ -339,7 +317,7 @@ def enumerate_topologies(cat: FiniteCategory,
         if i == len(order):
             rule = make_rule(cat, {x: _upset(universe[x], universe[x][m[x]])
                                    for x in cat.objects})
-            if not check_axioms(cat, rule, max_sieves).is_topology:
+            if not check_axioms(cat, rule).is_topology:
                 raise FinsiteError(
                     f"topology search on {cat.name} emitted a rule that "
                     "check_axioms rejects")
@@ -373,8 +351,7 @@ def subcategory_sieve(cat: FiniteCategory, objs: Iterable[str],
                                     if cat.cod[f] in d])
 
 
-def enumerate_consistent_families(cat: FiniteCategory,
-                                  max_sieves: int = 4096
+def enumerate_consistent_families(cat: FiniteCategory
                                   ) -> list[GrothendieckTopology]:
     """The topologies of a directed EI category: J_D for every object set D
     (isomorphism classes are single objects there), sorted like
@@ -383,7 +360,7 @@ def enumerate_consistent_families(cat: FiniteCategory,
     flags = classify_category(cat)
     if not (flags.directed and flags.ei):
         raise NotDirectedEI(f"{cat.name} is not directed EI")
-    universe = {x: all_sieves(cat, x, max_sieves) for x in cat.objects}
+    universe = {x: all_sieves(cat, x) for x in cat.objects}
     out = [make_rule(cat, {x: _upset(universe[x], subcategory_sieve(cat, d, x))
                            for x in cat.objects})
            for r in range(len(cat.objects) + 1)
@@ -444,7 +421,7 @@ def rigidity(cat: FiniteCategory, j: GrothendieckTopology) -> RigidityReport:
 
 def restrict_to_ideal(cat: FiniteCategory, j: GrothendieckTopology,
                       ideal_objs: Iterable[str],
-                      ) -> tuple[FiniteCategory, Embedding, GrothendieckTopology]:
+                      ) -> tuple[FiniteCategory, GrothendieckTopology]:
     """Restrict a topology to an ideal (an upward closed object set: every
     morphism out of the ideal stays in it). Covers restrict memberwise; for
     an ideal the member sets are unchanged because every morphism out of an
@@ -458,49 +435,43 @@ def restrict_to_ideal(cat: FiniteCategory, j: GrothendieckTopology,
         for f in cat.morphisms_from(x):
             if cat.cod[f] not in ideal_set:
                 raise NotAnIdeal(f"{x} maps to {cat.cod[f]} outside the ideal")
-    sub, emb = full_subcategory(cat, ideal)
+    sub = full_subcategory(cat, ideal)
     sub_mors = set(sub.morphisms)
     covers = {}
     for x in ideal:
         covers[x] = [Sieve(x, tuple(m for m in s.members if m in sub_mors))
                      for s in j.covers_at(x)]
-    return sub, emb, make_rule(sub, covers)
+    return sub, make_rule(sub, covers)
 
 
 # ---------------------------------------------------------------------------
 # smallest topology containing a rule; sipp topology on orbit categories
 
-def saturate_rule(cat: FiniteCategory, j: GrothendieckTopology,
-                  max_sieves: int = 4096) -> GrothendieckTopology:
-    """Smallest topology containing the rule: iterate closure under the
-    maximal-sieve axiom, stability, and transitivity to a fixpoint. Each
-    added sieve is forced in any topology containing the rule, so the
-    fixpoint is the least one. Every pass that changes something adds a
-    sieve of the finite universe, so the loop ends.
+def saturate_rule(cat: FiniteCategory,
+                  j: GrothendieckTopology) -> GrothendieckTopology:
+    """Smallest topology containing the rule: a fixpoint over check_axioms'
+    witnesses. Each witness names a sieve that every topology containing
+    the rule must cover, and the round adds them all:
+
+    - maximal (x,): the maximal sieve on x;
+    - stability (x, S, f): the pullback f*(S);
+    - transitivity (x, S, T): the sieve T.
+
+    So the fixpoint is the least topology, and every round that does not
+    end the loop adds a sieve of the finite universe, so the loop ends.
     """
-    universe = {x: all_sieves(cat, x, max_sieves) for x in cat.objects}
     covers = {x: set(j.covers.get(x, frozenset())) for x in cat.objects}
-    for x in cat.objects:
-        covers[x].add(maximal_sieve(cat, x))
-    changed = True
-    while changed:
-        changed = False
-        for x in cat.objects:
-            for s in list(covers[x]):
-                for f in cat.morphisms_from(x):
-                    pb = pullback_sieve(cat, s, f)
-                    if pb not in covers[cat.cod[f]]:
-                        covers[cat.cod[f]].add(pb)
-                        changed = True
-            for t in universe[x]:
-                if t in covers[x]:
-                    continue
-                if any(all(pullback_sieve(cat, t, f) in covers[cat.cod[f]]
-                           for f in s.members)
-                       for s in covers[x]):
-                    covers[x].add(t)
-                    changed = True
-    return make_rule(cat, covers)
+    while True:
+        rule = make_rule(cat, covers)
+        report = check_axioms(cat, rule)
+        if report.is_topology:
+            return rule
+        for (x,) in report.witnesses.get("maximal", ()):
+            covers[x].add(maximal_sieve(cat, x))
+        for x, s, f in report.witnesses.get("stability", ()):
+            covers[cat.cod[f]].add(pullback_sieve(cat, Sieve(x, s), f))
+        for x, _, t in report.witnesses.get("transitivity", ()):
+            covers[x].add(Sieve(x, t))
 
 
 def sipp_topology(orbit_cat: FiniteCategory, orbit_data: OrbitData,

@@ -34,7 +34,7 @@ from .sieves import (
 )
 from .topology import (
     GrothendieckTopology,
-    closure_violations,
+    check_axioms,
     make_rule,
     require_stable,
 )
@@ -189,8 +189,8 @@ def realized_annihilators(cat: FiniteCategory, modules: Iterable[KModule],
 
 
 def inclusion_closure(cat: FiniteCategory,
-                      rule: GrothendieckTopology | Mapping[str, Iterable[Sieve]],
-                      max_sieves: int = 4096) -> GrothendieckTopology:
+                      rule: GrothendieckTopology | Mapping[str, Iterable[Sieve]]
+                      ) -> GrothendieckTopology:
     """Close a cover rule under enlargement of sieves.
 
     The result covers x with every sieve containing some cover of x; the
@@ -200,7 +200,7 @@ def inclusion_closure(cat: FiniteCategory,
     out = {}
     for x in cat.objects:
         base = list(covers.get(x, ()))
-        out[x] = [t for t in all_sieves(cat, x, max_sieves)
+        out[x] = [t for t in all_sieves(cat, x)
                   if any(s.member_set <= t.member_set for s in base)]
     return make_rule(cat, out)
 
@@ -362,33 +362,29 @@ def verify_torsion_pair(cat: FiniteCategory, j: GrothendieckTopology,
 # the annihilator round trip
 
 def nullstellensatz_roundtrip(cat: FiniteCategory, j: GrothendieckTopology,
-                              p: int,
-                              max_sieves: int = 4096) -> tuple[bool, dict]:
+                              p: int) -> tuple[bool, dict]:
     """Recover the rule from the annihilators of its own torsion generators.
 
     The generator family is the sieve quotient of the representable for
     every cover; their realized annihilators, closed under inclusion, are
     compared objectwise to the rule. Requires the rule closed under
     inclusions and finite intersections, which is what makes recovery
-    possible at all.
+    possible at all; the first failure in object order is raised, read off
+    check_axioms' closure witnesses.
     """
-    universe = {x: all_sieves(cat, x, max_sieves) for x in cat.objects}
+    witnesses = check_axioms(cat, j).witnesses
     for x in cat.objects:
-        inclusion, intersection = closure_violations(j, x, universe[x])
-        if inclusion:
-            _, s, t = inclusion[0]
-            raise PreconditionFailed(
-                f"rule not inclusion closed at {x}: {s} inside {t}")
-        if intersection:
-            _, s, t = intersection[0]
-            raise PreconditionFailed(
-                f"rule not intersection closed at {x}: {s} with {t}")
+        for kind, joint in (("inclusion", "inside"), ("intersection", "with")):
+            bad = next((w for w in witnesses.get(kind, ()) if w[0] == x), None)
+            if bad is not None:
+                raise PreconditionFailed(
+                    f"rule not {kind} closed at {x}: {bad[1]} {joint} {bad[2]}")
     field = GF(p)
     generators = [modrep.sieve_quotient_module(cat, field, s).quotient
                   for x in cat.objects for s in j.covers_at(x)]
     realized = {x: realized_annihilators(cat, generators, x)
                 for x in cat.objects}
-    closed = inclusion_closure(cat, realized, max_sieves)
+    closed = inclusion_closure(cat, realized)
     missing: dict[str, list] = {}
     extra: dict[str, list] = {}
     for x in cat.objects:

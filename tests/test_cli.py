@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from finsite import fincat, modrep, sheaves, torsion
+from finsite import fincat, modrep, sheaves, torsion, typen
 from finsite.cli import run
 from finsite.linalg import GF
 from finsite.sheaves import PerpendicularStatus, SaturationStatus, SheafVerdict
@@ -374,6 +374,23 @@ def test_library_bug_is_not_an_input_error(monkeypatch, error):
     with pytest.raises(error):
         run(["torsion", "classify", "--category", "quiver2",
              "--topology", "dense", "--module", SHEAF])
+
+
+@pytest.mark.parametrize("patched, argv", (
+    ("check_stability_only",
+     ["typen", "crosscheck", "--spec", SPEC_110, "--horizon", "2"]),
+    ("validate_spec", ["typen", "census", "--horizon", "2"])))
+def test_typen_library_bug_is_not_an_input_error(monkeypatch, patched, argv):
+    # only the horizon is input; a KeyError inside the library call is a bug
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(typen, patched, broken)
+    with pytest.raises(KeyError):
+        run(argv)
+    code, text = run([*argv[:-1], "-1"])
+    assert code == 2
+    assert text == "error: horizon: MalformedInput: horizon must be natural\n"
 
 
 def test_wrongly_shaped_documents_are_exit_2(tmp_path):

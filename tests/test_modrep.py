@@ -292,7 +292,7 @@ def test_embedding_order_permutable(cat_quiver2):
 # restriction and coinduction
 
 def test_restriction_filters(cat_quiver2):
-    sub, _ = fincat.full_subcategory(cat_quiver2, ["y"])
+    sub = fincat.full_subcategory(cat_quiver2, ["y"])
     v = dense_sheaf_module(cat_quiver2, F2)
     r = modrep.restriction(cat_quiver2, sub, v)
     assert r.dims == {"y": 1}
@@ -302,7 +302,7 @@ def test_restriction_filters(cat_quiver2):
 
 
 def test_coinduction_quiver_point(cat_quiver2):
-    sub, _ = fincat.full_subcategory(cat_quiver2, ["y"])
+    sub = fincat.full_subcategory(cat_quiver2, ["y"])
     w = modrep.constant_module(sub, F2)
     c, counit = modrep.coinduction_with_counit(cat_quiver2, sub, w)
     assert c.dims == {"x": 2, "y": 1}
@@ -316,7 +316,7 @@ def test_coinduction_quiver_point(cat_quiver2):
 
 
 def test_coinduction_from_whole_category(cat_chain3):
-    sub, _ = fincat.full_subcategory(cat_chain3, list(cat_chain3.objects))
+    sub = fincat.full_subcategory(cat_chain3, list(cat_chain3.objects))
     v = modrep.random_module(cat_chain3, F3, seed=4, max_dim=2)
     c, unit = modrep.coinduction_unit(cat_chain3, sub, v)
     assert c == modrep.coinduction(cat_chain3, sub, v)
@@ -327,7 +327,7 @@ def test_coinduction_from_whole_category(cat_chain3):
 def test_coinduction_unit_of_a_non_sheaf_is_not_invertible(cat_quiver2):
     # P(x) is no sheaf for the dense rule, whose core is {y}: coinducing
     # its restriction gives dims x: 4 against x: 1
-    sub, _ = fincat.full_subcategory(cat_quiver2, ["y"])
+    sub = fincat.full_subcategory(cat_quiver2, ["y"])
     px = modrep.yoneda_module(cat_quiver2, F2, "x")
     c, unit = modrep.coinduction_unit(cat_quiver2, sub, px)
     assert dict(c.dims) == {"x": 4, "y": 2}
@@ -339,7 +339,7 @@ def test_coinduction_unit_of_a_non_sheaf_is_not_invertible(cat_quiver2):
 
 
 def test_coinduction_chain_point(cat_chain2):
-    sub, _ = fincat.full_subcategory(cat_chain2, ["1"])
+    sub = fincat.full_subcategory(cat_chain2, ["1"])
     w = modrep.constant_module(sub, F2)
     c = modrep.coinduction(cat_chain2, sub, w)
     assert c.dims == {"0": 1, "1": 1}
@@ -351,7 +351,7 @@ def test_coinduction_chain_point(cat_chain2):
 def test_coinduction_adjoint_dimension(seed):
     # maps from a restriction match maps into the coinduction
     cat = quiver2()
-    sub, _ = fincat.full_subcategory(cat, ["y"])
+    sub = fincat.full_subcategory(cat, ["y"])
     v = modrep.random_module(cat, F2, seed=seed, max_dim=2)
     w = modrep.random_module(sub, F2, seed=seed + 1000, max_dim=2)
     left = modrep.hom_space(modrep.restriction(cat, sub, v), w)

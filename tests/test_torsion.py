@@ -288,11 +288,28 @@ def test_roundtrip_on_quiver_census(cat_quiver2):
 
 
 def test_roundtrip_requires_inclusion_closed(cat_quiver2):
-    rule = topology.make_rule(cat_quiver2, {
-        "x": [sieves.make_sieve(cat_quiver2, "x", ["f", "g"])],
-        "y": [sieves.maximal_sieve(cat_quiver2, "y")]})
-    with pytest.raises(PreconditionFailed):
-        torsion.nullstellensatz_roundtrip(cat_quiver2, rule, 2)
+    c = cat_quiver2
+    above_f_and_g = [sieves.make_sieve(c, "x", m)
+                     for m in (["f"], ["g"], ["f", "g"])]
+    cases = [
+        ({"x": [sieves.make_sieve(c, "x", ["f", "g"])]},
+         "rule not inclusion closed at x: ('f', 'g') inside ('1_x', 'f', 'g')"),
+        ({"x": above_f_and_g + [sieves.maximal_sieve(c, "x")]},
+         "rule not intersection closed at x: ('f',) with ('g',)"),
+        # the first object in order is reported: x's intersection failure
+        # comes before y's inclusion failure
+        ({"x": above_f_and_g + [sieves.maximal_sieve(c, "x")],
+          "y": [sieves.empty_sieve(c, "y")]},
+         "rule not intersection closed at x: ('f',) with ('g',)"),
+        ({"x": [sieves.maximal_sieve(c, "x")], "y": [sieves.empty_sieve(c, "y")]},
+         "rule not inclusion closed at y: () inside ('1_y',)"),
+    ]
+    for covers, message in cases:
+        rule = topology.make_rule(c, {"y": [sieves.maximal_sieve(c, "y")],
+                                      **covers})
+        with pytest.raises(PreconditionFailed) as err:
+            torsion.nullstellensatz_roundtrip(c, rule, 2)
+        assert str(err.value) == message
 
 
 def test_torsion_membership_matches_annihilator(cat_quiver2):
