@@ -15,8 +15,8 @@ name to its flag and `add_argument` keywords; `build_parser` reads both.
 Before dispatch, `_resolve_inputs` turns the inputs a command declares into
 library objects, always in this order: the category (under --budget) onto
 `args.cat`, the topology onto `args.j`, the module onto `args.v`, the field
-onto `args.field` and the spec onto `args.spec`; a required horizon is then
-checked to be natural. The first unusable input in that order is the one
+onto `args.field` and the spec onto `args.spec`; a horizon, when given, is
+then checked to be natural. The first unusable input in that order is the one
 reported, whatever the command, and handlers start from the resolved
 objects. `category validate` declares its document as `category_doc`, which
 the resolver skips: for that command an invalid category is the verdict
@@ -161,9 +161,9 @@ def _resolve_inputs(args) -> None:
             args.spec = typen.spec_from_doc(
                 json.loads(raw) if raw.lstrip().startswith("{")
                 else _load_json(raw))
-    if "horizon" in names:
+    if "horizon" in names or "optional_horizon" in names:
         with _parsing("horizon"):
-            if args.horizon < 0:
+            if args.horizon is not None and args.horizon < 0:
                 raise ValueError("horizon must be natural")
 
 
@@ -443,8 +443,7 @@ def _cmd_sheaf_equivalence(args) -> tuple[int, Any, str]:
 
 
 def _cmd_typen_validate(args) -> tuple[int, Any, str]:
-    with _parsing("horizon"):
-        outcome = typen.validate_spec(args.spec, horizon=args.horizon)
+    outcome = typen.validate_spec(args.spec, horizon=args.horizon)
     doc = outcome.to_doc()
     doc["rigid"] = typen.rigid_spec(args.spec) if outcome.valid else None
     pairs = [("valid", _bool(outcome.valid)),

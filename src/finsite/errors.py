@@ -1,22 +1,115 @@
-"""Error taxonomy shared by every finsite module.
+"""Error taxonomy shared by every finsite module, and its value type.
 
 All failures carry enough context to reconstruct the offending input;
 validation errors hold a structured list of violations rather than a single
 message so callers (and the CLI) can report every problem at once.
+
+`Record` is the one way to write an immutable value in finsite: sieves,
+cover rules, modules, matrices and every report. A subclass declares its
+fields as class annotations, in order, each with an optional default as
+its class attribute; the base reads them once, when the class is made,
+and supplies construction, equality, hash, repr, copying and pickling, and
+refuses assignment. Unlike a frozen dataclass it generates no code, so it
+adds nothing to the start-up every CLI call pays. Its constructor binds
+keyword arguments and defaults at run time; records built in hot loops
+are built positionally, which skips that step, and `Sieve`, built and
+hashed tens of thousands of times per topology search, spells out its own
+two-field constructor, equality and hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
+
+
+class Record:
+    """Immutable value whose fields are its class annotations.
+
+    Subclass fields follow inherited ones. Equality holds between instances
+    of the same class with equal fields, the hash is that of the field
+    tuple, repr is `Name(field=value, ...)`, and copies and pickles rebuild
+    through the constructor. Assignment and deletion raise AttributeError.
+    A subclass may define its own `__init__` (to validate, or for speed),
+    `__eq__`, `__hash__` or `__repr__`; one that defines `__eq__` alone must
+    also set `__hash__`, as Python then drops the inherited one.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = list(cls._fields)
+        defaults = dict(cls._defaults)
+        slots = cls.__dict__.get("__slots__", ())
+        for name in cls.__dict__.get("__annotations__", {}):
+            if name not in fields:
+                fields.append(name)
+            if name in cls.__dict__ and name not in slots:
+                defaults[name] = cls.__dict__[name]
+        cls._fields = tuple(fields)
+        cls._defaults = defaults
+        if len(fields) == 1:
+            one = attrgetter(fields[0])
+            cls._field_values = staticmethod(lambda obj: (one(obj),))
+        elif fields:
+            cls._field_values = attrgetter(*fields)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)}"
+                            f" arguments, got {len(args)}")
+        setattr_ = object.__setattr__
+        for name, value in zip(fields, args):
+            setattr_(self, name, value)
+        if kwargs or len(args) < len(fields):
+            defaults = self._defaults
+            for name in fields[len(args):]:
+                if name in kwargs:
+                    setattr_(self, name, kwargs.pop(name))
+                elif name in defaults:
+                    setattr_(self, name, defaults[name])
+                else:
+                    raise TypeError(f"{type(self).__name__}() missing"
+                                    f" argument {name!r}")
+            if kwargs:  # unknown, or already given by position
+                raise TypeError(f"{type(self).__name__}() got unexpected"
+                                f" arguments {sorted(kwargs)}")
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:  # field tuples compare items by identity first
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._field_values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._field_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._field_values(self)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class FinsiteError(Exception):
     """Base class for all finsite-specific failures."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """A single validation failure: a kind tag plus witness data."""
 
     kind: str

@@ -18,7 +18,6 @@ G/H to G/K exists iff K is subconjugate to H.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -32,6 +31,7 @@ from .errors import (
     NotAGroupTable,
     NotAPoset,
     NotFullSubcategory,
+    Record,
     SizeBudgetExceeded,
     UnknownObject,
     ValidationFailed,
@@ -42,8 +42,7 @@ DEFAULT_MAX_OBJECTS = 64
 DEFAULT_MAX_MORPHISMS = 4096
 
 
-@dataclass(frozen=True)
-class SizeBudget:
+class SizeBudget(Record):
     max_objects: int = DEFAULT_MAX_OBJECTS
     max_morphisms: int = DEFAULT_MAX_MORPHISMS
 
@@ -59,8 +58,7 @@ class SizeBudget:
 DEFAULT_BUDGET = SizeBudget()
 
 
-@dataclass(frozen=True)
-class FiniteCategory:
+class FiniteCategory(Record):
     """Validated finite category. Instances are immutable; treat the mapping
     fields as read-only."""
 
@@ -70,9 +68,10 @@ class FiniteCategory:
     cod: Mapping[str, str]
     identity: Mapping[str, str]
     compose_table: Mapping[tuple[str, str], str]
-    morphisms: tuple[str, ...] = field(default=(), compare=False)
-    hom_sets: Mapping[tuple[str, str], tuple[str, ...]] = field(default=None, compare=False)
-    out_of: Mapping[str, tuple[str, ...]] = field(default=None, compare=False)
+    # indexes derived from the fields above; equality ignores them
+    morphisms: tuple[str, ...] = ()
+    hom_sets: Mapping[tuple[str, str], tuple[str, ...]] = None
+    out_of: Mapping[str, tuple[str, ...]] = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteCategory):
@@ -237,8 +236,7 @@ def validate_category(doc: Mapping[str, Any],
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class CategoryFlags:
+class CategoryFlags(Record):
     directed: bool
     ei: bool
     skeletal: bool
@@ -253,6 +251,21 @@ def _is_invertible(cat: FiniteCategory, f: str) -> bool:
     return False
 
 
+def _is_directed(cat: FiniteCategory) -> bool:
+    return not any(x != y and cat.hom(x, y) and cat.hom(y, x)
+                   for x in cat.objects for y in cat.objects)
+
+
+def _is_ei(cat: FiniteCategory) -> bool:
+    return all(_is_invertible(cat, f)
+               for x in cat.objects for f in cat.hom(x, x))
+
+
+def is_directed_ei(cat: FiniteCategory) -> bool:
+    """classify_category's directed and ei flags, without its other scans."""
+    return _is_directed(cat) and _is_ei(cat)
+
+
 def classify_category(cat: FiniteCategory) -> CategoryFlags:
     """Compute structural flags by brute force.
 
@@ -262,13 +275,8 @@ def classify_category(cat: FiniteCategory) -> CategoryFlags:
     ore: every pair of morphisms out of a common object completes to a
     commuting square.
     """
-    directed = True
-    for x in cat.objects:
-        for y in cat.objects:
-            if x != y and cat.hom(x, y) and cat.hom(y, x):
-                directed = False
-    ei = all(_is_invertible(cat, f)
-             for x in cat.objects for f in cat.hom(x, x))
+    directed = _is_directed(cat)
+    ei = _is_ei(cat)
     skeletal = True
     for x, y in itertools.combinations(cat.objects, 2):
         if any(_is_invertible(cat, f) for f in cat.hom(x, y)):
@@ -406,8 +414,7 @@ def conjugate_subgroup(table: Sequence[Sequence[int]], h: frozenset[int],
     return frozenset(table[table[g][x]][gi] for x in h)
 
 
-@dataclass(frozen=True)
-class OrbitData:
+class OrbitData(Record):
     """Side data of an orbit-category build: subgroup content per object."""
 
     group_table: tuple[tuple[int, ...], ...]

@@ -14,36 +14,39 @@ complement_indices wrap it): it grows one vector at a time and tests
 membership without a fresh elimination. There is no separate inverse:
 quotient_module reads a complement and its inverse off one rref of [B | I].
 
-`Mat` is a slotted immutable value: equality, hash and repr go by
-(rows, cols, entries), and assignment raises. Every construction, internal
-ones included, checks that the entries have the declared shape, because a
+`Mat` and `FieldSpec` are records (`errors.Record`): their fields are their
+annotations, and equality, hash, repr, copying and the refusal of
+assignment come from the base, so a matrix is the value (rows, cols,
+entries). `Mat` declares its three slots and its own constructor, which
+takes the fields positionally and checks that the entries have the
+declared shape on every construction, internal ones included, because a
 mis-sized matrix would otherwise surface far from its cause, as an
 IndexError inside an elimination or as a wrong verdict. One sheaf check
 builds hundreds of thousands of matrices, so that check is one length test
 and one plain loop over the rows, and the kernels build their outputs with
-list comprehensions rather than generators.
+list comprehensions rather than generators. `FieldSpec` checks in its
+constructor that a finite order is prime.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import ShapeMismatch
+from .errors import Record, ShapeMismatch
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """Ground field: p=None means Q, otherwise the prime field F_p."""
 
     p: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.p is not None:
-            if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
-                raise ValueError(f"field order must be prime, got {self.p}")
+    def __init__(self, p: int | None = None) -> None:
+        if p is not None:
+            if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+                raise ValueError(f"field order must be prime, got {p}")
+        object.__setattr__(self, "p", p)
 
     @property
     def is_finite(self) -> bool:
@@ -114,15 +117,18 @@ def GF(p: int) -> FieldSpec:
 Vector = tuple  # length-n tuple of field elements
 
 
-class Mat:
+class Mat(Record):
     """Immutable dense matrix with explicit shape.
 
-    A slotted value: equality, hash and repr are those of the triple
+    A slotted record: equality, hash and repr are those of the triple
     (rows, cols, entries), assignment raises, and copies and pickles
     rebuild through the constructor, so they are shape-checked too.
     """
 
     __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple[tuple, ...]
 
     def __init__(self, rows: int, cols: int, entries: tuple[tuple, ...]) -> None:
         if len(entries) != rows:
@@ -133,28 +139,6 @@ class Mat:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.rows, self.cols, self.entries)
-                == (other.rows, other.cols, other.entries))
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return (f"Mat(rows={self.rows!r}, cols={self.cols!r},"
-                f" entries={self.entries!r})")
-
-    def __reduce__(self):
-        return self.__class__, (self.rows, self.cols, self.entries)
 
     def row(self, i: int) -> Vector:
         return self.entries[i]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -29,6 +28,7 @@ from .errors import (
     InfiniteFieldUnsupported,
     NotFullSubcategory,
     PreconditionFailed,
+    Record,
     ShapeMismatch,
     SizeBudgetExceeded,
     ValidationFailed,
@@ -61,16 +61,15 @@ def parse_field_label(label: str) -> FieldSpec:
     raise ValueError(f"unknown field {label!r}; use Q or Fp:P")
 
 
-@dataclass(frozen=True)
-class KModule:
+class KModule(Record):
     """A functor from the category to finite dimensional vector spaces."""
 
     field: FieldSpec
     cat: FiniteCategory
     dims: Mapping[str, int]
     action: Mapping[str, Mat]
-    basis_labels: Mapping[str, tuple[str, ...]] | None = dc_field(
-        default=None, compare=False)
+    # names of the basis vectors per object; equality ignores them
+    basis_labels: Mapping[str, tuple[str, ...]] | None = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KModule):
@@ -118,11 +117,14 @@ def _module_violations(cat: FiniteCategory, field: FieldSpec,
                                         f"expected {want[0]}x{want[1]}"))
     if violations:
         return violations
+    # every shape now agrees, so comparing entries compares the matrices
     for x in cat.objects:
-        if action[cat.identity[x]] != linalg.identity(field, dims[x]):
+        if (action[cat.identity[x]].entries
+                != linalg.identity(field, dims[x]).entries):
             violations.append(Violation(NON_IDENTITY_AT_OBJECT, (x,)))
     for (g, f), gf in cat.compose_table.items():
-        if linalg.matmul(field, action[g], action[f]) != action[gf]:
+        if (linalg.matmul(field, action[g], action[f]).entries
+                != action[gf].entries):
             violations.append(Violation(FUNCTORIALITY_VIOLATION, (g, f)))
     return violations
 
@@ -144,8 +146,7 @@ def make_module(cat: FiniteCategory, field: FieldSpec,
         if violations:
             raise ValidationFailed("module", violations)
     dims = {x: int(dims.get(x, 0)) for x in cat.objects}
-    return KModule(field=field, cat=cat, dims=dims, action=action,
-                   basis_labels=basis_labels)
+    return KModule(field, cat, dims, action, basis_labels)
 
 
 def validate_module(cat: FiniteCategory, raw: Mapping[str, Any]) -> KModule:
@@ -248,8 +249,7 @@ def yoneda_module(cat: FiniteCategory, field: FieldSpec, x: str) -> KModule:
 # ---------------------------------------------------------------------------
 # module maps
 
-@dataclass(frozen=True)
-class ModuleMap:
+class ModuleMap(Record):
     """A natural transformation between modules, one matrix per object."""
 
     source: KModule
@@ -295,11 +295,12 @@ def make_module_map(source: KModule, target: KModule,
                                     source.action[f])
                 rhs = linalg.matmul(field, target.action[f],
                                     components[cat.dom[f]])
-                if lhs != rhs:
+                # both are target.dims[cod f] x source.dims[dom f]
+                if lhs.entries != rhs.entries:
                     violations.append(Violation(NATURALITY_VIOLATION, (f,)))
         if violations:
             raise ValidationFailed("module map", violations)
-    return ModuleMap(source=source, target=target, components=dict(components))
+    return ModuleMap(source, target, dict(components))
 
 
 def identity_map(v: KModule) -> ModuleMap:
@@ -535,8 +536,7 @@ def cokernel_of_map(m: ModuleMap) -> tuple[KModule, ModuleMap]:
 # ---------------------------------------------------------------------------
 # sieve presentation modules
 
-@dataclass(frozen=True)
-class SievePresentation:
+class SievePresentation(Record):
     """The sieve submodule of a representable and its quotient.
 
     For a sieve S on x inside the representable at x: `sub` is spanned by
@@ -581,9 +581,8 @@ def sieve_quotient_module(cat: FiniteCategory, field: FieldSpec,
     gen = [field.zero()] * quotient.dims[x]
     if idx not in mset:
         gen[quotient.basis_labels[x].index(idx)] = field.one()
-    return SievePresentation(base=x, ambient=ambient, sub=sub,
-                             inclusion=inclusion, quotient=quotient,
-                             projection=projection, generator=tuple(gen))
+    return SievePresentation(x, ambient, sub, inclusion, quotient, projection,
+                             tuple(gen))
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +666,7 @@ def is_injective(v: KModule) -> bool:
 # ---------------------------------------------------------------------------
 # compatible families
 
-@dataclass(frozen=True)
-class CompatibleFamilies:
+class CompatibleFamilies(Record):
     """Basis of the compatible families of a module W over a set of
     morphisms out of one object, closed under postcomposition by W's
     category.
@@ -726,9 +724,8 @@ def compatible_families(cat: FiniteCategory, w: KModule,
                                                  field.one())
                 rows.append(tuple(row))
     system = Mat(len(rows), total, tuple(rows))
-    return CompatibleFamilies(members=members, block_dims=block_dims,
-                              offsets=offsets, total=total,
-                              basis=tuple(linalg.kernel_basis(field, system)))
+    return CompatibleFamilies(members, block_dims, offsets, total,
+                              tuple(linalg.kernel_basis(field, system)))
 
 
 def induced_family_map(v: KModule, x: str,

@@ -18,7 +18,6 @@ matching_colimit_dimension exposes for direct testing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from . import linalg, modrep, torsion
@@ -26,6 +25,7 @@ from .errors import (
     FinsiteError,
     NotRigid,
     PreconditionFailed,
+    Record,
     ValidationFailed,
 )
 from .fincat import FiniteCategory, full_subcategory
@@ -41,7 +41,6 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True)
 class MatchingSpace(modrep.CompatibleFamilies):
     """Basis of the compatible families over one sieve, a block per sieve
     member in the member tuple's order."""
@@ -57,7 +56,9 @@ def matching_space(v: KModule, x: str, s: Sieve) -> MatchingSpace:
     maximal sieve's space is isomorphic to the value at the base object.
     """
     families = modrep.compatible_families(v.cat, v, s.members)
-    return MatchingSpace(base=x, sieve=s, **vars(families))
+    return MatchingSpace(families.members, families.block_dims,
+                         families.offsets, families.total, families.basis,
+                         x, s)
 
 
 def restrict_family(space: MatchingSpace, family: Vector,
@@ -74,15 +75,13 @@ def restrict_family(space: MatchingSpace, family: Vector,
 # ---------------------------------------------------------------------------
 # the three detectors
 
-@dataclass(frozen=True)
-class SheafStatus:
+class SheafStatus(Record):
     separated: bool
     sheaf: bool
     witnesses: Mapping[str, tuple]
 
 
-@dataclass(frozen=True)
-class SaturationStatus:
+class SaturationStatus(Record):
     torsion_free: bool
     r1_zero: bool
     witnesses: Mapping[str, tuple]
@@ -92,8 +91,7 @@ class SaturationStatus:
         return self.torsion_free and self.r1_zero
 
 
-@dataclass(frozen=True)
-class PerpendicularStatus:
+class PerpendicularStatus(Record):
     hom_zero: bool
     ext1_zero: bool
     witnesses: Mapping[str, tuple]
@@ -224,8 +222,7 @@ def perpendicular_status(cat: FiniteCategory, j: GrothendieckTopology,
                                witnesses=witnesses)
 
 
-@dataclass(frozen=True)
-class SheafVerdict:
+class SheafVerdict(Record):
     """All three detectors on one module, with the equivalence cross-check."""
 
     separated: bool
@@ -367,8 +364,7 @@ def matching_colimit_dimension(cat: FiniteCategory, j: GrothendieckTopology,
 # ---------------------------------------------------------------------------
 # the rigid equivalence
 
-@dataclass(frozen=True)
-class RigidEquivalenceReport:
+class RigidEquivalenceReport(Record):
     """Sampling verification of the sheaves-as-modules-downstairs equivalence."""
 
     irreducibles: tuple[str, ...]

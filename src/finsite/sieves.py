@@ -7,19 +7,39 @@ The empty set is a sieve; the maximal sieve on x is every morphism out of x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InvalidSieve, SizeBudgetExceeded, UnknownObject, WrongDomain
+from .errors import (
+    InvalidSieve,
+    Record,
+    SizeBudgetExceeded,
+    UnknownObject,
+    WrongDomain,
+)
 from .fincat import FiniteCategory
 
 DEFAULT_MAX_SIEVES = 4096
 
 
-@dataclass(frozen=True)
-class Sieve:
+class Sieve(Record):
+    """A sieve on `base`: its members, sorted and duplicate-free. Built and
+    hashed tens of thousands of times per search, so it spells out the
+    record's constructor, equality and hash."""
+
     base: str
-    members: tuple[str, ...]  # sorted, duplicate-free
+    members: tuple[str, ...]
+
+    def __init__(self, base: str, members: tuple[str, ...]) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.members))
 
     @property
     def member_set(self) -> frozenset[str]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -34,6 +34,7 @@ from .errors import (
     NotAnIdeal,
     NotDirectedEI,
     OreConditionFails,
+    Record,
     SizeBudgetExceeded,
     StabilityFails,
     UnknownObject,
@@ -43,6 +44,7 @@ from .fincat import (
     OrbitData,
     classify_category,
     full_subcategory,
+    is_directed_ei,
 )
 from .sieves import (
     Sieve,
@@ -58,8 +60,7 @@ from .sieves import (
 DEFAULT_ENUM_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class GrothendieckTopology:
+class GrothendieckTopology(Record):
     """A cover rule; certified as a topology only by check_axioms."""
 
     cat: FiniteCategory
@@ -89,7 +90,7 @@ def make_rule(cat: FiniteCategory,
         for s in full[x]:
             if s.base != x:
                 raise UnknownObject(f"sieve on {s.base} filed under {x}")
-    return GrothendieckTopology(cat=cat, covers=full)
+    return GrothendieckTopology(cat, full)
 
 
 def topology_to_doc(j: GrothendieckTopology) -> dict:
@@ -120,15 +121,14 @@ def topology_sort_key(j: GrothendieckTopology):
 # ---------------------------------------------------------------------------
 # axioms
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     maximal_ok: bool
     stability_ok: bool
     transitivity_ok: bool
     # derived closure diagnostics (consequences for genuine topologies)
     inclusion_closed: bool
     intersection_closed: bool
-    witnesses: Mapping[str, tuple] = field(default_factory=dict)
+    witnesses: Mapping[str, tuple] = MappingProxyType({})  # shared, so read-only
 
     @property
     def is_topology(self) -> bool:
@@ -171,13 +171,10 @@ def check_axioms(cat: FiniteCategory, j: GrothendieckTopology) -> AxiomReport:
             for s, t in itertools.combinations(ordered, 2)
             if intersect_sieves(s, t) not in jx)
     return AxiomReport(
-        maximal_ok=not found["maximal"],
-        stability_ok=not found["stability"],
-        transitivity_ok=not found["transitivity"],
-        inclusion_closed=not found["inclusion"],
-        intersection_closed=not found["intersection"],
-        witnesses={kind: tuple(w) for kind, w in found.items() if w},
-    )
+        not found["maximal"], not found["stability"],
+        not found["transitivity"], not found["inclusion"],
+        not found["intersection"],
+        {kind: tuple(w) for kind, w in found.items() if w})
 
 
 def _stability_violations(cat: FiniteCategory, j: GrothendieckTopology):
@@ -357,8 +354,7 @@ def enumerate_consistent_families(cat: FiniteCategory
     (isomorphism classes are single objects there), sorted like
     enumerate_topologies. Raises NotDirectedEI on any other category.
     """
-    flags = classify_category(cat)
-    if not (flags.directed and flags.ei):
+    if not is_directed_ei(cat):
         raise NotDirectedEI(f"{cat.name} is not directed EI")
     universe = {x: all_sieves(cat, x) for x in cat.objects}
     out = [make_rule(cat, {x: _upset(universe[x], subcategory_sieve(cat, d, x))
@@ -378,8 +374,7 @@ def irreducible_objects(cat: FiniteCategory, j: GrothendieckTopology) -> list[st
             if j.covers.get(x) == frozenset({maximal_sieve(cat, x)})]
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(Record):
     rigid: bool
     irreducibles: tuple[str, ...]
     # members generated by morphisms into irreducible objects, per object

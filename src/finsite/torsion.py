@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import linalg, modrep
 from .errors import (
     InfiniteFieldUnsupported,
     PreconditionFailed,
+    Record,
     ShapeMismatch,
     SizeBudgetExceeded,
     UnknownObject,
@@ -89,8 +89,7 @@ def _torsion_part(cat: FiniteCategory, j: GrothendieckTopology,
     return modrep.submodule_from_spans(v, torsion_spans(cat, j, v), close=False)
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(Record):
     """Classification of one module against one cover rule."""
 
     dims: Mapping[str, int]
@@ -208,8 +207,7 @@ def inclusion_closure(cat: FiniteCategory,
 # ---------------------------------------------------------------------------
 # torsion pair verification
 
-@dataclass(frozen=True)
-class TorsionPairReport:
+class TorsionPairReport(Record):
     """Outcome of sampling-based torsion-pair verification."""
 
     hom_vanishes: bool

@@ -17,10 +17,16 @@ rebuilding the same data concretely on a finite truncation and comparing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
-from .errors import PreconditionFailed, SizeBudgetExceeded
+from .errors import (
+    MALFORMED_INPUT,
+    PreconditionFailed,
+    Record,
+    SizeBudgetExceeded,
+    ValidationFailed,
+    Violation,
+)
 from .fincat import FiniteCategory, build_trunc_fi_category
 from .sieves import Sieve, all_sieves, make_sieve, pullback_sieve
 from .topology import GrothendieckTopology, check_stability_only, make_rule
@@ -53,17 +59,18 @@ def d_fmt(value: DValue) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class SymbolicSieve:
+class SymbolicSieve(Record):
     """S(n, r): every morphism out of n of degree at least r; rank None
     marks the empty sieve. Rank 0 is the maximal sieve."""
 
     n: int
     rank: int | None
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or (self.rank is not None and self.rank < 0):
+    def __init__(self, n: int, rank: int | None) -> None:
+        if n < 0 or (rank is not None and rank < 0):
             raise ValueError("object and rank must be natural numbers")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def is_empty(self) -> bool:
@@ -79,8 +86,7 @@ class SymbolicSieve:
         return f"S({self.n}, {self.rank})"
 
 
-@dataclass(frozen=True)
-class DSpec:
+class DSpec(Record):
     """Eventually constant description of one topology's rank function.
 
     generic: the word plus a constant tail bit. nongeneric: the word with
@@ -114,12 +120,11 @@ def make_spec(kind: str, indicator: Sequence[int], tail: int = 0,
             raise ValueError("tail must be 0 or 1")
         if cutoff is not None:
             raise ValueError("generic specs have no cutoff")
-        return DSpec(kind="generic", indicator=word, tail=tail, cutoff=None)
+        return DSpec("generic", word, tail, None)
     if kind == "nongeneric":
         if cutoff is None or cutoff < 0:
             raise ValueError("nongeneric specs need a natural cutoff")
-        return DSpec(kind="nongeneric", indicator=word[:cutoff], tail=0,
-                     cutoff=cutoff)
+        return DSpec("nongeneric", word[:cutoff], 0, cutoff)
     raise ValueError(f"unknown spec kind {kind!r}")
 
 
@@ -172,8 +177,7 @@ def d_sequence(spec: DSpec, length: int) -> tuple[DValue, ...]:
 # ---------------------------------------------------------------------------
 # validity
 
-@dataclass(frozen=True)
-class SpecValidation:
+class SpecValidation(Record):
     valid: bool
     recurrence_ok: bool
     pieces_ok: bool
@@ -245,12 +249,16 @@ def validate_spec(spec: DSpec, horizon: int | None = None) -> SpecValidation:
     route re-derives it from the legal run shapes. The two are equivalent
     and both verdicts are reported so tests can hold them to that. A
     horizon that stops before the end of the spec's data (the word, and
-    the cutoff of a nongeneric spec) raises ValueError.
+    the cutoff of a nongeneric spec) is unusable input: it raises
+    ValidationFailed, so the CLI reports it without catching library
+    errors.
     """
     if horizon is None:
         horizon = len(spec.indicator) + (spec.cutoff or 0) + 3
     if horizon < max(len(spec.indicator), spec.cutoff or 0) + 1:
-        raise ValueError(f"horizon {horizon} does not cover the spec {spec!r}")
+        raise ValidationFailed("horizon", [Violation(
+            MALFORMED_INPUT, (),
+            f"horizon {horizon} does not cover the spec {spec!r}")])
     return validate_d_sequence(d_sequence(spec, horizon))
 
 
@@ -259,10 +267,8 @@ def validate_d_sequence(values: Sequence[DValue]) -> SpecValidation:
     whatever tail its last value dictates)."""
     rec = _check_recurrence(values)
     pieces = _check_pieces(values)
-    return SpecValidation(valid=rec is None and pieces is None,
-                          recurrence_ok=rec is None,
-                          pieces_ok=pieces is None,
-                          violation=rec if rec is not None else pieces)
+    return SpecValidation(rec is None and pieces is None, rec is None,
+                          pieces is None, rec if rec is not None else pieces)
 
 
 def rigid_spec(spec: DSpec) -> bool:
@@ -305,15 +311,14 @@ def symbolic_pullback(m: int, r: int | None, deg: int) -> SymbolicSieve:
         raise ValueError("degrees are natural numbers")
     n = m + deg
     if r is None:
-        return SymbolicSieve(n=n, rank=None)
-    return SymbolicSieve(n=n, rank=r - deg if r >= deg else 0)
+        return SymbolicSieve(n, None)
+    return SymbolicSieve(n, r - deg if r >= deg else 0)
 
 
 # ---------------------------------------------------------------------------
 # censuses
 
-@dataclass(frozen=True)
-class SpecCensus:
+class SpecCensus(Record):
     horizon: int
     generic: tuple[DSpec, ...]
     nongeneric: tuple[DSpec, ...]
@@ -388,8 +393,7 @@ def _covers_from_spec(cat: FiniteCategory, spec: DSpec, horizon: int,
     return make_rule(cat, covers)
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(Record):
     horizon: int
     sieve_inventory_ok: bool
     pullback_agreement_ok: bool

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import finsite
 from finsite import fincat, modrep, sheaves, torsion, typen
 from finsite.cli import run
 from finsite.linalg import GF
@@ -379,7 +382,9 @@ def test_library_bug_is_not_an_input_error(monkeypatch, error):
 @pytest.mark.parametrize("patched, argv", (
     ("check_stability_only",
      ["typen", "crosscheck", "--spec", SPEC_110, "--horizon", "2"]),
-    ("validate_spec", ["typen", "census", "--horizon", "2"])))
+    ("validate_spec", ["typen", "census", "--horizon", "2"]),
+    ("validate_d_sequence",
+     ["typen", "validate", "--spec", SPEC_110, "--horizon", "4"])))
 def test_typen_library_bug_is_not_an_input_error(monkeypatch, patched, argv):
     # only the horizon is input; a KeyError inside the library call is a bug
     def broken(*args, **kwargs):
@@ -411,3 +416,26 @@ def test_wrongly_shaped_documents_are_exit_2(tmp_path):
         code, text = run(argv)
         assert code == 2, (argv, text)
         assert text.startswith("error: ") and "MalformedInput" in text, text
+
+
+_IMPORT_GUARD = """
+import sys
+import finsite.cli
+for name in ("dataclasses", "inspect"):
+    assert name not in sys.modules, name + " imported"
+made = [f"{mod}.{key}" for mod, m in list(sys.modules.items())
+        if mod.split(".")[0] == "finsite" for key, value in vars(m).items()
+        if isinstance(value, type) and hasattr(value, "__dataclass_fields__")]
+assert not made, made
+"""
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # every CLI call pays this import: a frozen dataclass generates its
+    # methods by exec at each interpreter start, and importing dataclasses
+    # also imports inspect. -S keeps site's own imports out of the check.
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(finsite.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-c", _IMPORT_GUARD],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

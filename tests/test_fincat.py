@@ -1,15 +1,27 @@
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import MISSING, dataclass, fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import ei_fixture_categories
 
 from finsite import fincat
 from finsite.errors import (
     CyclicQuiver,
     NotAGroupTable,
     NotAPoset,
+    Record,
     SizeBudgetExceeded,
     ValidationFailed,
+    Violation,
 )
+from finsite.linalg import FieldSpec
+from finsite.sieves import Sieve
 
 
 def test_quiver2_shape(cat_quiver2):
@@ -140,6 +152,34 @@ def test_classify_group_and_monoid(cat_idem_monoid):
     assert flags2.ore
 
 
+def _iso_pair() -> fincat.FiniteCategory:
+    # a and b isomorphic through u and v: EI, but not directed
+    morphisms = [("1_a", "a", "a"), ("1_b", "b", "b"),
+                 ("u", "a", "b"), ("v", "b", "a")]
+    compose = {("v", "u"): "1_a", ("u", "v"): "1_b"}
+    for m, dom, cod in morphisms:
+        compose[(m, f"1_{dom}")] = m
+        compose[(f"1_{cod}", m)] = m
+    return fincat.make_category("iso_pair", ["a", "b"], morphisms,
+                                {"a": "1_a", "b": "1_b"}, compose)
+
+
+def test_directed_ei_check_matches_classification(cat_idem_monoid):
+    cats = [*ei_fixture_categories(), cat_idem_monoid, _iso_pair(),
+            fincat.build_monoid_category(fincat.cyclic_group_table(2),
+                                         name="C2"),
+            fincat.build_orbit_category(fincat.symmetric_group_table(3))[0],
+            fincat.build_trunc_vi_category(2, 2)]
+    verdicts = set()
+    for cat in cats:
+        flags = fincat.classify_category(cat)
+        assert fincat.is_directed_ei(cat) == (flags.directed and flags.ei), \
+            cat.name
+        verdicts.add((flags.directed, flags.ei))
+    # the list reaches every branch: a non-EI and a non-directed category
+    assert verdicts == {(True, True), (True, False), (False, True)}
+
+
 def test_symmetric_group_table_is_group():
     t = fincat.symmetric_group_table(3)
     assert len(t) == 6
@@ -195,3 +235,182 @@ def test_standard_builder_dispatch():
     assert len(c.morphisms) == 3
     with pytest.raises(ValueError):
         fincat.build_standard_category("nope", {})
+
+
+# ---------------------------------------------------------------------------
+# errors.Record against the frozen dataclasses it replaced, kept as oracles
+
+@dataclass(frozen=True)
+class ViolationTwin:
+    kind: str
+    witness: tuple = ()
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class SizeBudgetTwin:
+    max_objects: int = fincat.DEFAULT_MAX_OBJECTS
+    max_morphisms: int = fincat.DEFAULT_MAX_MORPHISMS
+
+
+@dataclass(frozen=True)
+class CategoryFlagsTwin:
+    directed: bool
+    ei: bool
+    skeletal: bool
+    ore: bool
+
+
+@dataclass(frozen=True)
+class FieldSpecTwin:
+    p: int | None = None
+
+
+@dataclass(frozen=True)
+class SieveTwin:
+    base: str
+    members: tuple
+
+
+class Pair(Record):
+    left: object
+    right: object = None
+
+
+class Triple(Pair):
+    extra: object = ()
+
+
+class OtherPair(Record):
+    left: object
+    right: object = None
+
+
+@dataclass(frozen=True)
+class PairTwin:
+    left: object
+    right: object = None
+
+
+@dataclass(frozen=True)
+class TripleTwin(PairTwin):
+    extra: object = ()
+
+
+@dataclass(frozen=True)
+class OtherPairTwin:
+    left: object
+    right: object = None
+
+
+_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                  st.text(max_size=3),
+                  st.tuples(st.integers(0, 2), st.text(max_size=2)))
+_names = st.text(alphabet="abfg01>", max_size=4)
+
+RECORD_TWINS = {
+    "Violation": (Violation, ViolationTwin, st.tuples(
+        _names, st.tuples(_leaf, _leaf), st.text(max_size=5))),
+    "SizeBudget": (fincat.SizeBudget, SizeBudgetTwin,
+                   st.tuples(st.integers(0, 9), st.integers(0, 9))),
+    "CategoryFlags": (fincat.CategoryFlags, CategoryFlagsTwin,
+                      st.tuples(*[st.booleans()] * 4)),
+    "FieldSpec": (FieldSpec, FieldSpecTwin,
+                  st.tuples(st.sampled_from([None, 2, 3, 5]))),
+    "Sieve": (Sieve, SieveTwin, st.tuples(
+        _names, st.lists(_names, max_size=3).map(lambda m: tuple(sorted(m))))),
+    "Pair": (Pair, PairTwin, st.tuples(_leaf, _leaf)),
+    "Triple": (Triple, TripleTwin, st.tuples(_leaf, _leaf, _leaf)),
+}
+
+
+def _twin_repr(twin_value, cls) -> str:
+    # the oracle's class has another name; the fields must print the same
+    return repr(twin_value).replace(
+        type(twin_value).__qualname__ + "(", cls.__qualname__ + "(", 1)
+
+
+def _required(twin) -> int:
+    return sum(f.default is MISSING for f in fields(twin))
+
+
+@pytest.mark.parametrize("name", RECORD_TWINS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_record_value_semantics_match_dataclass(name, data):
+    cls, twin, values = RECORD_TWINS[name]
+    names = [f.name for f in fields(twin)]
+    vals = data.draw(values)
+    r, t = cls(*vals), twin(*vals)
+    assert repr(r) == _twin_repr(t, cls)
+    assert hash(r) == hash(t)
+    assert [getattr(r, n) for n in names] == list(vals)
+    same = cls(**dict(zip(names, vals)))
+    assert r == same and not r != same and hash(r) == hash(same)
+    vals2 = data.draw(values)
+    r2, t2 = cls(*vals2), twin(*vals2)
+    assert (r == r2) == (t == t2)
+    assert (r != r2) == (t != t2)
+    assert (r == t) is False and (t == r) is False
+    assert (r == vals) is False
+    k = _required(twin)
+    if k < len(names):  # the defaults fill the rest, as the twin's do
+        assert repr(cls(*vals[:k])) == _twin_repr(twin(*vals[:k]), cls)
+        assert hash(cls(*vals[:k])) == hash(twin(*vals[:k]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_leaf, _leaf)
+def test_records_of_different_classes_are_never_equal(left, right):
+    for a, b in ((Pair(left, right), OtherPair(left, right)),
+                 (PairTwin(left, right), OtherPairTwin(left, right)),
+                 (Pair(left, right), Triple(left, right))):
+        assert a != b and b != a and not a == b
+
+
+@pytest.mark.parametrize("name", RECORD_TWINS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_record_is_immutable_like_dataclass(name, data):
+    cls, twin, values = RECORD_TWINS[name]
+    vals = data.draw(values)
+    r, t = cls(*vals), twin(*vals)
+    for attr in [f.name for f in fields(twin)] + ["extra"]:
+        for value in (r, t):
+            with pytest.raises(AttributeError):
+                setattr(value, attr, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, attr)
+    assert r == cls(*vals) and repr(r) == _twin_repr(t, cls)
+
+
+@pytest.mark.parametrize("name", RECORD_TWINS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_record_copies_and_pickles(name, data):
+    cls, _, values = RECORD_TWINS[name]
+    r = cls(*data.draw(values))
+    for twin in (copy.copy(r), copy.deepcopy(r),
+                 pickle.loads(pickle.dumps(r)),
+                 pickle.loads(pickle.dumps(r, protocol=0))):
+        assert type(twin) is cls
+        assert twin == r and hash(twin) == hash(r) and repr(twin) == repr(r)
+    assert copy.deepcopy({"a": r})["a"] == r
+
+
+@pytest.mark.parametrize("name", RECORD_TWINS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_record_rejects_bad_arguments_like_dataclass(name, data):
+    cls, twin, values = RECORD_TWINS[name]
+    vals = data.draw(values)
+    names = [f.name for f in fields(twin)]
+    calls = [lambda c: c(*vals, vals[0]),  # one argument too many
+             lambda c: c(*vals, bogus=1),  # unknown keyword
+             lambda c: c(vals[0], **{names[0]: vals[0]})]  # given twice
+    if _required(twin):
+        calls.append(lambda c: c())  # missing arguments
+    for call in calls:
+        for c in (cls, twin):
+            with pytest.raises(TypeError):
+                call(c)

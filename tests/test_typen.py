@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from finsite import typen
-from finsite.errors import PreconditionFailed, SizeBudgetExceeded
+from finsite.errors import PreconditionFailed, SizeBudgetExceeded, ValidationFailed
 from finsite.typen import INF, NEG_INF
 
 
@@ -99,11 +99,11 @@ def test_validate_spec_rejects_a_short_horizon():
     # see only the leading 1 and certify it
     spec = typen.make_spec("nongeneric", (1,), cutoff=1)
     assert not typen.validate_spec(spec).valid
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationFailed):
         typen.validate_spec(spec, horizon=1)
     assert not typen.validate_spec(spec, horizon=2).valid
     word = typen.make_spec("generic", (1, 1, 0), tail=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationFailed):
         typen.validate_spec(word, horizon=3)
     assert typen.validate_spec(word, horizon=4).valid
 
