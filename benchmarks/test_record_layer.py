@@ -25,7 +25,7 @@ import sys
 import pytest
 
 import finsite
-from finsite import fincat, modrep
+from finsite import fincat, linalg, modrep
 from finsite.linalg import GF
 from finsite.modrep import KModule, ModuleMap
 from finsite.sieves import Sieve, maximal_sieve
@@ -43,7 +43,9 @@ def sieve():
 def module_map():
     cat = fincat.build_trunc_fi_category(2)
     v = modrep.yoneda_module(cat, GF(2), "0")
-    return modrep.identity_map(v)
+    return modrep.make_module_map(
+        v, v, {x: linalg.identity(v.field, v.dims[x]) for x in v.cat.objects},
+        check=False)
 
 
 def test_sieve_construction(benchmark, sieve):

@@ -28,7 +28,7 @@ def main() -> None:
     print(f"now a sheaf: {sheaves.sheaf_status(cat, dense, fixed).sheaf}")
 
     sub = topology.full_subcategory(cat, ["y"])
-    coinduced = modrep.coinduction(cat, sub, modrep.restriction(cat, sub, p_x))
+    coinduced, _ = modrep.coinduction_unit(cat, sub, p_x)
     _, unit = modrep.coinduction_unit(cat, sub, fixed)
     invertible = all(linalg.is_invertible(field, unit.components[x])
                      for x in cat.objects)

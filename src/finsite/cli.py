@@ -180,7 +180,7 @@ def _plain(value):
             items = sorted(items, key=repr)
         return [_plain(v) for v in items]
     if isinstance(value, sieves.Sieve):
-        return {"base": value.base, "members": list(value.members)}
+        return sieves.sieve_to_doc(value)
     return value
 
 

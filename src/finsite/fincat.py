@@ -76,11 +76,10 @@ class FiniteCategory(Record):
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteCategory):
             return NotImplemented
-        return (self.objects == other.objects
-                and dict(self.dom) == dict(other.dom)
-                and dict(self.cod) == dict(other.cod)
-                and dict(self.identity) == dict(other.identity)
-                and dict(self.compose_table) == dict(other.compose_table))
+        return other is self or (
+            self.objects == other.objects and self.dom == other.dom
+            and self.cod == other.cod and self.identity == other.identity
+            and self.compose_table == other.compose_table)
 
     __hash__ = None
 

@@ -7,12 +7,13 @@ nonzero entry in row-major order, so echelon forms, kernels, and selected
 bases are reproducible across runs.
 
 The matrices are tiny, so the cost is per-scalar Python overhead. The hot
-kernels (matmul, mat_vec, mat_add, mat_scale, rref) branch on the field
-once per call: ints with one local modulus over F_p, Fractions over Q.
-`Echelon` is the one incremental subspace (span_basis, in_span and
-complement_indices wrap it): it grows one vector at a time and tests
-membership without a fresh elimination. There is no separate inverse:
-quotient_module reads a complement and its inverse off one rref of [B | I].
+kernels (matmul, mat_vec, rref) branch on the field once per call: ints
+with one local modulus over F_p, Fractions over Q. `Echelon` is the one
+incremental subspace (span_basis wraps it): it grows one vector at a time
+and tests membership with `contains`, without a fresh elimination. There
+is no separate inverse: quotient_module reads a complement and its inverse
+off one rref of [B | I]. `solve`, one right-hand side at a time, is the
+reference that solve_matrix is tested against.
 
 `Mat` and `FieldSpec` are records (`errors.Record`): their fields are their
 annotations, and equality, hash, repr, copying and the refusal of
@@ -199,23 +200,6 @@ def matmul(field: FieldSpec, a: Mat, b: Mat) -> Mat:
         out = tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
                      for row in a.entries])
     return Mat(a.rows, b.cols, out)
-
-
-def mat_add(field: FieldSpec, a: Mat, b: Mat) -> Mat:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ShapeMismatch("shape mismatch in add")
-    p = field.p
-    if p is None:
-        out = tuple([tuple([x + y for x, y in zip(ra, rb)])
-                     for ra, rb in zip(a.entries, b.entries)])
-    else:
-        out = tuple([tuple([(x + y) % p for x, y in zip(ra, rb)])
-                     for ra, rb in zip(a.entries, b.entries)])
-    return Mat(a.rows, a.cols, out)
-
-
-def mat_scale(field: FieldSpec, c, a: Mat) -> Mat:
-    return Mat(a.rows, a.cols, tuple([_scaled(field.p, c, r) for r in a.entries]))
 
 
 def _scaled(p: int | None, c, xs) -> tuple:
@@ -427,36 +411,6 @@ def span_basis(field: FieldSpec, vectors: Iterable[Vector], dim: int) -> list[Ve
     """Canonical basis of the span of `vectors` inside k^dim: each vector
     not in the span of the ones before it, in order."""
     return Echelon(field, dim, vectors).basis
-
-
-def in_span(field: FieldSpec, basis: Sequence[Vector], v: Vector, dim: int) -> bool:
-    return Echelon(field, dim, basis).contains(v)
-
-
-def complement_indices(field: FieldSpec, vectors: Sequence[Vector],
-                       dim: int) -> list[int]:
-    """Indices i of the standard vectors e_i picked greedily, in order, to
-    extend span(vectors) to all of k^dim."""
-    span = Echelon(field, dim, vectors)
-    units = identity(field, dim)
-    return [i for i in range(dim) if span.add(units.entries[i])]
-
-
-def intersect_spans(field: FieldSpec, a: Sequence[Vector], b: Sequence[Vector],
-                    dim: int) -> list[Vector]:
-    """Basis of span(a) intersected with span(b) inside k^dim."""
-    if not a or not b:
-        return []
-    ma = from_cols(a, rows=dim)
-    mb = from_cols(b, rows=dim)
-    neg = mat_scale(field, field.neg(field.one()), mb)
-    combined = hstack([ma, neg])
-    vecs = []
-    for k in kernel_basis(field, combined):
-        u = k[: ma.cols]
-        vec = matmul(field, ma, from_cols([u])).col(0)
-        vecs.append(vec)
-    return span_basis(field, vecs, dim)
 
 
 def mat_vec(field: FieldSpec, a: Mat, v: Vector) -> Vector:

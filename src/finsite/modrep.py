@@ -8,6 +8,11 @@ these matrices; no floating point is used anywhere.
 
 The ground ring is always a constant field. That restriction is what makes
 every Hom space, kernel, and limit in the package a finite matrix problem.
+
+Compatible families over morphisms closed under precomposition, acted on
+by reindexing (family_module, with its unit family_unit), are both ways
+the package builds sheaves: coinduction from a full subcategory, and the
+plus construction over each object's minimum cover.
 """
 
 from __future__ import annotations
@@ -74,9 +79,9 @@ class KModule(Record):
     def __eq__(self, other) -> bool:
         if not isinstance(other, KModule):
             return NotImplemented
-        return (self.field == other.field and self.cat == other.cat
-                and dict(self.dims) == dict(other.dims)
-                and dict(self.action) == dict(other.action))
+        return other is self or (
+            self.field == other.field and self.cat == other.cat
+            and self.dims == other.dims and self.action == other.action)
 
     __hash__ = None
 
@@ -195,12 +200,6 @@ def zero_module(cat: FiniteCategory, field: FieldSpec) -> KModule:
                        check=False)
 
 
-def constant_module(cat: FiniteCategory, field: FieldSpec) -> KModule:
-    one = linalg.identity(field, 1)
-    return make_module(cat, field, {x: 1 for x in cat.objects},
-                       {f: one for f in cat.morphisms}, check=False)
-
-
 def direct_sum(cat: FiniteCategory, field: FieldSpec,
                modules: Sequence[KModule]) -> KModule:
     for m in modules:
@@ -259,8 +258,9 @@ class ModuleMap(Record):
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleMap):
             return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and dict(self.components) == dict(other.components))
+        return other is self or (
+            self.source == other.source and self.target == other.target
+            and self.components == other.components)
 
     __hash__ = None
 
@@ -303,18 +303,6 @@ def make_module_map(source: KModule, target: KModule,
     return ModuleMap(source, target, dict(components))
 
 
-def identity_map(v: KModule) -> ModuleMap:
-    return make_module_map(v, v, {x: linalg.identity(v.field, v.dims[x])
-                                  for x in v.cat.objects}, check=False)
-
-
-def zero_map(source: KModule, target: KModule) -> ModuleMap:
-    return make_module_map(
-        source, target,
-        {x: linalg.zeros(source.field, target.dims[x], source.dims[x])
-         for x in source.cat.objects}, check=False)
-
-
 def compose_maps(second: ModuleMap, first: ModuleMap) -> ModuleMap:
     """second after first."""
     field = first.source.field
@@ -355,8 +343,8 @@ def map_from_vector(v: KModule, w: KModule, vec: Vector) -> ModuleMap:
 _HOM_SYSTEM_CAP = 250_000
 
 
-def _naturality_rows(v: KModule, w: KModule) -> tuple[dict, int, list[tuple]]:
-    """Layout, unknown count, and rows of comp_y V_f - W_f comp_x = 0 over
+def _naturality_rows(v: KModule, w: KModule) -> tuple[int, list[tuple]]:
+    """Unknown count and rows of comp_y V_f - W_f comp_x = 0 over
     every morphism f: x -> y, in the flattened components of a map v -> w.
 
     Raises SizeBudgetExceeded, before building anything, when the system
@@ -389,7 +377,7 @@ def _naturality_rows(v: KModule, w: KModule) -> tuple[dict, int, list[tuple]]:
                     row[offx + d * cx + b] = field.sub(row[offx + d * cx + b],
                                                        wf.entries[a][d])
                 rows.append(tuple(row))
-    return layout, n, rows
+    return n, rows
 
 
 def hom_space(v: KModule, w: KModule) -> list[ModuleMap]:
@@ -401,7 +389,7 @@ def hom_space(v: KModule, w: KModule) -> list[ModuleMap]:
     """
     if v.field != w.field:
         raise FieldMismatch("hom space across different fields")
-    _, n, rows = _naturality_rows(v, w)
+    n, rows = _naturality_rows(v, w)
     if n == 0:
         return []
     a = Mat(len(rows), n, tuple(rows))
@@ -636,33 +624,6 @@ def canonical_injective_embedding(v: KModule,
     return i0, iota
 
 
-def is_injective(v: KModule) -> bool:
-    """Decide injectivity by solving for a retraction of the canonical
-    embedding; v is injective iff that embedding splits."""
-    if v.is_zero():
-        return True
-    field = v.field
-    cat = v.cat
-    i0, iota = canonical_injective_embedding(v)
-    # naturality: r_y I0_f - V_f r_x = 0 for every f: x -> y
-    layout, n, rows = _naturality_rows(i0, v)
-    zero = field.zero()
-    rhs: list = [zero] * len(rows)
-    # retraction: r_y iota_y = identity at every object
-    one = field.one()
-    for y in cat.objects:
-        ry, cy, offy = layout[y]
-        for a in range(ry):
-            for b in range(ry):
-                row = [zero] * n
-                for c in range(cy):
-                    row[offy + a * cy + c] = iota.components[y].entries[c][b]
-                rows.append(tuple(row))
-                rhs.append(one if a == b else zero)
-    system = Mat(len(rows), n, tuple(rows))
-    return linalg.solve(field, system, tuple(rhs)) is not None
-
-
 # ---------------------------------------------------------------------------
 # compatible families
 
@@ -742,15 +703,18 @@ def induced_family_map(v: KModule, x: str,
     return coords
 
 
-def reindexing_action(cat: FiniteCategory, w: KModule,
-                      families: Mapping[str, CompatibleFamilies],
-                      escaped: Callable[[str], Exception]) -> dict[str, Mat]:
-    """The matrices of the reindexing action (u.b)_g = b_{g u} of every
-    morphism u: x -> y of cat, in the family bases at x and y.
+def family_module(cat: FiniteCategory, w: KModule,
+                  members: Mapping[str, Sequence[str]],
+                  ) -> tuple[KModule, dict[str, CompatibleFamilies]]:
+    """The module over cat of W's compatible families over members[x] at
+    each object x, with the family space at every object.
 
-    The composite g u must be a member at x for every member g at y.
-    Raises escaped(u) when a reindexed family leaves the span at y.
+    members[x] holds morphisms of cat out of x into W's objects, closed
+    under precomposition (g u is a member at x for every member g at y and
+    u: x -> y), and u acts by reindexing, (u.b)_g = b_{g u}. A reindexed
+    family outside the space at y is a library bug and raises FinsiteError.
     """
+    families = {x: compatible_families(cat, w, members[x]) for x in cat.objects}
     action = {}
     for u in cat.morphisms:
         src, dst = families[cat.dom[u]], families[cat.cod[u]]
@@ -765,8 +729,20 @@ def reindexing_action(cat: FiniteCategory, w: KModule,
             w.field, linalg.from_cols(dst.basis, rows=dst.total),
             linalg.from_cols(cols, rows=dst.total))
         if action[u] is None:
-            raise escaped(u)
-    return action
+            raise FinsiteError(
+                f"reindexed family escapes the family space at {u}")
+    dims = {x: families[x].dimension for x in cat.objects}
+    return make_module(cat, w.field, dims, action, check=True), families
+
+
+def family_unit(v: KModule, m: KModule,
+                families: Mapping[str, CompatibleFamilies]) -> ModuleMap:
+    """The map v -> m sending a vector a at x to its induced family
+    (V_f a)_f, for m a family module whose members are morphisms of v's
+    category."""
+    return make_module_map(
+        v, m, {x: induced_family_map(v, x, families[x]) for x in v.cat.objects},
+        check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -785,26 +761,11 @@ def restriction(cat: FiniteCategory, sub: FiniteCategory, v: KModule) -> KModule
                        basis_labels=labels, check=False)
 
 
-def coinduction(cat: FiniteCategory, sub: FiniteCategory,
-                w: KModule) -> KModule:
-    return coinduction_with_counit(cat, sub, w)[0]
-
-
-def _coinduce(cat: FiniteCategory, sub: FiniteCategory, w: KModule,
-              ) -> tuple[KModule, dict[str, CompatibleFamilies]]:
-    """The coinduction of w, with its family space at every object."""
-    require_full_subcategory(cat, sub)
-    if w.cat != sub:
-        raise NotFullSubcategory("module does not live on the subcategory")
+def _into(cat: FiniteCategory, sub: FiniteCategory) -> dict[str, tuple]:
+    """The morphisms out of each object of cat into the objects of sub."""
     keep = set(sub.objects)
-    families = {}
-    for x in cat.objects:
-        into_sub = [f for f in cat.morphisms_from(x) if cat.cod[f] in keep]
-        families[x] = compatible_families(cat, w, into_sub)
-    action = reindexing_action(cat, w, families, lambda u: PreconditionFailed(
-        f"reindexed family escapes the solution space at {u}"))
-    dims = {x: families[x].dimension for x in cat.objects}
-    return make_module(cat, w.field, dims, action, check=True), families
+    return {x: tuple(f for f in cat.morphisms_from(x) if cat.cod[f] in keep)
+            for x in cat.objects}
 
 
 def coinduction_with_counit(cat: FiniteCategory, sub: FiniteCategory,
@@ -818,7 +779,10 @@ def coinduction_with_counit(cat: FiniteCategory, sub: FiniteCategory,
     the result with w (each component is invertible for full subcategories);
     it is returned as a module map over the subcategory.
     """
-    coind, families = _coinduce(cat, sub, w)
+    require_full_subcategory(cat, sub)
+    if w.cat != sub:
+        raise NotFullSubcategory("module does not live on the subcategory")
+    coind, families = family_module(cat, w, _into(cat, sub))
     counit_comps = {}
     for d in sub.objects:
         base = families[d].offsets[cat.identity[d]]
@@ -843,11 +807,9 @@ def coinduction_unit(cat: FiniteCategory, sub: FiniteCategory,
     image of coinduction: for a rigid topology whose irreducible objects
     make up sub, exactly on the sheaves.
     """
-    coind, families = _coinduce(cat, sub, restriction(cat, sub, v))
-    unit = make_module_map(
-        v, coind, {x: induced_family_map(v, x, families[x])
-                   for x in cat.objects}, check=True)
-    return coind, unit
+    coind, families = family_module(cat, restriction(cat, sub, v),
+                                    _into(cat, sub))
+    return coind, family_unit(v, coind, families)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ other on every call.
 Sheafification applies the plus construction twice, over the minimal cover
 of each object; for finite intersection-closed cover sets the filtered
 colimit of matching spaces collapses onto that minimum, an equality
-matching_colimit_dimension exposes for direct testing.
+matching_colimit_dimension exposes for direct testing. One plus step is
+modrep.family_module over the minimum covers, the construction behind
+coinduction too; sheafify checks the rule once for both steps.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .fincat import FiniteCategory, full_subcategory
 from .linalg import GF, FieldSpec, Mat, Vector
-from .modrep import KModule, ModuleMap
+from .modrep import CompatibleFamilies, KModule, ModuleMap
 from .sieves import Sieve
 from .topology import (
     GrothendieckTopology,
@@ -41,30 +43,20 @@ from .topology import (
 )
 
 
-class MatchingSpace(modrep.CompatibleFamilies):
-    """Basis of the compatible families over one sieve, a block per sieve
-    member in the member tuple's order."""
-
-    base: str
-    sieve: Sieve
-
-
-def matching_space(v: KModule, x: str, s: Sieve) -> MatchingSpace:
-    """Solve the compatibility system for the sieve and return its kernel.
+def matching_space(v: KModule, x: str, s: Sieve) -> CompatibleFamilies:
+    """Solve the compatibility system for the sieve and return its kernel,
+    a block per sieve member in the member tuple's order.
 
     The empty sieve has no blocks and a zero-dimensional space; the
     maximal sieve's space is isomorphic to the value at the base object.
     """
-    families = modrep.compatible_families(v.cat, v, s.members)
-    return MatchingSpace(families.members, families.block_dims,
-                         families.offsets, families.total, families.basis,
-                         x, s)
+    return modrep.compatible_families(v.cat, v, s.members)
 
 
-def restrict_family(space: MatchingSpace, family: Vector,
+def restrict_family(space: CompatibleFamilies, family: Vector,
                     smaller: Sieve) -> Vector:
     """Drop the blocks outside a subsieve; still a matching family there."""
-    if not smaller.member_set <= space.sieve.member_set:
+    if not smaller.member_set <= set(space.members):
         raise PreconditionFailed("can only restrict to a subsieve")
     out: list = []
     for f in smaller.members:
@@ -274,41 +266,41 @@ def sheaf_verdict(cat: FiniteCategory, j: GrothendieckTopology,
 # ---------------------------------------------------------------------------
 # sheafification
 
-def plus_construction(cat: FiniteCategory, j: GrothendieckTopology,
-                      v: KModule) -> tuple[KModule, ModuleMap]:
-    """One plus step: matching families over each object's minimum cover.
-
-    Morphisms act by reindexing, the block at h of the image being the
-    block at the composite; stability is what keeps the composite inside
-    the source's minimum cover. The unit is the induced-family map.
-    """
-    field = v.field
-    smin: dict[str, Sieve] = {}
+def _minimum_covers(cat: FiniteCategory,
+                    j: GrothendieckTopology) -> dict[str, tuple[str, ...]]:
+    """The members of each object's minimum cover, after checking that it
+    is a cover and that the rule is stable, which keeps each minimum cover
+    closed under precomposition."""
+    members = {}
     for x in cat.objects:
         s = minimal_covering_sieve(cat, j, x)
         if s not in j.covers.get(x, frozenset()):
             raise PreconditionFailed(
                 f"covers at {x} are not intersection closed, no minimum sieve")
-        smin[x] = s
+        members[x] = s.members
     require_stable(cat, j)
-    spaces = {x: matching_space(v, x, smin[x]) for x in cat.objects}
-    dims = {x: spaces[x].dimension for x in cat.objects}
-    action = modrep.reindexing_action(cat, v, spaces, lambda u: FinsiteError(
-        "reindexed family escaped the matching space"))
-    vplus = modrep.make_module(cat, field, dims, action, check=True)
-    unit = modrep.make_module_map(
-        v, vplus, {x: modrep.induced_family_map(v, x, spaces[x])
-                   for x in cat.objects}, check=True)
-    return vplus, unit
+    return members
+
+
+def plus_construction(cat: FiniteCategory, j: GrothendieckTopology,
+                      v: KModule) -> tuple[KModule, ModuleMap]:
+    """One plus step: matching families over each object's minimum cover,
+    morphisms acting by reindexing (modrep.family_module). The unit is the
+    induced-family map."""
+    vplus, families = modrep.family_module(cat, v, _minimum_covers(cat, j))
+    return vplus, modrep.family_unit(v, vplus, families)
 
 
 def sheafify(cat: FiniteCategory, j: GrothendieckTopology,
              v: KModule) -> tuple[KModule, ModuleMap]:
-    """Two plus steps; the result is verified to be a sheaf, and the unit's
-    kernel and cokernel are verified torsion, at runtime."""
-    p1, u1 = plus_construction(cat, j, v)
-    p2, u2 = plus_construction(cat, j, p1)
-    unit = modrep.compose_maps(u2, u1)
+    """Two plus steps over the minimum covers, checked once; the result is
+    verified to be a sheaf, and the unit's kernel and cokernel are verified
+    torsion, at runtime."""
+    members = _minimum_covers(cat, j)
+    p1, families1 = modrep.family_module(cat, v, members)
+    p2, families2 = modrep.family_module(cat, p1, members)
+    unit = modrep.compose_maps(modrep.family_unit(p1, p2, families2),
+                               modrep.family_unit(v, p1, families1))
     if not sheaf_status(cat, j, p2).sheaf:
         raise FinsiteError("double plus construction is not a sheaf")
     ker, _ = modrep.kernel_of_map(unit)
@@ -340,10 +332,10 @@ def matching_colimit_dimension(cat: FiniteCategory, j: GrothendieckTopology,
     rows: list[tuple] = []
     for i, big in enumerate(spaces):
         for k, small in enumerate(spaces):
-            if i == k or not small.sieve.member_set < big.sieve.member_set:
+            if i == k or not covers[k].member_set < covers[i].member_set:
                 continue
             restricted = linalg.from_cols(
-                [restrict_family(big, fam, small.sieve) for fam in big.basis],
+                [restrict_family(big, fam, covers[k]) for fam in big.basis],
                 rows=small.total)
             coords = linalg.solve_matrix(
                 field, linalg.from_cols(small.basis, rows=small.total),

@@ -172,6 +172,3 @@ def pullback_sieve(cat: FiniteCategory, s: Sieve, f: str) -> Sieve:
 def sieve_to_doc(s: Sieve) -> dict:
     return {"base": s.base, "members": list(s.members)}
 
-
-def sieve_from_doc(cat: FiniteCategory, doc) -> Sieve:
-    return make_sieve(cat, str(doc["base"]), [str(m) for m in doc["members"]])

@@ -69,7 +69,8 @@ class GrothendieckTopology(Record):
     def __eq__(self, other) -> bool:
         if not isinstance(other, GrothendieckTopology):
             return NotImplemented
-        return self.cat == other.cat and dict(self.covers) == dict(other.covers)
+        return other is self or (self.cat == other.cat
+                                 and self.covers == other.covers)
 
     __hash__ = None
 
@@ -84,6 +85,9 @@ class GrothendieckTopology(Record):
 
 def make_rule(cat: FiniteCategory,
               covers: Mapping[str, Iterable[Sieve]]) -> GrothendieckTopology:
+    for x in covers:
+        if x not in cat.identity:
+            raise UnknownObject(f"covers filed under unknown object {x}")
     full = {}
     for x in cat.objects:
         full[x] = frozenset(covers.get(x, ()))
@@ -159,9 +163,16 @@ def check_axioms(cat: FiniteCategory, j: GrothendieckTopology) -> AxiomReport:
         for t in universe:
             if t in jx:
                 continue
+            # f*(T) is a cover, per member f of some cover, computed once
+            covered: dict[str, bool] = {}
             for s in ordered:
-                if all(pullback_sieve(cat, t, f) in j.covers.get(cat.cod[f], frozenset())
-                       for f in s.members):
+                for f in s.members:
+                    if f not in covered:
+                        covered[f] = (pullback_sieve(cat, t, f)
+                                      in j.covers.get(cat.cod[f], frozenset()))
+                    if not covered[f]:
+                        break
+                else:
                     found["transitivity"].append((x, s.members, t.members))
         found["inclusion"].extend(
             (x, s.members, t.members) for s in ordered for t in universe
@@ -420,7 +431,9 @@ def restrict_to_ideal(cat: FiniteCategory, j: GrothendieckTopology,
     """Restrict a topology to an ideal (an upward closed object set: every
     morphism out of the ideal stays in it). Covers restrict memberwise; for
     an ideal the member sets are unchanged because every morphism out of an
-    ideal object already lands in the ideal.
+    ideal object already lands in the ideal. It serves the paper's
+    statement that topologies restrict to ideals, the step toward the full
+    subcategories of FI and VI.
     """
     ideal = list(dict.fromkeys(ideal_objs))
     ideal_set = set(ideal)

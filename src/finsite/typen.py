@@ -285,17 +285,6 @@ def irreducible_set(spec: DSpec, horizon: int) -> list[int]:
     return [n for n in range(horizon) if d_value(spec, n) == 0]
 
 
-def dense_subcategory(spec: DSpec, horizon: int) -> list[int]:
-    """Objects with rank value zero or infinity; for rigid specs this is
-    exactly the irreducible set."""
-    out = []
-    for n in range(horizon):
-        v = d_value(spec, n)
-        if v == 0 or v is INF:
-            out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the pullback formula
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from finsite import fincat
+from finsite import fincat, linalg, modrep
 
 
 def chain(n: int) -> fincat.FiniteCategory:
@@ -28,6 +28,13 @@ def idem_monoid() -> fincat.FiniteCategory:
     """The two-element monoid {1, e} with e*e = e."""
     return fincat.build_monoid_category(
         [[0, 1], [1, 1]], element_names=["1", "e"], name="idem_monoid")
+
+
+def constant_module(cat: fincat.FiniteCategory, field) -> modrep.KModule:
+    """k at every object, every morphism acting by 1."""
+    one = linalg.identity(field, 1)
+    return modrep.make_module(cat, field, {x: 1 for x in cat.objects},
+                              {f: one for f in cat.morphisms})
 
 
 @pytest.fixture

