@@ -23,10 +23,17 @@ takes the fields positionally and checks that the entries have the
 declared shape on every construction, internal ones included, because a
 mis-sized matrix would otherwise surface far from its cause, as an
 IndexError inside an elimination or as a wrong verdict. One sheaf check
-builds hundreds of thousands of matrices, so that check is one length test
-and one plain loop over the rows, and the kernels build their outputs with
-list comprehensions rather than generators. `FieldSpec` checks in its
-constructor that a finite order is prime.
+builds hundreds of thousands of matrices, more than half of them empty, so
+the per-call constant is their cost: the check is one length test and one
+plain loop over the rows (`any` over a generator would start a frame per
+call), the slots are set through their member descriptors, bound once
+below the class, and the kernels build their outputs with list
+comprehensions. matmul with no rows on the left or no columns on the
+right, and rref of a matrix with no rows or no columns, return at once
+after the shape check: such a result has no entries, so it is the one the
+general path would build, and kernel_basis and solve_matrix reach it
+through rref. `FieldSpec` checks in its constructor that a finite order is
+prime.
 """
 
 from __future__ import annotations
@@ -137,9 +144,9 @@ class Mat(Record):
         for r in entries:
             if len(r) != cols:
                 raise ShapeMismatch(f"entries do not match shape {rows}x{cols}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
@@ -149,6 +156,12 @@ class Mat(Record):
 
     def __getitem__(self, ij: tuple[int, int]):
         return self.entries[ij[0]][ij[1]]
+
+
+# the slots' own setters, which Record.__setattr__ does not intercept
+_set_rows = Mat.rows.__set__
+_set_cols = Mat.cols.__set__
+_set_entries = Mat.entries.__set__
 
 
 def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> Mat:
@@ -190,6 +203,8 @@ def _columns(b: Mat) -> tuple[tuple, ...]:
 def matmul(field: FieldSpec, a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    if not a.rows or not b.cols:
+        return Mat(a.rows, b.cols, ((),) * a.rows)
     cols = _columns(b)
     p = field.p
     if p is None:
@@ -261,6 +276,8 @@ def block_diag(field: FieldSpec, mats: Sequence[Mat]) -> Mat:
 
 def rref(field: FieldSpec, a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns, first-nonzero pivoting."""
+    if not a.rows or not a.cols:
+        return a, ()
     p = field.p
     m = [list(r) for r in a.entries]
     pivots = []

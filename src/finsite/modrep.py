@@ -216,6 +216,8 @@ def _relabel(field: FieldSpec, src: Sequence, dst: Sequence,
              image: Callable) -> Mat:
     """The matrix sending the basis vector labelled a in src to the one
     labelled image(a) in dst, and to 0 when dst has no such label."""
+    if not src or not dst:
+        return linalg.zeros(field, len(dst), len(src))
     index = {h: i for i, h in enumerate(dst)}
     zero, one = field.zero(), field.one()
     targets = [index.get(image(a)) for a in src]
@@ -753,6 +755,11 @@ def restriction(cat: FiniteCategory, sub: FiniteCategory, v: KModule) -> KModule
     require_full_subcategory(cat, sub)
     if v.cat != cat:
         raise NotFullSubcategory("module does not live on the ambient category")
+    return _restrict(sub, v)
+
+
+def _restrict(sub: FiniteCategory, v: KModule) -> KModule:
+    """restriction, for a sub already known to be full in v's category."""
     labels = None
     if v.basis_labels is not None:
         labels = {x: v.basis_labels[x] for x in sub.objects}
@@ -792,7 +799,7 @@ def coinduction_with_counit(cat: FiniteCategory, sub: FiniteCategory,
         if not linalg.is_invertible(w.field, comp):
             raise PreconditionFailed(f"counit degenerate at {d}")
         counit_comps[d] = comp
-    counit = make_module_map(restriction(cat, sub, coind), w, counit_comps,
+    counit = make_module_map(_restrict(sub, coind), w, counit_comps,
                              check=True)
     return coind, counit
 

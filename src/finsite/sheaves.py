@@ -43,7 +43,7 @@ from .topology import (
 )
 
 
-def matching_space(v: KModule, x: str, s: Sieve) -> CompatibleFamilies:
+def matching_space(v: KModule, s: Sieve) -> CompatibleFamilies:
     """Solve the compatibility system for the sieve and return its kernel,
     a block per sieve member in the member tuple's order.
 
@@ -108,7 +108,7 @@ def sheaf_status(cat: FiniteCategory, j: GrothendieckTopology,
     cokernel_w: list[tuple] = []
     for x in cat.objects:
         for s in j.covers_at(x):
-            space = matching_space(v, x, s)
+            space = matching_space(v, s)
             amap = modrep.induced_family_map(v, x, space)
             ker = linalg.kernel_basis(field, amap)
             if ker:
@@ -322,7 +322,7 @@ def matching_colimit_dimension(cat: FiniteCategory, j: GrothendieckTopology,
     """
     field = v.field
     covers = j.covers_at(x)
-    spaces = [matching_space(v, x, s) for s in covers]
+    spaces = [matching_space(v, s) for s in covers]
     offsets = []
     total = 0
     for sp in spaces:

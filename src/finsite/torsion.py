@@ -61,12 +61,23 @@ def torsion_spans(cat: FiniteCategory, j: GrothendieckTopology,
 
     No stability requirement: this is the raw objectwise computation, and
     it only assembles into a submodule for stable rules.
+
+    Only the minimal covers are eliminated. S ⊆ S' gives ker S' ⊆ ker S,
+    and covers_at lists every proper subsieve of a cover before it, so the
+    kernel of a cover containing an earlier one lies in the span already
+    gathered: the greedy basis is the one the kernels of all covers give.
+    A zero space has the empty basis.
     """
     spans: dict[str, list[Vector]] = {}
     for x in cat.objects:
         vecs: list[Vector] = []
-        for s in j.covers_at(x):
-            vecs.extend(sieve_kernel(v, s))
+        if v.dims[x]:
+            used: list[frozenset[str]] = []
+            for s in j.covers_at(x):
+                members = s.member_set
+                if not any(u <= members for u in used):
+                    used.append(members)
+                    vecs.extend(sieve_kernel(v, s))
         spans[x] = linalg.span_basis(v.field, vecs, v.dims[x])
     return spans
 

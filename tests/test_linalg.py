@@ -4,6 +4,7 @@ import copy
 import pickle
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -336,6 +337,129 @@ def test_kernels_on_empty_shapes(field):
 
 
 # ---------------------------------------------------------------------------
+# the kernels as they were before empty operands returned at once, copied
+# verbatim as oracles for the shapes with a zero dimension
+
+def old_columns(b):
+    return tuple(zip(*b.entries)) if b.rows else ((),) * b.cols
+
+
+def old_matmul(field, a, b):
+    if a.cols != b.rows:
+        raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    cols = old_columns(b)
+    p = field.p
+    if p is None:
+        zero = Fraction(0)
+        out = tuple([tuple([sum(map(mul, row, col), zero) for col in cols])
+                     for row in a.entries])
+    else:
+        out = tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
+                     for row in a.entries])
+    return Mat(a.rows, b.cols, out)
+
+
+def old_scaled(p, c, xs):
+    if p is None:
+        return tuple([c * x for x in xs])
+    return tuple([c * x % p for x in xs])
+
+
+def old_axpy(p, xs, c, ys):
+    if p is None:
+        return [x - c * y for x, y in zip(xs, ys)]
+    return [(x - c * y) % p for x, y in zip(xs, ys)]
+
+
+def old_rref(field, a):
+    p = field.p
+    m = [list(r) for r in a.entries]
+    pivots = []
+    r = 0
+    for c in range(a.cols):
+        if r == a.rows:
+            break
+        for pr in range(r, a.rows):
+            if m[pr][c] != 0:
+                break
+        else:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        tail = m[r][c:] = old_scaled(p, field.inv(m[r][c]), m[r][c:])
+        for i in range(a.rows):
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i][c:] = old_axpy(p, m[i][c:], f, tail)
+        pivots.append(c)
+        r += 1
+    return Mat(a.rows, a.cols, tuple(map(tuple, m))), tuple(pivots)
+
+
+def old_kernel_basis(field, a):
+    r, pivots = old_rref(field, a)
+    pivot_set = set(pivots)
+    free = [c for c in range(a.cols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        v = [field.zero()] * a.cols
+        v[fc] = field.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = field.neg(r.entries[i][fc])
+        basis.append(tuple(v))
+    return basis
+
+
+def old_solve_matrix(field, a, b):
+    if b.rows != a.rows:
+        raise ShapeMismatch("rhs row mismatch")
+    if b.cols == 0:
+        return linalg.zeros(field, a.cols, 0)
+    aug = Mat(a.rows, a.cols + b.cols,
+              tuple(r + b.entries[i] for i, r in enumerate(a.entries)))
+    r, pivots = old_rref(field, aug)
+    if pivots and pivots[-1] >= a.cols:
+        return None
+    x = [[field.zero()] * b.cols for _ in range(a.cols)]
+    for i, pc in enumerate(pivots):
+        x[pc] = r.entries[i][a.cols:]
+    return Mat(a.cols, b.cols, tuple(map(tuple, x)))
+
+
+@st.composite
+def empty_shaped(draw):
+    """(field, a, b, c): a r x k, b k x n and c r x n with at least one of
+    r, k, n zero, so each of 0 x n, n x 0, 0 x 0 and n x 0 . 0 x m occurs;
+    c is a b half of the time, so solvable systems occur too."""
+    field = draw(st.sampled_from(FIELDS))
+    dims = [draw(st.integers(0, 4)) for _ in range(3)]
+    dims[draw(st.integers(0, 2))] = 0
+    r, k, n = dims
+    entry = entries(field)
+
+    def matrix(rows, cols):
+        return Mat(rows, cols, tuple(tuple(draw(entry) for _ in range(cols))
+                                     for _ in range(rows)))
+
+    a, b = matrix(r, k), matrix(k, n)
+    c = old_matmul(field, a, b) if draw(st.booleans()) else matrix(r, n)
+    return field, a, b, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(empty_shaped())
+def test_kernels_on_empty_shapes_match_the_old_kernels(shaped):
+    field, a, b, c = shaped
+    assert linalg.matmul(field, a, b) == old_matmul(field, a, b)
+    for m in (a, b, c):
+        assert linalg.rref(field, m) == old_rref(field, m)
+        assert linalg.kernel_basis(field, m) == old_kernel_basis(field, m)
+    assert linalg.solve_matrix(field, a, c) == old_solve_matrix(field, a, c)
+    if a.rows != b.cols:
+        with pytest.raises(ShapeMismatch):
+            linalg.matmul(field, b, a)
+
+
+# ---------------------------------------------------------------------------
 # the slotted Mat against the frozen dataclass it replaced, kept as an oracle
 
 @dataclass(frozen=True)
@@ -442,3 +566,18 @@ def test_mat_copies_and_pickles(shaped):
         assert type(twin) is Mat
         assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
     assert copy.deepcopy({"a": m})["a"] == m
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_entries())
+def test_mat_copies_and_pickles_are_shape_checked(shaped):
+    # a Mat whose slot was forced out of shape cannot be copied or
+    # unpickled: both rebuild through the checking constructor
+    _, rows, cols, es = shaped
+    m = Mat(rows, cols, es)
+    Mat.rows.__set__(m, rows + 1)
+    for twin in (copy.copy, copy.deepcopy,
+                 lambda m: pickle.loads(pickle.dumps(m)),
+                 lambda m: pickle.loads(pickle.dumps(m, protocol=0))):
+        with pytest.raises(ShapeMismatch):
+            twin(m)

@@ -369,6 +369,23 @@ def test_coinduction_chain_point(cat_chain2):
     assert linalg.is_invertible(F2, c.action["0->1"])
 
 
+def test_coinduction_checks_the_subcategory_once(monkeypatch):
+    calls = []
+
+    def counted(cat, sub):
+        calls.append(sub)
+        return fincat.require_full_subcategory(cat, sub)
+
+    monkeypatch.setattr(modrep, "require_full_subcategory", counted)
+    cat = fincat.build_trunc_fi_category(3)
+    sub = fincat.full_subcategory(cat, ["2", "3"])
+    w = modrep.random_module(sub, F2, seed=1, max_dim=2)
+    coind, counit = modrep.coinduction_with_counit(cat, sub, w)
+    assert calls == [sub]
+    assert counit.target == w
+    assert counit.source == modrep.restriction(cat, sub, coind)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=50))
 def test_coinduction_adjoint_dimension(seed):

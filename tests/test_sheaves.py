@@ -36,19 +36,19 @@ def topology_iv(cat):
 def test_matching_space_dimensions(cat_quiver2):
     v = dense_sheaf_module(cat_quiver2, F2)
     top = sieves.maximal_sieve(cat_quiver2, "x")
-    assert sheaves.matching_space(v, "x", top).dimension == v.dims["x"]
+    assert sheaves.matching_space(v, top).dimension == v.dims["x"]
     bot = sieves.empty_sieve(cat_quiver2, "x")
-    assert sheaves.matching_space(v, "x", bot).dimension == 0
+    assert sheaves.matching_space(v, bot).dimension == 0
     pair = sieves.make_sieve(cat_quiver2, "x", ["f", "g"])
     # no composable arrows out of y, so the two blocks are unconstrained
-    assert sheaves.matching_space(v, "x", pair).dimension == 2 * v.dims["y"]
+    assert sheaves.matching_space(v, pair).dimension == 2 * v.dims["y"]
 
 
 def test_matching_space_compatibility(cat_chain3):
     p0 = modrep.yoneda_module(cat_chain3, F2, "0")
     s = sieves.generated_sieve(cat_chain3, "0", ["0->1"])
     assert s.members == ("0->1", "0->2")
-    space = sheaves.matching_space(p0, "0", s)
+    space = sheaves.matching_space(p0, s)
     # the block at 0->2 is forced by the block at 0->1
     assert space.dimension == 1
     fam = space.basis[0]
@@ -60,7 +60,7 @@ def test_amalgamation_of_representable(cat_quiver2):
     px = modrep.yoneda_module(cat_quiver2, F2, "x")
     pair = sieves.make_sieve(cat_quiver2, "x", ["f", "g"])
     m = modrep.induced_family_map(px, "x",
-                                  sheaves.matching_space(px, "x", pair))
+                                  sheaves.matching_space(px, pair))
     assert (m.rows, m.cols) == (4, 1)
     assert linalg.rank(F2, m) == 1  # injective but far from onto
 
@@ -69,12 +69,12 @@ def test_restrict_family_subsieve_only(cat_quiver2):
     v = dense_sheaf_module(cat_quiver2, F2)
     big = sieves.maximal_sieve(cat_quiver2, "x")
     small = sieves.make_sieve(cat_quiver2, "x", ["f", "g"])
-    space = sheaves.matching_space(v, "x", big)
+    space = sheaves.matching_space(v, big)
     fam = space.basis[0]
     restricted = sheaves.restrict_family(space, fam, small)
     assert len(restricted) == 2 * v.dims["y"]
     with pytest.raises(PreconditionFailed):
-        sheaves.restrict_family(sheaves.matching_space(v, "x", small),
+        sheaves.restrict_family(sheaves.matching_space(v, small),
                                 space.basis[0][:2], big)
 
 
@@ -257,7 +257,7 @@ def old_plus_construction(cat, j, v):
             raise PreconditionFailed(f"no minimum sieve at {x}")
         smin[x] = s
     topology.require_stable(cat, j)
-    spaces = {x: sheaves.matching_space(v, x, smin[x]) for x in cat.objects}
+    spaces = {x: sheaves.matching_space(v, smin[x]) for x in cat.objects}
     dims = {x: spaces[x].dimension for x in cat.objects}
     action = old_reindexing_action(cat, v, spaces, lambda u: FinsiteError(
         "reindexed family escaped the matching space"))

@@ -14,7 +14,13 @@ from finsite.errors import (
 )
 from finsite.linalg import GF, QQ, Mat
 
-from conftest import chain, constant_module, ei_fixture_categories, quiver2
+from conftest import (
+    chain,
+    constant_module,
+    ei_fixture_categories,
+    idem_monoid,
+    quiver2,
+)
 
 F2 = GF(2)
 
@@ -371,3 +377,70 @@ def test_stability_witness_is_the_first_axiom_witness(cat_quiver2):
     dense = topology.named_topology(cat_quiver2, "dense")
     assert topology.check_stability_only(cat_quiver2, dense) is None
     topology.require_stable(cat_quiver2, dense)
+
+
+# ---------------------------------------------------------------------------
+# torsion spans over the minimal covers against the loop over every cover
+# they replaced, kept as an oracle
+
+def old_torsion_spans(cat, j, v):
+    spans = {}
+    for x in cat.objects:
+        vecs = []
+        for s in j.covers_at(x):
+            vecs.extend(torsion.sieve_kernel(v, s))
+        spans[x] = linalg.span_basis(v.field, vecs, v.dims[x])
+    return spans
+
+
+SPAN_FIXTURES = ei_fixture_categories() + [idem_monoid()]
+SPAN_FIELDS = (GF(2), GF(3), QQ)
+
+
+@pytest.mark.parametrize("cat", SPAN_FIXTURES, ids=lambda c: c.name)
+def test_torsion_spans_match_all_covers_on_enumerated_rules(cat):
+    for i, j in enumerate(topology.enumerate_topologies(cat)):
+        for field in SPAN_FIELDS:
+            v = modrep.random_module(cat, field, seed=i, max_dim=1 + i % 3)
+            assert torsion.torsion_spans(cat, j, v) == old_torsion_spans(cat, j, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cat=st.sampled_from(SPAN_FIXTURES), field=st.sampled_from(SPAN_FIELDS),
+       seed=st.integers(0, 10_000), max_dim=st.integers(0, 3), data=st.data())
+def test_torsion_spans_match_all_covers_on_random_rules(cat, field, seed,
+                                                        max_dim, data):
+    # arbitrary cover sets, stable or not: the raw computation needs neither
+    covers = {x: data.draw(st.lists(st.sampled_from(sieves.all_sieves(cat, x)),
+                                    max_size=5))
+              for x in cat.objects}
+    j = topology.make_rule(cat, covers)
+    v = modrep.random_module(cat, field, seed, max_dim)
+    assert torsion.torsion_spans(cat, j, v) == old_torsion_spans(cat, j, v)
+
+
+def quiver3():
+    """Two objects x, y with three parallel arrows x -> y."""
+    return fincat.build_quiver_category(
+        ["x", "y"], [("f", "x", "y"), ("g", "x", "y"), ("h", "x", "y")],
+        name="quiver3")
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(SPAN_FIELDS), data=st.data())
+def test_torsion_spans_match_all_covers_on_quiver_representations(field, data):
+    # any three matrices make a module here, so the kernels of incomparable
+    # covers need not be nested, as they mostly are in random_module's
+    cat = quiver3()
+    a, b = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    entry = st.integers(0, 2).map(field.of)
+    action = {"1_x": linalg.identity(field, a), "1_y": linalg.identity(field, b)}
+    for u in ("f", "g", "h"):
+        action[u] = Mat(b, a, tuple(tuple(data.draw(entry) for _ in range(a))
+                                    for _ in range(b)))
+    v = modrep.make_module(cat, field, {"x": a, "y": b}, action)
+    covers = {x: data.draw(st.lists(st.sampled_from(sieves.all_sieves(cat, x)),
+                                    max_size=6))
+              for x in cat.objects}
+    j = topology.make_rule(cat, covers)
+    assert torsion.torsion_spans(cat, j, v) == old_torsion_spans(cat, j, v)
