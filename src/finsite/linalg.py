@@ -174,12 +174,15 @@ def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> Mat:
 
 
 def from_cols(cols: Sequence[Sequence], rows: int | None = None) -> Mat:
-    cols = [tuple(c) for c in cols]
     if rows is None:
         if not cols:
             raise ShapeMismatch("cannot infer row count of an empty matrix")
         rows = len(cols[0])
-    return Mat(rows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(rows)))
+    for c in cols:
+        if len(c) != rows:
+            raise ShapeMismatch(f"column of length {len(c)} in a matrix "
+                                f"of {rows} rows")
+    return Mat(rows, len(cols), tuple(zip(*cols)) if cols else ((),) * rows)
 
 
 def zeros(field: FieldSpec, rows: int, cols: int) -> Mat:

@@ -14,7 +14,14 @@ Enumeration exploits that: a backtracking search picks one minimum sieve per
 object and prunes on two local conditions, stability and transitivity of the
 minimum sieves, which together are necessary and sufficient for the up-set
 rule to be a topology. Its budget counts the (object, sieve) pairs tried,
-and every rule it emits is re-verified with check_axioms.
+and every rule it emits is re-verified by check_axioms' full scan.
+
+The search and that certificate share the sieve tables of one call
+(_Tables: every sieve on each object as a mask, and the pullback of each
+along every morphism), built from the mask index of the sieves module. The
+certificate shares nothing else: it re-derives all three axioms and both
+closure checks from the rule's own covers, and never reads the search's
+pruning conditions or their tables.
 
 The subcategory topology J_D of an object set D covers x by every sieve
 containing the morphisms from x into D (subcategory_sieve). On a finite
@@ -27,10 +34,11 @@ from __future__ import annotations
 import itertools
 import json
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     FinsiteError,
+    InvalidSieve,
     NotAnIdeal,
     NotDirectedEI,
     OreConditionFails,
@@ -48,6 +56,7 @@ from .fincat import (
 )
 from .sieves import (
     Sieve,
+    _Index,
     all_sieves,
     generated_sieve,
     intersect_sieves,
@@ -139,6 +148,37 @@ class AxiomReport(Record):
         return self.maximal_ok and self.stability_ok and self.transitivity_ok
 
 
+class _Tables:
+    """The sieve tables that the topology search and its certificate share,
+    built once per call: per object x, the mask of every sieve on x in
+    canonical order (universe), the Sieves of those masks, and per morphism
+    f, the pullback f*(S) of every sieve S on dom f (pull[f][S])."""
+
+    def __init__(self, cat: FiniteCategory) -> None:
+        self.index = index = _Index(cat)
+        self.universe = {x: index.masks(x) for x in cat.objects}
+        self.sieves = {x: [index.sieve(x, m) for m in u]
+                       for x, u in self.universe.items()}
+        self.known = {x: dict(zip(self.sieves[x], self.universe[x]))
+                      for x in cat.objects}
+        self.pull = {f: {m: index.pull(f, m)
+                         for m in self.universe[cat.dom[f]]}
+                     for f in cat.morphisms}
+
+    def cover_masks(self, j: GrothendieckTopology, x: str) -> list[tuple[Sieve, int]]:
+        """The covers of x in canonical order, each with its mask. A cover
+        that is no sieve on x raises WrongDomain or InvalidSieve."""
+        out = []
+        for s in sorted(j.covers.get(x, ()), key=sieve_sort_key):
+            m = self.known[x].get(s)
+            if m is None:
+                self.index.mask(x, s)  # raises for a member out of place
+                raise InvalidSieve(
+                    f"{s.members} on {x} is not postcomposition closed")
+            out.append((s, m))
+        return out
+
+
 def check_axioms(cat: FiniteCategory, j: GrothendieckTopology) -> AxiomReport:
     """Verify the three covering axioms directly, with witnesses.
 
@@ -151,36 +191,43 @@ def check_axioms(cat: FiniteCategory, j: GrothendieckTopology) -> AxiomReport:
     Transitivity witnesses are collected exhaustively: every pair (S, T) with
     S a cover forcing the non-cover T is recorded.
     """
+    return _check_axioms(cat, j, _Tables(cat))
+
+
+def _check_axioms(cat: FiniteCategory, j: GrothendieckTopology,
+                  tables: _Tables) -> AxiomReport:
+    """check_axioms on tables already built for cat."""
+    covers = {x: tables.cover_masks(j, x) for x in cat.objects}
+    cov = {x: {m for _, m in pairs} for x, pairs in covers.items()}
+    pull, cod = tables.pull, cat.cod
     found: dict[str, list[tuple]] = {
-        "maximal": [], "stability": list(_stability_violations(cat, j)),
+        "maximal": [],
+        "stability": list(_stability_violations(
+            cat, covers, cov, lambda f, m: pull[f][m])),
         "transitivity": [], "inclusion": [], "intersection": []}
     for x in cat.objects:
-        jx = j.covers.get(x, frozenset())
-        ordered = sorted(jx, key=sieve_sort_key)
-        universe = all_sieves(cat, x)
-        if maximal_sieve(cat, x) not in jx:
+        pairs, jx = covers[x], cov[x]
+        outs = cat.out_of[x]
+        if (1 << len(outs)) - 1 not in jx:
             found["maximal"].append((x,))
-        for t in universe:
+        universe = list(zip(tables.universe[x], tables.sieves[x]))
+        for t, ts in universe:
             if t in jx:
                 continue
-            # f*(T) is a cover, per member f of some cover, computed once
-            covered: dict[str, bool] = {}
-            for s in ordered:
-                for f in s.members:
-                    if f not in covered:
-                        covered[f] = (pullback_sieve(cat, t, f)
-                                      in j.covers.get(cat.cod[f], frozenset()))
-                    if not covered[f]:
-                        break
-                else:
-                    found["transitivity"].append((x, s.members, t.members))
+            # the members f of x whose pullback f*(T) is a cover
+            good = 0
+            for i, f in enumerate(outs):
+                if pull[f][t] in cov[cod[f]]:
+                    good |= 1 << i
+            found["transitivity"].extend(
+                (x, s.members, ts.members) for s, m in pairs if not m & ~good)
         found["inclusion"].extend(
-            (x, s.members, t.members) for s in ordered for t in universe
-            if s.member_set <= t.member_set and t not in jx)
+            (x, s.members, ts.members) for s, m in pairs for t, ts in universe
+            if not m & ~t and t not in jx)
         found["intersection"].extend(
             (x, s.members, t.members)
-            for s, t in itertools.combinations(ordered, 2)
-            if intersect_sieves(s, t) not in jx)
+            for (s, a), (t, b) in itertools.combinations(pairs, 2)
+            if a & b not in jx)
     return AxiomReport(
         not found["maximal"], not found["stability"],
         not found["transitivity"], not found["inclusion"],
@@ -188,20 +235,28 @@ def check_axioms(cat: FiniteCategory, j: GrothendieckTopology) -> AxiomReport:
         {kind: tuple(w) for kind, w in found.items() if w})
 
 
-def _stability_violations(cat: FiniteCategory, j: GrothendieckTopology):
+def _stability_violations(cat: FiniteCategory, covers, cov, pull):
     """Every stability violation (x, sieve members, f), in order; stability
-    quantifies over every morphism out of x, not only the sieve's members."""
+    quantifies over every morphism out of x, not only the sieve's members.
+    covers[x] lists (Sieve, mask) in canonical order, cov[x] is the set of
+    their masks, and pull(f, m) is f*(S) for the mask m of S."""
     for x in cat.objects:
-        for s in sorted(j.covers.get(x, frozenset()), key=sieve_sort_key):
-            for f in cat.morphisms_from(x):
-                if pullback_sieve(cat, s, f) not in j.covers.get(cat.cod[f], frozenset()):
+        for s, m in covers[x]:
+            for f in cat.out_of[x]:
+                if pull(f, m) not in cov[cat.cod[f]]:
                     yield (x, s.members, f)
 
 
 def check_stability_only(cat: FiniteCategory,
                          j: GrothendieckTopology) -> tuple | None:
-    """First stability violation (x, sieve members, f), or None."""
-    return next(_stability_violations(cat, j), None)
+    """First stability violation (x, sieve members, f), or None. Only the
+    covers are pulled back; no sieve universe is built."""
+    index = _Index(cat, [x for x in cat.objects if j.covers.get(x)])
+    covers = {x: [(s, index.mask(x, s))
+                  for s in sorted(j.covers.get(x, ()), key=sieve_sort_key)]
+              for x in cat.objects}
+    cov = {x: {m for _, m in pairs} for x, pairs in covers.items()}
+    return next(_stability_violations(cat, covers, cov, index.pull), None)
 
 
 def require_stable(cat: FiniteCategory, j: GrothendieckTopology) -> None:
@@ -222,17 +277,13 @@ def named_topology(cat: FiniteCategory, kind: str) -> GrothendieckTopology:
     if kind == "maximal":
         return make_rule(cat, {x: all_sieves(cat, x) for x in cat.objects})
     if kind == "dense":
-        covers = {}
-        for x in cat.objects:
-            dense_at_x = []
-            for s in all_sieves(cat, x):
-                mset = s.member_set
-                if all(any(cat.compose(g, f) in mset
-                           for g in cat.morphisms_from(cat.cod[f]))
-                       for f in cat.morphisms_from(x)):
-                    dense_at_x.append(s)
-            covers[x] = dense_at_x
-        return make_rule(cat, covers)
+        # S is dense when f*(S) is nonempty, i.e. S meets principal(f),
+        # for every f out of x
+        index = _Index(cat)
+        return make_rule(cat, {
+            x: [index.sieve(x, m) for m in index.masks(x)
+                if all(m & index.principal[f] for f in cat.out_of[x])]
+            for x in cat.objects})
     if kind == "atomic":
         flags = classify_category(cat)
         if not flags.ore:
@@ -245,11 +296,6 @@ def named_topology(cat: FiniteCategory, kind: str) -> GrothendieckTopology:
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-def _upset(universe: Sequence[Sieve], s_min: Sieve) -> list[Sieve]:
-    base = s_min.member_set
-    return [t for t in universe if base <= t.member_set]
-
 
 def enumerate_topologies(cat: FiniteCategory,
                          budget: int = DEFAULT_ENUM_BUDGET
@@ -268,30 +314,29 @@ def enumerate_topologies(cat: FiniteCategory,
     A backtracking search assigns m(x) object by object, fewest outgoing
     morphisms first so that codomains are mostly fixed before their
     domains, and tests each condition as soon as every object it mentions
-    is assigned. Both tests are lookups in tables built once: the index of
-    f*(S) for every sieve S and every f, and sieve inclusion per object.
-    ``budget`` bounds the candidate tests, the (object, sieve) pairs tried.
-    Every complete assignment is re-verified with check_axioms, so
+    is assigned. Both tests are lookups in tables built once from the sieve
+    masks: the index of f*(S) for every sieve S and every f, and sieve
+    inclusion per object. ``budget`` bounds the candidate tests, the
+    (object, sieve) pairs tried. Every complete assignment is re-verified
+    by the full axiom scan of check_axioms, on the same sieve tables, so
     correctness never rests on the pruning; a rejected one is a library
     bug and raises FinsiteError.
     """
-    universe = {x: all_sieves(cat, x) for x in cat.objects}
+    tables = _Tables(cat)
+    universe, sieves = tables.universe, tables.sieves
     order = sorted(cat.objects, key=lambda x: len(cat.morphisms_from(x)))
     pos = {x: i for i, x in enumerate(order)}
     # above[x][a]: bitmask of the sieves on x containing sieve a
-    above = {}
-    for x in cat.objects:
-        sets = [s.member_set for s in universe[x]]
-        above[x] = [sum(1 << b for b, t in enumerate(sets) if s <= t)
-                    for s in sets]
+    above = {x: [sum(1 << b for b, t in enumerate(u) if not s & ~t)
+                 for s in u]
+             for x, u in universe.items()}
     # forced[f][b]: bitmask of the sieves S on dom f whose pullback f*(S)
     # contains sieve b on cod f
-    index = {x: {s: i for i, s in enumerate(universe[x])} for x in cat.objects}
+    index = {x: {s: i for i, s in enumerate(u)} for x, u in universe.items()}
     forced = {}
     for f in cat.morphisms:
         y = cat.cod[f]
-        pull = [index[y][pullback_sieve(cat, s, f)]
-                for s in universe[cat.dom[f]]]
+        pull = [index[y][tables.pull[f][s]] for s in universe[cat.dom[f]]]
         forced[f] = [sum(1 << a for a, p in enumerate(pull) if up >> p & 1)
                      for up in above[y]]
     # stability of f is tested at the later of its two endpoints; the
@@ -301,7 +346,7 @@ def enumerate_topologies(cat: FiniteCategory,
         if not cat.is_identity(f):
             edges_at[max(pos[cat.dom[f]], pos[cat.cod[f]])].append(f)
     ready = {x: [max([pos[x]] + [pos[cat.cod[f]] for f in s.members])
-                 for s in universe[x]]
+                 for s in sieves[x]]
              for x in cat.objects}
     full = {x: (1 << len(universe[x])) - 1 for x in cat.objects}
 
@@ -313,7 +358,7 @@ def enumerate_topologies(cat: FiniteCategory,
     def transitive(x: str) -> bool:
         a = m[x]
         hyp = full[x]
-        for f in universe[x][a].members:
+        for f in sieves[x][a].members:
             hyp &= forced[f][m[cat.cod[f]]]
         return not hyp & ~above[x][a]
 
@@ -323,9 +368,10 @@ def enumerate_topologies(cat: FiniteCategory,
     def extend(i: int) -> None:
         nonlocal tests
         if i == len(order):
-            rule = make_rule(cat, {x: _upset(universe[x], universe[x][m[x]])
+            rule = make_rule(cat, {x: [s for b, s in enumerate(sieves[x])
+                                       if above[x][m[x]] >> b & 1]
                                    for x in cat.objects})
-            if not check_axioms(cat, rule).is_topology:
+            if not _check_axioms(cat, rule, tables).is_topology:
                 raise FinsiteError(
                     f"topology search on {cat.name} emitted a rule that "
                     "check_axioms rejects")
@@ -367,9 +413,15 @@ def enumerate_consistent_families(cat: FiniteCategory
     """
     if not is_directed_ei(cat):
         raise NotDirectedEI(f"{cat.name} is not directed EI")
-    universe = {x: all_sieves(cat, x) for x in cat.objects}
-    out = [make_rule(cat, {x: _upset(universe[x], subcategory_sieve(cat, d, x))
-                           for x in cat.objects})
+    index = _Index(cat)
+    universe = {x: [(m, index.sieve(x, m)) for m in index.masks(x)]
+                for x in cat.objects}
+
+    def upset(d: tuple[str, ...], x: str) -> list[Sieve]:
+        low = index.mask(x, subcategory_sieve(cat, d, x))
+        return [s for m, s in universe[x] if not low & ~m]
+
+    out = [make_rule(cat, {x: upset(d, x) for x in cat.objects})
            for r in range(len(cat.objects) + 1)
            for d in itertools.combinations(cat.objects, r)]
     out.sort(key=topology_sort_key)
@@ -468,10 +520,11 @@ def saturate_rule(cat: FiniteCategory,
     So the fixpoint is the least topology, and every round that does not
     end the loop adds a sieve of the finite universe, so the loop ends.
     """
+    tables = _Tables(cat)
     covers = {x: set(j.covers.get(x, frozenset())) for x in cat.objects}
     while True:
         rule = make_rule(cat, covers)
-        report = check_axioms(cat, rule)
+        report = _check_axioms(cat, rule, tables)
         if report.is_topology:
             return rule
         for (x,) in report.witnesses.get("maximal", ()):

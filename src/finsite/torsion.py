@@ -26,9 +26,10 @@ from .errors import (
 from .fincat import FiniteCategory
 from .linalg import GF, FieldSpec, Vector
 from .modrep import KModule, ModuleMap
-from .sieves import (
+from .sieves import (  # perfbench/selftest.py rebinds torsion.all_sieves
     Sieve,
-    all_sieves,
+    _Index,
+    all_sieves,  # noqa: F401
     make_sieve,
     sieve_sort_key,
 )
@@ -207,11 +208,12 @@ def inclusion_closure(cat: FiniteCategory,
     torsion theory cannot tell the two rules apart.
     """
     covers = rule.covers if isinstance(rule, GrothendieckTopology) else rule
+    index = _Index(cat)
     out = {}
     for x in cat.objects:
-        base = list(covers.get(x, ()))
-        out[x] = [t for t in all_sieves(cat, x)
-                  if any(s.member_set <= t.member_set for s in base)]
+        base = [index.mask(x, s) for s in covers.get(x, ())]
+        out[x] = [index.sieve(x, t) for t in index.masks(x)
+                  if any(not s & ~t for s in base)]
     return make_rule(cat, out)
 
 

@@ -581,3 +581,39 @@ def test_mat_copies_and_pickles_are_shape_checked(shaped):
                  lambda m: pickle.loads(pickle.dumps(m, protocol=0))):
         with pytest.raises(ShapeMismatch):
             twin(m)
+
+
+# ---------------------------------------------------------------------------
+# from_cols against the parent's row-by-row build, kept as the oracle
+
+def old_from_cols(cols, rows=None):
+    cols = [tuple(c) for c in cols]
+    if rows is None:
+        if not cols:
+            raise ShapeMismatch("cannot infer row count of an empty matrix")
+        rows = len(cols[0])
+    return Mat(rows, len(cols),
+               tuple(tuple(c[i] for c in cols) for i in range(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_entries(), st.booleans())
+def test_from_cols_matches_the_old_build(shaped, give_rows):
+    # 0 x n and n x 0 included; rows can be inferred only from a column
+    field, rows, cols, es = shaped
+    columns = [tuple(r[j] for r in es) for j in range(cols)]
+    if give_rows or not columns:
+        assert from_cols(columns, rows=rows) == old_from_cols(columns, rows)
+    else:
+        assert from_cols(columns) == old_from_cols(columns)
+    assert from_cols([list(c) for c in columns], rows=rows).entries == es
+
+
+def test_from_cols_refuses_ragged_columns():
+    for cols, rows in ([(1, 2, 3)], 2), ([(1,)], 2), ([(1, 2), (3,)], None), \
+            ([(1, 2), (3, 4, 5)], 2), ([(), (1,)], None):
+        with pytest.raises(ShapeMismatch):
+            from_cols(cols, rows=rows)
+    with pytest.raises(ShapeMismatch):
+        from_cols([])
+    assert from_cols([], rows=3) == Mat(3, 0, ((), (), ()))

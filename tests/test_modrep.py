@@ -225,7 +225,7 @@ def test_sieve_quotient_extremes(cat_quiver2):
     pres = modrep.sieve_quotient_module(cat_quiver2, F2, top)
     assert pres.quotient.is_zero()
     assert pres.generator == ()
-    bot = sieves.empty_sieve(cat_quiver2, "x")
+    bot = sieves.make_sieve(cat_quiver2, "x", ())
     pres2 = modrep.sieve_quotient_module(cat_quiver2, F2, bot)
     assert pres2.sub.is_zero()
     assert pres2.quotient.dims == pres2.ambient.dims

@@ -26,7 +26,7 @@ def dense_sheaf_module(cat, field):
 def topology_iv(cat):
     return topology.make_rule(cat, {
         "x": [sieves.maximal_sieve(cat, "x")],
-        "y": [sieves.empty_sieve(cat, "y"), sieves.maximal_sieve(cat, "y")],
+        "y": [sieves.make_sieve(cat, "y", ()), sieves.maximal_sieve(cat, "y")],
     })
 
 
@@ -37,7 +37,7 @@ def test_matching_space_dimensions(cat_quiver2):
     v = dense_sheaf_module(cat_quiver2, F2)
     top = sieves.maximal_sieve(cat_quiver2, "x")
     assert sheaves.matching_space(v, top).dimension == v.dims["x"]
-    bot = sieves.empty_sieve(cat_quiver2, "x")
+    bot = sieves.make_sieve(cat_quiver2, "x", ())
     assert sheaves.matching_space(v, bot).dimension == 0
     pair = sieves.make_sieve(cat_quiver2, "x", ["f", "g"])
     # no composable arrows out of y, so the two blocks are unconstrained
@@ -176,7 +176,8 @@ def test_plus_kills_dense_torsion(cat_quiver2):
 def test_plus_requires_minimum_cover(cat_quiver2):
     c = cat_quiver2
     rule = topology.make_rule(c, {
-        "x": [sieves.principal_sieve(c, "f"), sieves.principal_sieve(c, "g"),
+        "x": [sieves.generated_sieve(c, "x", ["f"]),
+              sieves.generated_sieve(c, "x", ["g"]),
               sieves.make_sieve(c, "x", ["f", "g"]),
               sieves.maximal_sieve(c, "x")],
         "y": [sieves.maximal_sieve(c, "y")]})

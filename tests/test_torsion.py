@@ -38,7 +38,7 @@ def topology_iv(cat):
     """Covers: everything at x, the empty sieve (and all above it) at y."""
     return topology.make_rule(cat, {
         "x": [sieves.maximal_sieve(cat, "x")],
-        "y": [sieves.empty_sieve(cat, "y"), sieves.maximal_sieve(cat, "y")],
+        "y": [sieves.make_sieve(cat, "y", ()), sieves.maximal_sieve(cat, "y")],
     })
 
 
@@ -191,7 +191,7 @@ def test_realized_annihilators_representable(cat_quiver2):
     px = modrep.yoneda_module(cat_quiver2, F2, "x")
     got = torsion.realized_annihilators(cat_quiver2, [px], "x")
     assert got == {sieves.maximal_sieve(cat_quiver2, "x"),
-                   sieves.empty_sieve(cat_quiver2, "x")}
+                   sieves.make_sieve(cat_quiver2, "x", ())}
 
 
 def test_realized_annihilators_guards(cat_quiver2, cat_chain2):
@@ -210,8 +210,8 @@ def test_realized_annihilators_guards(cat_quiver2, cat_chain2):
 def test_inclusion_closure_examples(cat_quiver2):
     c = cat_quiver2
     everything = torsion.inclusion_closure(c, {
-        "x": [sieves.empty_sieve(c, "x")],
-        "y": [sieves.empty_sieve(c, "y")]})
+        "x": [sieves.make_sieve(c, "x", ())],
+        "y": [sieves.make_sieve(c, "y", ())]})
     assert len(everything.covers["x"]) == 5
     assert len(everything.covers["y"]) == 2
     dense = torsion.inclusion_closure(c, {
@@ -309,9 +309,9 @@ def test_roundtrip_requires_inclusion_closed(cat_quiver2):
         # the first object in order is reported: x's intersection failure
         # comes before y's inclusion failure
         ({"x": above_f_and_g + [sieves.maximal_sieve(c, "x")],
-          "y": [sieves.empty_sieve(c, "y")]},
+          "y": [sieves.make_sieve(c, "y", ())]},
          "rule not intersection closed at x: ('f',) with ('g',)"),
-        ({"x": [sieves.maximal_sieve(c, "x")], "y": [sieves.empty_sieve(c, "y")]},
+        ({"x": [sieves.maximal_sieve(c, "x")], "y": [sieves.make_sieve(c, "y", ())]},
          "rule not inclusion closed at y: () inside ('1_y',)"),
     ]
     for covers, message in cases:
