@@ -12,8 +12,9 @@ the package. They are not part of the tier-1 suite (`testpaths` lists only
 
     python -m pytest benchmarks --benchmark-only
 
-The times are wall-clock and not scaled to a reference speed, so compare
-only runs made back to back on one machine.
+The table shows wall-clock times; conftest.py adds each median scaled to
+perfbench's reference speed to the saved JSON. Neither is steady on a
+shared machine, so compare only runs made back to back on one machine.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def test_sieve_eq(benchmark, sieve):
 
 def test_kmodule_construction(benchmark, module_map):
     v = module_map.source
-    benchmark(KModule, v.field, v.cat, v.dims, v.action, v.basis_labels)
+    benchmark(KModule, v.field, v.cat, v.dims, v.action)
 
 
 def test_kmodule_eq(benchmark, module_map):

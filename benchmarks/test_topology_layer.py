@@ -14,8 +14,9 @@ with
 
     python -m pytest benchmarks --benchmark-only
 
-The times are wall-clock and not scaled to a reference speed, so compare
-only runs made back to back on one machine.
+The table shows wall-clock times; conftest.py adds each median scaled to
+perfbench's reference speed to the saved JSON. Neither is steady on a
+shared machine, so compare only runs made back to back on one machine.
 """
 
 from __future__ import annotations

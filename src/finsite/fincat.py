@@ -18,6 +18,7 @@ G/H to G/K exists iff K is subconjugate to H.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -238,8 +239,6 @@ def validate_category(doc: Mapping[str, Any],
 class CategoryFlags(Record):
     directed: bool
     ei: bool
-    skeletal: bool
-    ore: bool
 
 
 def _is_invertible(cat: FiniteCategory, f: str) -> bool:
@@ -250,48 +249,18 @@ def _is_invertible(cat: FiniteCategory, f: str) -> bool:
     return False
 
 
-def _is_directed(cat: FiniteCategory) -> bool:
-    return not any(x != y and cat.hom(x, y) and cat.hom(y, x)
-                   for x in cat.objects for y in cat.objects)
-
-
-def _is_ei(cat: FiniteCategory) -> bool:
-    return all(_is_invertible(cat, f)
-               for x in cat.objects for f in cat.hom(x, x))
-
-
-def is_directed_ei(cat: FiniteCategory) -> bool:
-    """classify_category's directed and ei flags, without its other scans."""
-    return _is_directed(cat) and _is_ei(cat)
-
-
 def classify_category(cat: FiniteCategory) -> CategoryFlags:
-    """Compute structural flags by brute force.
+    """The two structural flags the classification needs, by brute force.
 
     directed: hom-nonemptiness is a partial order (antisymmetry; reflexivity
     and transitivity come from identities and composition). ei: every
-    endomorphism is invertible. skeletal: isomorphic objects are equal.
-    ore: every pair of morphisms out of a common object completes to a
-    commuting square.
+    endomorphism is invertible.
     """
-    directed = _is_directed(cat)
-    ei = _is_ei(cat)
-    skeletal = True
-    for x, y in itertools.combinations(cat.objects, 2):
-        if any(_is_invertible(cat, f) for f in cat.hom(x, y)):
-            skeletal = False
-    ore = True
-    for x in cat.objects:
-        outs = cat.morphisms_from(x)
-        for f in outs:
-            for g in outs:
-                y, z = cat.cod[f], cat.cod[g]
-                if not any(cat.compose(fp, f) == cat.compose(gp, g)
-                           for fp in cat.morphisms_from(y)
-                           for gp in cat.morphisms_from(z)
-                           if cat.cod[fp] == cat.cod[gp]):
-                    ore = False
-    return CategoryFlags(directed=directed, ei=ei, skeletal=skeletal, ore=ore)
+    directed = not any(x != y and cat.hom(x, y) and cat.hom(y, x)
+                       for x in cat.objects for y in cat.objects)
+    ei = all(_is_invertible(cat, f)
+             for x in cat.objects for f in cat.hom(x, x))
+    return CategoryFlags(directed, ei)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +383,8 @@ def conjugate_subgroup(table: Sequence[Sequence[int]], h: frozenset[int],
 
 
 class OrbitData(Record):
-    """Side data of an orbit-category build: subgroup content per object."""
+    """Side data of an orbit-category build: the subgroup order per object."""
 
-    group_table: tuple[tuple[int, ...], ...]
-    subgroup_of: Mapping[str, frozenset[int]]
     order_of: Mapping[str, int]
 
 
@@ -520,12 +487,7 @@ def build_orbit_category(group_table: Sequence[Sequence[int]],
     identity = {obj_of[h]: rep_of[(obj_of[h], obj_of[h], coset_min(0, h))]
                 for h in classes}
     cat = make_category(name, objects, morphisms, identity, compose, budget)
-    data = OrbitData(
-        group_table=tuple(tuple(r) for r in table),
-        subgroup_of=dict(sub_of_obj),
-        order_of={o: len(s) for o, s in sub_of_obj.items()},
-    )
-    return cat, data
+    return cat, OrbitData({o: len(s) for o, s in sub_of_obj.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +584,11 @@ def build_quiver_category(vertices: Sequence[str],
 def build_trunc_fi_category(n: int, name: str | None = None,
                             budget: SizeBudget = DEFAULT_BUDGET) -> FiniteCategory:
     """Truncation at n of the category of finite sets with injections:
-    objects "0".."n", morphisms the injections {0..m-1} -> {0..k-1}."""
+    objects "0".."n", morphisms the injections {0..m-1} -> {0..k-1}, of
+    which there are k!/(k-m)!; the budget is checked on that count before
+    any is built."""
+    budget.check(n + 1, sum(math.perm(k, m) for k in range(n + 1)
+                            for m in range(k + 1)))
     objects = [str(m) for m in range(n + 1)]
 
     def mid(m: int, k: int, img: tuple[int, ...]) -> str:
@@ -636,7 +602,6 @@ def build_trunc_fi_category(n: int, name: str | None = None,
                 i = mid(m, k, img)
                 morphisms.append((i, str(m), str(k)))
                 inj[i] = (m, k, img)
-    budget.check(len(objects), len(morphisms))
     identity = {str(m): mid(m, m, tuple(range(m))) for m in range(n + 1)}
     compose = {}
     for f, (m, k, img_f) in inj.items():
@@ -650,10 +615,15 @@ def build_trunc_fi_category(n: int, name: str | None = None,
 def build_trunc_vi_category(q: int, n: int, name: str | None = None,
                             budget: SizeBudget = DEFAULT_BUDGET) -> FiniteCategory:
     """Truncation at n of the category of F_q vector spaces with injective
-    linear maps. q must be prime (the package's fields are prime fields)."""
+    linear maps. q must be prime (the package's fields are prime fields).
+    There are (q^k - 1)(q^k - q)...(q^k - q^(m-1)) injections of F_q^m into
+    F_q^k; the budget is checked on their count before any matrix is
+    ranked."""
     from . import linalg
 
     field = linalg.GF(q)
+    budget.check(n + 1, sum(math.prod(q ** k - q ** i for i in range(m))
+                            for k in range(n + 1) for m in range(k + 1)))
     objects = [str(m) for m in range(n + 1)]
 
     def all_matrices(rows: int, cols: int) -> list[linalg.Mat]:
@@ -675,7 +645,6 @@ def build_trunc_vi_category(q: int, n: int, name: str | None = None,
                     i = mid(m, k, a)
                     morphisms.append((i, str(m), str(k)))
                     mats[i] = (m, k, a)
-    budget.check(len(objects), len(morphisms))
     identity = {str(m): mid(m, m, linalg.identity(field, m)) for m in range(n + 1)}
     compose = {}
     for f, (m, k, af) in mats.items():
@@ -689,10 +658,9 @@ def build_trunc_vi_category(q: int, n: int, name: str | None = None,
 def build_monoid_category(table: Sequence[Sequence[int]],
                           element_names: Sequence[str] | None = None,
                           name: str = "monoid",
-                          obj: str = "*",
                           budget: SizeBudget = DEFAULT_BUDGET) -> FiniteCategory:
     """One-object category from a monoid multiplication table.
-    table[i][j] = i after j; element 0 must be the unit."""
+    table[i][j] = i after j; element 0 must be the unit. The object is "*"."""
     n = len(table)
     if any(len(r) != n for r in table):
         raise NotAGroupTable("table is not square")
@@ -702,10 +670,11 @@ def build_monoid_category(table: Sequence[Sequence[int]],
         ["1"] + [f"m{i}" for i in range(1, n)])
     if len(names) != n or len(set(names)) != n:
         raise ValidationFailed(name, [Violation(DUPLICATE_ID, tuple(names))])
-    morphisms = [(names[i], obj, obj) for i in range(n)]
+    morphisms = [(names[i], "*", "*") for i in range(n)]
     compose = {(names[i], names[j]): names[table[i][j]]
                for i in range(n) for j in range(n)}
-    return make_category(name, [obj], morphisms, {obj: names[0]}, compose, budget)
+    return make_category(name, ["*"], morphisms, {"*": names[0]}, compose,
+                         budget)
 
 
 _GROUP_TABLES = {

@@ -105,12 +105,6 @@ class FieldSpec(Record):
     def fmt(self, a) -> str:
         return str(a)
 
-    def elements(self) -> list:
-        """All field elements; finite fields only."""
-        if self.p is None:
-            raise ValueError("cannot enumerate the rationals")
-        return list(range(self.p))
-
     def label(self) -> str:
         return "Q" if self.p is None else f"F{self.p}"
 
@@ -147,9 +141,6 @@ class Mat(Record):
         _set_rows(self, rows)
         _set_cols(self, cols)
         _set_entries(self, entries)
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)

@@ -73,17 +73,6 @@ class KModule(Record):
     cat: FiniteCategory
     dims: Mapping[str, int]
     action: Mapping[str, Mat]
-    # names of the basis vectors per object; equality ignores them
-    basis_labels: Mapping[str, tuple[str, ...]] | None = None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KModule):
-            return NotImplemented
-        return other is self or (
-            self.field == other.field and self.cat == other.cat
-            and self.dims == other.dims and self.action == other.action)
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         dims = ", ".join(f"{x}:{self.dims[x]}" for x in self.cat.objects)
@@ -136,7 +125,6 @@ def _module_violations(cat: FiniteCategory, field: FieldSpec,
 
 def make_module(cat: FiniteCategory, field: FieldSpec,
                 dims: Mapping[str, int], action: Mapping[str, Mat],
-                basis_labels: Mapping[str, tuple[str, ...]] | None = None,
                 check: bool = True) -> KModule:
     """Build a module, verifying shapes, identities, and functoriality.
 
@@ -151,7 +139,7 @@ def make_module(cat: FiniteCategory, field: FieldSpec,
         if violations:
             raise ValidationFailed("module", violations)
     dims = {x: int(dims.get(x, 0)) for x in cat.objects}
-    return KModule(field, cat, dims, action, basis_labels)
+    return KModule(field, cat, dims, action)
 
 
 def validate_module(cat: FiniteCategory, raw: Mapping[str, Any]) -> KModule:
@@ -234,7 +222,7 @@ def _postcomposition_module(cat: FiniteCategory, field: FieldSpec,
                           lambda f, u=u: cat.compose(u, f))
               for u in cat.morphisms}
     return make_module(cat, field, {y: len(basis[y]) for y in cat.objects},
-                       action, basis_labels=basis, check=False)
+                       action, check=False)
 
 
 def yoneda_module(cat: FiniteCategory, field: FieldSpec, x: str) -> KModule:
@@ -256,18 +244,6 @@ class ModuleMap(Record):
     source: KModule
     target: KModule
     components: Mapping[str, Mat]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModuleMap):
-            return NotImplemented
-        return other is self or (
-            self.source == other.source and self.target == other.target
-            and self.components == other.components)
-
-    __hash__ = None
-
-    def component(self, x: str) -> Mat:
-        return self.components[x]
 
     def apply(self, x: str, v: Vector) -> Vector:
         return linalg.mat_vec(self.source.field, self.components[x], v)
@@ -530,9 +506,7 @@ class SievePresentation(Record):
     """The sieve submodule of a representable and its quotient.
 
     For a sieve S on x inside the representable at x: `sub` is spanned by
-    the basis vectors of the morphisms in S, `quotient` by the rest;
-    `generator` is the image of the identity basis vector in the quotient
-    at x (the empty vector when S is maximal, the quotient then being zero).
+    the basis vectors of the morphisms in S, `quotient` by the rest.
     """
 
     base: str
@@ -540,8 +514,6 @@ class SievePresentation(Record):
     sub: KModule
     inclusion: ModuleMap
     quotient: KModule
-    projection: ModuleMap
-    generator: Vector
 
 
 def sieve_quotient_module(cat: FiniteCategory, field: FieldSpec,
@@ -553,26 +525,17 @@ def sieve_quotient_module(cat: FiniteCategory, field: FieldSpec,
     ambient = yoneda_module(cat, field, x)
     mset = s.member_set
     hom = {y: cat.hom(x, y) for y in cat.objects}
-    sub = _postcomposition_module(
-        cat, field, {y: tuple(f for f in hom[y] if f in mset) for y in hom})
+    inside = {y: tuple(f for f in hom[y] if f in mset) for y in hom}
+    sub = _postcomposition_module(cat, field, inside)
     quotient = _postcomposition_module(
         cat, field, {y: tuple(f for f in hom[y] if f not in mset) for y in hom})
-    # both maps match labels, so they are natural by construction; the
-    # tests check them on every sieve of the fixtures
+    # the inclusion matches labels, so it is natural by construction; the
+    # tests check it on every sieve of the fixtures
     inclusion = make_module_map(
         sub, ambient,
-        {y: _relabel(field, sub.basis_labels[y], hom[y], lambda f: f)
+        {y: _relabel(field, inside[y], hom[y], lambda f: f)
          for y in cat.objects}, check=False)
-    projection = make_module_map(
-        ambient, quotient,
-        {y: _relabel(field, hom[y], quotient.basis_labels[y], lambda f: f)
-         for y in cat.objects}, check=False)
-    idx = cat.identity[x]
-    gen = [field.zero()] * quotient.dims[x]
-    if idx not in mset:
-        gen[quotient.basis_labels[x].index(idx)] = field.one()
-    return SievePresentation(x, ambient, sub, inclusion, quotient, projection,
-                             tuple(gen))
+    return SievePresentation(x, ambient, sub, inclusion, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -587,33 +550,27 @@ def standard_injective(cat: FiniteCategory, field: FieldSpec, x: str) -> KModule
         field, basis[cat.cod[u]], basis[cat.dom[u]],
         lambda h, u=u: cat.compose(h, u))) for u in cat.morphisms}
     return make_module(cat, field, {y: len(basis[y]) for y in cat.objects},
-                       action, basis_labels=basis, check=False)
+                       action, check=False)
 
 
-def canonical_injective_embedding(v: KModule,
-                                  summand_order: Sequence[str] | None = None,
-                                  ) -> tuple[KModule, ModuleMap]:
+def canonical_injective_embedding(v: KModule) -> tuple[KModule, ModuleMap]:
     """Embed v into a finite direct sum of standard injectives.
 
-    One copy of the standard injective at x per dimension of v at x; the
-    embedding component indexed by (x, i, h: y -> x) sends w to (V_h w)_i.
-    The summand order is permutable so derived verdicts can be spot-checked
-    for independence of the embedding.
+    One copy of the standard injective at x per dimension of v at x, the
+    objects in the order of cat.objects; the embedding component indexed by
+    (x, i, h: y -> x) sends w to (V_h w)_i.
     """
     cat = v.cat
     field = v.field
-    order = list(summand_order) if summand_order is not None else list(cat.objects)
-    if sorted(order) != sorted(cat.objects):
-        raise PreconditionFailed("summand order must permute the objects")
     summands = []
-    for x in order:
+    for x in cat.objects:
         summands.extend(standard_injective(cat, field, x)
                         for _ in range(v.dims[x]))
     i0 = direct_sum(cat, field, summands)
     comps = {}
     for y in cat.objects:
         rows = []
-        for x in order:
+        for x in cat.objects:
             for i in range(v.dims[x]):
                 for h in cat.hom(y, x):
                     rows.append(v.action[h].entries[i])
@@ -760,12 +717,8 @@ def restriction(cat: FiniteCategory, sub: FiniteCategory, v: KModule) -> KModule
 
 def _restrict(sub: FiniteCategory, v: KModule) -> KModule:
     """restriction, for a sub already known to be full in v's category."""
-    labels = None
-    if v.basis_labels is not None:
-        labels = {x: v.basis_labels[x] for x in sub.objects}
     return make_module(sub, v.field, {x: v.dims[x] for x in sub.objects},
-                       {f: v.action[f] for f in sub.morphisms},
-                       basis_labels=labels, check=False)
+                       {f: v.action[f] for f in sub.morphisms}, check=False)
 
 
 def _into(cat: FiniteCategory, sub: FiniteCategory) -> dict[str, tuple]:

@@ -20,7 +20,7 @@ coinduction too; sheafify checks the rule once for both steps.
 from __future__ import annotations
 
 import random
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from . import linalg, modrep, torsion
 from .errors import (
@@ -133,15 +133,13 @@ def sheaf_status(cat: FiniteCategory, j: GrothendieckTopology,
 
 
 def saturation_status(cat: FiniteCategory, j: GrothendieckTopology,
-                      v: KModule,
-                      summand_order: Sequence[str] | None = None,
-                      ) -> SaturationStatus:
+                      v: KModule) -> SaturationStatus:
     """Derived test: no torsion, and vanishing first right-derived torsion.
 
     The derived part embeds v into injectives, takes the quotient, and
     measures how much of the quotient's torsion fails to lift; the verdict
-    does not depend on the embedding, which summand_order lets tests
-    confirm by permuting the injective summands.
+    does not depend on the embedding, which the tests confirm by building
+    the category with its objects, hence the summands, in another order.
     """
     field = v.field
     tsub, t_incl = torsion.torsion_submodule(cat, j, v)
@@ -153,7 +151,7 @@ def saturation_status(cat: FiniteCategory, j: GrothendieckTopology,
                 witnesses["torsion"] = ((x, tuple(field.fmt(a) for a in
                                                   t_incl.components[x].col(0))),)
                 break
-    i0, iota = modrep.canonical_injective_embedding(v, summand_order)
+    i0, iota = modrep.canonical_injective_embedding(v)
     c, proj = modrep.cokernel_of_map(iota)
     ti, ti_incl = torsion.torsion_submodule(cat, j, i0)
     tc, tc_incl = torsion.torsion_submodule(cat, j, c)
@@ -247,10 +245,9 @@ class SheafVerdict(Record):
 
 
 def sheaf_verdict(cat: FiniteCategory, j: GrothendieckTopology,
-                  v: KModule,
-                  summand_order: Sequence[str] | None = None) -> SheafVerdict:
+                  v: KModule) -> SheafVerdict:
     status = sheaf_status(cat, j, v)
-    sat = saturation_status(cat, j, v, summand_order)
+    sat = saturation_status(cat, j, v)
     perp = perpendicular_status(cat, j, v)
     witnesses: dict[str, Any] = {}
     if status.witnesses:

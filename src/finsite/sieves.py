@@ -97,6 +97,8 @@ def generated_sieve(cat: FiniteCategory, x: str,
                     generators: Iterable[str]) -> Sieve:
     """Smallest sieve on x containing the generators: {g.f : f in gens,
     g out of cod f}, closed already since h.(g.f) = (h.g).f."""
+    if x not in cat.identity:
+        raise UnknownObject(x)
     gens = list(generators)
     for f in gens:
         if f not in cat.dom:
@@ -110,6 +112,8 @@ def generated_sieve(cat: FiniteCategory, x: str,
 def minimal_generators(cat: FiniteCategory, s: Sieve) -> tuple[str, ...]:
     """A deterministic generating set: scan members in canonical order,
     keeping each one not already generated by the kept ones."""
+    if s.base not in cat.identity:
+        raise UnknownObject(s.base)
     kept: list[str] = []
     covered: set[str] = set()
     for f in s.members:
@@ -195,14 +199,15 @@ class _Index:
                 out |= 1 << i
         return out
 
-    def masks(self, x: str, max_sieves: int = DEFAULT_MAX_SIEVES) -> list[int]:
+    def masks(self, x: str) -> list[int]:
         """The mask of every sieve on x, in the canonical order of
         sieve_sort_key (size, then members).
 
         Each f out of x in turn adds principal(f) | s for every s found so
         far, starting from the empty sieve. A sieve is the union of the
         principal sieves of its members, so it is found at its last member.
-        The budget counts every sieve.
+        The budget, DEFAULT_MAX_SIEVES read at each call, counts every
+        sieve.
         """
         found = {0: None}  # insertion-ordered, so the scan is deterministic
         for f in self.cat.out_of[x]:
@@ -210,22 +215,21 @@ class _Index:
             for s in list(found):
                 u = s | p
                 if u not in found:
-                    if len(found) >= max_sieves:
+                    if len(found) >= DEFAULT_MAX_SIEVES:
                         raise SizeBudgetExceeded(
-                            f"more than {max_sieves} sieves on {x}")
+                            f"more than {DEFAULT_MAX_SIEVES} sieves on {x}")
                     found[u] = None
         # bits are in name order: comparing set bits upward compares members
         return sorted(found, key=lambda m: (m.bit_count(), [
             i for i in range(m.bit_length()) if m >> i & 1]))
 
 
-def all_sieves(cat: FiniteCategory, x: str,
-               max_sieves: int = DEFAULT_MAX_SIEVES) -> list[Sieve]:
+def all_sieves(cat: FiniteCategory, x: str) -> list[Sieve]:
     """Every sieve on x, canonically ordered (size, then member tuple)."""
     if x not in cat.identity:
         raise UnknownObject(x)
     index = _Index(cat, (x,))
-    return [index.sieve(x, m) for m in index.masks(x, max_sieves)]
+    return [index.sieve(x, m) for m in index.masks(x)]
 
 
 def pullback_sieve(cat: FiniteCategory, s: Sieve, f: str) -> Sieve:

@@ -52,7 +52,6 @@ from .fincat import (
     OrbitData,
     classify_category,
     full_subcategory,
-    is_directed_ei,
 )
 from .sieves import (
     Sieve,
@@ -74,14 +73,6 @@ class GrothendieckTopology(Record):
 
     cat: FiniteCategory
     covers: Mapping[str, frozenset[Sieve]]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GrothendieckTopology):
-            return NotImplemented
-        return other is self or (self.cat == other.cat
-                                 and self.covers == other.covers)
-
-    __hash__ = None
 
     def covers_at(self, x: str) -> list[Sieve]:
         if x not in self.covers:
@@ -285,8 +276,13 @@ def named_topology(cat: FiniteCategory, kind: str) -> GrothendieckTopology:
                 if all(m & index.principal[f] for f in cat.out_of[x])]
             for x in cat.objects})
     if kind == "atomic":
-        flags = classify_category(cat)
-        if not flags.ore:
+        # the Ore condition: every two morphisms out of one object complete
+        # to a commuting square
+        outs, cod = cat.out_of, cat.cod
+        if not all(any(cat.compose(fp, f) == cat.compose(gp, g)
+                       for fp in outs[cod[f]] for gp in outs[cod[g]]
+                       if cod[fp] == cod[gp])
+                   for x in cat.objects for f in outs[x] for g in outs[x]):
             raise OreConditionFails(
                 "atomic topology needs every cospan to complete to a square")
         return make_rule(cat, {x: [s for s in all_sieves(cat, x) if s.members]
@@ -297,9 +293,7 @@ def named_topology(cat: FiniteCategory, kind: str) -> GrothendieckTopology:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def enumerate_topologies(cat: FiniteCategory,
-                         budget: int = DEFAULT_ENUM_BUDGET
-                         ) -> list[GrothendieckTopology]:
+def enumerate_topologies(cat: FiniteCategory) -> list[GrothendieckTopology]:
     """All Grothendieck topologies, sorted by total cover count then by
     canonical serialization.
 
@@ -316,11 +310,11 @@ def enumerate_topologies(cat: FiniteCategory,
     domains, and tests each condition as soon as every object it mentions
     is assigned. Both tests are lookups in tables built once from the sieve
     masks: the index of f*(S) for every sieve S and every f, and sieve
-    inclusion per object. ``budget`` bounds the candidate tests, the
-    (object, sieve) pairs tried. Every complete assignment is re-verified
-    by the full axiom scan of check_axioms, on the same sieve tables, so
-    correctness never rests on the pruning; a rejected one is a library
-    bug and raises FinsiteError.
+    inclusion per object. DEFAULT_ENUM_BUDGET, read at each call, bounds
+    the candidate tests, the (object, sieve) pairs tried. Every complete
+    assignment is re-verified by the full axiom scan of check_axioms, on
+    the same sieve tables, so correctness never rests on the pruning; a
+    rejected one is a library bug and raises FinsiteError.
     """
     tables = _Tables(cat)
     universe, sieves = tables.universe, tables.sieves
@@ -380,9 +374,9 @@ def enumerate_topologies(cat: FiniteCategory,
         x = order[i]
         for a in range(len(universe[x])):
             tests += 1
-            if tests > budget:
+            if tests > DEFAULT_ENUM_BUDGET:
                 raise SizeBudgetExceeded(
-                    f"more than {budget} candidate tests")
+                    f"more than {DEFAULT_ENUM_BUDGET} candidate tests")
             m[x] = a
             if (all(stable(f) for f in edges_at[i])
                     and all(transitive(z) for z in order[:i + 1]
@@ -401,6 +395,9 @@ def subcategory_sieve(cat: FiniteCategory, objs: Iterable[str],
     morphism from x into D. It is maximal when x is in D, and J_D is a
     topology on any category."""
     d = set(objs)
+    unknown = d - cat.identity.keys()
+    if unknown:
+        raise UnknownObject(min(unknown))
     return generated_sieve(cat, x, [f for f in cat.morphisms_from(x)
                                     if cat.cod[f] in d])
 
@@ -411,7 +408,8 @@ def enumerate_consistent_families(cat: FiniteCategory
     (isomorphism classes are single objects there), sorted like
     enumerate_topologies. Raises NotDirectedEI on any other category.
     """
-    if not is_directed_ei(cat):
+    flags = classify_category(cat)
+    if not (flags.directed and flags.ei):
         raise NotDirectedEI(f"{cat.name} is not directed EI")
     index = _Index(cat)
     universe = {x: [(m, index.sieve(x, m)) for m in index.masks(x)]
@@ -440,8 +438,6 @@ def irreducible_objects(cat: FiniteCategory, j: GrothendieckTopology) -> list[st
 class RigidityReport(Record):
     rigid: bool
     irreducibles: tuple[str, ...]
-    # members generated by morphisms into irreducible objects, per object
-    irreducible_sieves: Mapping[str, Sieve]
     minimal_covers: Mapping[str, Sieve] | None
     failures: tuple = ()
 
@@ -473,7 +469,6 @@ def rigidity(cat: FiniteCategory, j: GrothendieckTopology) -> RigidityReport:
     if rigid:
         minimal = {x: minimal_covering_sieve(cat, j, x) for x in cat.objects}
     return RigidityReport(rigid=rigid, irreducibles=tuple(irr),
-                          irreducible_sieves=gen_sieves,
                           minimal_covers=minimal, failures=tuple(failures))
 
 

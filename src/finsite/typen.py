@@ -17,7 +17,7 @@ rebuilding the same data concretely on a finite truncation and comparing.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .errors import (
     MALFORMED_INPUT,
@@ -75,10 +75,6 @@ class SymbolicSieve(Record):
     @property
     def is_empty(self) -> bool:
         return self.rank is None
-
-    @property
-    def is_maximal(self) -> bool:
-        return self.rank == 0
 
     def __repr__(self) -> str:
         if self.is_empty:
@@ -311,10 +307,6 @@ class SpecCensus(Record):
     horizon: int
     generic: tuple[DSpec, ...]
     nongeneric: tuple[DSpec, ...]
-
-    @property
-    def counts(self) -> tuple[int, int]:
-        return (len(self.generic), len(self.nongeneric))
 
     def to_doc(self) -> dict:
         return {

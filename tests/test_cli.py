@@ -67,6 +67,14 @@ def test_linear_system_budget_is_exit_3(monkeypatch):
     assert text.startswith("SizeBudgetExceeded: naturality system of"), text
 
 
+def test_huge_truncation_is_refused_at_once():
+    # 33,901,456 morphisms: refused on the closed-form count, before any
+    # matrix is enumerated
+    code, text = run(["topology", "enumerate", "--category", "trunc_vi:7:3"])
+    assert code == 3, text
+    assert text.startswith("SizeBudgetExceeded: 33901456 morphisms"), text
+
+
 def test_usage_error_is_exit_2():
     code, _ = run(["topology"])
     assert code == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 from dataclasses import MISSING, dataclass, fields
 
@@ -10,18 +11,20 @@ from hypothesis import strategies as st
 
 from conftest import ei_fixture_categories
 
-from finsite import fincat
+from finsite import fincat, linalg, topology
 from finsite.errors import (
     CyclicQuiver,
     NotAGroupTable,
     NotAPoset,
+    NotDirectedEI,
+    OreConditionFails,
     Record,
     SizeBudgetExceeded,
     ValidationFailed,
     Violation,
 )
 from finsite.linalg import FieldSpec
-from finsite.sieves import Sieve
+from finsite.sieves import Sieve, all_sieves
 
 
 def test_quiver2_shape(cat_quiver2):
@@ -124,6 +127,39 @@ def test_trunc_fi_budget():
         fincat.build_trunc_fi_category(8)
 
 
+def build_trunc(kind, args, budget=fincat.DEFAULT_BUDGET):
+    return getattr(fincat, f"build_trunc_{kind}_category")(*args,
+                                                          budget=budget)
+
+
+@pytest.mark.parametrize(("kind", "args", "count"), [
+    ("fi", (7,), 16_072), ("fi", (8,), 125_673), ("vi", (3, 3), 11_944),
+    ("vi", (2, 4), 23_137), ("vi", (5, 3), 1_503_516)])
+def test_refused_truncation_builds_nothing(monkeypatch, kind, args, count):
+    """The budget is checked on the closed-form morphism count, before any
+    injection is drawn or any matrix ranked."""
+    drawn, ranked = [], []
+    monkeypatch.setattr(itertools, "permutations",
+                        lambda *a: drawn.append(a) or iter(()))
+    monkeypatch.setattr(linalg, "rank", lambda *a: ranked.append(a))
+    with pytest.raises(SizeBudgetExceeded,
+                       match=f"^{count} morphisms exceeds budget 4096$"):
+        build_trunc(kind, args)
+    assert drawn == [] and ranked == []
+
+
+@pytest.mark.parametrize(("kind", "args"), [
+    *[("fi", (n,)) for n in range(5)],
+    *[("vi", (q, n)) for q in (2, 3) for n in range(3)]])
+def test_truncation_count_is_the_built_count(kind, args):
+    """The closed form counts the morphisms the build makes: a budget of
+    exactly that many is accepted, one fewer refused."""
+    n = len(build_trunc(kind, args).morphisms)
+    build_trunc(kind, args, fincat.SizeBudget(max_morphisms=n))
+    with pytest.raises(SizeBudgetExceeded, match=f"^{n} morphisms"):
+        build_trunc(kind, args, fincat.SizeBudget(max_morphisms=n - 1))
+
+
 def test_full_subcategory(cat_trunc_fi2):
     cat = cat_trunc_fi2
     sub = fincat.full_subcategory(cat, ["0", "2"])
@@ -136,20 +172,27 @@ def test_full_subcategory(cat_trunc_fi2):
 
 def test_classify_quiver(cat_quiver2):
     flags = fincat.classify_category(cat_quiver2)
-    assert flags.directed and flags.ei and flags.skeletal
-    assert not flags.ore
+    assert flags == fincat.CategoryFlags(directed=True, ei=True)
+    # f and g out of x complete to no square: the atomic rule's Ore scan
+    with pytest.raises(OreConditionFails):
+        topology.named_topology(cat_quiver2, "atomic")
 
 
 def test_classify_group_and_monoid(cat_idem_monoid):
-    # one object: skeletal and antisymmetric hold vacuously, so a group
-    # is directed EI; a group is its own Ore completion
+    # one object: antisymmetry holds vacuously, so a group is directed
+    # EI; a group is its own Ore completion, and so is the idempotent
+    # monoid, where e completes every cospan
     c2 = fincat.build_monoid_category(fincat.cyclic_group_table(2),
                                       element_names=["1", "s"], name="C2")
+    assert c2.objects == ("*",)
     flags = fincat.classify_category(c2)
-    assert flags.directed and flags.ei and flags.skeletal and flags.ore
+    assert flags.directed and flags.ei
     flags2 = fincat.classify_category(cat_idem_monoid)
     assert not flags2.ei
-    assert flags2.ore
+    for cat in (c2, cat_idem_monoid):
+        atomic = topology.named_topology(cat, "atomic")
+        assert atomic.covers_at("*") == [
+            s for s in all_sieves(cat, "*") if s.members]
 
 
 def _iso_pair() -> fincat.FiniteCategory:
@@ -165,6 +208,8 @@ def _iso_pair() -> fincat.FiniteCategory:
 
 
 def test_directed_ei_check_matches_classification(cat_idem_monoid):
+    """enumerate_consistent_families accepts exactly the categories that
+    classify_category calls directed and EI."""
     cats = [*ei_fixture_categories(), cat_idem_monoid, _iso_pair(),
             fincat.build_monoid_category(fincat.cyclic_group_table(2),
                                          name="C2"),
@@ -173,8 +218,12 @@ def test_directed_ei_check_matches_classification(cat_idem_monoid):
     verdicts = set()
     for cat in cats:
         flags = fincat.classify_category(cat)
-        assert fincat.is_directed_ei(cat) == (flags.directed and flags.ei), \
-            cat.name
+        if flags.directed and flags.ei:
+            rules = topology.enumerate_consistent_families(cat)
+            assert len(rules) == 2 ** len(cat.objects), cat.name
+        else:
+            with pytest.raises(NotDirectedEI):
+                topology.enumerate_consistent_families(cat)
         verdicts.add((flags.directed, flags.ei))
     # the list reaches every branch: a non-EI and a non-directed category
     assert verdicts == {(True, True), (True, False), (False, True)}
@@ -198,7 +247,7 @@ def test_orbit_s3_objects():
     assert len(cat.objects) == 4
     assert sorted(data.order_of.values()) == [1, 2, 3, 6]
     flags = fincat.classify_category(cat)
-    assert flags.directed and flags.ei and flags.skeletal
+    assert flags.directed and flags.ei
 
 
 def test_orbit_s3_hom_structure():
@@ -257,8 +306,6 @@ class SizeBudgetTwin:
 class CategoryFlagsTwin:
     directed: bool
     ei: bool
-    skeletal: bool
-    ore: bool
 
 
 @dataclass(frozen=True)
@@ -314,7 +361,7 @@ RECORD_TWINS = {
     "SizeBudget": (fincat.SizeBudget, SizeBudgetTwin,
                    st.tuples(st.integers(0, 9), st.integers(0, 9))),
     "CategoryFlags": (fincat.CategoryFlags, CategoryFlagsTwin,
-                      st.tuples(*[st.booleans()] * 4)),
+                      st.tuples(*[st.booleans()] * 2)),
     "FieldSpec": (FieldSpec, FieldSpecTwin,
                   st.tuples(st.sampled_from([None, 2, 3, 5]))),
     "Sieve": (Sieve, SieveTwin, st.tuples(

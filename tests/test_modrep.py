@@ -57,10 +57,11 @@ def test_yoneda_dims(cat_quiver2, cat_chain3):
 
 def test_yoneda_action_is_postcomposition(cat_quiver2):
     px = modrep.yoneda_module(cat_quiver2, F2, "x")
-    # basis of P(x)_y is hom(x, y) in sorted order: (f, g)
-    assert px.basis_labels["y"] == ("f", "g")
-    f_col = px.action["f"].col(0)
-    assert f_col == (F2.one(), F2.zero())
+    # basis of P(x)_y is hom(x, y) in sorted order: (f, g), and f, g send
+    # the basis vector 1_x to the basis vectors f and g
+    assert cat_quiver2.hom("x", "y") == ("f", "g")
+    assert px.action["f"].col(0) == (F2.one(), F2.zero())
+    assert px.action["g"].col(0) == (F2.zero(), F2.one())
 
 
 def test_validate_module_rejects_bad_identity(cat_chain2):
@@ -120,6 +121,26 @@ def test_module_doc_roundtrip(cat_quiver2):
     assert modrep.validate_module(cat_quiver2, doc) == v
     w = modrep.yoneda_module(cat_quiver2, QQ, "x")
     assert modrep.validate_module(cat_quiver2, modrep.module_to_doc(w)) == w
+
+
+def test_modules_maps_and_rules_compare_by_value_and_do_not_hash(
+        cat_quiver2):
+    """Modules, module maps and cover rules take errors.Record's equality
+    and hash: equal fields compare equal, another type compares unequal,
+    and the mapping fields make hash raise TypeError."""
+    def build():
+        v = dense_sheaf_module(cat_quiver2, F2)
+        ident = modrep.make_module_map(
+            v, v, {x: linalg.identity(F2, v.dims[x]) for x in v.dims})
+        return v, ident, topology.named_topology(cat_quiver2, "dense")
+
+    for a, b in zip(build(), build()):
+        assert a == b and not a != b and a is not b
+        assert a != cat_quiver2 and a != a.__class__.__name__
+        with pytest.raises(TypeError):
+            hash(a)
+    v, _, _ = build()
+    assert v != dense_sheaf_module(cat_quiver2, F3)
 
 
 def test_field_doc_roundtrip():
@@ -212,24 +233,22 @@ def test_quotient_and_exactness(cat_quiver2):
     pres = modrep.sieve_quotient_module(cat_quiver2, F2, s)
     assert pres.sub.dims == {"x": 0, "y": 2}
     assert pres.quotient.dims == {"x": 1, "y": 0}
-    ker, _ = modrep.kernel_of_map(pres.projection)
-    assert ker.dims == pres.sub.dims
     img, _ = modrep.image_of_map(pres.inclusion)
     assert img.dims == pres.sub.dims
-    coker, _ = modrep.cokernel_of_map(pres.inclusion)
+    coker, proj = modrep.cokernel_of_map(pres.inclusion)
     assert coker.dims == pres.quotient.dims
+    ker, _ = modrep.kernel_of_map(proj)
+    assert ker.dims == pres.sub.dims
 
 
 def test_sieve_quotient_extremes(cat_quiver2):
     top = sieves.maximal_sieve(cat_quiver2, "x")
     pres = modrep.sieve_quotient_module(cat_quiver2, F2, top)
     assert pres.quotient.is_zero()
-    assert pres.generator == ()
     bot = sieves.make_sieve(cat_quiver2, "x", ())
     pres2 = modrep.sieve_quotient_module(cat_quiver2, F2, bot)
     assert pres2.sub.is_zero()
-    assert pres2.quotient.dims == pres2.ambient.dims
-    assert any(a != F2.zero() for a in pres2.generator)
+    assert pres2.quotient == pres2.ambient
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +309,16 @@ def test_canonical_embedding_is_embedding(cat_quiver2):
 
 
 def test_embedding_order_permutable(cat_quiver2):
+    # the embedding lists its summands in the order of cat.objects, so the
+    # same category with its objects listed the other way round permutes
+    # them; b is read back on cat_quiver2, whose morphisms it shares
+    swapped = fincat.build_quiver_category(
+        ["y", "x"], [("f", "x", "y"), ("g", "x", "y")], name="quiver2")
     v = dense_sheaf_module(cat_quiver2, F2)
-    a, _ = modrep.canonical_injective_embedding(v, summand_order=("x", "y"))
-    b, _ = modrep.canonical_injective_embedding(v, summand_order=("y", "x"))
+    a, _ = modrep.canonical_injective_embedding(v)
+    b, _ = modrep.canonical_injective_embedding(
+        dense_sheaf_module(swapped, F2))
+    b = modrep.make_module(cat_quiver2, F2, b.dims, b.action)
     assert a.dims == b.dims
     # a lists its summands as v_x copies of E(x), then v_y copies of E(y);
     # b lists the E(y) block first, so swapping the blocks carries a to b
@@ -495,7 +521,7 @@ def old_yoneda_module(cat, field, x):
             cols.append(tuple(col))
         action[u] = linalg.from_cols(cols, rows=len(dst))
     return modrep.make_module(cat, field, {y: len(basis[y]) for y in basis},
-                              action, basis_labels=basis, check=False)
+                              action, check=False)
 
 
 def old_standard_injective(cat, field, x):
@@ -511,7 +537,7 @@ def old_standard_injective(cat, field, x):
             rows.append(tuple(row))
         action[u] = Mat(len(dst), len(src), tuple(rows))
     return modrep.make_module(cat, field, {y: len(basis[y]) for y in basis},
-                              action, basis_labels=basis, check=False)
+                              action, check=False)
 
 
 def old_sieve_quotient_module(cat, field, s):
@@ -536,9 +562,9 @@ def old_sieve_quotient_module(cat, field, s):
             action[u] = linalg.from_cols(cols, rows=len(dst))
         return modrep.make_module(cat, field,
                                   {y: len(basis[y]) for y in basis}, action,
-                                  basis_labels=basis, check=False)
+                                  check=False), basis
 
-    sub, quotient = part_module(True), part_module(False)
+    (sub, labels), (quotient, _) = part_module(True), part_module(False)
 
     def unit_columns(labels, y):
         index = {h: i for i, h in enumerate(cat.hom(x, y))}
@@ -550,18 +576,10 @@ def old_sieve_quotient_module(cat, field, s):
         return linalg.from_cols(cols, rows=len(index))
 
     inclusion = modrep.make_module_map(
-        sub, ambient, {y: unit_columns(sub.basis_labels, y)
-                       for y in cat.objects})
-    projection = modrep.make_module_map(
-        ambient, quotient,
-        {y: linalg.transpose(unit_columns(quotient.basis_labels, y))
-         for y in cat.objects})
-    gen = [field.zero()] * quotient.dims[x]
-    if cat.identity[x] not in mset:
-        gen[quotient.basis_labels[x].index(cat.identity[x])] = field.one()
+        sub, ambient, {y: unit_columns(labels, y) for y in cat.objects})
     return modrep.SievePresentation(
         base=x, ambient=ambient, sub=sub, inclusion=inclusion,
-        quotient=quotient, projection=projection, generator=tuple(gen))
+        quotient=quotient)
 
 
 def old_inverse(field, a):
@@ -596,9 +614,7 @@ def old_quotient_module(v, sub_inclusion):
 
 
 def module_bytes(v):
-    labels = (None if v.basis_labels is None
-              else {x: v.basis_labels[x] for x in v.cat.objects})
-    return modrep.module_to_doc(v), labels
+    return modrep.module_to_doc(v)
 
 
 def map_bytes(m):
@@ -627,12 +643,10 @@ def test_relabelled_modules_match_hand_built(cat, field):
                 assert (module_bytes(getattr(new, part))
                         == module_bytes(getattr(old, part))), part
             assert map_bytes(new.inclusion) == map_bytes(old.inclusion)
-            assert map_bytes(new.projection) == map_bytes(old.projection)
-            assert new.generator == old.generator
 
 
 def test_sieve_presentation_maps_are_natural():
-    # sieve_quotient_module builds its inclusion and projection unchecked
+    # sieve_quotient_module builds its inclusion unchecked
     orbit_s3, _ = fincat.build_orbit_category(
         fincat.symmetric_group_table(3), name="orbit_S3")
     for cat in ei_fixture_categories() + [idem_monoid(), orbit_s3]:
@@ -642,9 +656,6 @@ def test_sieve_presentation_maps_are_natural():
                     pres = modrep.sieve_quotient_module(cat, field, s)
                     modrep.make_module_map(pres.sub, pres.ambient,
                                            pres.inclusion.components,
-                                           check=True)
-                    modrep.make_module_map(pres.ambient, pres.quotient,
-                                           pres.projection.components,
                                            check=True)
 
 

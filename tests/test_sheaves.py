@@ -325,14 +325,17 @@ def test_matching_colimit_matches_plus(cat_quiver2, cat_chain3):
 
 
 def test_saturation_order_independent(cat_quiver2):
-    dense = topology.named_topology(cat_quiver2, "dense")
-    px = modrep.yoneda_module(cat_quiver2, F2, "x")
-    a = sheaves.saturation_status(cat_quiver2, dense, px,
-                                  summand_order=("x", "y"))
-    b = sheaves.saturation_status(cat_quiver2, dense, px,
-                                  summand_order=("y", "x"))
+    # the injective embedding lists its summands in the order of
+    # cat.objects: the same category with its objects listed the other way
+    # round embeds px with the summands permuted
+    swapped = fincat.build_quiver_category(
+        ["y", "x"], [("f", "x", "y"), ("g", "x", "y")], name="quiver2")
+    a, b = [sheaves.saturation_status(
+        cat, topology.named_topology(cat, "dense"),
+        modrep.yoneda_module(cat, F2, "x")) for cat in (cat_quiver2, swapped)]
     assert a.saturated == b.saturated == False
     assert a.torsion_free and b.torsion_free
+    assert a == b
 
 
 def test_injective_torsion_free_is_sheaf(cat_quiver2):

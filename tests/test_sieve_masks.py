@@ -168,13 +168,15 @@ def rules(draw):
 # ---------------------------------------------------------------------------
 # differential tests
 
-def test_all_sieves_match_the_tuple_scan():
+def test_all_sieves_match_the_tuple_scan(monkeypatch):
     for cat in MASK_CATS + [chain(6), fincat.build_trunc_fi_category(4)]:
         for x in cat.objects:
             old = old_all_sieves(cat, x)
             assert sieves.all_sieves(cat, x) == old, (cat.name, x)
-            with pytest.raises(SizeBudgetExceeded):
-                sieves.all_sieves(cat, x, max_sieves=len(old) - 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(sieves, "DEFAULT_MAX_SIEVES", len(old) - 1)
+                with pytest.raises(SizeBudgetExceeded):
+                    sieves.all_sieves(cat, x)
 
 
 def test_pullbacks_match_the_tuple_pullback():

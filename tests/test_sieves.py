@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 import finsite
 from finsite import fincat, sieves
-from finsite.errors import InvalidSieve, SizeBudgetExceeded, WrongDomain
+from finsite.errors import (
+    InvalidSieve,
+    SizeBudgetExceeded,
+    UnknownObject,
+    WrongDomain,
+)
 
 from conftest import chain, diamond, ei_fixture_categories, idem_monoid
 
@@ -111,14 +116,16 @@ def test_all_sieves_matches_pairwise_unions():
                     == pairwise_union_sieves(cat, x)), (cat.name, x)
 
 
-def test_all_sieves_budget_counts_every_sieve():
+def test_all_sieves_budget_counts_every_sieve(monkeypatch):
     cases = [(chain(4), "0"), (group("S3", fincat.symmetric_group_table(3)), "*")]
     cases += [(diamond(), x) for x in diamond().objects]
     for cat, x in cases:
         k = len(pairwise_union_sieves(cat, x))
-        assert len(sieves.all_sieves(cat, x, max_sieves=k)) == k
+        monkeypatch.setattr(sieves, "DEFAULT_MAX_SIEVES", k)
+        assert len(sieves.all_sieves(cat, x)) == k
+        monkeypatch.setattr(sieves, "DEFAULT_MAX_SIEVES", k - 1)
         with pytest.raises(SizeBudgetExceeded):
-            sieves.all_sieves(cat, x, max_sieves=k - 1)
+            sieves.all_sieves(cat, x)
 
 
 def test_quiver_sieve_counts(cat_quiver2):
@@ -155,6 +162,16 @@ def test_make_sieve_rejects_unclosed(cat_chain3):
         sieves.make_sieve(cat_chain3, "0", ["0->1"])
     with pytest.raises(WrongDomain):
         sieves.make_sieve(cat_chain3, "0", ["1->2"])
+
+
+def test_generated_sieve_rejects_unknown_object(cat_quiver2):
+    with pytest.raises(UnknownObject):
+        sieves.generated_sieve(cat_quiver2, "zz", [])
+
+
+def test_minimal_generators_rejects_unknown_object(cat_quiver2):
+    with pytest.raises(UnknownObject):
+        sieves.minimal_generators(cat_quiver2, sieves.Sieve("zz", ()))
 
 
 def test_minimal_generators_group_sieve():

@@ -13,6 +13,7 @@ from finsite.errors import (
     NotDirectedEI,
     OreConditionFails,
     SizeBudgetExceeded,
+    UnknownObject,
 )
 
 from conftest import chain, diamond, ei_fixture_categories, idem_monoid, quiver2
@@ -200,9 +201,10 @@ def test_chain_carries_two_to_the_n_topologies(n):
     assert len(topology.enumerate_topologies(chain(n))) == 2 ** n
 
 
-def test_small_enumeration_budget_is_refused():
+def test_small_enumeration_budget_is_refused(monkeypatch):
+    monkeypatch.setattr(topology, "DEFAULT_ENUM_BUDGET", 5)
     with pytest.raises(SizeBudgetExceeded):
-        topology.enumerate_topologies(chain(4), budget=5)
+        topology.enumerate_topologies(chain(4))
 
 
 def test_rejected_leaf_is_an_error_not_a_drop(cat_quiver2, monkeypatch):
@@ -274,6 +276,13 @@ def test_subcategory_sieve_examples(cat_quiver2, cat_chain3):
     assert topology.subcategory_sieve(cat_quiver2, [], "y").members == ()
     assert topology.subcategory_sieve(cat_chain3, {"1"}, "0").members == (
         "0->1", "0->2")
+
+
+def test_subcategory_sieve_rejects_unknown_object(cat_quiver2):
+    with pytest.raises(UnknownObject):
+        topology.subcategory_sieve(cat_quiver2, ["y", "zz"], "x")
+    with pytest.raises(UnknownObject):
+        topology.subcategory_sieve(cat_quiver2, ["y"], "zz")
 
 
 def iso_class_count(cat):
@@ -404,7 +413,9 @@ def test_rigidity_minimal_covers_dense(cat_quiver2):
     rep = topology.rigidity(cat_quiver2, d)
     assert rep.minimal_covers["x"].members == ("f", "g")
     assert rep.minimal_covers["y"].members == ("1_y",)
-    assert rep.irreducible_sieves["x"].members == ("f", "g")
+    # the sieve generated by the morphisms into irreducible objects
+    assert topology.subcategory_sieve(
+        cat_quiver2, rep.irreducibles, "x").members == ("f", "g")
 
 
 def test_restrict_to_ideal(cat_quiver2, cat_chain2):
