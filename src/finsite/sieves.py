@@ -7,17 +7,22 @@ The empty set is a sieve; the maximal sieve on x is every morphism out of x.
 Inside the library a sieve on x is an int mask: bit i stands for the i-th
 morphism of cat.morphisms_from(x), which lists them in name order, so the
 set bits of a mask, read upward, are the sorted members of its Sieve. The
-mask index (_Index) holds, for each morphism f: x -> y, its bit at x, its
-principal mask (the sieve f generates), and pre[f]: for each g out of y,
-in that order, the bit of g.f at x. So f*(S) has bit i exactly when
+mask index (_Index) holds, for each morphism f: x -> y, its bit at x
+(bit[x][f], the int 1 << i), its principal mask (the sieve f generates),
+and pre[f]: for each g out of y, in that order, the bit of g.f at x. So
+f*(S) has bit i exactly when
 pre[f][i] meets S; union is |, intersection &, and S lies inside T when
-S & ~T is 0. An index is built per top-level call and never stored. The
-tuple Sieve appears only at the boundaries: arguments and results,
-covers, witnesses and documents.
+S & ~T is 0. Each category has one index, built when the category is
+first used for sieves and kept on its instance (_mask_index); only the
+index's constructor reads composition. The tuple Sieve appears only at the
+boundaries: arguments and results, covers, witnesses and documents. It
+becomes a mask through _Index.mask alone.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from .errors import (
@@ -67,128 +72,62 @@ def sieve_sort_key(s: Sieve):
     return (len(s.members), s.members)
 
 
-def make_sieve(cat: FiniteCategory, base: str, members: Iterable[str]) -> Sieve:
-    if base not in cat.identity:
-        raise UnknownObject(base)
-    mem = tuple(sorted(set(members)))
-    for f in mem:
-        if f not in cat.dom:
-            raise InvalidSieve(f"unknown morphism {f!r}")
-        if cat.dom[f] != base:
-            raise WrongDomain(f"{f} has domain {cat.dom[f]}, not {base}")
-    mset = set(mem)
-    for f in mem:
-        for g in cat.morphisms_from(cat.cod[f]):
-            if cat.compose(g, f) not in mset:
-                raise InvalidSieve(
-                    f"not postcomposition closed: {g}.{f} missing on {base}")
-    return Sieve(base, mem)
-
-
-def maximal_sieve(cat: FiniteCategory, x: str) -> Sieve:
-    return Sieve(x, tuple(sorted(cat.morphisms_from(x))))
-
-
-def is_maximal(cat: FiniteCategory, s: Sieve) -> bool:
-    return len(s.members) == len(cat.morphisms_from(s.base))
-
-
-def generated_sieve(cat: FiniteCategory, x: str,
-                    generators: Iterable[str]) -> Sieve:
-    """Smallest sieve on x containing the generators: {g.f : f in gens,
-    g out of cod f}, closed already since h.(g.f) = (h.g).f."""
-    if x not in cat.identity:
-        raise UnknownObject(x)
-    gens = list(generators)
-    for f in gens:
-        if f not in cat.dom:
-            raise InvalidSieve(f"unknown morphism {f!r}")
-        if cat.dom[f] != x:
-            raise WrongDomain(f"{f} has domain {cat.dom[f]}, not {x}")
-    return Sieve(x, tuple(sorted({cat.compose(g, f) for f in gens
-                                  for g in cat.morphisms_from(cat.cod[f])})))
-
-
-def minimal_generators(cat: FiniteCategory, s: Sieve) -> tuple[str, ...]:
-    """A deterministic generating set: scan members in canonical order,
-    keeping each one not already generated by the kept ones."""
-    if s.base not in cat.identity:
-        raise UnknownObject(s.base)
-    kept: list[str] = []
-    covered: set[str] = set()
-    for f in s.members:
-        if f in covered:
-            continue
-        kept.append(f)
-        covered |= set(generated_sieve(cat, s.base, [f]).members)
-    return tuple(kept)
-
-
-def union_sieves(a: Sieve, b: Sieve) -> Sieve:
-    if a.base != b.base:
-        raise WrongDomain("union of sieves on different objects")
-    return Sieve(a.base, tuple(sorted(set(a.members) | set(b.members))))
-
-
-def intersect_sieves(a: Sieve, b: Sieve) -> Sieve:
-    if a.base != b.base:
-        raise WrongDomain("intersection of sieves on different objects")
-    return Sieve(a.base, tuple(sorted(set(a.members) & set(b.members))))
-
-
-def _check_members(cat: FiniteCategory, x: str, s: Sieve) -> None:
-    """Raise WrongDomain for a sieve on another object than x or a member
-    out of another object, and InvalidSieve for an unknown member."""
-    if s.base != x:
-        raise WrongDomain(f"sieve on {s.base} used as a sieve on {x}")
-    dom = cat.dom
-    for f in s.members:
-        if dom.get(f) != x:
-            if f not in dom:
-                raise InvalidSieve(f"unknown morphism {f!r}")
-            raise WrongDomain(f"{f} has domain {dom[f]}, not {x}")
-
-
 class _Index:
-    """The mask index at some objects of a category (all of them when
-    objects is None): bit, pre and principal for every morphism out of
-    them."""
+    """The mask index of a category: bit, pre and principal for every
+    morphism. It keeps the category's mappings, not the category, so the
+    index kept on the category makes no reference cycle."""
 
-    __slots__ = ("cat", "bit", "pre", "principal")
+    __slots__ = ("dom", "cod", "out_of", "bit", "pre", "principal")
 
-    def __init__(self, cat: FiniteCategory,
-                 objects: Iterable[str] | None = None) -> None:
-        self.cat = cat
+    def __init__(self, cat: FiniteCategory) -> None:
+        self.dom, self.cod, self.out_of = cat.dom, cat.cod, cat.out_of
         out_of, cod, compose = cat.out_of, cat.cod, cat.compose_table
-        objects = cat.objects if objects is None else tuple(objects)
-        self.bit = bit = {f: i for x in objects
-                          for i, f in enumerate(out_of[x])}
+        self.bit = bit = {x: {f: 1 << i for i, f in enumerate(out_of[x])}
+                          for x in cat.objects}
         self.pre = pre = {}
         self.principal = principal = {}
-        for x in objects:
+        for x in cat.objects:
+            at = bit[x]
             for f in out_of[x]:
-                row = pre[f] = [1 << bit[compose[g, f]]
-                                for g in out_of[cod[f]]]
-                p = 0
-                for b in row:
-                    p |= b
-                principal[f] = p
+                row = pre[f] = [at[compose[g, f]] for g in out_of[cod[f]]]
+                principal[f] = reduce(or_, row, 0)
 
     def mask(self, x: str, s: Sieve) -> int:
-        """The mask of a sieve on x; see _check_members for what raises."""
-        _check_members(self.cat, x, s)
-        bit = self.bit
+        """The mask of the members of s: the one conversion of a Sieve to a
+        mask, closure unchecked. Raises WrongDomain for a sieve on another
+        object than x or a member out of another object, and InvalidSieve
+        for an unknown member or members not sorted and distinct."""
+        if s.base != x:
+            raise WrongDomain(f"sieve on {s.base} used as a sieve on {x}")
+        at = self.bit[x]
         m = 0
         for f in s.members:
-            b = 1 << bit[f]
+            b = at.get(f)
+            if b is None:
+                if f not in self.dom:
+                    raise InvalidSieve(f"unknown morphism {f!r}")
+                raise WrongDomain(f"{f} has domain {self.dom[f]}, not {x}")
             if m >= b:
                 raise InvalidSieve(
                     f"members on {x} not sorted and distinct: {s.members}")
             m |= b
         return m
 
+    def closed_mask(self, x: str, s: Sieve) -> int:
+        """mask(x, s), and InvalidSieve when some member's principal sieve
+        is not inside it: s is not postcomposition closed."""
+        m = self.mask(x, s)
+        for f in s.members:
+            missing = self.principal[f] & ~m
+            if missing:
+                g = next(g for g, b in zip(self.out_of[self.cod[f]],
+                                           self.pre[f]) if b & missing)
+                raise InvalidSieve(
+                    f"not postcomposition closed: {g}.{f} missing on {x}")
+        return m
+
     def sieve(self, x: str, m: int) -> Sieve:
-        return Sieve(x, tuple([f for i, f in enumerate(self.cat.out_of[x])
+        return Sieve(x, tuple([f for i, f in enumerate(self.out_of[x])
                                if m >> i & 1]))
 
     def pull(self, f: str, m: int) -> int:
@@ -210,7 +149,7 @@ class _Index:
         sieve.
         """
         found = {0: None}  # insertion-ordered, so the scan is deterministic
-        for f in self.cat.out_of[x]:
+        for f in self.out_of[x]:
             p = self.principal[f]
             for s in list(found):
                 u = s | p
@@ -224,11 +163,70 @@ class _Index:
             i for i in range(m.bit_length()) if m >> i & 1]))
 
 
+def _mask_index(cat: FiniteCategory) -> _Index:
+    """The mask index of cat, built when cat is first used for sieves and
+    kept on the instance. It is no field of the record, so repr, equality,
+    pickling and documents never see it."""
+    try:
+        return cat._mask_index
+    except AttributeError:
+        index = _Index(cat)
+        object.__setattr__(cat, "_mask_index", index)
+        return index
+
+
+def make_sieve(cat: FiniteCategory, base: str, members: Iterable[str]) -> Sieve:
+    if base not in cat.identity:
+        raise UnknownObject(base)
+    s = Sieve(base, tuple(sorted(set(members))))
+    _mask_index(cat).closed_mask(base, s)
+    return s
+
+
+def maximal_sieve(cat: FiniteCategory, x: str) -> Sieve:
+    return Sieve(x, cat.morphisms_from(x))
+
+
+def is_maximal(cat: FiniteCategory, s: Sieve) -> bool:
+    full = (1 << len(cat.morphisms_from(s.base))) - 1
+    return _mask_index(cat).mask(s.base, s) == full
+
+
+def generated_sieve(cat: FiniteCategory, x: str,
+                    generators: Iterable[str]) -> Sieve:
+    """Smallest sieve on x containing the generators: the union of their
+    principal sieves."""
+    if x not in cat.identity:
+        raise UnknownObject(x)
+    index = _mask_index(cat)
+    gens = Sieve(x, tuple(sorted(set(generators))))
+    index.mask(x, gens)  # refuses a generator out of place
+    principal = index.principal
+    return index.sieve(x, reduce(or_, [principal[f] for f in gens.members], 0))
+
+
+def minimal_generators(cat: FiniteCategory, s: Sieve) -> tuple[str, ...]:
+    """A deterministic generating set: scan members in canonical order,
+    keeping each one not already generated by the kept ones."""
+    if s.base not in cat.identity:
+        raise UnknownObject(s.base)
+    index = _mask_index(cat)
+    index.mask(s.base, s)  # refuses a member out of place
+    at, principal = index.bit[s.base], index.principal
+    kept: list[str] = []
+    covered = 0
+    for f in s.members:
+        if not covered & at[f]:
+            kept.append(f)
+            covered |= principal[f]
+    return tuple(kept)
+
+
 def all_sieves(cat: FiniteCategory, x: str) -> list[Sieve]:
     """Every sieve on x, canonically ordered (size, then member tuple)."""
     if x not in cat.identity:
         raise UnknownObject(x)
-    index = _Index(cat, (x,))
+    index = _mask_index(cat)
     return [index.sieve(x, m) for m in index.masks(x)]
 
 
@@ -237,16 +235,14 @@ def pullback_sieve(cat: FiniteCategory, s: Sieve, f: str) -> Sieve:
 
     Stability in cover rules is expressed with this operation; it is
     functorial: pulling back along f then g equals pulling back along g.f.
-    One pullback costs less by a member set than by building the bits of
-    every morphism out of dom f, so this public form does not use masks.
     """
     if cat.dom.get(f) != s.base:
         raise WrongDomain(f"{f!r} is not a morphism out of {s.base}")
-    _check_members(cat, s.base, s)
-    mset = s.member_set
-    compose = cat.compose_table
-    return Sieve(cat.cod[f], tuple([g for g in cat.out_of[cat.cod[f]]
-                                    if compose[g, f] in mset]))
+    index = _mask_index(cat)
+    m = index.mask(s.base, s)
+    y = cat.cod[f]
+    return Sieve(y, tuple([g for g, b in zip(cat.out_of[y], index.pre[f])
+                           if m & b]))
 
 
 def sieve_to_doc(s: Sieve) -> dict:

@@ -18,10 +18,13 @@ and every rule it emits is re-verified by check_axioms' full scan.
 
 The search and that certificate share the sieve tables of one call
 (_Tables: every sieve on each object as a mask, and the pullback of each
-along every morphism), built from the mask index of the sieves module. The
-certificate shares nothing else: it re-derives all three axioms and both
-closure checks from the rule's own covers, and never reads the search's
-pruning conditions or their tables.
+along every morphism). The tables are built per call. The mask index they
+are built from is built once per category, and kept on it, by the sieves
+module; every other mask here (the stability scan, the named and J_D
+rules, minimum covers) comes from that same index. The certificate shares
+nothing else: it re-derives all three axioms and both closure checks from
+the rule's own covers, and never reads the search's pruning conditions or
+their tables.
 
 The subcategory topology J_D of an object set D covers x by every sieve
 containing the morphisms from x into D (subcategory_sieve). On a finite
@@ -38,7 +41,6 @@ from typing import Iterable, Mapping
 
 from .errors import (
     FinsiteError,
-    InvalidSieve,
     NotAnIdeal,
     NotDirectedEI,
     OreConditionFails,
@@ -55,10 +57,9 @@ from .fincat import (
 )
 from .sieves import (
     Sieve,
-    _Index,
+    _mask_index,
     all_sieves,
     generated_sieve,
-    intersect_sieves,
     make_sieve,
     maximal_sieve,
     pullback_sieve,
@@ -141,33 +142,30 @@ class AxiomReport(Record):
 
 class _Tables:
     """The sieve tables that the topology search and its certificate share,
-    built once per call: per object x, the mask of every sieve on x in
-    canonical order (universe), the Sieves of those masks, and per morphism
-    f, the pullback f*(S) of every sieve S on dom f (pull[f][S])."""
+    built once per call from the category's mask index: per object x, the
+    mask of every sieve on x in canonical order (universe), the Sieves of
+    those masks, and per morphism f, the pullback f*(S) of every sieve S
+    on dom f (pull[f][S])."""
 
     def __init__(self, cat: FiniteCategory) -> None:
-        self.index = index = _Index(cat)
+        index = _mask_index(cat)
         self.universe = {x: index.masks(x) for x in cat.objects}
         self.sieves = {x: [index.sieve(x, m) for m in u]
                        for x, u in self.universe.items()}
-        self.known = {x: dict(zip(self.sieves[x], self.universe[x]))
-                      for x in cat.objects}
         self.pull = {f: {m: index.pull(f, m)
                          for m in self.universe[cat.dom[f]]}
                      for f in cat.morphisms}
 
-    def cover_masks(self, j: GrothendieckTopology, x: str) -> list[tuple[Sieve, int]]:
-        """The covers of x in canonical order, each with its mask. A cover
-        that is no sieve on x raises WrongDomain or InvalidSieve."""
-        out = []
-        for s in sorted(j.covers.get(x, ()), key=sieve_sort_key):
-            m = self.known[x].get(s)
-            if m is None:
-                self.index.mask(x, s)  # raises for a member out of place
-                raise InvalidSieve(
-                    f"{s.members} on {x} is not postcomposition closed")
-            out.append((s, m))
-        return out
+
+def _cover_masks(cat: FiniteCategory, j: GrothendieckTopology
+                 ) -> dict[str, list[tuple[Sieve, int]]]:
+    """Per object, the covers in canonical order, each with its mask. A
+    cover that is no sieve on its object raises WrongDomain or
+    InvalidSieve."""
+    index = _mask_index(cat)
+    return {x: [(s, index.closed_mask(x, s))
+                for s in sorted(j.covers.get(x, ()), key=sieve_sort_key)]
+            for x in cat.objects}
 
 
 def check_axioms(cat: FiniteCategory, j: GrothendieckTopology) -> AxiomReport:
@@ -188,7 +186,7 @@ def check_axioms(cat: FiniteCategory, j: GrothendieckTopology) -> AxiomReport:
 def _check_axioms(cat: FiniteCategory, j: GrothendieckTopology,
                   tables: _Tables) -> AxiomReport:
     """check_axioms on tables already built for cat."""
-    covers = {x: tables.cover_masks(j, x) for x in cat.objects}
+    covers = _cover_masks(cat, j)
     cov = {x: {m for _, m in pairs} for x, pairs in covers.items()}
     pull, cod = tables.pull, cat.cod
     found: dict[str, list[tuple]] = {
@@ -242,12 +240,10 @@ def check_stability_only(cat: FiniteCategory,
                          j: GrothendieckTopology) -> tuple | None:
     """First stability violation (x, sieve members, f), or None. Only the
     covers are pulled back; no sieve universe is built."""
-    index = _Index(cat, [x for x in cat.objects if j.covers.get(x)])
-    covers = {x: [(s, index.mask(x, s))
-                  for s in sorted(j.covers.get(x, ()), key=sieve_sort_key)]
-              for x in cat.objects}
+    covers = _cover_masks(cat, j)
     cov = {x: {m for _, m in pairs} for x, pairs in covers.items()}
-    return next(_stability_violations(cat, covers, cov, index.pull), None)
+    return next(_stability_violations(cat, covers, cov,
+                                      _mask_index(cat).pull), None)
 
 
 def require_stable(cat: FiniteCategory, j: GrothendieckTopology) -> None:
@@ -270,7 +266,7 @@ def named_topology(cat: FiniteCategory, kind: str) -> GrothendieckTopology:
     if kind == "dense":
         # S is dense when f*(S) is nonempty, i.e. S meets principal(f),
         # for every f out of x
-        index = _Index(cat)
+        index = _mask_index(cat)
         return make_rule(cat, {
             x: [index.sieve(x, m) for m in index.masks(x)
                 if all(m & index.principal[f] for f in cat.out_of[x])]
@@ -411,7 +407,7 @@ def enumerate_consistent_families(cat: FiniteCategory
     flags = classify_category(cat)
     if not (flags.directed and flags.ei):
         raise NotDirectedEI(f"{cat.name} is not directed EI")
-    index = _Index(cat)
+    index = _mask_index(cat)
     universe = {x: [(m, index.sieve(x, m)) for m in index.masks(x)]
                 for x in cat.objects}
 
@@ -449,10 +445,11 @@ def minimal_covering_sieve(cat: FiniteCategory, j: GrothendieckTopology,
     covers = j.covers_at(x)
     if not covers:
         raise UnknownObject(f"no covers recorded at {x}")
-    out = covers[0]
-    for s in covers[1:]:
-        out = intersect_sieves(out, s)
-    return out
+    index = _mask_index(cat)
+    m = -1
+    for s in covers:
+        m &= index.mask(x, s)
+    return index.sieve(x, m)
 
 
 def rigidity(cat: FiniteCategory, j: GrothendieckTopology) -> RigidityReport:

@@ -28,7 +28,7 @@ from .linalg import GF, FieldSpec, Vector
 from .modrep import KModule, ModuleMap
 from .sieves import (  # perfbench/selftest.py rebinds torsion.all_sieves
     Sieve,
-    _Index,
+    _mask_index,
     all_sieves,  # noqa: F401
     make_sieve,
     sieve_sort_key,
@@ -208,7 +208,7 @@ def inclusion_closure(cat: FiniteCategory,
     torsion theory cannot tell the two rules apart.
     """
     covers = rule.covers if isinstance(rule, GrothendieckTopology) else rule
-    index = _Index(cat)
+    index = _mask_index(cat)
     out = {}
     for x in cat.objects:
         base = [index.mask(x, s) for s in covers.get(x, ())]

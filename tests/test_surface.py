@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 import os
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "finsite")
@@ -189,13 +189,11 @@ def _passes(call: ast.Call, index: int | None, name: str) -> bool:
     return any(k.arg in (None, name) for k in call.keywords)
 
 
-def _calls(tree: ast.AST, skip: ast.AST | None = None):
-    """(function name, call) for every call in the tree outside skip."""
+def _calls(tree: ast.AST):
+    """(function name, call) for every call in the tree."""
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node is skip:
-            continue
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Name):
@@ -207,7 +205,17 @@ def _calls(tree: ast.AST, skip: ast.AST | None = None):
 
 def unpassed_options() -> list[str]:
     lib = library()
-    outside_calls = [c for tree in outside_trees() for c in _calls(tree)]
+    # every call, walked once and keyed by the called name: in the package
+    # with the top-level statement that encloses it, outside it bare
+    package_calls = defaultdict(list)
+    for tree in lib.values():
+        for top in tree.body:
+            for name, call in _calls(top):
+                package_calls[name].append((top, call))
+    outside_calls = defaultdict(list)
+    for tree in outside_trees():
+        for name, call in _calls(tree):
+            outside_calls[name].append(call)
     missing = []
     for module, fn in public_functions(lib):
         args = fn.args
@@ -216,9 +224,9 @@ def unpassed_options() -> list[str]:
                      if i >= len(positional) - len(args.defaults)]
         defaulted += [(None, a.arg) for a, d in
                       zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-        calls = [call for tree in lib.values()
-                 for name, call in _calls(tree, skip=fn) if name == fn.name]
-        calls += [call for name, call in outside_calls if name == fn.name]
+        calls = [call for top, call in package_calls[fn.name]
+                 if top is not fn]
+        calls += outside_calls[fn.name]
         for index, arg in defaulted:
             if arg in ALLOWED:
                 continue
