@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Iterable, Mapping, Sequence
+from collections import Counter
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     BAD_COMPOSITE,
@@ -41,19 +42,30 @@ from .errors import (
 
 DEFAULT_MAX_OBJECTS = 64
 DEFAULT_MAX_MORPHISMS = 4096
+# composable triples, one step each of the associativity check; admits
+# trunc_fi(5) (6,061,413 triples) and trunc_vi(2, 3) (6,229,165)
+_MAX_TRIPLES = 2 ** 23
 
 
 class SizeBudget(Record):
+    """Caps on a category, checked before its composition is built or
+    validated: objects, morphisms, and composable triples (h, g, f), whose
+    cap is _MAX_TRIPLES for every budget."""
+
     max_objects: int = DEFAULT_MAX_OBJECTS
     max_morphisms: int = DEFAULT_MAX_MORPHISMS
 
-    def check(self, n_objects: int, n_morphisms: int) -> None:
+    def check(self, n_objects: int, n_morphisms: int, n_triples: int) -> None:
         if n_objects > self.max_objects:
             raise SizeBudgetExceeded(
                 f"{n_objects} objects exceeds budget {self.max_objects}")
         if n_morphisms > self.max_morphisms:
             raise SizeBudgetExceeded(
                 f"{n_morphisms} morphisms exceeds budget {self.max_morphisms}")
+        if n_triples > _MAX_TRIPLES:
+            raise SizeBudgetExceeded(
+                f"{n_triples} composable triples exceeds budget"
+                f" {_MAX_TRIPLES}")
 
 
 DEFAULT_BUDGET = SizeBudget()
@@ -98,6 +110,19 @@ class FiniteCategory(Record):
 
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.dom[m]) == m
+
+
+def _kept(cat: FiniteCategory, name: str,
+          build: Callable[[FiniteCategory], Any]) -> Any:
+    """build(cat), made on the first call and kept on the instance under
+    name. It is no field of the record, so repr, equality, pickling and
+    documents never see it."""
+    try:
+        return getattr(cat, name)
+    except AttributeError:
+        value = build(cat)
+        object.__setattr__(cat, name, value)
+        return value
 
 
 def _index(name, objects, dom, cod, identity, compose) -> FiniteCategory:
@@ -167,6 +192,19 @@ def _collect_violations(objects, dom, cod, identity, compose,
     return violations
 
 
+def _composable_triples(hom_sizes: Mapping[tuple[Any, Any], int]) -> int:
+    """The composable triples (h, g, f) of a category with hom_sizes[x, y]
+    morphisms x -> y: the sum over f of the pairs (h, g) with g out of
+    cod f."""
+    out: Counter = Counter()
+    for (x, _), n in hom_sizes.items():
+        out[x] += n
+    pairs: Counter = Counter()
+    for (x, y), n in hom_sizes.items():
+        pairs[x] += n * out[y]
+    return sum(n * pairs[y] for (_, y), n in hom_sizes.items())
+
+
 def make_category(name: str, objects: Sequence[str],
                   morphisms: Sequence[tuple[str, str, str]],
                   identity: Mapping[str, str],
@@ -176,8 +214,10 @@ def make_category(name: str, objects: Sequence[str],
 
     `morphisms` lists (id, dom, cod) triples; `compose` must be total on
     composable pairs. Raises ValidationFailed with every violation found.
+    The budget is checked first, on the counts of the lists.
     """
-    budget.check(len(objects), len(morphisms))
+    budget.check(len(objects), len(morphisms), _composable_triples(
+        Counter((d, c) for _, d, c in morphisms)))
     violations: list[Violation] = []
     if len(set(objects)) != len(objects):
         seen = set()
@@ -465,7 +505,8 @@ def build_orbit_category(group_table: Sequence[Sequence[int]],
                 mid = f"[{obj_of[h]}>{obj_of[k]}]g{g}"
                 morphisms.append((mid, obj_of[h], obj_of[k]))
                 rep_of[(obj_of[h], obj_of[k], g)] = mid
-    budget.check(len(objects), len(morphisms))
+    budget.check(len(objects), len(morphisms), _composable_triples(
+        Counter((d, c) for _, d, c in morphisms)))
 
     def coset_min(g: int, h: frozenset[int]) -> int:
         return min(table[g][x] for x in h)
@@ -581,14 +622,25 @@ def build_quiver_category(vertices: Sequence[str],
     return make_category(name, vertices, morphisms, identity, compose, budget)
 
 
+def _check_truncation(budget: SizeBudget, n: int,
+                      hom_size: Callable[[int, int], int]) -> None:
+    """Check the budget on a truncation with objects 0..n and hom_size(m, k)
+    morphisms m -> k for m <= k, none for m > k, before any is built: its
+    composable triples are the sum over m <= k <= l <= r of
+    hom_size(m, k) hom_size(k, l) hom_size(l, r)."""
+    budget.check(n + 1, 0, 0)
+    sizes = {(m, k): hom_size(m, k)
+             for m in range(n + 1) for k in range(m, n + 1)}
+    budget.check(n + 1, sum(sizes.values()), _composable_triples(sizes))
+
+
 def build_trunc_fi_category(n: int, name: str | None = None,
                             budget: SizeBudget = DEFAULT_BUDGET) -> FiniteCategory:
     """Truncation at n of the category of finite sets with injections:
     objects "0".."n", morphisms the injections {0..m-1} -> {0..k-1}, of
-    which there are k!/(k-m)!; the budget is checked on that count before
-    any is built."""
-    budget.check(n + 1, sum(math.perm(k, m) for k in range(n + 1)
-                            for m in range(k + 1)))
+    which there are k!/(k-m)!; the budget is checked on that count, and on
+    the composable triples it gives, before any is built."""
+    _check_truncation(budget, n, lambda m, k: math.perm(k, m))
     objects = [str(m) for m in range(n + 1)]
 
     def mid(m: int, k: int, img: tuple[int, ...]) -> str:
@@ -617,13 +669,13 @@ def build_trunc_vi_category(q: int, n: int, name: str | None = None,
     """Truncation at n of the category of F_q vector spaces with injective
     linear maps. q must be prime (the package's fields are prime fields).
     There are (q^k - 1)(q^k - q)...(q^k - q^(m-1)) injections of F_q^m into
-    F_q^k; the budget is checked on their count before any matrix is
-    ranked."""
+    F_q^k; the budget is checked on their count, and on the composable
+    triples it gives, before any matrix is ranked."""
     from . import linalg
 
     field = linalg.GF(q)
-    budget.check(n + 1, sum(math.prod(q ** k - q ** i for i in range(m))
-                            for k in range(n + 1) for m in range(k + 1)))
+    _check_truncation(budget, n,
+                      lambda m, k: math.prod(q ** k - q ** i for i in range(m)))
     objects = [str(m) for m in range(n + 1)]
 
     def all_matrices(rows: int, cols: int) -> list[linalg.Mat]:

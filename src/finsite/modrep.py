@@ -13,6 +13,13 @@ Compatible families over morphisms closed under precomposition, acted on
 by reindexing (family_module, with its unit family_unit), are both ways
 the package builds sheaves: coinduction from a full subcategory, and the
 plus construction over each object's minimum cover.
+
+Representables and sieve presentations are immutable values of (category,
+field, object or sieve), asked for again by every detector and sampler,
+so each is built once and kept on its category (fincat._kept), one entry
+per (field, object) and per (field, sieve) asked for. Quotients are taken
+by spans: a sampler or a cokernel hands the spanning columns to the
+quotient, which never builds the submodule it discards.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .errors import (
     ValidationFailed,
     Violation,
 )
-from .fincat import FiniteCategory, require_full_subcategory
+from .fincat import FiniteCategory, _kept, require_full_subcategory
 from .linalg import GF, QQ, FieldSpec, Mat, Vector
 from .sieves import Sieve
 
@@ -225,14 +232,26 @@ def _postcomposition_module(cat: FiniteCategory, field: FieldSpec,
                        action, check=False)
 
 
+def _built(cat: FiniteCategory) -> dict:
+    """The representables and sieve presentations built on cat, keyed by
+    (field, object) and (field, sieve). The modules refer back to cat, so
+    a category and its entries are freed together by the cycle collector."""
+    return _kept(cat, "_modrep_built", lambda cat: {})
+
+
 def yoneda_module(cat: FiniteCategory, field: FieldSpec, x: str) -> KModule:
     """The representable module at x: the value at y is free on Hom(x, y),
-    and a morphism u acts on basis vectors by postcomposition."""
-    if x not in cat.identity:
-        raise ValidationFailed("representable",
-                               [Violation(SHAPE_VIOLATION, (x,), "unknown object")])
-    return _postcomposition_module(cat, field,
-                                   {y: cat.hom(x, y) for y in cat.objects})
+    and a morphism u acts on basis vectors by postcomposition. Built once
+    per (category, field, object); later calls return the same module."""
+    built = _built(cat)
+    v = built.get((field, x))
+    if v is None:
+        if x not in cat.identity:
+            raise ValidationFailed("representable", [
+                Violation(SHAPE_VIOLATION, (x,), "unknown object")])
+        v = built[field, x] = _postcomposition_module(
+            cat, field, {y: cat.hom(x, y) for y in cat.objects})
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -440,23 +459,37 @@ def submodule_from_spans(v: KModule, spans: Mapping[str, Sequence[Vector]],
 
 def quotient_module(v: KModule,
                     sub_inclusion: ModuleMap) -> tuple[KModule, ModuleMap]:
-    """Quotient of v by an included submodule, with the projection.
-
-    The quotient basis is the canonical complement: standard basis vectors
-    selected greedily after the submodule basis. One rref of [B | I],
-    which is E [B | I], per object picks the submodule columns and then the
-    complement units R; E inverts [submodule columns | R], so its rows past
-    the submodule pivots are the projection P. P [B | R] = [0 | I] is checked.
-    """
+    """Quotient of v by an included submodule, with the projection: the
+    quotient by the spans of the inclusion's columns (_quotient)."""
     if sub_inclusion.target != v:
         raise PreconditionFailed("inclusion does not land in the module")
+    return _quotient(v, sub_inclusion.components)
+
+
+def _quotient(v: KModule,
+              spans: Mapping[str, Mat]) -> tuple[KModule, ModuleMap]:
+    """Quotient of v by the submodule spanned at each object x by the
+    columns B of spans[x], with the projection. The columns may be
+    dependent, and the submodule itself is never built.
+
+    The quotient basis is the canonical complement: standard basis vectors
+    selected greedily after the span. One rref of [B | I], which is
+    E [B | I], per object picks the span's pivot columns and then the
+    complement units R; E inverts [pivot columns | R], so its rows past the
+    span's pivots are the projection P. P [B | R] = [0 | I] is checked.
+    The quotient acts by Q_f = P_y A_f R_x, and the projection is checked
+    natural: P_y A_f = Q_f P_x holds exactly when P_y A_f B_x = 0, that is
+    when the spans are closed under the action. So a span that is not
+    closed is refused with ValidationFailed, and the quotient depends only
+    on the spans, not on the columns chosen to span them.
+    """
     field = v.field
     cat = v.cat
     reps: dict[str, Mat] = {}
     projections: dict[str, Mat] = {}
     dims: dict[str, int] = {}
     for x in cat.objects:
-        b = sub_inclusion.components[x]
+        b = spans[x]
         n = v.dims[x]
         r, pivots = linalg.rref(
             field, linalg.hstack([b, linalg.identity(field, n)], rows=n))
@@ -488,15 +521,11 @@ def kernel_of_map(m: ModuleMap) -> tuple[KModule, ModuleMap]:
     return submodule_from_spans(m.source, spans, close=False)
 
 
-def image_of_map(m: ModuleMap) -> tuple[KModule, ModuleMap]:
-    spans = {x: [m.components[x].col(j) for j in range(m.components[x].cols)]
-             for x in m.source.cat.objects}
-    return submodule_from_spans(m.target, spans, close=False)
-
-
 def cokernel_of_map(m: ModuleMap) -> tuple[KModule, ModuleMap]:
-    _, incl = image_of_map(m)
-    return quotient_module(m.target, incl)
+    """The quotient of m's target by the image of m, with the projection.
+    The columns of m's components span the image, so they go to the
+    quotient as they are; the image is never built."""
+    return _quotient(m.target, m.components)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +549,13 @@ def sieve_quotient_module(cat: FiniteCategory, field: FieldSpec,
                           s: Sieve) -> SievePresentation:
     """The representable at s.base presented by s, in closed form: sub and
     quotient are free on the members and on the other morphisms, u acting
-    by postcomposition (by 0 when u f falls into the sieve)."""
+    by postcomposition (by 0 when u f falls into the sieve). Built once per
+    (category, field, sieve), on the representable kept for s.base; later
+    calls return the same presentation."""
+    built = _built(cat)
+    pres = built.get((field, s))
+    if pres is not None:
+        return pres
     x = s.base
     ambient = yoneda_module(cat, field, x)
     mset = s.member_set
@@ -535,7 +570,9 @@ def sieve_quotient_module(cat: FiniteCategory, field: FieldSpec,
         sub, ambient,
         {y: _relabel(field, inside[y], hom[y], lambda f: f)
          for y in cat.objects}, check=False)
-    return SievePresentation(x, ambient, sub, inclusion, quotient)
+    pres = built[field, s] = SievePresentation(x, ambient, sub, inclusion,
+                                               quotient)
+    return pres
 
 
 # ---------------------------------------------------------------------------
@@ -787,13 +824,14 @@ def random_module(cat: FiniteCategory, field: FieldSpec, seed: int,
 
     Built as a quotient of a direct sum of representables by a random
     action-closed subspace, so functoriality holds by construction; the
-    quotient constructor re-verifies it anyway. Oversized values are cut
-    down by growing the relation subspace at the offending object: the
-    first standard vector outside it joins, and the closure is saturated
-    again from where it stood. The inclusion and the quotient are built
-    once, at the end. The quotient depends only on the relation subspace
-    at each object, not on its basis, so the module for a seed is the
-    one a fresh closure per added relation would give.
+    quotient re-verifies it anyway. Oversized values are cut down by
+    growing the relation subspace at the offending object: the first
+    standard vector outside it joins, and the closure is saturated again
+    from where it stood. The quotient is taken once, at the end, straight
+    from the relation bases (_quotient); the relation submodule is never
+    built. The quotient depends only on the relation subspace at each
+    object, not on its basis, so the module for a seed is the one a fresh
+    closure per added relation would give.
     """
     if max_dim < 0:
         raise PreconditionFailed("max_dim must be nonnegative")
@@ -826,8 +864,9 @@ def random_module(cat: FiniteCategory, field: FieldSpec, seed: int,
             break
         i = relations[y].missing_unit()
         relations[y].add(linalg.identity(field, free.dims[y]).entries[i])
-    _, incl = _submodule(free, relations)
-    return quotient_module(free, incl)[0]
+    return _quotient(free, {x: linalg.from_cols(relations[x].basis,
+                                                rows=free.dims[x])
+                            for x in cat.objects})[0]
 
 
 def all_vectors(field: FieldSpec, dim: int) -> Iterator[Vector]:

@@ -10,13 +10,14 @@ set bits of a mask, read upward, are the sorted members of its Sieve. The
 mask index (_Index) holds, for each morphism f: x -> y, its bit at x
 (bit[x][f], the int 1 << i), its principal mask (the sieve f generates),
 and pre[f]: for each g out of y, in that order, the bit of g.f at x. So
-f*(S) has bit i exactly when
-pre[f][i] meets S; union is |, intersection &, and S lies inside T when
-S & ~T is 0. Each category has one index, built when the category is
-first used for sieves and kept on its instance (_mask_index); only the
-index's constructor reads composition. The tuple Sieve appears only at the
-boundaries: arguments and results, covers, witnesses and documents. It
-becomes a mask through _Index.mask alone.
+f*(S) has bit i exactly when pre[f][i] meets S; union is |, intersection
+&, and S lies inside T when S & ~T is 0. Each category has one index,
+built when the category is first used for sieves (_mask_index) and kept
+on its instance, outside the record's fields, by fincat._kept, the helper
+modrep keeps its representables with; only the index's constructor reads
+composition. The tuple Sieve appears only at the boundaries: arguments
+and results, covers, witnesses and documents. It becomes a mask through
+_Index.mask alone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     UnknownObject,
     WrongDomain,
 )
-from .fincat import FiniteCategory
+from .fincat import FiniteCategory, _kept
 
 DEFAULT_MAX_SIEVES = 4096
 
@@ -165,14 +166,8 @@ class _Index:
 
 def _mask_index(cat: FiniteCategory) -> _Index:
     """The mask index of cat, built when cat is first used for sieves and
-    kept on the instance. It is no field of the record, so repr, equality,
-    pickling and documents never see it."""
-    try:
-        return cat._mask_index
-    except AttributeError:
-        index = _Index(cat)
-        object.__setattr__(cat, "_mask_index", index)
-        return index
+    kept on the instance (fincat._kept)."""
+    return _kept(cat, "_mask_index", _Index)
 
 
 def make_sieve(cat: FiniteCategory, base: str, members: Iterable[str]) -> Sieve:

@@ -167,7 +167,24 @@ def d_value(spec: DSpec, n: int) -> DValue:
 
 
 def d_sequence(spec: DSpec, length: int) -> tuple[DValue, ...]:
-    return tuple(d_value(spec, n) for n in range(length))
+    """d_value at 0, ..., length - 1, in one pass from the right: the run
+    at a 0 bit is 0, at a 1 bit one more than the run after it, and an
+    infinite run stays infinite. d_value supplies the run at length."""
+    if length <= 0:
+        return ()
+    run = d_value(spec, length)
+    if run is NEG_INF:  # every bit past a cutoff is 0
+        run = 0
+    out = []
+    for n in range(length - 1, -1, -1):
+        if not _bit(spec, n):
+            run = 0
+        elif run is not INF:
+            run += 1
+        out.append(NEG_INF if spec.kind == "nongeneric" and n >= spec.cutoff
+                   else run)
+    out.reverse()
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

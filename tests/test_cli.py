@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -73,6 +74,19 @@ def test_huge_truncation_is_refused_at_once():
     code, text = run(["topology", "enumerate", "--category", "trunc_vi:7:3"])
     assert code == 3, text
     assert text.startswith("SizeBudgetExceeded: 33901456 morphisms"), text
+
+
+@pytest.mark.parametrize(("spec", "triples"), [
+    ("trunc_fi:6", 1_243_211_002), ("trunc_vi:7:2", 8_393_370_357)])
+def test_triple_budget_refuses_at_once(spec, triples):
+    # both pass the 4,096-morphism budget (2,372 and 2,073 morphisms); the
+    # composable-triple count refuses them before anything is built
+    start = time.monotonic()
+    code, text = run(["topology", "enumerate", "--category", spec])
+    assert code == 3, text
+    assert text.startswith(f"SizeBudgetExceeded: {triples} composable"
+                           " triples exceeds budget 8388608"), text
+    assert time.monotonic() - start < 5
 
 
 def test_usage_error_is_exit_2():

@@ -160,6 +160,80 @@ def test_truncation_count_is_the_built_count(kind, args):
         build_trunc(kind, args, fincat.SizeBudget(max_morphisms=n - 1))
 
 
+def composable_triples(cat):
+    """Every (h, g, f) with cod f = dom g and cod g = dom h, one by one."""
+    return sum(len(cat.morphisms_from(cat.cod[g]))
+               for f in cat.morphisms
+               for g in cat.morphisms_from(cat.cod[f]))
+
+
+@pytest.mark.parametrize(("kind", "args"), [
+    *[("fi", (n,)) for n in range(5)],
+    *[("vi", (q, n)) for q in (2, 3) for n in range(3)]])
+def test_truncation_triples_are_the_counted_triples(monkeypatch, kind, args):
+    """The closed form counts the composable triples of the built category:
+    a triple budget of exactly that many is accepted, and one fewer is
+    refused before any injection is drawn or any matrix ranked."""
+    n = composable_triples(build_trunc(kind, args))
+    monkeypatch.setattr(fincat, "_MAX_TRIPLES", n)
+    build_trunc(kind, args)
+    monkeypatch.setattr(fincat, "_MAX_TRIPLES", n - 1)
+    drawn, ranked = [], []
+    monkeypatch.setattr(itertools, "permutations",
+                        lambda *a: drawn.append(a) or iter(()))
+    monkeypatch.setattr(linalg, "rank", lambda *a: ranked.append(a))
+    with pytest.raises(SizeBudgetExceeded,
+                       match=f"^{n} composable triples exceeds budget"):
+        build_trunc(kind, args)
+    assert drawn == [] and ranked == []
+
+
+def stock_builds():
+    """A small category of every other builder: poset, quiver, orbit and
+    monoid, plus the fixtures."""
+    return [
+        lambda b: fincat.build_poset_category(
+            "abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
+            budget=b),
+        lambda b: fincat.build_quiver_category(
+            "xyz", [("f", "x", "y"), ("g", "x", "y"), ("h", "y", "z")],
+            budget=b),
+        lambda b: fincat.build_orbit_category(
+            fincat.symmetric_group_table(3), budget=b)[0],
+        lambda b: fincat.build_monoid_category(
+            [[0, 1, 2], [1, 1, 1], [2, 2, 2]], budget=b),
+        *[lambda b, cat=cat: fincat.validate_category(
+            fincat.category_to_doc(cat), b)
+          for cat in ei_fixture_categories()],
+    ]
+
+
+@pytest.mark.parametrize("build", stock_builds())
+def test_counted_triples_are_the_built_triples(monkeypatch, build):
+    """make_category counts the composable triples of its morphism list,
+    and the orbit builder checks that count before its composition."""
+    n = composable_triples(build(fincat.DEFAULT_BUDGET))
+    monkeypatch.setattr(fincat, "_MAX_TRIPLES", n)
+    build(fincat.DEFAULT_BUDGET)
+    monkeypatch.setattr(fincat, "_MAX_TRIPLES", n - 1)
+    with pytest.raises(SizeBudgetExceeded,
+                       match=f"^{n} composable triples exceeds budget"):
+        build(fincat.DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize(("kind", "args", "triples"), [
+    ("fi", (6,), 1_243_211_002), ("vi", (5, 2), 116_410_671),
+    ("vi", (7, 2), 8_393_370_357)])
+def test_triple_budget_refuses_what_passes_the_morphism_budget(kind, args,
+                                                               triples):
+    # each has fewer than 4,096 morphisms, but its associativity scan
+    # alone would take minutes
+    with pytest.raises(SizeBudgetExceeded,
+                       match=f"^{triples} composable triples exceeds budget"
+                             f" {2 ** 23}$"):
+        build_trunc(kind, args)
+
+
 def test_full_subcategory(cat_trunc_fi2):
     cat = cat_trunc_fi2
     sub = fincat.full_subcategory(cat, ["0", "2"])

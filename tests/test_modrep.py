@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsite import fincat, linalg, modrep, sieves, topology, torsion
+import pickle
+
+from finsite import fincat, linalg, modrep, sheaves, sieves, topology, torsion
 from finsite.errors import (
     FUNCTORIALITY_VIOLATION,
     NON_IDENTITY_AT_OBJECT,
@@ -228,12 +230,21 @@ def test_submodule_requires_closure(cat_quiver2):
     assert sub.dims == px.dims  # 1_x generates everything
 
 
+def image_of_map(m):
+    """The image of a module map as a submodule of its target, with the
+    inclusion: the reference for the image that cokernel_of_map quotients
+    by without building it."""
+    spans = {x: [m.components[x].col(j) for j in range(m.components[x].cols)]
+             for x in m.source.cat.objects}
+    return modrep.submodule_from_spans(m.target, spans, close=False)
+
+
 def test_quotient_and_exactness(cat_quiver2):
     s = sieves.make_sieve(cat_quiver2, "x", ["f", "g"])
     pres = modrep.sieve_quotient_module(cat_quiver2, F2, s)
     assert pres.sub.dims == {"x": 0, "y": 2}
     assert pres.quotient.dims == {"x": 1, "y": 0}
-    img, _ = modrep.image_of_map(pres.inclusion)
+    img, _ = image_of_map(pres.inclusion)
     assert img.dims == pres.sub.dims
     coker, proj = modrep.cokernel_of_map(pres.inclusion)
     assert coker.dims == pres.quotient.dims
@@ -484,13 +495,13 @@ def test_random_module_stream_is_pinned():
 @pytest.mark.parametrize("field", (F2, F3, QQ))
 def test_random_module_builds_one_quotient(monkeypatch, field):
     calls = []
-    quotient = modrep.quotient_module
+    quotient = modrep._quotient
 
-    def counted(v, incl):
+    def counted(v, spans):
         calls.append(v)
-        return quotient(v, incl)
+        return quotient(v, spans)
 
-    monkeypatch.setattr(modrep, "quotient_module", counted)
+    monkeypatch.setattr(modrep, "_quotient", counted)
     for name, cat in stream_categories().items():
         for seed in range(10):
             calls.clear()
@@ -694,8 +705,14 @@ def test_quotient_matches_two_elimination_oracle(cat, field, seed, max_dim,
     for c, h in zip(coeffs, basis):
         combo = [field.add(a, field.mul(field.of(c), b))
                  for a, b in zip(combo, modrep.map_to_vector(h))]
-    assert_quotients_match(v, modrep.make_module_map(
-        w, v, modrep.map_from_vector(w, v, tuple(combo)).components))
+    h = modrep.make_module_map(
+        w, v, modrep.map_from_vector(w, v, tuple(combo)).components)
+    assert_quotients_match(v, h)
+    # the cokernel quotients by h's columns; the oracle by the built image
+    coker, proj = modrep.cokernel_of_map(h)
+    coker_old, proj_old = old_quotient_module(v, image_of_map(h)[1])
+    assert module_bytes(coker) == module_bytes(coker_old)
+    assert map_bytes(proj) == map_bytes(proj_old)
 
 
 def test_quotient_with_dependent_columns_and_zero_objects(cat_quiver2):
@@ -721,3 +738,98 @@ def test_quotient_with_dependent_columns_and_zero_objects(cat_quiver2):
         q, _ = modrep.quotient_module(v, all_incl)
         assert q.dims == {"x": 0, "y": 1}
         assert_quotients_match(v, all_incl)
+
+
+def test_quotient_refuses_a_span_not_closed(cat_quiver2):
+    # 1_x spans P(x) at x, but its images f and g are not in the zero span
+    # at y: the projection is not natural, so the quotient's checks refuse
+    for field in (F2, F3, QQ):
+        px = modrep.yoneda_module(cat_quiver2, field, "x")
+        spans = {"x": linalg.identity(field, 1), "y": linalg.zeros(field, 2, 0)}
+        with pytest.raises(ValidationFailed):
+            modrep._quotient(px, spans)
+        with pytest.raises(ValidationFailed):
+            modrep.quotient_module(px, modrep.ModuleMap(px, px, spans))
+        # the unit at y alone spans a closed subspace: accepted
+        y0 = linalg.Mat(2, 1, ((field.one(),), (field.zero(),)))
+        q, _ = modrep._quotient(px, {"x": linalg.zeros(field, 1, 0), "y": y0})
+        assert q.dims == {"x": 1, "y": 1}
+
+
+# ---------------------------------------------------------------------------
+# representables and sieve presentations are built once per category
+
+def test_kept_modules_equal_fresh_builds():
+    # fresh categories, so the first call builds and the second reads the
+    # kept value; both equal the hand-built oracles byte for byte
+    for cat in ei_fixture_categories() + [idem_monoid()]:
+        shown = repr(cat)
+        for field in (F2, F3, QQ):
+            for x in cat.objects:
+                p = modrep.yoneda_module(cat, field, x)
+                assert modrep.yoneda_module(cat, field, x) is p
+                assert module_bytes(p) == module_bytes(
+                    old_yoneda_module(cat, field, x))
+                for s in sieves.all_sieves(cat, x):
+                    pres = modrep.sieve_quotient_module(cat, field, s)
+                    assert modrep.sieve_quotient_module(cat, field, s) is pres
+                    assert pres.ambient is p
+                    old = old_sieve_quotient_module(cat, field, s)
+                    for part in ("ambient", "sub", "quotient"):
+                        assert (module_bytes(getattr(pres, part))
+                                == module_bytes(getattr(old, part))), part
+                    assert map_bytes(pres.inclusion) == map_bytes(
+                        old.inclusion)
+        # a field never mixes with another, nor an object with a sieve
+        assert len(modrep._built(cat)) == 3 * sum(
+            1 + len(sieves.all_sieves(cat, x)) for x in cat.objects)
+        # kept outside the record's fields
+        assert repr(cat) == shown
+        copy = pickle.loads(pickle.dumps(cat))
+        assert copy == cat and "_modrep_built" not in vars(copy)
+    with pytest.raises(ValidationFailed):
+        modrep.yoneda_module(quiver2(), F2, "nowhere")
+
+
+def test_one_build_per_representable_and_presentation(monkeypatch):
+    # a sheaf verdict, a torsion-pair probe and a rigid-equivalence probe
+    # on one fixture ask for the same representables and presentations
+    # many times; each distinct one is built once, on its own category
+    # (the rigid probe samples over a subcategory too)
+    asked, builds = [], []
+    yoneda = modrep.yoneda_module
+    present = modrep.sieve_quotient_module
+    build = modrep._postcomposition_module
+
+    def counted_yoneda(cat, field, x):
+        asked.append((cat, field, x))
+        return yoneda(cat, field, x)
+
+    def counted_present(cat, field, s):
+        asked.append((cat, field, s))
+        return present(cat, field, s)
+
+    def counted_build(cat, field, basis):
+        builds.append(cat)
+        return build(cat, field, basis)
+
+    monkeypatch.setattr(modrep, "yoneda_module", counted_yoneda)
+    monkeypatch.setattr(modrep, "sieve_quotient_module", counted_present)
+    monkeypatch.setattr(modrep, "_postcomposition_module", counted_build)
+    cat = chain(3)
+    rules = [j for j in topology.enumerate_topologies(cat)
+             if topology.rigidity(cat, j).rigid]
+    j = rules[len(rules) // 2]
+    for field in (F2, F3):
+        for seed in range(3):
+            v = modrep.random_module(cat, field, seed, 2)
+            assert sheaves.sheaf_verdict(cat, j, v).consistent
+        torsion.verify_torsion_pair(cat, j, field, sample_count=3)
+        sheaves.verify_rigid_equivalence(cat, j, field, sample_count=3)
+    distinct = {(id(c), field, key) for c, field, key in asked}
+    presentations = sum(isinstance(key, sieves.Sieve)
+                        for _, _, key in distinct)
+    assert presentations > 0
+    assert len(asked) > 2 * len(distinct)
+    # one build per representable, two (sub and quotient) per presentation
+    assert len(builds) == len(distinct) + presentations

@@ -186,6 +186,29 @@ def test_census_counts_and_distinctness():
     assert doc["generic_count"] == 4 and doc["nongeneric_count"] == 4
 
 
+def test_one_pass_sequence_matches_d_value():
+    # every census spec up to horizon 10, read past its data; and
+    # nongeneric specs read past their cutoff
+    specs = [s for h in range(11)
+             for census in [typen.spec_census(h)]
+             for s in census.generic + census.nongeneric]
+    for spec in specs:
+        length = len(spec.indicator) + (spec.cutoff or 0) + 4
+        seq = typen.d_sequence(spec, length)
+        assert seq == tuple(typen.d_value(spec, n) for n in range(length))
+    # every window length, so the pass starts inside and past the data
+    small = [typen.make_spec("generic", word, tail=tail)
+             for word in itertools.product((0, 1), repeat=4)
+             for tail in (0, 1)]
+    small += [typen.make_spec("nongeneric", word, cutoff=c)
+              for word in itertools.product((0, 1), repeat=4)
+              for c in range(7)]
+    for spec in small:
+        for length in range(12):
+            assert typen.d_sequence(spec, length) == tuple(
+                typen.d_value(spec, n) for n in range(length))
+
+
 def test_census_members_have_distinct_value_sequences():
     census = typen.spec_census(3)
     window = 6
