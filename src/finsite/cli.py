@@ -28,30 +28,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import fincat, linalg, modrep, sheaves, sieves, topology, torsion, typen
 from .errors import (
-    MALFORMED_INPUT,
     CyclicQuiver,
     FieldMismatch,
     FinsiteError,
     InfiniteFieldUnsupported,
     InvalidSieve,
+    Malformed,
     NotAGroupTable,
     NotAPoset,
     ShapeMismatch,
     SizeBudgetExceeded,
     UnknownObject,
     ValidationFailed,
-    Violation,
     WrongDomain,
+    parsing,
 )
 
 # input-shaped failures: the command never got a well-formed question.
 # Input that fails to parse becomes ValidationFailed where it is parsed
-# (_parsing); a bare KeyError or ValueError anywhere else is a bug.
+# (errors.parsing); a bare KeyError or ValueError anywhere else is a bug.
 _INPUT_ERRORS = (
     ValidationFailed, UnknownObject, WrongDomain, InvalidSieve,
     CyclicQuiver, NotAPoset, NotAGroupTable, ShapeMismatch, FieldMismatch,
@@ -63,26 +62,6 @@ _NAMED_TOPOLOGIES = ("trivial", "maximal", "dense", "atomic")
 
 # ---------------------------------------------------------------------------
 # input resolution
-
-class _Malformed(ValidationFailed):
-    """Input that does not parse as the document or argument it should be."""
-
-
-@contextmanager
-def _parsing(subject: str) -> Iterator[None]:
-    """Report a failure to parse CLI input as ValidationFailed.
-
-    Wraps only the steps that read a document or an argument (JSON, dict
-    keys, int(), name splitting, the library's document readers and the
-    builders that check their parameters), so the builtins they raise
-    there mean malformed input.
-    """
-    try:
-        yield
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise _Malformed(subject, [Violation(MALFORMED_INPUT, (), detail)]) from exc
-
 
 def _builtin_category(name: str, budget: fincat.SizeBudget) -> fincat.FiniteCategory:
     if name == "quiver2":
@@ -124,7 +103,7 @@ def _load_json(path: str):
 
 
 def _resolve_category(spec: str, budget: fincat.SizeBudget) -> fincat.FiniteCategory:
-    with _parsing("category"):
+    with parsing("category"):
         if spec.endswith(".json") or "/" in spec:
             return fincat.validate_category(_load_json(spec), budget)
         return _builtin_category(spec, budget)
@@ -146,23 +125,26 @@ def _resolve_inputs(args) -> None:
         if args.topology in _NAMED_TOPOLOGIES:
             args.j = topology.named_topology(args.cat, args.topology)
         else:
-            with _parsing("topology"):
+            with parsing("topology"):
                 args.j = topology.topology_from_doc(
                     args.cat, _load_json(args.topology))
     if "module" in names:
-        with _parsing("module"):
-            args.v = modrep.validate_module(args.cat, _load_json(args.module))
+        with parsing("module"):
+            doc = _load_json(args.module)
+        # validate_module reads the document under parsing("module") itself
+        # and checks the module outside it
+        args.v = modrep.validate_module(args.cat, doc)
     if "field" in names or "finite_field" in names:
-        with _parsing("field"):
+        with parsing("field"):
             args.field = modrep.parse_field_label(args.field)
     if "spec" in names:
-        with _parsing("spec"):
+        with parsing("spec"):
             raw = args.spec
             args.spec = typen.spec_from_doc(
                 json.loads(raw) if raw.lstrip().startswith("{")
                 else _load_json(raw))
     if "horizon" in names or "optional_horizon" in names:
-        with _parsing("horizon"):
+        with parsing("horizon"):
             if args.horizon is not None and args.horizon < 0:
                 raise ValueError("horizon must be natural")
 
@@ -259,7 +241,7 @@ def _class_descriptors(cat: fincat.FiniteCategory,
 def _cmd_category_validate(args) -> tuple[int, Any, str]:
     try:
         cat = _resolve_category(args.category, _budget(args))
-    except _Malformed:
+    except Malformed:
         raise
     except ValidationFailed as err:
         doc = {"ok": False,
@@ -278,7 +260,7 @@ def _cmd_category_validate(args) -> tuple[int, Any, str]:
 
 
 def _cmd_category_build(args) -> tuple[int, Any, str]:
-    with _parsing("params"):
+    with parsing("params"):
         params = json.loads(args.params) if args.params else {}
         cat = fincat.build_standard_category(args.kind, params, _budget(args))
     doc = fincat.category_to_doc(cat)
@@ -463,7 +445,7 @@ def _cmd_typen_census(args) -> tuple[int, Any, str]:
 
 
 def _cmd_typen_pullback(args) -> tuple[int, Any, str]:
-    with _parsing("pullback"):
+    with parsing("pullback"):
         rank = None if args.rank in ("empty", "none") else int(args.rank)
         s = typen.symbolic_pullback(args.object, rank, args.deg)
     doc = {"n": s.n, "rank": s.rank, "display": repr(s)}

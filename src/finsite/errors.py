@@ -19,8 +19,9 @@ two-field constructor, equality and hash.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from operator import attrgetter
-from typing import Any
+from typing import Any, Iterator
 
 
 class Record:
@@ -153,8 +154,29 @@ NON_IDENTITY_AT_OBJECT = "NonIdentityAtObject"
 FUNCTORIALITY_VIOLATION = "FunctorialityViolation"
 NATURALITY_VIOLATION = "NaturalityViolation"
 
-# Violation kind tag for command line input that does not parse.
+# Violation kind tag for input that does not parse.
 MALFORMED_INPUT = "MalformedInput"
+
+
+class Malformed(ValidationFailed):
+    """Input that does not parse as the document or argument it should be."""
+
+
+@contextmanager
+def parsing(subject: str) -> Iterator[None]:
+    """Report a failure to parse input as Malformed.
+
+    Wraps only the steps that read a document or an argument (JSON, dict
+    keys, int(), name splitting, the document readers and the builders
+    that check their parameters), so the builtins they raise there mean
+    malformed input. A builtin raised anywhere else is a bug, and
+    propagates.
+    """
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise Malformed(subject, [Violation(MALFORMED_INPUT, (), detail)]) from exc
 
 
 class SizeBudgetExceeded(FinsiteError):

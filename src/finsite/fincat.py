@@ -306,28 +306,36 @@ def classify_category(cat: FiniteCategory) -> CategoryFlags:
 # ---------------------------------------------------------------------------
 # full subcategories
 
-def full_subcategory(cat: FiniteCategory, objs: Iterable[str],
-                     name: str | None = None) -> FiniteCategory:
-    objs = list(dict.fromkeys(objs))
-    for o in objs:
-        if o not in cat.identity:
-            raise UnknownObject(o)
-    keep = set(objs)
-    morphisms = [(m, cat.dom[m], cat.cod[m]) for m in cat.morphisms
-                 if cat.dom[m] in keep and cat.cod[m] in keep]
-    mor_ids = {m for m, _, _ in morphisms}
-    compose = {pair: gf for pair, gf in cat.compose_table.items()
-               if pair[0] in mor_ids and pair[1] in mor_ids}
-    identity = {o: cat.identity[o] for o in objs}
-    return make_category(name or f"{cat.name}|{','.join(objs)}",
-                         objs, morphisms, identity, compose)
+def full_subcategory(cat: FiniteCategory,
+                     objs: Iterable[str]) -> FiniteCategory:
+    """The full subcategory on objs, in the order given. Built once per
+    object tuple and kept on cat (_kept), so the modules kept on it are
+    kept too; later calls return the same category."""
+    objs = tuple(dict.fromkeys(objs))
+    built = _kept(cat, "_full_subcategories", lambda cat: {})
+    sub = built.get(objs)
+    if sub is None:
+        for o in objs:
+            if o not in cat.identity:
+                raise UnknownObject(o)
+        keep = set(objs)
+        morphisms = [(m, cat.dom[m], cat.cod[m]) for m in cat.morphisms
+                     if cat.dom[m] in keep and cat.cod[m] in keep]
+        mor_ids = {m for m, _, _ in morphisms}
+        compose = {pair: gf for pair, gf in cat.compose_table.items()
+                   if pair[0] in mor_ids and pair[1] in mor_ids}
+        identity = {o: cat.identity[o] for o in objs}
+        sub = built[objs] = make_category(f"{cat.name}|{','.join(objs)}",
+                                          objs, morphisms, identity, compose)
+    return sub
 
 
 def is_full_subcategory(cat: FiniteCategory, sub: FiniteCategory) -> bool:
+    """Whether sub equals the full subcategory of cat on its objects
+    (equality ignores names)."""
     if not set(sub.objects) <= set(cat.objects):
         return False
-    expected = full_subcategory(cat, sub.objects, name=sub.name)
-    return expected == sub
+    return full_subcategory(cat, sub.objects) == sub
 
 
 def require_full_subcategory(cat: FiniteCategory, sub: FiniteCategory) -> None:

@@ -12,8 +12,8 @@ with one local modulus over F_p, Fractions over Q. `Echelon` is the one
 incremental subspace (span_basis wraps it): it grows one vector at a time
 and tests membership with `contains`, without a fresh elimination. There
 is no separate inverse: quotient_module reads a complement and its inverse
-off one rref of [B | I]. `solve`, one right-hand side at a time, is the
-reference that solve_matrix is tested against.
+off one rref of [B | I]. `identity` builds each identity matrix once per
+(field, size) and hands out that one immutable value on every later call.
 
 `Mat` and `FieldSpec` are records (`errors.Record`): their fields are their
 annotations, and equality, hash, repr, copying and the refusal of
@@ -180,10 +180,21 @@ def zeros(field: FieldSpec, rows: int, cols: int) -> Mat:
     return Mat(rows, cols, ((field.zero(),) * cols,) * rows)
 
 
+# the identities built so far, by (field order, size); a few dozen small
+# matrices, all the sizes a run meets, so nothing is ever evicted
+_identities: dict[tuple[int | None, int], Mat] = {}
+
+
 def identity(field: FieldSpec, n: int) -> Mat:
-    z, o = field.zero(), field.one()
-    return Mat(n, n, tuple([tuple([o if i == j else z for j in range(n)])
-                            for i in range(n)]))
+    """The n x n identity over field, built once per (field, n) and then
+    shared: a Mat is immutable."""
+    m = _identities.get((field.p, n))
+    if m is None:
+        z, o = field.zero(), field.one()
+        m = _identities[field.p, n] = Mat(
+            n, n, tuple([tuple([o if i == j else z for j in range(n)])
+                         for i in range(n)]))
+    return m
 
 
 def mat_eq_zero(m: Mat) -> bool:
@@ -316,25 +327,11 @@ def kernel_basis(field: FieldSpec, a: Mat) -> list[Vector]:
     return basis
 
 
-def solve(field: FieldSpec, a: Mat, b: Vector) -> Vector | None:
-    """One solution of a x = b, or None. Deterministic (free vars = 0)."""
-    if len(b) != a.rows:
-        raise ShapeMismatch("rhs length mismatch")
-    aug = Mat(a.rows, a.cols + 1, tuple(r + (b[i],) for i, r in enumerate(a.entries)))
-    r, pivots = rref(field, aug)
-    if a.cols in pivots:
-        return None
-    x = [field.zero()] * a.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = r.entries[i][a.cols]
-    return tuple(x)
-
-
 def solve_matrix(field: FieldSpec, a: Mat, b: Mat) -> Mat | None:
     """X with a X = b, or None if some column is unsolvable.
 
-    One elimination of [a | b]; each column agrees with solve (free
-    variables 0). A zero-column b needs no elimination.
+    One elimination of [a | b]; each column is the solution whose free
+    variables are 0. A zero-column b needs no elimination.
     """
     if b.rows != a.rows:
         raise ShapeMismatch("rhs row mismatch")

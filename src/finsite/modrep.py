@@ -20,6 +20,17 @@ so each is built once and kept on its category (fincat._kept), one entry
 per (field, object) and per (field, sieve) asked for. Quotients are taken
 by spans: a sampler or a cokernel hands the spanning columns to the
 quotient, which never builds the submodule it discards.
+
+Identities act as identities, so no term at an identity morphism is
+computed. Once every V_id = I has passed, the functoriality check skips
+the composable pairs with an identity factor (after a failed identity it
+tests them all, so the violations are those of a full scan). Naturality
+is not tested at identities, hom_space writes no rows for them (they are
+zero), saturation pushes nothing through them, and the constructions set
+V_id = I directly, from linalg.identity, which builds each identity once
+per (field, size). Every module relies on this: the builders that skip
+the check (check=False) act by I at every identity, and the tests keep
+it so against the full scans.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ from .errors import (
     SizeBudgetExceeded,
     ValidationFailed,
     Violation,
+    parsing,
 )
 from .fincat import FiniteCategory, _kept, require_full_subcategory
 from .linalg import GF, QQ, FieldSpec, Mat, Vector
@@ -95,6 +107,24 @@ class KModule(Record):
         return linalg.mat_vec(self.field, self.action[f], v)
 
 
+def _non_identities(cat: FiniteCategory) -> tuple[str, ...]:
+    """The morphisms of cat that are not identities, in order; kept on cat
+    (fincat._kept)."""
+    def build(cat: FiniteCategory) -> tuple[str, ...]:
+        return tuple(m for m in cat.morphisms if not cat.is_identity(m))
+    return _kept(cat, "_modrep_non_identities", build)
+
+
+def _non_identity_pairs(cat: FiniteCategory) -> tuple[tuple[str, str, str], ...]:
+    """(g, f, g f) for the composable pairs of cat where neither g nor f is
+    an identity, in compose_table's order; kept on cat."""
+    def build(cat: FiniteCategory) -> tuple[tuple[str, str, str], ...]:
+        ids = set(cat.identity.values())
+        return tuple((g, f, gf) for (g, f), gf in cat.compose_table.items()
+                     if g not in ids and f not in ids)
+    return _kept(cat, "_modrep_non_identity_pairs", build)
+
+
 def _module_violations(cat: FiniteCategory, field: FieldSpec,
                        dims: Mapping[str, int],
                        action: Mapping[str, Mat]) -> list[Violation]:
@@ -123,7 +153,12 @@ def _module_violations(cat: FiniteCategory, field: FieldSpec,
         if (action[cat.identity[x]].entries
                 != linalg.identity(field, dims[x]).entries):
             violations.append(Violation(NON_IDENTITY_AT_OBJECT, (x,)))
-    for (g, f), gf in cat.compose_table.items():
+    # with every identity acting as I, V_g V_f = V_{gf} holds whenever g or
+    # f is an identity; after a failed identity every pair is tested, so
+    # the list is the one a full scan gives
+    pairs = (_non_identity_pairs(cat) if not violations else
+             [(g, f, gf) for (g, f), gf in cat.compose_table.items()])
+    for g, f, gf in pairs:
         if (linalg.matmul(field, action[g], action[f]).entries
                 != action[gf].entries):
             violations.append(Violation(FUNCTORIALITY_VIOLATION, (g, f)))
@@ -154,22 +189,27 @@ def validate_module(cat: FiniteCategory, raw: Mapping[str, Any]) -> KModule:
 
     Document shape: {field: "Q" | {"Fp": p}, dims: {object: n},
     action: {morphism: [[entry strings]]}}. Every violation found is
-    collected and reported with the witnessing ids.
+    collected and reported with the witnessing ids. A document that does
+    not parse raises Malformed (errors.parsing); that covers reading it
+    only, so an error raised while checking the module is a bug and
+    propagates.
     """
-    field = field_from_doc(raw["field"])
-    dims = {str(x): int(n) for x, n in raw.get("dims", {}).items()}
     violations: list[Violation] = []
     action: dict[str, Mat] = {}
-    for f, rows in raw.get("action", {}).items():
-        f = str(f)
-        if f not in cat.dom:
-            violations.append(Violation(SHAPE_VIOLATION, (f,), "unknown morphism"))
-            continue
-        shape = (dims.get(cat.cod[f], 0), dims.get(cat.dom[f], 0))
-        try:
-            action[f] = linalg.mat_from_strings(field, rows, shape)
-        except (ShapeMismatch, ValueError, ZeroDivisionError) as exc:
-            violations.append(Violation(SHAPE_VIOLATION, (f,), str(exc)))
+    with parsing("module"):
+        field = field_from_doc(raw["field"])
+        dims = {str(x): int(n) for x, n in raw.get("dims", {}).items()}
+        for f, rows in raw.get("action", {}).items():
+            f = str(f)
+            if f not in cat.dom:
+                violations.append(Violation(SHAPE_VIOLATION, (f,),
+                                            "unknown morphism"))
+                continue
+            shape = (dims.get(cat.cod[f], 0), dims.get(cat.dom[f], 0))
+            try:
+                action[f] = linalg.mat_from_strings(field, rows, shape)
+            except (ShapeMismatch, ValueError, ZeroDivisionError) as exc:
+                violations.append(Violation(SHAPE_VIOLATION, (f,), str(exc)))
     violations.extend(_module_violations(cat, field, dims, action))
     if violations:
         raise ValidationFailed("module", violations)
@@ -202,9 +242,18 @@ def direct_sum(cat: FiniteCategory, field: FieldSpec,
             raise FieldMismatch(f"{m.field.label()} summand in a"
                                 f" {field.label()} sum")
     dims = {x: sum(m.dims[x] for m in modules) for x in cat.objects}
-    action = {f: linalg.block_diag(field, [m.action[f] for m in modules])
-              for f in cat.morphisms}
+    action = _identity_action(cat, field, dims)
+    for f in _non_identities(cat):
+        action[f] = linalg.block_diag(field, [m.action[f] for m in modules])
     return make_module(cat, field, dims, action, check=False)
+
+
+def _identity_action(cat: FiniteCategory, field: FieldSpec,
+                     dims: Mapping[str, int]) -> dict[str, Mat]:
+    """The identity matrix at each identity morphism: what every module
+    with these dims assigns to them."""
+    return {cat.identity[x]: linalg.identity(field, dims[x])
+            for x in cat.objects}
 
 
 def _relabel(field: FieldSpec, src: Sequence, dst: Sequence,
@@ -287,7 +336,8 @@ def make_module_map(source: KModule, target: KModule,
                 violations.append(Violation(
                     SHAPE_VIOLATION, (x,), f"component must be {want[0]}x{want[1]}"))
         if not violations:
-            for f in cat.morphisms:
+            # at an identity both sides are the component at its object
+            for f in _non_identities(cat):
                 lhs = linalg.matmul(field, components[cat.cod[f]],
                                     source.action[f])
                 rhs = linalg.matmul(field, target.action[f],
@@ -342,10 +392,12 @@ _HOM_SYSTEM_CAP = 250_000
 
 def _naturality_rows(v: KModule, w: KModule) -> tuple[int, list[tuple]]:
     """Unknown count and rows of comp_y V_f - W_f comp_x = 0 over
-    every morphism f: x -> y, in the flattened components of a map v -> w.
+    every morphism f: x -> y other than the identities, whose rows are
+    zero, in the flattened components of a map v -> w.
 
     Raises SizeBudgetExceeded, before building anything, when the system
-    would hold more than _HOM_SYSTEM_CAP entries.
+    would hold more than _HOM_SYSTEM_CAP entries, counting the identities'
+    rows too.
     """
     field = v.field
     cat = v.cat
@@ -359,7 +411,7 @@ def _naturality_rows(v: KModule, w: KModule) -> tuple[int, list[tuple]]:
             f" exceeds {_HOM_SYSTEM_CAP} entries")
     zero = field.zero()
     rows: list[tuple] = []
-    for f in cat.morphisms:
+    for f in _non_identities(cat):
         x, y = cat.dom[f], cat.cod[f]
         vf, wf = v.action[f], w.action[f]
         ry, cy, offy = layout[y]
@@ -399,8 +451,9 @@ def hom_space(v: KModule, w: KModule) -> list[ModuleMap]:
 def _saturate(v: KModule, spans: Mapping[str, linalg.Echelon],
               done: dict[str, int], close: bool) -> None:
     """Add to spans[cod f] the images under f of the basis at dom f, for
-    every morphism f, until nothing new appears; close=False raises
-    PreconditionFailed at the first image outside its span instead.
+    every morphism f but the identities, which fix every vector, until
+    nothing new appears; close=False raises PreconditionFailed at the
+    first image outside its span instead.
 
     done[f] counts the basis vectors at dom f already pushed through f;
     spans only grow, so their images need no second test. Each pass takes
@@ -411,7 +464,7 @@ def _saturate(v: KModule, spans: Mapping[str, linalg.Echelon],
     changed = True
     while changed:
         changed = False
-        for f in cat.morphisms:
+        for f in _non_identities(cat):
             basis = spans[cat.dom[f]].basis
             target = spans[cat.cod[f]]
             start, done[f] = done[f], len(basis)
@@ -425,14 +478,15 @@ def _saturate(v: KModule, spans: Mapping[str, linalg.Echelon],
 
 def _submodule(v: KModule, spans: Mapping[str, linalg.Echelon],
                ) -> tuple[KModule, ModuleMap]:
-    """The submodule on action-closed spans, with its inclusion."""
+    """The submodule on action-closed spans, with its inclusion. The
+    basis at each object is independent, so an identity acts by I."""
     field = v.field
     cat = v.cat
     dims = {x: spans[x].rank for x in cat.objects}
     comps = {x: linalg.from_cols(spans[x].basis, rows=v.dims[x])
              for x in cat.objects}
-    action = {}
-    for f in cat.morphisms:
+    action = _identity_action(cat, field, dims)
+    for f in _non_identities(cat):
         x, y = cat.dom[f], cat.cod[f]
         action[f] = linalg.solve_matrix(
             field, comps[y], linalg.matmul(field, v.action[f], comps[x]))
@@ -477,7 +531,8 @@ def _quotient(v: KModule,
     E [B | I], per object picks the span's pivot columns and then the
     complement units R; E inverts [pivot columns | R], so its rows past the
     span's pivots are the projection P. P [B | R] = [0 | I] is checked.
-    The quotient acts by Q_f = P_y A_f R_x, and the projection is checked
+    The quotient acts by Q_f = P_y A_f R_x, so by P R = I at an identity,
+    and the projection is checked
     natural: P_y A_f = Q_f P_x holds exactly when P_y A_f B_x = 0, that is
     when the spans are closed under the action. So a span that is not
     closed is refused with ValidationFailed, and the quotient depends only
@@ -504,8 +559,8 @@ def _quotient(v: KModule,
                 == linalg.identity(field, dims[x])):
             raise FinsiteError(f"quotient projection at {x} does not invert"
                                " the complement")
-    action = {}
-    for f in cat.morphisms:
+    action = _identity_action(cat, field, dims)
+    for f in _non_identities(cat):
         x, y = cat.dom[f], cat.cod[f]
         action[f] = linalg.matmul(field, projections[y],
                                   linalg.matmul(field, v.action[f], reps[x]))
@@ -707,12 +762,14 @@ def family_module(cat: FiniteCategory, w: KModule,
 
     members[x] holds morphisms of cat out of x into W's objects, closed
     under precomposition (g u is a member at x for every member g at y and
-    u: x -> y), and u acts by reindexing, (u.b)_g = b_{g u}. A reindexed
-    family outside the space at y is a library bug and raises FinsiteError.
+    u: x -> y), and u acts by reindexing, (u.b)_g = b_{g u}, so an identity
+    by I. A reindexed family outside the space at y is a library bug and
+    raises FinsiteError.
     """
     families = {x: compatible_families(cat, w, members[x]) for x in cat.objects}
-    action = {}
-    for u in cat.morphisms:
+    dims = {x: families[x].dimension for x in cat.objects}
+    action = _identity_action(cat, w.field, dims)
+    for u in _non_identities(cat):
         src, dst = families[cat.dom[u]], families[cat.cod[u]]
         cols = []
         for fam in src.basis:
@@ -727,7 +784,6 @@ def family_module(cat: FiniteCategory, w: KModule,
         if action[u] is None:
             raise FinsiteError(
                 f"reindexed family escapes the family space at {u}")
-    dims = {x: families[x].dimension for x in cat.objects}
     return make_module(cat, w.field, dims, action, check=True), families
 
 

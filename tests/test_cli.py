@@ -9,7 +9,7 @@ import time
 import pytest
 
 import finsite
-from finsite import fincat, modrep, sheaves, torsion, typen
+from finsite import fincat, linalg, modrep, sheaves, torsion, typen
 from finsite.cli import run
 from finsite.linalg import GF
 from finsite.sheaves import PerpendicularStatus, SaturationStatus, SheafVerdict
@@ -423,6 +423,40 @@ def test_typen_library_bug_is_not_an_input_error(monkeypatch, patched, argv):
     code, text = run([*argv[:-1], "-1"])
     assert code == 2
     assert text == "error: horizon: MalformedInput: horizon must be natural\n"
+
+
+TRUNC_FI2_SHEAF_CHECK = [
+    "sheaf", "check", "--category", os.path.join(DATA, "trunc_fi2.json"),
+    "--topology", os.path.join(DATA, "trunc_fi2_rule.json"),
+    "--module", os.path.join(DATA, "trunc_fi2_module.json")]
+
+
+def test_module_check_bug_is_not_an_input_error(monkeypatch, tmp_path):
+    # the module document is input, but an error raised while checking the
+    # module's identities and functoriality is a bug
+    assert run(TRUNC_FI2_SHEAF_CHECK)[0] == 0
+
+    def broken(*args):
+        raise IndexError("internal")
+
+    monkeypatch.setattr(linalg, "matmul", broken)
+    with pytest.raises(IndexError) as caught:
+        run(TRUNC_FI2_SHEAF_CHECK)
+    assert any(entry.name == "_module_violations"
+               for entry in caught.traceback)
+    monkeypatch.undo()
+    with open(TRUNC_FI2_SHEAF_CHECK[-1], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for broken_doc, text in (
+            ({k: v for k, v in doc.items() if k != "field"},
+             "missing key 'field'"),
+            (dict(doc, dims=dict(doc["dims"], **{"0": "x"})),
+             "invalid literal for int() with base 10: 'x'"),
+            (dict(doc, field={"Fp": 4}), "field order must be prime, got 4")):
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(broken_doc))
+        code, out = run([*TRUNC_FI2_SHEAF_CHECK[:-1], str(path)])
+        assert (code, out) == (2, f"error: module: MalformedInput: {text}\n")
 
 
 def test_wrongly_shaped_documents_are_exit_2(tmp_path):

@@ -20,6 +20,7 @@ from finsite.errors import (
     OreConditionFails,
     Record,
     SizeBudgetExceeded,
+    UnknownObject,
     ValidationFailed,
     Violation,
 )
@@ -242,6 +243,34 @@ def test_full_subcategory(cat_trunc_fi2):
     assert set(sub.morphisms) == {m for m in cat.morphisms
                                   if {cat.dom[m], cat.cod[m]} <= {"0", "2"}}
     assert fincat.is_full_subcategory(cat, sub)
+
+
+def test_full_subcategory_is_kept_per_object_tuple():
+    for cat in ei_fixture_categories():
+        shown = repr(cat)
+        objs = cat.objects[1:]
+        sub = fincat.full_subcategory(cat, objs)
+        assert fincat.full_subcategory(cat, list(objs) + [objs[0]]) is sub
+        # equal to a fresh build from the ambient category's parts
+        keep = set(objs)
+        fresh = fincat.make_category(
+            "fresh", objs,
+            [(m, cat.dom[m], cat.cod[m]) for m in cat.morphisms
+             if {cat.dom[m], cat.cod[m]} <= keep],
+            {o: cat.identity[o] for o in objs},
+            {(g, f): gf for (g, f), gf in cat.compose_table.items()
+             if {cat.dom[f], cat.cod[g]} <= keep})
+        assert fresh == sub and fresh is not sub
+        assert fincat.is_full_subcategory(cat, fresh)
+        # another order is another subcategory
+        if len(objs) > 1:
+            backwards = fincat.full_subcategory(cat, objs[::-1])
+            assert backwards is not sub and backwards != sub
+        with pytest.raises(UnknownObject):
+            fincat.full_subcategory(cat, ["nowhere"])
+        assert repr(cat) == shown
+        copied = pickle.loads(pickle.dumps(cat))
+        assert copied == cat and "_full_subcategories" not in vars(copied)
 
 
 def test_classify_quiver(cat_quiver2):

@@ -55,12 +55,41 @@ def test_kernel_basis_canonical():
         assert linalg.matmul(QQ, a, from_cols([v])).entries == ((F(0),),)
 
 
+def solve(field, a: Mat, b: tuple) -> tuple | None:
+    """One solution of a x = b, or None; free variables 0. The
+    one-right-hand-side reference that solve_matrix is tested against."""
+    if len(b) != a.rows:
+        raise ShapeMismatch("rhs length mismatch")
+    aug = Mat(a.rows, a.cols + 1,
+              tuple(r + (b[i],) for i, r in enumerate(a.entries)))
+    r, pivots = linalg.rref(field, aug)
+    if a.cols in pivots:
+        return None
+    x = [field.zero()] * a.cols
+    for i, pc in enumerate(pivots):
+        x[pc] = r.entries[i][a.cols]
+    return tuple(x)
+
+
 def test_solve_and_inverse():
     a = from_rows([[F(2), F(1)], [F(1), F(1)]])
-    x = linalg.solve(QQ, a, (F(3), F(2)))
+    x = solve(QQ, a, (F(3), F(2)))
     assert x == (F(1), F(1))
     singular = from_rows([[F(1), F(1)], [F(1), F(1)]])
-    assert linalg.solve(QQ, singular, (F(0), F(1))) is None
+    assert solve(QQ, singular, (F(0), F(1))) is None
+
+
+@pytest.mark.parametrize("field", (GF(2), GF(3), QQ))
+def test_identity_is_built_once_per_field_and_size(field):
+    for n in range(5):
+        fresh = Mat(n, n, tuple(tuple(field.one() if i == j else field.zero()
+                                      for j in range(n)) for i in range(n)))
+        first = linalg.identity(field, n)
+        assert first == fresh
+        assert all(type(x) is type(field.one()) for r in first.entries
+                   for x in r)
+        assert linalg.identity(field, n) is first
+        assert linalg._identities[field.p, n] is first
 
 
 def test_zero_shape_matrices():
@@ -125,7 +154,7 @@ def systems(draw):
 @given(systems())
 def test_solve_matrix_matches_per_column_solve(system):
     field, a, b = system
-    per_column = [linalg.solve(field, a, b.col(j)) for j in range(b.cols)]
+    per_column = [solve(field, a, b.col(j)) for j in range(b.cols)]
     got = linalg.solve_matrix(field, a, b)
     if any(x is None for x in per_column):
         assert got is None

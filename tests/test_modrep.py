@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pickle
+import random
 
 from finsite import fincat, linalg, modrep, sheaves, sieves, topology, torsion
 from finsite.errors import (
     FUNCTORIALITY_VIOLATION,
+    NATURALITY_VIOLATION,
     NON_IDENTITY_AT_OBJECT,
     SHAPE_VIOLATION,
     FieldMismatch,
@@ -19,6 +21,7 @@ from finsite.errors import (
     PreconditionFailed,
     SizeBudgetExceeded,
     ValidationFailed,
+    Violation,
 )
 from finsite.linalg import GF, QQ, Mat
 
@@ -833,3 +836,242 @@ def test_one_build_per_representable_and_presentation(monkeypatch):
     assert len(asked) > 2 * len(distinct)
     # one build per representable, two (sub and quotient) per presentation
     assert len(builds) == len(distinct) + presentations
+
+
+# ---------------------------------------------------------------------------
+# identities act as identities: the full scans over every composable pair
+# and every morphism, kept as oracles of the scans that skip identities
+
+def old_module_violations(cat, field, dims, action):
+    violations = []
+    for x in cat.objects:
+        if x not in dims or dims[x] < 0:
+            violations.append(Violation(SHAPE_VIOLATION, (x,),
+                                        "missing or negative dimension"))
+    for extra in sorted(set(dims) - set(cat.objects)):
+        violations.append(Violation(SHAPE_VIOLATION, (extra,),
+                                    "unknown object"))
+    if violations:
+        return violations
+    for f in cat.morphisms:
+        m = action.get(f)
+        if m is None:
+            violations.append(Violation(SHAPE_VIOLATION, (f,),
+                                        "missing matrix"))
+            continue
+        want = (dims[cat.cod[f]], dims[cat.dom[f]])
+        if (m.rows, m.cols) != want:
+            violations.append(Violation(SHAPE_VIOLATION, (f, m.rows, m.cols),
+                                        f"expected {want[0]}x{want[1]}"))
+    if violations:
+        return violations
+    for x in cat.objects:
+        if action[cat.identity[x]] != linalg.identity(field, dims[x]):
+            violations.append(Violation(NON_IDENTITY_AT_OBJECT, (x,)))
+    for (g, f), gf in cat.compose_table.items():
+        if linalg.matmul(field, action[g], action[f]) != action[gf]:
+            violations.append(Violation(FUNCTORIALITY_VIOLATION, (g, f)))
+    return violations
+
+
+def old_naturality_violations(source, target, components):
+    """The naturality scan at every morphism, identities included; the
+    components are assumed to have the right shapes."""
+    field, cat = source.field, source.cat
+    return [Violation(NATURALITY_VIOLATION, (f,)) for f in cat.morphisms
+            if linalg.matmul(field, components[cat.cod[f]], source.action[f])
+            != linalg.matmul(field, target.action[f], components[cat.dom[f]])]
+
+
+def old_naturality_rows(v, w):
+    field, cat = v.field, v.cat
+    layout = {x: (r, c, off) for x, r, c, off in modrep._map_layout(v, w)}
+    n = sum(r * c for r, c, _ in layout.values())
+    rows = []
+    for f in cat.morphisms:
+        x, y = cat.dom[f], cat.cod[f]
+        vf, wf = v.action[f], w.action[f]
+        ry, cy, offy = layout[y]
+        rx, cx, offx = layout[x]
+        for a in range(ry):
+            for b in range(cx):
+                row = [field.zero()] * n
+                for c in range(cy):
+                    row[offy + a * cy + c] = vf.entries[c][b]
+                for d in range(rx):
+                    row[offx + d * cx + b] = field.sub(row[offx + d * cx + b],
+                                                       wf.entries[a][d])
+                rows.append(tuple(row))
+    return n, rows
+
+
+def old_hom_space(v, w):
+    n, rows = old_naturality_rows(v, w)
+    if n == 0:
+        return []
+    a = Mat(len(rows), n, tuple(rows))
+    return [modrep.map_from_vector(v, w, k)
+            for k in linalg.kernel_basis(v.field, a)]
+
+
+def sample_modules(cat, field):
+    """Valid modules of every size the sampler makes, and the stock ones."""
+    out = [modrep.random_module(cat, field, seed, max_dim)
+           for seed in range(4) for max_dim in (1, 2, 3)]
+    out.append(constant_module(cat, field))
+    out.extend(modrep.yoneda_module(cat, field, x) for x in cat.objects)
+    out.extend(modrep.standard_injective(cat, field, x) for x in cat.objects)
+    return out
+
+
+def changed(field, m):
+    """m with its first entry moved by one."""
+    rows = [list(r) for r in m.entries]
+    rows[0][0] = field.add(rows[0][0], field.one())
+    return Mat(m.rows, m.cols, tuple(map(tuple, rows)))
+
+
+def corruptions(v):
+    """(label, action) for broken copies of a valid module's action: a bad
+    identity, a bad non-identity matrix, both, and a bad shape."""
+    cat, field = v.cat, v.field
+    ids = [cat.identity[x] for x in cat.objects if v.dims[x]]
+    others = [f for f in cat.morphisms if not cat.is_identity(f)
+              and v.action[f].rows and v.action[f].cols]
+    out = []
+    for i in ids[:2]:
+        out.append(("identity", dict(v.action, **{i: changed(field, v.action[i])})))
+    for f in others[:3]:
+        out.append(("composite", dict(v.action, **{f: changed(field, v.action[f])})))
+    if ids and others:
+        out.append(("both", dict(v.action, **{
+            ids[-1]: changed(field, v.action[ids[-1]]),
+            others[-1]: changed(field, v.action[others[-1]])})))
+    f = cat.morphisms[-1]
+    m = v.action[f]
+    out.append(("shape", dict(v.action, **{
+        f: linalg.zeros(field, m.rows + 1, m.cols)})))
+    return out
+
+
+@pytest.mark.parametrize("cat", FIXTURES, ids=lambda c: c.name)
+@pytest.mark.parametrize("field", (F2, F3, QQ), ids=lambda f: f.label())
+def test_module_violations_match_the_full_scan(cat, field):
+    kinds = set()
+    for v in sample_modules(cat, field):
+        assert modrep._module_violations(cat, field, v.dims, v.action) == []
+        assert old_module_violations(cat, field, v.dims, v.action) == []
+        for label, action in corruptions(v):
+            got = modrep._module_violations(cat, field, v.dims, action)
+            assert got == old_module_violations(cat, field, v.dims, action)
+            if not got:
+                # a new matrix at a morphism that is no factor of a
+                # composable pair can still make a module
+                assert label == "composite", label
+                continue
+            kinds.add(label)
+            with pytest.raises(ValidationFailed) as err:
+                modrep.make_module(cat, field, v.dims, action)
+            assert err.value.violations == got
+    assert {"identity", "shape"} <= kinds
+    if any(not cat.is_identity(g) and not cat.is_identity(f)
+           for g, f in cat.compose_table):
+        assert {"composite", "both"} <= kinds
+
+
+@pytest.mark.parametrize("cat", FIXTURES, ids=lambda c: c.name)
+@pytest.mark.parametrize("field", (F2, F3, QQ), ids=lambda f: f.label())
+def test_naturality_and_hom_spaces_match_the_full_scans(cat, field):
+    modules = sample_modules(cat, field)[::2]
+    rng = random.Random(f"{cat.name}:{field.label()}")
+    verdicts = set()
+    for v in modules:
+        for w in modules:
+            basis = modrep.hom_space(v, w)
+            old = old_hom_space(v, w)
+            assert [map_bytes(m) for m in basis] == [map_bytes(m) for m in old]
+            # every map, natural or not, gets the full scan's verdict
+            n = sum(v.dims[x] * w.dims[x] for x in cat.objects)
+            vectors = [modrep.map_to_vector(m) for m in basis[:2]]
+            vectors.extend(tuple(field.of(rng.randint(-2, 2)) for _ in range(n))
+                           for _ in range(3))
+            for vec in vectors:
+                comps = modrep.map_from_vector(v, w, vec).components
+                want = old_naturality_violations(v, w, comps)
+                verdicts.add(not want)
+                if want:
+                    with pytest.raises(ValidationFailed) as err:
+                        modrep.make_module_map(v, w, comps)
+                    assert err.value.violations == want
+                else:
+                    modrep.make_module_map(v, w, comps)
+    assert verdicts == {True, False}
+
+
+def test_unchecked_builders_act_by_identities():
+    # the scans skip identity terms because every module passes the
+    # identity check; the builders that run with check=False keep it so
+    for cat in FIXTURES:
+        for field in (F2, F3, QQ):
+            built = [modrep.zero_module(cat, field)]
+            for x in cat.objects:
+                built.append(modrep.yoneda_module(cat, field, x))
+                built.append(modrep.standard_injective(cat, field, x))
+                for s in sieves.all_sieves(cat, x):
+                    pres = modrep.sieve_quotient_module(cat, field, s)
+                    built.extend([pres.sub, pres.quotient])
+            built.append(modrep.direct_sum(cat, field, built[1:4]))
+            v = modrep.random_module(cat, field, 7, 2)
+            w = modrep.random_module(cat, field, 8, 2)
+            built.append(modrep.canonical_injective_embedding(v)[0])
+            spans = {x: [tuple(field.one() for _ in range(v.dims[x]))]
+                     for x in cat.objects if v.dims[x]}
+            built.append(modrep.submodule_from_spans(v, spans)[0])
+            maps = modrep.hom_space(v, w)
+            built.extend(modrep.kernel_of_map(m)[0] for m in maps[:2])
+            sub = fincat.full_subcategory(cat, cat.objects[1:])
+            built.append(modrep._restrict(sub, v))
+            for m in built:
+                assert old_module_violations(
+                    m.cat, field, m.dims, m.action) == [], m
+            # map_from_vector and compose_maps build maps unchecked
+            ends = modrep.hom_space(w, w)
+            for m in maps + [modrep.compose_maps(e, m)
+                             for e in ends[:2] for m in maps[:2]]:
+                assert old_naturality_violations(
+                    m.source, m.target, m.components) == []
+
+
+def test_identity_terms_make_no_products(monkeypatch):
+    # diamond: 5 morphisms that are not identities, and 16 composable
+    # pairs of which only (a->1, 0->a) and (b->1, 0->b) have no identity
+    cat = diamond()
+    products = []
+    matmul = linalg.matmul
+
+    def counted(field, a, b):
+        products.append((a, b))
+        return matmul(field, a, b)
+
+    for field in (F2, QQ):
+        v = constant_module(cat, field)
+        monkeypatch.setattr(linalg, "matmul", counted)
+        products.clear()
+        modrep.make_module(cat, field, v.dims, v.action)
+        assert len(products) == 2
+        # a failed identity makes the scan complete again
+        products.clear()
+        bad = dict(v.action, **{"1_a": linalg.zeros(field, 1, 1)})
+        with pytest.raises(ValidationFailed):
+            modrep.make_module(cat, field, v.dims, bad)
+        assert len(products) == len(cat.compose_table) == 16
+        # naturality: two products per morphism that is no identity
+        products.clear()
+        modrep.make_module_map(v, v, {x: linalg.identity(field, 1)
+                                      for x in cat.objects})
+        assert len(products) == 2 * 5
+        monkeypatch.undo()
+        # one block of rows per morphism that is no identity
+        _, rows = modrep._naturality_rows(v, v)
+        assert len(rows) == 5
+        assert len(old_naturality_rows(v, v)[1]) == len(cat.morphisms) == 9

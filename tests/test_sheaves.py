@@ -423,6 +423,37 @@ def test_rigid_equivalence_records_a_degenerate_unit(cat_quiver2,
     assert rep.torsion_matches_restriction
 
 
+def test_rigid_equivalence_builds_its_subcategory_once(monkeypatch):
+    # the subcategory of irreducibles is kept on the category, and with it
+    # the representables sampled on it: a second probe builds nothing
+    cat = diamond()
+    j = next(j for j in topology.enumerate_topologies(cat)
+             if topology.rigidity(cat, j).rigid
+             and 0 < len(topology.irreducible_objects(cat, j))
+             < len(cat.objects))
+    categories, representables = [], []
+    make_category = fincat.make_category
+    build = modrep._postcomposition_module
+
+    def counted_category(name, *args, **kwargs):
+        categories.append(name)
+        return make_category(name, *args, **kwargs)
+
+    def counted_build(sub, field, basis):
+        representables.append(sub.name)
+        return build(sub, field, basis)
+
+    monkeypatch.setattr(fincat, "make_category", counted_category)
+    monkeypatch.setattr(modrep, "_postcomposition_module", counted_build)
+    first = sheaves.verify_rigid_equivalence(cat, j, sample_count=3)
+    assert len(categories) == 1 and categories[0].startswith("diamond|")
+    assert categories[0] in representables
+    categories.clear()
+    representables.clear()
+    assert sheaves.verify_rigid_equivalence(cat, j, sample_count=3) == first
+    assert categories == [] and representables == []
+
+
 def test_rigid_equivalence_rejects_nonrigid(cat_idem_monoid):
     dense = topology.named_topology(cat_idem_monoid, "dense")
     assert not topology.rigidity(cat_idem_monoid, dense).rigid

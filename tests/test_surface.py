@@ -36,8 +36,6 @@ PACKAGE = os.path.join(ROOT, "src", "finsite")
 OUTSIDE = ("demos", "perfbench")
 
 ALLOWED = {
-    "solve": "the one-right-hand-side reference that solve_matrix is "
-             "tested against",
     "restrict_to_ideal": "topologies restrict to ideals, the step toward "
                          "FI's and VI's full subcategories",
     "matching_colimit_dimension": "the colimit over all covers that the "
