@@ -103,9 +103,13 @@ def _load_json(path: str):
 
 
 def _resolve_category(spec: str, budget: fincat.SizeBudget) -> fincat.FiniteCategory:
+    if spec.endswith(".json") or "/" in spec:
+        with parsing("category"):
+            doc = _load_json(spec)
+        # validate_category reads the document under parsing("category")
+        # itself and checks the category outside it
+        return fincat.validate_category(doc, budget)
     with parsing("category"):
-        if spec.endswith(".json") or "/" in spec:
-            return fincat.validate_category(_load_json(spec), budget)
         return _builtin_category(spec, budget)
 
 
@@ -126,8 +130,9 @@ def _resolve_inputs(args) -> None:
             args.j = topology.named_topology(args.cat, args.topology)
         else:
             with parsing("topology"):
-                args.j = topology.topology_from_doc(
-                    args.cat, _load_json(args.topology))
+                doc = _load_json(args.topology)
+            # topology_from_doc, likewise, reads under parsing("topology")
+            args.j = topology.topology_from_doc(args.cat, doc)
     if "module" in names:
         with parsing("module"):
             doc = _load_json(args.module)

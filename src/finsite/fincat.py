@@ -13,6 +13,12 @@ particular the orbit-category builder stores the OPPOSITE of the usual orbit
 category, so that a stored arrow out of G/H corresponds to an equivariant map
 G/H' -> G/H. Document readers: an arrow of the stored orbit category from
 G/H to G/K exists iff K is subconjugate to H.
+
+Every category, stock or document, is fully validated when it is made
+(make_category), associativity on every composable triple included. The
+check works on morphism positions and decides all triples through a
+composable pair with one tuple comparison (_collect_violations), so it
+costs about as much as building the composition table.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -38,12 +45,15 @@ from .errors import (
     UnknownObject,
     ValidationFailed,
     Violation,
+    parsing,
 )
 
 DEFAULT_MAX_OBJECTS = 64
 DEFAULT_MAX_MORPHISMS = 4096
-# composable triples, one step each of the associativity check; admits
-# trunc_fi(5) (6,061,413 triples) and trunc_vi(2, 3) (6,229,165)
+# composable triples (h, g, f), all of which the associativity check
+# covers; admits trunc_fi(5) (6,061,413 triples) and trunc_vi(2, 3)
+# (6,229,165). The check compares a pair's triples at once, in C, but
+# their count still bounds its work, so the budget counts triples.
 _MAX_TRIPLES = 2 ** 23
 
 
@@ -147,6 +157,18 @@ def _index(name, objects, dom, cod, identity, compose) -> FiniteCategory:
 
 def _collect_violations(objects, dom, cod, identity, compose,
                         morphism_order) -> list[Violation]:
+    """Every violation of the category axioms, in a fixed order: endpoints
+    and identities, then the composites (unknown, not composable, wrong
+    endpoints, missing), then the unit laws and associativity.
+
+    Associativity is checked once per composable pair (g, f), on morphism
+    positions. With f fixed, y -> y f is a map from the morphisms out of
+    cod f to positions, read off one row; so (h g) f for every h out of
+    cod g is that row taken at the places of the h g, and h (g f) for every
+    h is the row of g f. One comparison of the two tuples, made in C,
+    decides the law for every triple (h, g, f) through the pair; only a
+    pair that fails is walked again per h, for its witnesses.
+    """
     violations: list[Violation] = []
     obj_set = set(objects)
     for m in morphism_order:
@@ -168,9 +190,12 @@ def _collect_violations(objects, dom, cod, identity, compose,
             violations.append(Violation(BAD_COMPOSITE, (g, f, gf), "pair not composable"))
         elif dom[gf] != dom[f] or cod[gf] != cod[g]:
             violations.append(Violation(BAD_COMPOSITE, (g, f, gf), "endpoints of composite"))
+    by_dom: dict[str, list[str]] = {}
+    for m in morphism_order:
+        by_dom.setdefault(dom[m], []).append(m)
     for f in morphism_order:
-        for g in morphism_order:
-            if cod[f] == dom[g] and (g, f) not in compose:
+        for g in by_dom.get(cod[f], ()):
+            if (g, f) not in compose:
                 violations.append(Violation(MISSING_COMPOSITE, (g, f)))
     if violations:
         return violations
@@ -180,15 +205,32 @@ def _collect_violations(objects, dom, cod, identity, compose,
             violations.append(Violation(MISSING_IDENTITY, (cod[f], f), "left unit law"))
         if compose[(f, identity[dom[f]])] != f:
             violations.append(Violation(MISSING_IDENTITY, (dom[f], f), "right unit law"))
-    by_dom: dict[str, list[str]] = {}
-    for m in morphism_order:
-        by_dom.setdefault(dom[m], []).append(m)
-    for f in morphism_order:
-        for g in by_dom.get(cod[f], ()):
-            gf = compose[(g, f)]
-            for h in by_dom.get(cod[g], ()):
-                if compose[(h, gf)] != compose[(compose[(h, g)], f)]:
-                    violations.append(Violation(NON_ASSOCIATIVE, (h, g, f)))
+
+    # every morphism by its position in morphism_order; for the morphism at
+    # position x, post[x] lists the positions of h x for h out of cod x,
+    # in by_dom order, and places[x] the places of those same h x in
+    # by_dom[dom x]
+    pos = {m: i for i, m in enumerate(morphism_order)}
+    place = {m: i for ms in by_dom.values() for i, m in enumerate(ms)}
+    post: list[tuple[int, ...]] = []
+    places: list[tuple[int, ...]] = []
+    for x in morphism_order:
+        after = [compose[(h, x)] for h in by_dom[cod[x]]]
+        post.append(tuple(map(pos.__getitem__, after)))
+        places.append(tuple(map(place.__getitem__, after)))
+    # itemgetter returns a lone item bare, so a one-entry row is compared bare
+    pick = [itemgetter(*p) for p in places]
+    row = [p if len(p) > 1 else p[0] for p in post]
+    out_pos = {y: [pos[m] for m in ms] for y, ms in by_dom.items()}
+    for fi, f in enumerate(morphism_order):
+        pf = post[fi]  # the row of y f, y out of cod f
+        for gi, gf in zip(out_pos[cod[f]], pf):
+            # (h g) f sits at pf[place of h g]: one comparison for every h
+            if row[gf] != pick[gi](pf):
+                g = morphism_order[gi]
+                for h, hgf, j in zip(by_dom[cod[g]], post[gf], places[gi]):
+                    if hgf != pf[j]:
+                        violations.append(Violation(NON_ASSOCIATIVE, (h, g, f)))
     return violations
 
 
@@ -262,14 +304,18 @@ def validate_category(doc: Mapping[str, Any],
 
     Raises ValidationFailed listing every violation (missing identities,
     dangling endpoints, duplicate ids, missing or wrong composites,
-    associativity failures), each with the offending ids as witness.
+    associativity failures), each with the offending ids as witness. A
+    document that does not parse raises Malformed (errors.parsing); that
+    covers reading it only, so an error raised while checking the category
+    is a bug and propagates.
     """
-    objects = [str(o) for o in doc["objects"]]
-    morphisms = [(str(m["id"]), str(m["dom"]), str(m["cod"]))
-                 for m in doc["morphisms"]]
-    identity = {str(k): str(v) for k, v in doc["identities"].items()}
-    compose = {(str(g), str(f)): str(gf) for g, f, gf in doc["compose"]}
-    name = str(doc.get("name", "category"))
+    with parsing("category"):
+        objects = [str(o) for o in doc["objects"]]
+        morphisms = [(str(m["id"]), str(m["dom"]), str(m["cod"]))
+                     for m in doc["morphisms"]]
+        identity = {str(k): str(v) for k, v in doc["identities"].items()}
+        compose = {(str(g), str(f)): str(gf) for g, f, gf in doc["compose"]}
+        name = str(doc.get("name", "category"))
     return make_category(name, objects, morphisms, identity, compose, budget)
 
 
@@ -654,20 +700,23 @@ def build_trunc_fi_category(n: int, name: str | None = None,
     def mid(m: int, k: int, img: tuple[int, ...]) -> str:
         return f"[{m}>{k}]({','.join(map(str, img))})"
 
-    morphisms = []
-    inj: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+    # each injection's name, keyed by its data (m, k, image)
+    name_of: dict[tuple[int, int, tuple[int, ...]], str] = {}
+    inj = []
     for m in range(n + 1):
         for k in range(m, n + 1):
             for img in itertools.permutations(range(k), m):
-                i = mid(m, k, img)
-                morphisms.append((i, str(m), str(k)))
-                inj[i] = (m, k, img)
-    identity = {str(m): mid(m, m, tuple(range(m))) for m in range(n + 1)}
+                i = name_of[m, k, img] = mid(m, k, img)
+                inj.append((i, m, k, img))
+    morphisms = [(i, str(m), str(k)) for i, m, k, _ in inj]
+    identity = {str(m): name_of[m, m, tuple(range(m))] for m in range(n + 1)}
+    out_of: dict[int, list] = {k: [] for k in range(n + 1)}
+    for g, k, l, img_g in inj:
+        out_of[k].append((g, l, img_g))
     compose = {}
-    for f, (m, k, img_f) in inj.items():
-        for g, (k2, l, img_g) in inj.items():
-            if k2 == k:
-                compose[(g, f)] = mid(m, l, tuple(img_g[i] for i in img_f))
+    for f, m, k, img_f in inj:
+        for g, l, img_g in out_of[k]:
+            compose[(g, f)] = name_of[m, l, tuple(map(img_g.__getitem__, img_f))]
     return make_category(name or f"trunc_fi_{n}", objects, morphisms,
                          identity, compose, budget)
 
@@ -696,21 +745,25 @@ def build_trunc_vi_category(q: int, n: int, name: str | None = None,
         flat = ",".join(str(x) for r in a.entries for x in r)
         return f"[{m}>{k}]({flat})"
 
-    morphisms = []
-    mats: dict[str, tuple[int, int, linalg.Mat]] = {}
+    # each injection's name, keyed by its data (m, k, entries)
+    name_of: dict[tuple[int, int, tuple], str] = {}
+    inj = []
     for m in range(n + 1):
         for k in range(m, n + 1):
             for a in all_matrices(k, m):
                 if linalg.rank(field, a) == m:
-                    i = mid(m, k, a)
-                    morphisms.append((i, str(m), str(k)))
-                    mats[i] = (m, k, a)
-    identity = {str(m): mid(m, m, linalg.identity(field, m)) for m in range(n + 1)}
+                    i = name_of[m, k, a.entries] = mid(m, k, a)
+                    inj.append((i, m, k, a))
+    morphisms = [(i, str(m), str(k)) for i, m, k, _ in inj]
+    identity = {str(m): name_of[m, m, linalg.identity(field, m).entries]
+                for m in range(n + 1)}
+    out_of: dict[int, list] = {k: [] for k in range(n + 1)}
+    for g, k, l, ag in inj:
+        out_of[k].append((g, l, ag))
     compose = {}
-    for f, (m, k, af) in mats.items():
-        for g, (k2, l, ag) in mats.items():
-            if k2 == k:
-                compose[(g, f)] = mid(m, l, linalg.matmul(field, ag, af))
+    for f, m, k, af in inj:
+        for g, l, ag in out_of[k]:
+            compose[(g, f)] = name_of[m, l, linalg.matmul(field, ag, af).entries]
     return make_category(name or f"trunc_vi_{q}_{n}", objects, morphisms,
                          identity, compose, budget)
 

@@ -282,9 +282,10 @@ def _postcomposition_module(cat: FiniteCategory, field: FieldSpec,
 
 
 def _built(cat: FiniteCategory) -> dict:
-    """The representables and sieve presentations built on cat, keyed by
-    (field, object) and (field, sieve). The modules refer back to cat, so
-    a category and its entries are freed together by the cycle collector."""
+    """The representables, sieve presentations and standard injectives
+    built on cat, keyed by (field, object), (field, sieve) and
+    (field, object, "injective"). The modules refer back to cat, so a
+    category and its entries are freed together by the cycle collector."""
     return _kept(cat, "_modrep_built", lambda cat: {})
 
 
@@ -636,13 +637,19 @@ def sieve_quotient_module(cat: FiniteCategory, field: FieldSpec,
 def standard_injective(cat: FiniteCategory, field: FieldSpec, x: str) -> KModule:
     """The cofree module at x: the value at y is functions on Hom(y, x), and
     u: y -> z acts by (u.phi)(h) = phi(h u). Maps from any W into it are
-    exactly linear functionals on W_x, which makes it injective."""
-    basis = {y: cat.hom(y, x) for y in cat.objects}
-    action = {u: linalg.transpose(_relabel(
-        field, basis[cat.cod[u]], basis[cat.dom[u]],
-        lambda h, u=u: cat.compose(h, u))) for u in cat.morphisms}
-    return make_module(cat, field, {y: len(basis[y]) for y in cat.objects},
-                       action, check=False)
+    exactly linear functionals on W_x, which makes it injective. Built once
+    per (category, field, object); later calls return the same module."""
+    built = _built(cat)
+    v = built.get((field, x, "injective"))
+    if v is None:
+        basis = {y: cat.hom(y, x) for y in cat.objects}
+        action = {u: linalg.transpose(_relabel(
+            field, basis[cat.cod[u]], basis[cat.dom[u]],
+            lambda h, u=u: cat.compose(h, u))) for u in cat.morphisms}
+        v = built[field, x, "injective"] = make_module(
+            cat, field, {y: len(basis[y]) for y in cat.objects}, action,
+            check=False)
+    return v
 
 
 def canonical_injective_embedding(v: KModule) -> tuple[KModule, ModuleMap]:

@@ -48,6 +48,7 @@ from .errors import (
     SizeBudgetExceeded,
     StabilityFails,
     UnknownObject,
+    parsing,
 )
 from .fincat import (
     FiniteCategory,
@@ -107,11 +108,16 @@ def topology_to_doc(j: GrothendieckTopology) -> dict:
 
 
 def topology_from_doc(cat: FiniteCategory, doc: Mapping) -> GrothendieckTopology:
-    covers = {}
-    for x, sieve_lists in doc["covers"].items():
-        covers[str(x)] = [make_sieve(cat, str(x), [str(m) for m in mem])
-                          for mem in sieve_lists]
-    return make_rule(cat, covers)
+    """Read a topology document {covers: {object: [[member ids]]}} on cat.
+    A document that does not parse raises Malformed (errors.parsing); that
+    covers reading it only. Making its sieves and rule comes after, so their
+    refusals (UnknownObject, InvalidSieve, WrongDomain) are raised as they
+    are, and a builtin error there is a bug and propagates."""
+    with parsing("topology"):
+        members = {str(x): [[str(m) for m in mem] for mem in sieve_lists]
+                   for x, sieve_lists in doc["covers"].items()}
+    return make_rule(cat, {x: [make_sieve(cat, x, mem) for mem in lists]
+                           for x, lists in members.items()})
 
 
 def canonical_serialization(j: GrothendieckTopology) -> str:

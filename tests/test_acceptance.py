@@ -138,14 +138,14 @@ def test_03_monoid_dichotomy():
 
 def test_04_classification_crosscheck():
     def body():
-        # trunc_vi(2,3) is left out: building it takes about 4 s on a
-        # 2-vCPU VM, nearly all in make_category's associativity check
         fixtures = [("chain2", chain(2), 4), ("chain3", chain(3), 8),
                     ("diamond", diamond(), 16), ("quiver2", quiver2(), 4),
                     ("trunc_fi(2)", fincat.build_trunc_fi_category(2), 8),
                     ("trunc_fi(3)", fincat.build_trunc_fi_category(3), 16),
+                    ("trunc_fi(5)", fincat.build_trunc_fi_category(5), 64),
                     ("trunc_vi(2,2)", fincat.build_trunc_vi_category(2, 2), 8),
-                    ("trunc_vi(3,2)", fincat.build_trunc_vi_category(3, 2), 8)]
+                    ("trunc_vi(3,2)", fincat.build_trunc_vi_category(3, 2), 8),
+                    ("trunc_vi(2,3)", fincat.build_trunc_vi_category(2, 3), 16)]
         for p in (2, 3):
             orb, _ = fincat.build_orbit_category(
                 fincat.cyclic_group_table(p), name=f"orbit_C{p}")

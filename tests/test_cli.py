@@ -9,7 +9,7 @@ import time
 import pytest
 
 import finsite
-from finsite import fincat, linalg, modrep, sheaves, torsion, typen
+from finsite import fincat, linalg, modrep, sheaves, topology, torsion, typen
 from finsite.cli import run
 from finsite.linalg import GF
 from finsite.sheaves import PerpendicularStatus, SaturationStatus, SheafVerdict
@@ -457,6 +457,56 @@ def test_module_check_bug_is_not_an_input_error(monkeypatch, tmp_path):
         path.write_text(json.dumps(broken_doc))
         code, out = run([*TRUNC_FI2_SHEAF_CHECK[:-1], str(path)])
         assert (code, out) == (2, f"error: module: MalformedInput: {text}\n")
+
+
+def test_category_check_bug_is_not_an_input_error(monkeypatch, tmp_path):
+    # the category document is input, but an error raised while checking
+    # the category's axioms is a bug
+    argv = ["topology", "check", "--category",
+            os.path.join(DATA, "trunc_fi2.json"), "--topology", "dense"]
+    assert run(argv)[0] == 0
+
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(fincat, "_collect_violations", broken)
+    with pytest.raises(KeyError):
+        run(argv)
+    monkeypatch.undo()
+    with open(argv[3], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for broken_doc, text in (
+            ({k: v for k, v in doc.items() if k != "compose"},
+             "missing key 'compose'"),
+            (dict(doc, objects=7), "'int' object is not iterable"),
+            (dict(doc, compose=[["a", "b"]]),
+             "not enough values to unpack (expected 3, got 2)")):
+        path = tmp_path / "category.json"
+        path.write_text(json.dumps(broken_doc))
+        code, out = run([*argv[:3], str(path), *argv[4:]])
+        assert (code, out) == (2, f"error: category: MalformedInput: {text}\n")
+
+
+def test_topology_check_bug_is_not_an_input_error(monkeypatch, tmp_path):
+    # likewise the topology document: a builtin raised while making its
+    # sieves is a bug, not bad input
+    argv = ["topology", "check", *TRUNC_FI2_SHEAF_CHECK[2:-2]]
+    assert run(argv)[0] == 0
+
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(topology, "make_sieve", broken)
+    with pytest.raises(KeyError):
+        run(argv)
+    monkeypatch.undo()
+    for broken_doc, text in (({}, "missing key 'covers'"),
+                             ({"covers": {"0": 5}},
+                              "'int' object is not iterable")):
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(broken_doc))
+        code, out = run([*argv[:-1], str(path)])
+        assert (code, out) == (2, f"error: topology: MalformedInput: {text}\n")
 
 
 def test_wrongly_shaped_documents_are_exit_2(tmp_path):

@@ -1,18 +1,25 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import itertools
+import json
 import pickle
 from dataclasses import MISSING, dataclass, fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ei_fixture_categories
+from conftest import chain, diamond, ei_fixture_categories, idem_monoid
 
 from finsite import fincat, linalg, topology
 from finsite.errors import (
+    BAD_COMPOSITE,
+    DANGLING_ENDPOINT,
+    MISSING_COMPOSITE,
+    MISSING_IDENTITY,
+    NON_ASSOCIATIVE,
     CyclicQuiver,
     NotAGroupTable,
     NotAPoset,
@@ -227,12 +234,228 @@ def test_counted_triples_are_the_built_triples(monkeypatch, build):
     ("vi", (7, 2), 8_393_370_357)])
 def test_triple_budget_refuses_what_passes_the_morphism_budget(kind, args,
                                                                triples):
-    # each has fewer than 4,096 morphisms, but its associativity scan
-    # alone would take minutes
+    # each has fewer than 4,096 morphisms, but 19 to 1,400 times the
+    # composable triples of trunc_fi(5), the largest truncation admitted
     with pytest.raises(SizeBudgetExceeded,
                        match=f"^{triples} composable triples exceeds budget"
                              f" {2 ** 23}$"):
         build_trunc(kind, args)
+
+
+# ---------------------------------------------------------------------------
+# the associativity scan on positions against the triple-by-triple scan it
+# replaced, kept as the oracle
+
+def old_collect_violations(objects, dom, cod, identity, compose,
+                           morphism_order):
+    violations = []
+    obj_set = set(objects)
+    for m in morphism_order:
+        if dom[m] not in obj_set or cod[m] not in obj_set:
+            violations.append(Violation(DANGLING_ENDPOINT, (m, dom[m], cod[m])))
+    for o in objects:
+        i = identity.get(o)
+        if i is None or i not in dom or dom[i] != o or cod[i] != o:
+            violations.append(Violation(MISSING_IDENTITY, (o, i)))
+    if violations:
+        return violations
+
+    mor_set = set(morphism_order)
+    for (g, f), gf in compose.items():
+        if g not in mor_set or f not in mor_set or gf not in mor_set:
+            violations.append(Violation(BAD_COMPOSITE, (g, f, gf), "unknown id"))
+            continue
+        if cod[f] != dom[g]:
+            violations.append(Violation(BAD_COMPOSITE, (g, f, gf), "pair not composable"))
+        elif dom[gf] != dom[f] or cod[gf] != cod[g]:
+            violations.append(Violation(BAD_COMPOSITE, (g, f, gf), "endpoints of composite"))
+    for f in morphism_order:
+        for g in morphism_order:
+            if cod[f] == dom[g] and (g, f) not in compose:
+                violations.append(Violation(MISSING_COMPOSITE, (g, f)))
+    if violations:
+        return violations
+
+    for f in morphism_order:
+        if compose[(identity[cod[f]], f)] != f:
+            violations.append(Violation(MISSING_IDENTITY, (cod[f], f), "left unit law"))
+        if compose[(f, identity[dom[f]])] != f:
+            violations.append(Violation(MISSING_IDENTITY, (dom[f], f), "right unit law"))
+    by_dom = {}
+    for m in morphism_order:
+        by_dom.setdefault(dom[m], []).append(m)
+    for f in morphism_order:
+        for g in by_dom.get(cod[f], ()):
+            gf = compose[(g, f)]
+            for h in by_dom.get(cod[g], ()):
+                if compose[(h, gf)] != compose[(compose[(h, g)], f)]:
+                    violations.append(Violation(NON_ASSOCIATIVE, (h, g, f)))
+    return violations
+
+
+def scans(cat, compose, order):
+    """The violations of cat with another composition table and morphism
+    order, by the scan and by the oracle."""
+    parts = (cat.objects, cat.dom, cat.cod, cat.identity, compose, order)
+    return fincat._collect_violations(*parts), old_collect_violations(*parts)
+
+
+SCANNED = [
+    build_trunc("fi", (2,)), build_trunc("fi", (3,)), build_trunc("vi", (2, 2)),
+    fincat.build_orbit_category(fincat.symmetric_group_table(3))[0],
+    chain(3), diamond(), idem_monoid(),
+    fincat.build_quiver_category(
+        "xyz", [("f", "x", "y"), ("g", "x", "y"), ("h", "y", "z")]),
+]
+
+
+@st.composite
+def corrupted(draw):
+    """(kind, category, broken composition table, morphism order): one
+    composite redirected within its hom set or out of it, one dropped, or
+    one unit law broken."""
+    cat = draw(st.sampled_from(SCANNED))
+    kind = draw(st.sampled_from(["redirect", "outside", "drop", "unit law"]))
+
+    def hom_of(pair):
+        g, f = pair
+        return cat.hom(cat.dom[f], cat.cod[g])
+
+    pairs = list(cat.compose_table)
+    if kind == "unit law":
+        pairs = [(g, f) for g, f in pairs
+                 if cat.is_identity(g) or cat.is_identity(f)]
+    if kind in ("redirect", "unit law"):
+        pairs = [p for p in pairs if len(hom_of(p)) > 1]
+    assume(pairs)
+    pair = draw(st.sampled_from(pairs))
+    compose = dict(cat.compose_table)
+    if kind == "drop":
+        del compose[pair]
+    elif kind == "outside":
+        compose[pair] = draw(st.sampled_from(
+            [m for m in cat.morphisms if m not in hom_of(pair)] + ["nowhere"]))
+    else:
+        compose[pair] = draw(st.sampled_from(
+            [m for m in hom_of(pair) if m != compose[pair]]))
+    return kind, cat, compose, draw(st.permutations(cat.morphisms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted())
+def test_scan_matches_the_triple_by_triple_oracle(case):
+    kind, cat, compose, order = case
+    new, old = scans(cat, compose, order)
+    assert new == old
+    # a redirected composite may leave another category; nothing else does
+    assert new or kind == "redirect"
+
+
+@pytest.mark.parametrize("cat", SCANNED, ids=lambda cat: cat.name)
+def test_every_redirected_composite_fails_on_the_oracles_triples(cat):
+    """Each composite of two non-identities, redirected to every other
+    morphism of its hom set in turn: the scan names exactly the oracle's
+    NON_ASSOCIATIVE triples, in its order, so every triple is checked."""
+    failing = 0
+    for (g, f), gf in cat.compose_table.items():
+        if cat.is_identity(g) or cat.is_identity(f):
+            continue
+        for other in cat.hom(cat.dom[f], cat.cod[g]):
+            if other != gf:
+                new, old = scans(cat, {**cat.compose_table, (g, f): other},
+                                 cat.morphisms)
+                assert new == old, (g, f, other)
+                assert {v.kind for v in new} <= {NON_ASSOCIATIVE}
+                failing += bool(new)
+    # posets have no hom set of two; the quiver's and the monoid's
+    # redirects make other categories (h f = h g, or e e = 1: C2)
+    assert failing or cat.name in ("chain3", "diamond", "quiver",
+                                   "idem_monoid")
+
+
+def test_stock_categories_pass_both_scans():
+    for cat in SCANNED:
+        assert scans(cat, cat.compose_table, cat.morphisms) == ([], [])
+
+
+# the truncation builders as they were before composites were named by
+# lookup, kept as oracles: a freshly formatted name per composite
+
+def formatted_trunc_fi(n):
+    def mid(m, k, img):
+        return f"[{m}>{k}]({','.join(map(str, img))})"
+
+    morphisms, inj = [], {}
+    for m in range(n + 1):
+        for k in range(m, n + 1):
+            for img in itertools.permutations(range(k), m):
+                i = mid(m, k, img)
+                morphisms.append((i, str(m), str(k)))
+                inj[i] = (m, k, img)
+    identity = {str(m): mid(m, m, tuple(range(m))) for m in range(n + 1)}
+    compose = {}
+    for f, (m, k, img_f) in inj.items():
+        for g, (k2, l, img_g) in inj.items():
+            if k2 == k:
+                compose[(g, f)] = mid(m, l, tuple(img_g[i] for i in img_f))
+    return f"trunc_fi_{n}", n, morphisms, identity, compose
+
+
+def formatted_trunc_vi(q, n):
+    field = linalg.GF(q)
+
+    def mid(m, k, a):
+        flat = ",".join(str(x) for r in a.entries for x in r)
+        return f"[{m}>{k}]({flat})"
+
+    morphisms, mats = [], {}
+    for m in range(n + 1):
+        for k in range(m, n + 1):
+            for c in itertools.product(range(q), repeat=k * m):
+                a = linalg.Mat(k, m, tuple(tuple(c[i * m + j] for j in range(m))
+                                           for i in range(k)))
+                if linalg.rank(field, a) == m:
+                    i = mid(m, k, a)
+                    morphisms.append((i, str(m), str(k)))
+                    mats[i] = (m, k, a)
+    identity = {str(m): mid(m, m, linalg.identity(field, m))
+                for m in range(n + 1)}
+    compose = {}
+    for f, (m, k, af) in mats.items():
+        for g, (k2, l, ag) in mats.items():
+            if k2 == k:
+                compose[(g, f)] = mid(m, l, linalg.matmul(field, ag, af))
+    return f"trunc_vi_{q}_{n}", n, morphisms, identity, compose
+
+
+@pytest.mark.parametrize(("kind", "args"), [
+    *[("fi", (n,)) for n in range(5)],
+    ("vi", (2, 2)), ("vi", (3, 2)), ("vi", (2, 3))])
+def test_truncations_match_the_formatted_name_builds(kind, args):
+    cat = build_trunc(kind, args)
+    name, n, morphisms, identity, compose = {
+        "fi": formatted_trunc_fi, "vi": formatted_trunc_vi}[kind](*args)
+    objects = [str(m) for m in range(n + 1)]
+    doc = {"name": name, "objects": objects,
+           "morphisms": [{"id": m, "dom": d, "cod": c}
+                         for m, d, c in sorted(morphisms)],
+           "identities": {o: identity[o] for o in objects},
+           "compose": sorted([g, f, gf] for (g, f), gf in compose.items())}
+    assert json.dumps(fincat.category_to_doc(cat)) == json.dumps(doc)
+    # and the table in the same order, which modrep's kept pairs follow
+    assert list(cat.compose_table.items()) == list(compose.items())
+
+
+@pytest.mark.parametrize(("group", "digest"), [
+    ("C2", "01a0eaef59d569d6ba4b2e25e633078197752349a0c85f2e3d2f81b02aedd80c"),
+    ("C3", "ad2369b27a994c56caf1f7eb0a82386f74fe9e7900679602ad0ff134d3bab7d5"),
+    ("S3", "0faaea5f97e09f686f437ebd9c99ffb5574eb075fb620741dddae6ad03156901")])
+def test_orbit_documents_are_unchanged(group, digest):
+    # the SHA-256 of the document json.dumps writes for each orbit
+    # category, as the builder wrote it before the scan on positions
+    cat = fincat.build_standard_category("orbit", {"group": group})
+    text = json.dumps(fincat.category_to_doc(cat))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_full_subcategory(cat_trunc_fi2):

@@ -838,6 +838,33 @@ def test_one_build_per_representable_and_presentation(monkeypatch):
     assert len(builds) == len(distinct) + presentations
 
 
+def test_standard_injectives_are_built_once(monkeypatch):
+    # the first embedding builds one injective per object and field; a
+    # second embedding on the same category builds none, and gives the
+    # same injective hull as the first
+    relabels = []
+    relabel = modrep._relabel
+
+    def counted(*args):
+        relabels.append(args)
+        return relabel(*args)
+
+    monkeypatch.setattr(modrep, "_relabel", counted)
+    for cat in ei_fixture_categories():
+        for field in (F2, F3):
+            v = modrep.random_module(cat, field, 1, 2)
+            first, iota = modrep.canonical_injective_embedding(v)
+            relabels.clear()
+            again, iota_again = modrep.canonical_injective_embedding(v)
+            assert relabels == []
+            assert again == first and iota_again == iota
+            for x in cat.objects:
+                ix = modrep.standard_injective(cat, field, x)
+                assert modrep.standard_injective(cat, field, x) is ix
+                assert module_bytes(ix) == module_bytes(
+                    old_standard_injective(cat, field, x))
+
+
 # ---------------------------------------------------------------------------
 # identities act as identities: the full scans over every composable pair
 # and every morphism, kept as oracles of the scans that skip identities
