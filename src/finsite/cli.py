@@ -63,9 +63,14 @@ _NAMED_TOPOLOGIES = ("trivial", "maximal", "dense", "atomic")
 # ---------------------------------------------------------------------------
 # input resolution
 
-def _builtin_category(name: str, budget: fincat.SizeBudget) -> fincat.FiniteCategory:
+def _builtin_category(name: str) -> Callable[[fincat.SizeBudget],
+                                              fincat.FiniteCategory]:
+    """The builder a stock category name stands for, taking the budget,
+    with the name's parameters parsed and checked. A bad name raises
+    ValueError here, before anything is built, so the caller reads the
+    name under parsing and runs the builder outside it."""
     if name == "quiver2":
-        return fincat.build_quiver_category(
+        return lambda budget: fincat.build_quiver_category(
             ["x", "y"], [("f", "x", "y"), ("g", "x", "y")],
             name="quiver2", budget=budget)
     if name.startswith("chain"):
@@ -73,27 +78,31 @@ def _builtin_category(name: str, budget: fincat.SizeBudget) -> fincat.FiniteCate
         if n < 0:
             raise ValueError(f"chain length must be natural, got {n}")
         objs = [str(i) for i in range(n)]
-        return fincat.build_poset_category(
+        return lambda budget: fincat.build_poset_category(
             objs, [(str(i), str(i + 1)) for i in range(n - 1)],
             name=name, budget=budget)
     if name == "diamond":
-        return fincat.build_poset_category(
+        return lambda budget: fincat.build_poset_category(
             ["0", "a", "b", "1"],
             [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")],
             name="diamond", budget=budget)
     if name == "idem_monoid":
-        return fincat.build_monoid_category(
+        return lambda budget: fincat.build_monoid_category(
             [[0, 1], [1, 1]], element_names=["1", "e"], name="idem_monoid",
             budget=budget)
     if name.startswith("trunc_fi:"):
-        return fincat.build_trunc_fi_category(int(name.split(":")[1]),
-                                              budget=budget)
+        n = int(name.split(":")[1])
+        return lambda budget: fincat.build_trunc_fi_category(n, budget=budget)
     if name.startswith("trunc_vi:"):
         _, q, n = name.split(":")
-        return fincat.build_trunc_vi_category(int(q), int(n), budget=budget)
+        q, n = int(q), int(n)
+        linalg.GF(q)  # the builder's field: refuses a non-prime order
+        return lambda budget: fincat.build_trunc_vi_category(q, n,
+                                                             budget=budget)
     if name.startswith("orbit:"):
-        return fincat.build_standard_category(
-            "orbit", {"group": name.split(":")[1]}, budget=budget)
+        group = name.split(":")[1]
+        return lambda budget: fincat.build_standard_category(
+            "orbit", {"group": group}, budget=budget)
     raise ValueError(f"unknown builtin category {name!r}")
 
 
@@ -110,7 +119,8 @@ def _resolve_category(spec: str, budget: fincat.SizeBudget) -> fincat.FiniteCate
         # itself and checks the category outside it
         return fincat.validate_category(doc, budget)
     with parsing("category"):
-        return _builtin_category(spec, budget)
+        build = _builtin_category(spec)
+    return build(budget)
 
 
 def _budget(args) -> fincat.SizeBudget:

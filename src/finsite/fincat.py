@@ -593,8 +593,11 @@ def build_poset_category(objects: Sequence[str],
                          name: str = "poset",
                          budget: SizeBudget = DEFAULT_BUDGET) -> FiniteCategory:
     """Category of a poset: one morphism x -> y whenever x <= y in the
-    reflexive-transitive closure of the given pairs."""
+    reflexive-transitive closure of the given pairs. The object budget is
+    checked before the closure, whose size grows with the square of the
+    object count."""
     objects = list(objects)
+    budget.check(len(objects), 0, 0)
     obj_set = set(objects)
     reach: dict[str, set[str]] = {o: {o} for o in objects}
     for a, b in leq_pairs:

@@ -11,9 +11,10 @@ kernels (matmul, mat_vec, rref) branch on the field once per call: ints
 with one local modulus over F_p, Fractions over Q. `Echelon` is the one
 incremental subspace (span_basis wraps it): it grows one vector at a time
 and tests membership with `contains`, without a fresh elimination. There
-is no separate inverse: quotient_module reads a complement and its inverse
-off one rref of [B | I]. `identity` builds each identity matrix once per
-(field, size) and hands out that one immutable value on every later call.
+is no separate inverse and no hstack: modrep._quotient builds [B | I] row
+by row and reads a complement and its inverse off one rref of it.
+`identity` builds each identity matrix once per (field, size) and hands
+out that one immutable value on every later call.
 
 `Mat` and `FieldSpec` are records (`errors.Record`): their fields are their
 annotations, and equality, hash, repr, copying and the refusal of
@@ -31,9 +32,11 @@ below the class, and the kernels build their outputs with list
 comprehensions. matmul with no rows on the left or no columns on the
 right, and rref of a matrix with no rows or no columns, return at once
 after the shape check: such a result has no entries, so it is the one the
-general path would build, and kernel_basis and solve_matrix reach it
-through rref. `FieldSpec` checks in its constructor that a finite order is
-prime.
+general path would build, and kernel_basis reaches it through rref.
+solve_matrix with no columns on either side needs no elimination: with
+none in b the solution is empty, and with none in a it is the empty
+matrix when b is zero and does not exist otherwise. `FieldSpec` checks in
+its constructor that a finite order is prime.
 """
 
 from __future__ import annotations
@@ -253,18 +256,6 @@ def vstack(mats: Sequence[Mat], cols: int | None = None) -> Mat:
                tuple(r for m in mats for r in m.entries))
 
 
-def hstack(mats: Sequence[Mat], rows: int | None = None) -> Mat:
-    if not mats:
-        if rows is None:
-            raise ShapeMismatch("hstack of nothing needs an explicit row count")
-        return Mat(rows, 0, tuple(() for _ in range(rows)))
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ShapeMismatch("hstack row mismatch")
-    return Mat(rows, sum(m.cols for m in mats),
-               tuple(tuple(x for m in mats for x in m.entries[i]) for i in range(rows)))
-
-
 def block_diag(field: FieldSpec, mats: Sequence[Mat]) -> Mat:
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
@@ -337,6 +328,8 @@ def solve_matrix(field: FieldSpec, a: Mat, b: Mat) -> Mat | None:
         raise ShapeMismatch("rhs row mismatch")
     if b.cols == 0:
         return zeros(field, a.cols, 0)
+    if a.cols == 0:
+        return zeros(field, 0, b.cols) if mat_eq_zero(b) else None
     aug = Mat(a.rows, a.cols + b.cols,
               tuple(r + b.entries[i] for i, r in enumerate(a.entries)))
     r, pivots = rref(field, aug)

@@ -31,11 +31,23 @@ V_id = I directly, from linalg.identity, which builds each identity once
 per (field, size). Every module relies on this: the builders that skip
 the check (check=False) act by I at every identity, and the tests keep
 it so against the full scans.
+
+No term on a zero space: a matrix with a zero dimension is fixed by its
+shape, and linalg's matmul and solve_matrix return such a result without
+arithmetic. The checks do not compute these terms at all: once the shapes
+have passed, functoriality skips the pairs (g, f) with dims[dom f] = 0 or
+dims[cod g] = 0, and naturality each f with a zero space at either end of
+its square, so the violations are those of a full scan. _quotient skips
+the objects and morphisms of zero spaces, and _submodule, family_module
+and induced_family_map write the empty matrix where the source is zero.
+A term with entries that a check reads is still computed, so an image
+into a zero span is still refused.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -158,8 +170,10 @@ def _module_violations(cat: FiniteCategory, field: FieldSpec,
     # the list is the one a full scan gives
     pairs = (_non_identity_pairs(cat) if not violations else
              [(g, f, gf) for (g, f), gf in cat.compose_table.items()])
+    cod, dom = cat.cod, cat.dom
     for g, f, gf in pairs:
-        if (linalg.matmul(field, action[g], action[f]).entries
+        if (dims[cod[g]] and dims[dom[f]]
+                and linalg.matmul(field, action[g], action[f]).entries
                 != action[gf].entries):
             violations.append(Violation(FUNCTORIALITY_VIOLATION, (g, f)))
     return violations
@@ -339,11 +353,11 @@ def make_module_map(source: KModule, target: KModule,
         if not violations:
             # at an identity both sides are the component at its object
             for f in _non_identities(cat):
-                lhs = linalg.matmul(field, components[cat.cod[f]],
-                                    source.action[f])
-                rhs = linalg.matmul(field, target.action[f],
-                                    components[cat.dom[f]])
-                # both are target.dims[cod f] x source.dims[dom f]
+                y, x = cat.cod[f], cat.dom[f]
+                if not target.dims[y] or not source.dims[x]:
+                    continue
+                lhs = linalg.matmul(field, components[y], source.action[f])
+                rhs = linalg.matmul(field, target.action[f], components[x])
                 if lhs.entries != rhs.entries:
                     violations.append(Violation(NATURALITY_VIOLATION, (f,)))
         if violations:
@@ -386,8 +400,9 @@ def map_from_vector(v: KModule, w: KModule, vec: Vector) -> ModuleMap:
     return make_module_map(v, w, comps, check=False)
 
 
-# entries (equations x unknowns) of one dense naturality system; the
-# largest in the sheaf benchmark and the acceptance gates has about 1,000
+# entries (equations x unknowns) of one dense naturality or compatibility
+# system; the largest the tier-1 tests (acceptance gates included) build
+# have 4,165 and 720 entries, and the sheaf benchmark's 250 and 162
 _HOM_SYSTEM_CAP = 250_000
 
 
@@ -489,6 +504,9 @@ def _submodule(v: KModule, spans: Mapping[str, linalg.Echelon],
     action = _identity_action(cat, field, dims)
     for f in _non_identities(cat):
         x, y = cat.dom[f], cat.cod[f]
+        if not dims[x]:
+            action[f] = linalg.zeros(field, dims[y], 0)
+            continue
         action[f] = linalg.solve_matrix(
             field, comps[y], linalg.matmul(field, v.action[f], comps[x]))
         if action[f] is None:
@@ -530,44 +548,79 @@ def _quotient(v: KModule,
     The quotient basis is the canonical complement: standard basis vectors
     selected greedily after the span. One rref of [B | I], which is
     E [B | I], per object picks the span's pivot columns and then the
-    complement units R; E inverts [pivot columns | R], so its rows past the
-    span's pivots are the projection P. P [B | R] = [0 | I] is checked.
-    The quotient acts by Q_f = P_y A_f R_x, so by P R = I at an identity,
-    and the projection is checked
-    natural: P_y A_f = Q_f P_x holds exactly when P_y A_f B_x = 0, that is
-    when the spans are closed under the action. So a span that is not
-    closed is refused with ValidationFailed, and the quotient depends only
-    on the spans, not on the columns chosen to span them.
+    complement units, at the columns comp_x of I; E inverts [pivot columns
+    | those units], so its rows past the span's pivots are the projection
+    P. PB = 0 is checked, and so is P R = I, where R is the selection of
+    the columns comp_x: P's columns at comp_x are I.
+
+    The quotient acts by Q_f = P_y A_f R_x, so by P R = I at an identity.
+    Per non-identity f: x -> y, M = P_y A_f is the one product: Q_f is M's
+    columns at comp_x, and the projection is checked natural, M = Q_f P_x,
+    the comparison make_module_map(check=True) makes. It holds exactly
+    when P_y A_f B_x = 0, that is when the spans are closed under the
+    action. So a span that is not closed is refused with ValidationFailed
+    ("module map", one NATURALITY_VIOLATION per failing f), after the
+    quotient's functoriality check, and the quotient depends only on the
+    spans, not on the columns chosen to span them. With q_x = 0, Q_f is
+    empty and the check M = Q_f P_x is the test M = 0.
     """
     field = v.field
     cat = v.cat
-    reps: dict[str, Mat] = {}
+    comp: dict[str, tuple[int, ...]] = {}  # comp_x
     projections: dict[str, Mat] = {}
     dims: dict[str, int] = {}
     for x in cat.objects:
         b = spans[x]
         n = v.dims[x]
-        r, pivots = linalg.rref(
-            field, linalg.hstack([b, linalg.identity(field, n)], rows=n))
+        if b.rows != n:
+            raise ShapeMismatch(f"span of {b.rows} rows at {x}, where the"
+                                f" module has dimension {n}")
+        if not n:
+            comp[x], dims[x] = (), 0
+            projections[x] = linalg.zeros(field, 0, 0)
+            continue
+        stacked = Mat(n, b.cols + n, tuple(map(
+            operator.add, b.entries, linalg.identity(field, n).entries)))
+        r, pivots = linalg.rref(field, stacked)
         k = sum(1 for p in pivots if p < b.cols)
-        dims[x] = n - k
-        reps[x] = _relabel(field, [p - b.cols for p in pivots[k:]], range(n),
-                           lambda i: i)
-        projections[x] = Mat(dims[x], n,
-                             tuple(row[b.cols:] for row in r.entries[k:]))
-        if not (linalg.mat_eq_zero(linalg.matmul(field, projections[x], b))
-                and linalg.matmul(field, projections[x], reps[x])
-                == linalg.identity(field, dims[x])):
+        comp[x] = tuple(p - b.cols for p in pivots[k:])
+        dims[x] = d = n - k
+        p_x = projections[x] = Mat(
+            d, n, tuple([row[b.cols:] for row in r.entries[k:]]))
+        # P B = 0, empty when d or b.cols is 0, and P R = I
+        if ((d and b.cols
+             and not linalg.mat_eq_zero(linalg.matmul(field, p_x, b)))
+                or _columns_at(p_x, comp[x])
+                != linalg.identity(field, d).entries):
             raise FinsiteError(f"quotient projection at {x} does not invert"
                                " the complement")
     action = _identity_action(cat, field, dims)
+    unnatural: list[Violation] = []
     for f in _non_identities(cat):
         x, y = cat.dom[f], cat.cod[f]
-        action[f] = linalg.matmul(field, projections[y],
-                                  linalg.matmul(field, v.action[f], reps[x]))
+        if not dims[y] or not v.dims[x]:
+            # M = P_y A_f is empty, and so is every side of its check
+            action[f] = linalg.zeros(field, dims[y], dims[x])
+            continue
+        m = linalg.matmul(field, projections[y], v.action[f])
+        if dims[x]:
+            action[f] = qf = Mat(dims[y], dims[x], _columns_at(m, comp[x]))
+            natural = (linalg.matmul(field, qf, projections[x]).entries
+                       == m.entries)
+        else:
+            action[f] = linalg.zeros(field, dims[y], 0)
+            natural = linalg.mat_eq_zero(m)
+        if not natural:
+            unnatural.append(Violation(NATURALITY_VIOLATION, (f,)))
     q = make_module(cat, field, dims, action, check=True)
-    proj = make_module_map(v, q, projections, check=True)
-    return q, proj
+    if unnatural:
+        raise ValidationFailed("module map", unnatural)
+    return q, make_module_map(v, q, projections, check=False)
+
+
+def _columns_at(m: Mat, cols: Sequence[int]) -> tuple[tuple, ...]:
+    """The entries of m's columns at cols, in that order."""
+    return tuple([tuple([row[c] for c in cols]) for row in m.entries])
 
 
 def kernel_of_map(m: ModuleMap) -> tuple[KModule, ModuleMap]:
@@ -697,7 +750,6 @@ class CompatibleFamilies(Record):
     """
 
     members: tuple[str, ...]
-    block_dims: tuple[int, ...]
     offsets: Mapping[str, int]
     total: int
     basis: tuple[Vector, ...]
@@ -706,44 +758,45 @@ class CompatibleFamilies(Record):
     def dimension(self) -> int:
         return len(self.basis)
 
-    def block(self, family: Vector, member: str) -> Vector:
-        off = self.offsets[member]
-        i = self.members.index(member)
-        return tuple(family[off:off + self.block_dims[i]])
-
 
 def compatible_families(cat: FiniteCategory, w: KModule,
                         members: Sequence[str]) -> CompatibleFamilies:
     """Solve W_g b_f = b_{gf} over the members f (morphisms of cat) and the
     non-identity g of W's category out of cod f, and return the kernel.
 
-    No members gives no blocks and a zero-dimensional space.
+    No members gives no blocks and a zero-dimensional space. A system of
+    more than _HOM_SYSTEM_CAP entries (equations x unknowns, counted from
+    the dims before any row is built) raises SizeBudgetExceeded.
     """
     field = w.field
     members = tuple(members)
-    block_dims = tuple(w.dims[cat.cod[f]] for f in members)
     offsets: dict[str, int] = {}
     total = 0
-    for f, d in zip(members, block_dims):
+    for f in members:
         offsets[f] = total
-        total += d
+        total += w.dims[cat.cod[f]]
+    # one equation per member f, non-identity g out of cod f, and entry of
+    # W at cod g
+    terms = [(f, g) for f in members for g in w.cat.morphisms_from(cat.cod[f])
+             if not w.cat.is_identity(g)]
+    equations = sum(w.dims[w.cat.cod[g]] for _, g in terms)
+    if equations * total > _HOM_SYSTEM_CAP:
+        raise SizeBudgetExceeded(
+            f"compatibility system of {equations} equations in {total}"
+            f" unknowns exceeds {_HOM_SYSTEM_CAP} entries")
     zero = field.zero()
     rows: list[tuple] = []
-    for f in members:
-        for g in w.cat.morphisms_from(cat.cod[f]):
-            if w.cat.is_identity(g):
-                continue
-            gf = cat.compose(g, f)
-            wg = w.action[g]
-            for a in range(wg.rows):
-                row = [zero] * total
-                for b in range(wg.cols):
-                    row[offsets[f] + b] = wg.entries[a][b]
-                row[offsets[gf] + a] = field.sub(row[offsets[gf] + a],
-                                                 field.one())
-                rows.append(tuple(row))
+    for f, g in terms:
+        gf = cat.compose(g, f)
+        wg = w.action[g]
+        for a in range(wg.rows):
+            row = [zero] * total
+            for b in range(wg.cols):
+                row[offsets[f] + b] = wg.entries[a][b]
+            row[offsets[gf] + a] = field.sub(row[offsets[gf] + a], field.one())
+            rows.append(tuple(row))
     system = Mat(len(rows), total, tuple(rows))
-    return CompatibleFamilies(members, block_dims, offsets, total,
+    return CompatibleFamilies(members, offsets, total,
                               tuple(linalg.kernel_basis(field, system)))
 
 
@@ -751,6 +804,8 @@ def induced_family_map(v: KModule, x: str,
                        families: CompatibleFamilies) -> Mat:
     """The map sending a vector a at x to its induced family (V_f a)_f over
     the members, all morphisms out of x, in the family basis."""
+    if not v.dims[x]:
+        return linalg.zeros(v.field, families.dimension, 0)
     induced = linalg.vstack([v.action[f] for f in families.members],
                             cols=v.dims[x])
     coords = linalg.solve_matrix(
@@ -778,6 +833,9 @@ def family_module(cat: FiniteCategory, w: KModule,
     action = _identity_action(cat, w.field, dims)
     for u in _non_identities(cat):
         src, dst = families[cat.dom[u]], families[cat.cod[u]]
+        if not src.dimension:
+            action[u] = linalg.zeros(w.field, dst.dimension, 0)
+            continue
         cols = []
         for fam in src.basis:
             col: list = []

@@ -11,8 +11,8 @@ other on every call.
 
 Sheafification applies the plus construction twice, over the minimal cover
 of each object; for finite intersection-closed cover sets the filtered
-colimit of matching spaces collapses onto that minimum, an equality
-matching_colimit_dimension exposes for direct testing. One plus step is
+colimit of matching spaces collapses onto that minimum, an equality the
+tests check against the colimit over every cover. One plus step is
 modrep.family_module over the minimum covers, the construction behind
 coinduction too; sheafify checks the rule once for both steps.
 """
@@ -31,7 +31,7 @@ from .errors import (
     ValidationFailed,
 )
 from .fincat import FiniteCategory, full_subcategory
-from .linalg import GF, FieldSpec, Mat, Vector
+from .linalg import GF, FieldSpec
 from .modrep import CompatibleFamilies, KModule, ModuleMap
 from .sieves import Sieve
 from .topology import (
@@ -51,17 +51,6 @@ def matching_space(v: KModule, s: Sieve) -> CompatibleFamilies:
     maximal sieve's space is isomorphic to the value at the base object.
     """
     return modrep.compatible_families(v.cat, v, s.members)
-
-
-def restrict_family(space: CompatibleFamilies, family: Vector,
-                    smaller: Sieve) -> Vector:
-    """Drop the blocks outside a subsieve; still a matching family there."""
-    if not smaller.member_set <= set(space.members):
-        raise PreconditionFailed("can only restrict to a subsieve")
-    out: list = []
-    for f in smaller.members:
-        out.extend(space.block(family, f))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -307,47 +296,6 @@ def sheafify(cat: FiniteCategory, j: GrothendieckTopology,
     if not torsion.is_torsion(cat, j, coker):
         raise FinsiteError("sheafification unit cokernel is not torsion")
     return p2, unit
-
-
-def matching_colimit_dimension(cat: FiniteCategory, j: GrothendieckTopology,
-                               v: KModule, x: str) -> int:
-    """Dimension of the colimit of matching spaces over the whole cover set.
-
-    Computed generically, as the direct sum of all matching spaces modulo
-    the block-restriction identifications; must equal the minimum-sieve
-    space dimension when the cover set is intersection closed.
-    """
-    field = v.field
-    covers = j.covers_at(x)
-    spaces = [matching_space(v, s) for s in covers]
-    offsets = []
-    total = 0
-    for sp in spaces:
-        offsets.append(total)
-        total += sp.dimension
-    zero = field.zero()
-    rows: list[tuple] = []
-    for i, big in enumerate(spaces):
-        for k, small in enumerate(spaces):
-            if i == k or not covers[k].member_set < covers[i].member_set:
-                continue
-            restricted = linalg.from_cols(
-                [restrict_family(big, fam, covers[k]) for fam in big.basis],
-                rows=small.total)
-            coords = linalg.solve_matrix(
-                field, linalg.from_cols(small.basis, rows=small.total),
-                restricted)
-            if coords is None:
-                raise FinsiteError("restricted family escaped the"
-                                   " matching space")
-            for b in range(big.dimension):
-                row = [zero] * total
-                row[offsets[i] + b] = field.one()
-                for idx in range(small.dimension):
-                    row[offsets[k] + idx] = field.neg(coords[idx, b])
-                rows.append(tuple(row))
-    relations = Mat(len(rows), total, tuple(rows))
-    return total - linalg.rank(field, relations)
 
 
 # ---------------------------------------------------------------------------

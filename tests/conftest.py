@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from finsite import fincat, linalg, modrep
+from finsite.errors import ShapeMismatch
 
 
 def chain(n: int) -> fincat.FiniteCategory:
@@ -28,6 +29,15 @@ def idem_monoid() -> fincat.FiniteCategory:
     """The two-element monoid {1, e} with e*e = e."""
     return fincat.build_monoid_category(
         [[0, 1], [1, 1]], element_names=["1", "e"], name="idem_monoid")
+
+
+def hstack(mats, rows):
+    """The matrices side by side, each with the given number of rows."""
+    if any(m.rows != rows for m in mats):
+        raise ShapeMismatch("hstack row mismatch")
+    return linalg.Mat(rows, sum(m.cols for m in mats),
+                      tuple(tuple(x for m in mats for x in m.entries[i])
+                            for i in range(rows)))
 
 
 def constant_module(cat: fincat.FiniteCategory, field) -> modrep.KModule:

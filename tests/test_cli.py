@@ -11,6 +11,7 @@ import pytest
 import finsite
 from finsite import fincat, linalg, modrep, sheaves, topology, torsion, typen
 from finsite.cli import run
+from finsite.errors import SizeBudgetExceeded
 from finsite.linalg import GF
 from finsite.sheaves import PerpendicularStatus, SaturationStatus, SheafVerdict
 
@@ -59,13 +60,21 @@ def test_exit_code_contract(tmp_path):
 
 
 def test_linear_system_budget_is_exit_3(monkeypatch):
-    argv = ["sheaf", "check", "--category", "quiver2", "--topology", "dense",
-            "--module", SHEAF]
-    assert run(argv)[0] == 0
+    # the sheaf check's first dense system is a compatibility system; the
+    # torsion-pair probe's is a naturality system; both share one cap
+    cases = [
+        (["sheaf", "check", "--category", "quiver2", "--topology", "dense",
+          "--module", SHEAF], "compatibility"),
+        (["torsion", "pair", "--category", "quiver2", "--topology", "dense",
+          "--field", "Fp:2"], "naturality"),
+    ]
+    for argv, _ in cases:
+        assert run(argv)[0] == 0
     monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", 1)
-    code, text = run(argv)
-    assert code == 3, text
-    assert text.startswith("SizeBudgetExceeded: naturality system of"), text
+    for argv, system in cases:
+        code, text = run(argv)
+        assert code == 3, text
+        assert text.startswith(f"SizeBudgetExceeded: {system} system of"), text
 
 
 def test_huge_truncation_is_refused_at_once():
@@ -485,6 +494,48 @@ def test_category_check_bug_is_not_an_input_error(monkeypatch, tmp_path):
         path.write_text(json.dumps(broken_doc))
         code, out = run([*argv[:3], str(path), *argv[4:]])
         assert (code, out) == (2, f"error: category: MalformedInput: {text}\n")
+
+
+@pytest.mark.parametrize("name", ["trunc_fi:2", "trunc_vi:2:1", "chain3",
+                                  "quiver2", "diamond", "orbit:C2"])
+def test_builtin_category_bug_is_not_an_input_error(monkeypatch, name):
+    # a stock category's name is input, but an error raised while building
+    # or checking the category is a bug
+    argv = ["topology", "check", "--category", name, "--topology", "dense"]
+    assert run(argv)[0] == 0
+
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(fincat, "_collect_violations", broken)
+    with pytest.raises(KeyError):
+        run(argv)
+
+
+@pytest.mark.parametrize(("name", "text"), [
+    ("trunc_vi:4:2", "field order must be prime, got 4"),
+    ("trunc_vi:4:x", "invalid literal for int() with base 10: 'x'"),
+    ("trunc_vi:2", "not enough values to unpack (expected 3, got 2)"),
+    ("trunc_fi:", "invalid literal for int() with base 10: ''"),
+    ("chain-1", "chain length must be natural, got -1"),
+    ("nowhere", "unknown builtin category 'nowhere'"),
+])
+def test_bad_builtin_names_are_input_errors(name, text):
+    code, out = run(["topology", "enumerate", "--category", name])
+    assert (code, out) == (2, f"error: category: MalformedInput: {text}\n")
+
+
+def test_long_chain_is_refused_before_its_closure():
+    # the poset builder checks the object budget before it reads a pair:
+    # the transitive closure of chain99999 would hold about 5e9 pairs
+    def pairs():
+        raise AssertionError("the closure started")
+        yield
+
+    with pytest.raises(SizeBudgetExceeded, match="65 objects exceeds"):
+        fincat.build_poset_category([str(i) for i in range(65)], pairs())
+    assert run(["topology", "enumerate", "--category", "chain65"]) == (
+        3, "SizeBudgetExceeded: 65 objects exceeds budget 64\n")
 
 
 def test_topology_check_bug_is_not_an_input_error(monkeypatch, tmp_path):

@@ -14,6 +14,8 @@ from finsite import linalg
 from finsite.errors import ShapeMismatch
 from finsite.linalg import GF, QQ, Mat, from_cols, from_rows
 
+from conftest import hstack
+
 
 def F(*args) -> Fraction:
     return Fraction(*args)
@@ -257,8 +259,8 @@ def ref_in_span(field, basis, v, dim):
 
 def ref_complement_indices(field, vectors, dim):
     k = len(vectors)
-    stacked = linalg.hstack([from_cols(vectors, rows=dim),
-                             linalg.identity(field, dim)], rows=dim)
+    stacked = hstack([from_cols(vectors, rows=dim),
+                      linalg.identity(field, dim)], rows=dim)
     return [p - k for p in ref_rref(field, stacked)[1] if p >= k]
 
 
@@ -294,8 +296,8 @@ def test_kernels_match_reference(inputs):
     for got, want in (
             (linalg.matmul(field, a, b), ref_matmul(field, a, b)),
             (linalg.rref(field, a)[0], ref_rref(field, a)[0]),
-            (linalg.rref(field, linalg.hstack([a, c], rows=a.rows))[0],
-             ref_rref(field, linalg.hstack([a, c], rows=a.rows))[0])):
+            (linalg.rref(field, hstack([a, c], rows=a.rows))[0],
+             ref_rref(field, hstack([a, c], rows=a.rows))[0])):
         assert got == want
         assert (linalg.mat_to_strings(field, got)
                 == linalg.mat_to_strings(field, want))

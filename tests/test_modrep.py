@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import pickle
 import random
+import types
 
 from finsite import fincat, linalg, modrep, sheaves, sieves, topology, torsion
 from finsite.errors import (
@@ -17,6 +18,7 @@ from finsite.errors import (
     NON_IDENTITY_AT_OBJECT,
     SHAPE_VIOLATION,
     FieldMismatch,
+    FinsiteError,
     NotFullSubcategory,
     PreconditionFailed,
     SizeBudgetExceeded,
@@ -30,6 +32,7 @@ from conftest import (
     constant_module,
     diamond,
     ei_fixture_categories,
+    hstack,
     idem_monoid,
     quiver2,
 )
@@ -200,6 +203,43 @@ def test_hom_space_system_budget(monkeypatch, cat_quiver2):
     monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", equations * unknowns - 1)
     with pytest.raises(SizeBudgetExceeded, match=f"{equations} equations"):
         modrep.hom_space(v, w)
+
+
+def test_compatibility_system_budget(monkeypatch, cat_quiver2):
+    # the maximal sieve on x: 1_x, f, g. The block at 1_x is constrained by
+    # f and g (a row each, W being 1-dimensional at y); nothing
+    # but the identity leaves y
+    v = dense_sheaf_module(cat_quiver2, F3)
+    members = sieves.maximal_sieve(cat_quiver2, "x").members
+    unknowns = sum(v.dims[cat_quiver2.cod[f]] for f in members)
+    equations = sum(v.dims[cat_quiver2.cod[g]] for f in members
+                    for g in cat_quiver2.morphisms_from(cat_quiver2.cod[f])
+                    if not cat_quiver2.is_identity(g))
+    assert (equations, unknowns) == (2, 4)
+    systems = []
+    kernel_basis = linalg.kernel_basis
+
+    def counted(field, a):
+        systems.append((a.rows, a.cols))
+        return kernel_basis(field, a)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    families = modrep.compatible_families(cat_quiver2, v, members)
+    assert systems == [(equations, unknowns)]
+    # a system of exactly the budget is solved, one entry more is refused
+    # before any row reads the action
+    monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", equations * unknowns)
+    assert modrep.compatible_families(cat_quiver2, v, members) == families
+    monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", equations * unknowns - 1)
+
+    class Unread(dict):
+        def __getitem__(self, f):
+            raise AssertionError(f"a row read the action at {f}")
+
+    unread = modrep.KModule(v.field, v.cat, v.dims, Unread(v.action))
+    with pytest.raises(SizeBudgetExceeded,
+                       match=f"{equations} equations in {unknowns} unknowns"):
+        modrep.compatible_families(cat_quiver2, unread, members)
 
 
 def test_compose_and_identity_maps(cat_quiver2):
@@ -608,7 +648,7 @@ def old_quotient_module(v, sub_inclusion):
     for x in cat.objects:
         b = sub_inclusion.components[x]
         n = v.dims[x]
-        stacked = linalg.hstack([b, linalg.identity(field, n)], rows=n)
+        stacked = hstack([b, linalg.identity(field, n)], rows=n)
         pivots = linalg.rref(field, stacked)[1]
         sub_cols = [b.col(p) for p in pivots if p < b.cols]
         comp_cols = [stacked.col(p) for p in pivots if p >= b.cols]
@@ -623,8 +663,15 @@ def old_quotient_module(v, sub_inclusion):
                                linalg.matmul(field, v.action[f],
                                              reps[cat.dom[f]]))
               for f in cat.morphisms}
-    q = modrep.make_module(cat, field, dims, action)
-    return q, modrep.make_module_map(v, q, projections)
+    # the full scans over every pair and every morphism check the result
+    violations = old_module_violations(cat, field, dims, action)
+    if violations:
+        raise ValidationFailed("module", violations)
+    q = modrep.make_module(cat, field, dims, action, check=False)
+    violations = old_naturality_violations(v, q, projections)
+    if violations:
+        raise ValidationFailed("module map", violations)
+    return q, modrep.make_module_map(v, q, projections, check=False)
 
 
 def module_bytes(v):
@@ -696,7 +743,7 @@ def test_quotient_matches_two_elimination_oracle(cat, field, seed, max_dim,
                          max_size=v.dims[x])))]
     _, incl = modrep.submodule_from_spans(v, spans)
     assert_quotients_match(v, incl)
-    doubled = {x: linalg.hstack([incl.components[x]] * 2, rows=v.dims[x])
+    doubled = {x: hstack([incl.components[x]] * 2, rows=v.dims[x])
                for x in cat.objects}
     assert_quotients_match(v, modrep.ModuleMap(incl.source, v, doubled))
     # the image of a random combination of maps w -> v
@@ -731,7 +778,7 @@ def test_quotient_with_dependent_columns_and_zero_objects(cat_quiver2):
         incl = modrep.sieve_quotient_module(cat_quiver2, field, s).inclusion
         assert_quotients_match(incl.target, incl)
         doubled = modrep.ModuleMap(incl.source, incl.target, {
-            x: linalg.hstack([incl.components[x]] * 2,
+            x: hstack([incl.components[x]] * 2,
                              rows=incl.target.dims[x])
             for x in cat_quiver2.objects})
         assert_quotients_match(incl.target, doubled)
@@ -757,6 +804,103 @@ def test_quotient_refuses_a_span_not_closed(cat_quiver2):
         y0 = linalg.Mat(2, 1, ((field.one(),), (field.zero(),)))
         q, _ = modrep._quotient(px, {"x": linalg.zeros(field, 1, 0), "y": y0})
         assert q.dims == {"x": 1, "y": 1}
+
+
+def quotient_outcome(build):
+    """The quotient and projection as bytes, or the refusal: its type,
+    subject and violation list."""
+    try:
+        q, proj = build()
+    except ValidationFailed as err:
+        return ("refused", type(err).__name__, err.subject, err.violations)
+    return ("built", module_bytes(q), map_bytes(proj))
+
+
+def semisimple_module(cat, field, support):
+    """k at the objects of support, 0 elsewhere, every non-identity acting
+    by 0: a module whenever no two non-identities compose to an identity
+    (None otherwise, by the full scan)."""
+    dims = {x: int(x in support) for x in cat.objects}
+    action = {f: (linalg.identity(field, dims[cat.dom[f]])
+                  if cat.is_identity(f)
+                  else linalg.zeros(field, dims[cat.cod[f]], dims[cat.dom[f]]))
+              for f in cat.morphisms}
+    if old_module_violations(cat, field, dims, action):
+        return None
+    return modrep.make_module(cat, field, dims, action, check=False)
+
+
+def quotient_inputs(cat, field):
+    """Modules with zero-dimensional objects among them: sampled ones, the
+    representables, and semisimple ones on each single object and on all
+    objects but one."""
+    out = [modrep.random_module(cat, field, seed, max_dim)
+           for seed in range(3) for max_dim in (1, 2)]
+    out.extend(modrep.yoneda_module(cat, field, x) for x in cat.objects)
+    for x in cat.objects:
+        for support in ({x}, set(cat.objects) - {x}):
+            v = semisimple_module(cat, field, support)
+            if v is not None:
+                out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("cat", FIXTURES, ids=lambda c: c.name)
+@pytest.mark.parametrize("field", (F2, F3, QQ), ids=lambda f: f.label())
+def test_quotients_match_the_oracle_on_every_fixture(cat, field):
+    # _quotient, through quotient_module, against the two-elimination
+    # oracle and its full scans: closed spans, the same spans with every
+    # column repeated (dependent columns), and spans drawn at random,
+    # which are mostly not closed; byte-equal results, or the same
+    # refusal with the same violations
+    rng = random.Random(f"quotients:{cat.name}:{field.label()}")
+    kinds = {"built": 0, "refused": 0}
+    zero_objects = 0
+    for v in quotient_inputs(cat, field):
+        zero_objects += any(v.dims[x] == 0 for x in cat.objects)
+        for _ in range(4):
+            drawn = {x: [tuple(field.of(rng.randint(-1, 2))
+                               for _ in range(v.dims[x]))
+                         for _ in range(rng.randint(0, 2))]
+                     for x in cat.objects if v.dims[x]}
+            _, incl = modrep.submodule_from_spans(v, drawn)
+            raw = {x: linalg.from_cols(drawn.get(x, []), rows=v.dims[x])
+                   for x in cat.objects}
+            for comps in (incl.components,
+                          {x: hstack([m, m], rows=m.rows)
+                           for x, m in incl.components.items()},
+                          raw):
+                sub = modrep.ModuleMap(incl.source, v, comps)
+                got = quotient_outcome(lambda: modrep.quotient_module(v, sub))
+                assert got == quotient_outcome(
+                    lambda: old_quotient_module(v, sub))
+                kinds[got[0]] += 1
+    assert zero_objects and all(kinds.values()), (zero_objects, kinds)
+
+
+@pytest.mark.parametrize("cat", FIXTURES, ids=lambda c: c.name)
+@pytest.mark.parametrize("field", (F2, F3, QQ), ids=lambda f: f.label())
+def test_cokernels_and_samples_match_the_oracle(cat, field, monkeypatch):
+    # cokernel_of_map hands the map's columns to _quotient; the oracle
+    # quotients by the built image. random_module ends in _quotient; with
+    # the oracle in its place the stream gives the same modules
+    modules = quotient_inputs(cat, field)[::2]
+    rng = random.Random(f"cokernels:{cat.name}:{field.label()}")
+    for v in modules:
+        for w in modules:
+            for h in modrep.hom_space(w, v)[:2]:
+                coeff = field.of(rng.randint(1, 2))
+                h = modrep.map_from_vector(w, v, tuple(
+                    field.mul(coeff, a) for a in modrep.map_to_vector(h)))
+                assert quotient_outcome(
+                    lambda: modrep.cokernel_of_map(h)) == quotient_outcome(
+                    lambda: old_quotient_module(v, image_of_map(h)[1]))
+    new = [module_bytes(modrep.random_module(cat, field, seed, max_dim))
+           for seed in range(6) for max_dim in (0, 1, 2, 3)]
+    monkeypatch.setattr(modrep, "_quotient", lambda v, spans: (
+        old_quotient_module(v, types.SimpleNamespace(components=spans))))
+    assert new == [module_bytes(modrep.random_module(cat, field, seed, max_dim))
+                   for seed in range(6) for max_dim in (0, 1, 2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -948,6 +1092,12 @@ def sample_modules(cat, field):
     out.append(constant_module(cat, field))
     out.extend(modrep.yoneda_module(cat, field, x) for x in cat.objects)
     out.extend(modrep.standard_injective(cat, field, x) for x in cat.objects)
+    # zero-dimensional objects between nonzero ones: the products through
+    # them are zero matrices with entries, which the scans still compare
+    for x in cat.objects:
+        v = semisimple_module(cat, field, set(cat.objects) - {x})
+        if v is not None:
+            out.append(v)
     return out
 
 
@@ -997,13 +1147,21 @@ def test_module_violations_match_the_full_scan(cat, field):
                 assert label == "composite", label
                 continue
             kinds.add(label)
+            if 0 in v.dims.values():
+                kinds.add(label + " with a zero object")
             with pytest.raises(ValidationFailed) as err:
                 modrep.make_module(cat, field, v.dims, action)
             assert err.value.violations == got
     assert {"identity", "shape"} <= kinds
-    if any(not cat.is_identity(g) and not cat.is_identity(f)
-           for g, f in cat.compose_table):
+    pairs = any(not cat.is_identity(g) and not cat.is_identity(f)
+                for g, f in cat.compose_table)
+    if pairs:
         assert {"composite", "both"} <= kinds
+    # a zero object beside a nonzero one needs two objects
+    if len(cat.objects) > 1:
+        assert "identity with a zero object" in kinds
+        if pairs:
+            assert "composite with a zero object" in kinds
 
 
 @pytest.mark.parametrize("cat", FIXTURES, ids=lambda c: c.name)
@@ -1026,13 +1184,21 @@ def test_naturality_and_hom_spaces_match_the_full_scans(cat, field):
                 comps = modrep.map_from_vector(v, w, vec).components
                 want = old_naturality_violations(v, w, comps)
                 verdicts.add(not want)
+                if want and 0 in {**v.dims, **w.dims}.values():
+                    verdicts.add("refused with a zero object")
                 if want:
                     with pytest.raises(ValidationFailed) as err:
                         modrep.make_module_map(v, w, comps)
                     assert err.value.violations == want
                 else:
                     modrep.make_module_map(v, w, comps)
-    assert verdicts == {True, False}
+    assert {True, False} <= verdicts
+    # a square with entries at both ends, on a pair with a zero object
+    if any(0 in {**v.dims, **w.dims}.values()
+           and any(w.dims[cat.cod[f]] and v.dims[cat.dom[f]]
+                   for f in cat.morphisms if not cat.is_identity(f))
+           for v in modules for w in modules):
+        assert "refused with a zero object" in verdicts
 
 
 def test_unchecked_builders_act_by_identities():
@@ -1102,3 +1268,145 @@ def test_identity_terms_make_no_products(monkeypatch):
         _, rows = modrep._naturality_rows(v, v)
         assert len(rows) == 5
         assert len(old_naturality_rows(v, v)[1]) == len(cat.morphisms) == 9
+
+
+def zero_bottom_diamond(field):
+    """The diamond module with k at a, b and 1 and 0 at 0, every arrow
+    between nonzero objects acting by 1."""
+    one, none = linalg.identity(field, 1), linalg.zeros(field, 1, 0)
+    return modrep.make_module(diamond(), field, {"0": 0, "a": 1, "b": 1, "1": 1}, {
+        "1_0": linalg.zeros(field, 0, 0), "1_a": one, "1_b": one,
+        "1_1": one, "0->a": none, "0->b": none, "0->1": none,
+        "a->1": one, "b->1": one})
+
+
+def test_zero_terms_make_no_products(monkeypatch):
+    # diamond with k at a, b and 1 and 0 at 0, every arrow between nonzero
+    # objects acting by 1: the two composable pairs of non-identities
+    # start at 0, and of the five arrows only a->1 and b->1 have a
+    # nonzero space at both ends
+    cat = diamond()
+    products = []
+    matmul = linalg.matmul
+
+    def counted(field, a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return matmul(field, a, b)
+
+    for field in (F2, QQ):
+        one = linalg.identity(field, 1)
+        v = zero_bottom_diamond(field)
+        monkeypatch.setattr(linalg, "matmul", counted)
+        products.clear()
+        modrep.make_module(cat, field, v.dims, v.action)
+        assert products == []
+        # a failed identity makes every pair count again, but the nine of
+        # the 16 pairs that start at 0 still have no entries
+        products.clear()
+        bad = dict(v.action, **{"1_a": linalg.zeros(field, 1, 1)})
+        with pytest.raises(ValidationFailed):
+            modrep.make_module(cat, field, v.dims, bad)
+        assert len(products) == 16 - 9
+        # naturality: two products at a->1 and two at b->1
+        products.clear()
+        modrep.make_module_map(v, v, {x: linalg.identity(field, v.dims[x])
+                                      for x in cat.objects})
+        assert len(products) == 4
+        # the quotient by nothing: M = P_1 A_f and Q_f P_x at a->1 and
+        # b->1, and no P B with no columns
+        products.clear()
+        q, _ = modrep._quotient(v, {x: linalg.zeros(field, v.dims[x], 0)
+                                    for x in cat.objects})
+        assert module_bytes(q) == module_bytes(v)
+        assert len(products) == 4
+        # the quotient by all of k at 1: q_1 = 0, so no M, and P B is
+        # empty at 1
+        products.clear()
+        spans = {x: linalg.zeros(field, v.dims[x], 0) for x in cat.objects}
+        q, _ = modrep._quotient(v, dict(spans, **{"1": one}))
+        assert q.dims == {"0": 0, "a": 1, "b": 1, "1": 0}
+        assert products == []
+        # the span at a is not closed: q_a = 0, so M = P_1 A_{a->1} is
+        # tested for zero (one product), and b->1 takes two
+        products.clear()
+        with pytest.raises(ValidationFailed) as err:
+            modrep._quotient(v, dict(spans, **{"a": one}))
+        assert err.value.subject == "module map"
+        assert err.value.violations == [
+            Violation(NATURALITY_VIOLATION, ("a->1",))]
+        assert len(products) == 3
+        monkeypatch.undo()
+
+
+def test_zero_sources_make_no_solves(monkeypatch):
+    # the three arrows out of 0 have a zero source, so _submodule,
+    # family_module and family_unit compute nothing for them, and a->1
+    # and b->1 are still solved for
+    calls = []
+    matmul, solve_matrix = linalg.matmul, linalg.solve_matrix
+
+    def counted_matmul(field, a, b):
+        calls.append("matmul")
+        return matmul(field, a, b)
+
+    def counted_solve(field, a, b):
+        calls.append("solve")
+        return solve_matrix(field, a, b)
+
+    for field in (F2, QQ):
+        v = zero_bottom_diamond(field)
+        one = (field.one(),)
+        members = modrep._into(v.cat, v.cat)
+        families = {x: modrep.compatible_families(v.cat, v, members[x])
+                    for x in v.cat.objects}
+        monkeypatch.setattr(linalg, "matmul", counted_matmul)
+        monkeypatch.setattr(linalg, "solve_matrix", counted_solve)
+        # spans k at a and 1: a->1 is solved for, b->1 starts at a zero span
+        sub, _ = modrep._submodule(v, {
+            "0": linalg.Echelon(field, 0), "a": linalg.Echelon(field, 1, [one]),
+            "b": linalg.Echelon(field, 1), "1": linalg.Echelon(field, 1, [one])})
+        assert sub.dims == {"0": 0, "a": 1, "b": 0, "1": 1}
+        assert calls == ["matmul", "solve"]
+        calls.clear()
+        m, _ = modrep.family_module(v.cat, v, members)
+        assert m.dims == v.dims
+        assert calls.count("solve") == 2
+        calls.clear()
+        modrep.family_unit(v, m, families)
+        assert calls.count("solve") == 3
+        monkeypatch.undo()
+        calls.clear()
+
+
+def test_images_into_zero_spaces_are_still_tested(monkeypatch):
+    # a term with entries that a check reads is computed even where the
+    # matrix it feeds has a zero dimension
+    cat = quiver2()
+    for field in (F2, F3, QQ):
+        px = modrep.yoneda_module(cat, field, "x")
+        one = (field.one(),)
+        # the image of 1_x under f is not in the zero span at y
+        with pytest.raises(PreconditionFailed, match="not closed"):
+            modrep._submodule(px, {"x": linalg.Echelon(field, 1, [one]),
+                                   "y": linalg.Echelon(field, 2)})
+        # nor in the line spanned by g at y
+        with pytest.raises(PreconditionFailed, match="not closed"):
+            modrep._submodule(px, {
+                "x": linalg.Echelon(field, 1, [one]),
+                "y": linalg.Echelon(field, 2, [(field.zero(), field.one())])})
+        # a family space with blocks but no families: a nonzero induced or
+        # reindexed family escapes it
+        v = constant_module(chain(2), field)
+        members = modrep._into(v.cat, v.cat)
+        empty = modrep.CompatibleFamilies(("1_1",), {"1_1": 0}, 1, ())
+        with pytest.raises(FinsiteError, match="escaped"):
+            modrep.induced_family_map(v, "1", empty)
+        families = modrep.compatible_families
+
+        def none_at_1(cat, w, members):
+            return empty if members == ("1_1",) else families(cat, w, members)
+
+        monkeypatch.setattr(modrep, "compatible_families", none_at_1)
+        with pytest.raises(FinsiteError, match="escapes"):
+            modrep.family_module(v.cat, v, members)
+        monkeypatch.undo()

@@ -31,6 +31,65 @@ def topology_iv(cat):
 
 
 # ---------------------------------------------------------------------------
+# the colimit of matching spaces over every cover: the oracle for the
+# minimum-cover plus construction
+
+def block(space, family, member):
+    """The block of a family at one member: up to the next member's."""
+    i = space.members.index(member)
+    end = (space.offsets[space.members[i + 1]]
+           if i + 1 < len(space.members) else space.total)
+    return tuple(family[space.offsets[member]:end])
+
+
+def restrict_family(space, family, smaller):
+    """Drop the blocks outside a subsieve; still a matching family there."""
+    if not smaller.member_set <= set(space.members):
+        raise PreconditionFailed("can only restrict to a subsieve")
+    out = []
+    for f in smaller.members:
+        out.extend(block(space, family, f))
+    return tuple(out)
+
+
+def matching_colimit_dimension(cat, j, v, x):
+    """Dimension of the colimit of matching spaces over the whole cover set.
+
+    Computed generically, as the direct sum of all matching spaces modulo
+    the block-restriction identifications; must equal the minimum-sieve
+    space dimension when the cover set is intersection closed.
+    """
+    field = v.field
+    covers = j.covers_at(x)
+    spaces = [sheaves.matching_space(v, s) for s in covers]
+    offsets = []
+    total = 0
+    for sp in spaces:
+        offsets.append(total)
+        total += sp.dimension
+    rows = []
+    for i, big in enumerate(spaces):
+        for k, small in enumerate(spaces):
+            if i == k or not covers[k].member_set < covers[i].member_set:
+                continue
+            restricted = linalg.from_cols(
+                [restrict_family(big, fam, covers[k]) for fam in big.basis],
+                rows=small.total)
+            coords = linalg.solve_matrix(
+                field, linalg.from_cols(small.basis, rows=small.total),
+                restricted)
+            assert coords is not None, "restricted family escaped the space"
+            for b in range(big.dimension):
+                row = [field.zero()] * total
+                row[offsets[i] + b] = field.one()
+                for idx in range(small.dimension):
+                    row[offsets[k] + idx] = field.neg(coords[idx, b])
+                rows.append(tuple(row))
+    relations = Mat(len(rows), total, tuple(rows))
+    return total - linalg.rank(field, relations)
+
+
+# ---------------------------------------------------------------------------
 # matching families and amalgamation
 
 def test_matching_space_dimensions(cat_quiver2):
@@ -52,8 +111,8 @@ def test_matching_space_compatibility(cat_chain3):
     # the block at 0->2 is forced by the block at 0->1
     assert space.dimension == 1
     fam = space.basis[0]
-    pushed = p0.apply("1->2", space.block(fam, "0->1"))
-    assert pushed == space.block(fam, "0->2")
+    pushed = p0.apply("1->2", block(space, fam, "0->1"))
+    assert pushed == block(space, fam, "0->2")
 
 
 def test_amalgamation_of_representable(cat_quiver2):
@@ -71,10 +130,10 @@ def test_restrict_family_subsieve_only(cat_quiver2):
     small = sieves.make_sieve(cat_quiver2, "x", ["f", "g"])
     space = sheaves.matching_space(v, big)
     fam = space.basis[0]
-    restricted = sheaves.restrict_family(space, fam, small)
+    restricted = restrict_family(space, fam, small)
     assert len(restricted) == 2 * v.dims["y"]
     with pytest.raises(PreconditionFailed):
-        sheaves.restrict_family(sheaves.matching_space(v, small),
+        restrict_family(sheaves.matching_space(v, small),
                                 space.basis[0][:2], big)
 
 
@@ -320,7 +379,7 @@ def test_matching_colimit_matches_plus(cat_quiver2, cat_chain3):
                 v = modrep.random_module(cat, F2, seed=seed, max_dim=2)
                 plus, _ = sheaves.plus_construction(cat, j, v)
                 for x in cat.objects:
-                    assert (sheaves.matching_colimit_dimension(cat, j, v, x)
+                    assert (matching_colimit_dimension(cat, j, v, x)
                             == plus.dims[x])
 
 

@@ -38,10 +38,6 @@ OUTSIDE = ("demos", "perfbench")
 ALLOWED = {
     "restrict_to_ideal": "topologies restrict to ideals, the step toward "
                          "FI's and VI's full subcategories",
-    "matching_colimit_dimension": "the colimit over all covers that the "
-                                  "minimum-cover plus construction equals",
-    "restrict_family": "its one library caller is "
-                       "matching_colimit_dimension, itself listed here",
     "contains": "Echelon's membership test, the oracle the tests hold its "
                 "incremental span against",
     "extra_modules": "verify_torsion_pair's extra samples: the acceptance "
