@@ -91,18 +91,13 @@ def _builtin_category(name: str) -> Callable[[fincat.SizeBudget],
             [[0, 1], [1, 1]], element_names=["1", "e"], name="idem_monoid",
             budget=budget)
     if name.startswith("trunc_fi:"):
-        n = int(name.split(":")[1])
-        return lambda budget: fincat.build_trunc_fi_category(n, budget=budget)
+        return fincat.standard_builder("trunc_fi",
+                                       {"n": int(name.split(":")[1])})
     if name.startswith("trunc_vi:"):
         _, q, n = name.split(":")
-        q, n = int(q), int(n)
-        linalg.GF(q)  # the builder's field: refuses a non-prime order
-        return lambda budget: fincat.build_trunc_vi_category(q, n,
-                                                             budget=budget)
+        return fincat.standard_builder("trunc_vi", {"q": int(q), "n": int(n)})
     if name.startswith("orbit:"):
-        group = name.split(":")[1]
-        return lambda budget: fincat.build_standard_category(
-            "orbit", {"group": group}, budget=budget)
+        return fincat.standard_builder("orbit", {"group": name.split(":")[1]})
     raise ValueError(f"unknown builtin category {name!r}")
 
 
@@ -276,8 +271,9 @@ def _cmd_category_validate(args) -> tuple[int, Any, str]:
 
 def _cmd_category_build(args) -> tuple[int, Any, str]:
     with parsing("params"):
-        params = json.loads(args.params) if args.params else {}
-        cat = fincat.build_standard_category(args.kind, params, _budget(args))
+        build = fincat.standard_builder(
+            args.kind, json.loads(args.params) if args.params else {})
+    cat = build(_budget(args))
     doc = fincat.category_to_doc(cat)
     text = _kv_table([("name", cat.name),
                       ("objects", " ".join(cat.objects)),

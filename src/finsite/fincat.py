@@ -696,8 +696,9 @@ def build_trunc_fi_category(n: int, name: str | None = None,
     """Truncation at n of the category of finite sets with injections:
     objects "0".."n", morphisms the injections {0..m-1} -> {0..k-1}, of
     which there are k!/(k-m)!; the budget is checked on that count, and on
-    the composable triples it gives, before any is built."""
-    _check_truncation(budget, n, lambda m, k: math.perm(k, m))
+    the composable triples it gives, before any is built. A negative n
+    raises ValueError."""
+    _check_truncation(budget, _natural(n), lambda m, k: math.perm(k, m))
     objects = [str(m) for m in range(n + 1)]
 
     def mid(m: int, k: int, img: tuple[int, ...]) -> str:
@@ -730,11 +731,12 @@ def build_trunc_vi_category(q: int, n: int, name: str | None = None,
     linear maps. q must be prime (the package's fields are prime fields).
     There are (q^k - 1)(q^k - q)...(q^k - q^(m-1)) injections of F_q^m into
     F_q^k; the budget is checked on their count, and on the composable
-    triples it gives, before any matrix is ranked."""
+    triples it gives, before any matrix is ranked. A negative n raises
+    ValueError."""
     from . import linalg
 
     field = linalg.GF(q)
-    _check_truncation(budget, n,
+    _check_truncation(budget, _natural(n),
                       lambda m, k: math.prod(q ** k - q ** i for i in range(m)))
     objects = [str(m) for m in range(n + 1)]
 
@@ -802,25 +804,53 @@ _GROUP_TABLES = {
 }
 
 
-def build_standard_category(kind: str, params: Mapping[str, Any] | None = None,
-                            budget: SizeBudget = DEFAULT_BUDGET) -> FiniteCategory:
-    """Uniform entry point for the stock builders.
+def _strings(values: Iterable, what: str,
+             size: int | None = None) -> tuple[str, ...]:
+    """values as a tuple of strings, size of them if size is given;
+    TypeError or ValueError otherwise."""
+    out = tuple(values)
+    if not all(isinstance(v, str) for v in out):
+        raise TypeError(f"expected strings for {what}, got {list(out)!r}")
+    if size is not None and len(out) != size:
+        raise ValueError(f"expected {size} entries for {what}, got {list(out)!r}")
+    return out
+
+
+def _natural(n: int) -> int:
+    """n, refused when negative: a truncation at n < 0 is no category."""
+    if n < 0:
+        raise ValueError(f"truncation size must be natural, got {n}")
+    return n
+
+
+def standard_builder(kind: str, params: Mapping[str, Any] | None = None,
+                     ) -> Callable[[SizeBudget], FiniteCategory]:
+    """The stock builder for kind, taking the budget, with its parameters
+    read and checked.
 
     kinds: poset {objects, leq}, free_acyclic_quiver {vertices, arrows},
     orbit {group: name or table, subgroups: "all" or lists}, trunc_fi {n},
-    trunc_vi {q, n}. Orbit side data is dropped here; call
-    build_orbit_category directly when subgroup orders are needed.
+    trunc_vi {q, n}, each with an optional name. Orbit side data is
+    dropped; call build_orbit_category directly when subgroup orders are
+    needed. Malformed parameters raise KeyError, TypeError or ValueError
+    here, and an unknown group name NotAGroupTable, before anything is
+    built, so a caller can read them as input and run the build outside.
     """
     params = dict(params or {})
     name = params.pop("name", None)
+    if name is not None:
+        _strings([name], "the name")
     if kind == "poset":
-        return build_poset_category(params["objects"],
-                                    [tuple(p) for p in params.get("leq", [])],
-                                    name=name or "poset", budget=budget)
+        objects = _strings(params["objects"], "objects")
+        leq = [_strings(p, "a leq pair", 2) for p in params.get("leq", [])]
+        return lambda budget: build_poset_category(
+            objects, leq, name=name or "poset", budget=budget)
     if kind == "free_acyclic_quiver":
-        return build_quiver_category(params["vertices"],
-                                     [tuple(a) for a in params["arrows"]],
-                                     name=name or "quiver", budget=budget)
+        vertices = _strings(params["vertices"], "vertices")
+        arrows = [_strings(a, "an arrow (id, source, target)", 3)
+                  for a in params["arrows"]]
+        return lambda budget: build_quiver_category(
+            vertices, arrows, name=name or "quiver", budget=budget)
     if kind == "orbit":
         group = params["group"]
         if isinstance(group, str):
@@ -830,14 +860,24 @@ def build_standard_category(kind: str, params: Mapping[str, Any] | None = None,
         else:
             table = [list(r) for r in group]
         subgroups = params.get("subgroups", "all")
-        subs = None if subgroups == "all" else subgroups
-        cat, _ = build_orbit_category(table, subs,
-                                      name=name or f"orbit_{group if isinstance(group, str) else 'G'}",
-                                      budget=budget)
-        return cat
+        subs = None if subgroups == "all" else [[int(g) for g in s]
+                                                for s in subgroups]
+        # the builder indexes the table by its entries and the subgroups'
+        if not all(type(g) is int and 0 <= g < len(table)
+                   for g in itertools.chain(*table, *(subs or ()))):
+            raise ValueError("group elements must be indices into the table")
+        name = name or f"orbit_{group if isinstance(group, str) else 'G'}"
+        return lambda budget: build_orbit_category(table, subs, name=name,
+                                                   budget=budget)[0]
     if kind == "trunc_fi":
-        return build_trunc_fi_category(int(params["n"]), name=name, budget=budget)
+        n = _natural(int(params["n"]))
+        return lambda budget: build_trunc_fi_category(n, name=name,
+                                                      budget=budget)
     if kind == "trunc_vi":
-        return build_trunc_vi_category(int(params["q"]), int(params["n"]),
-                                       name=name, budget=budget)
+        from . import linalg
+
+        q, n = int(params["q"]), _natural(int(params["n"]))
+        linalg.GF(q)  # the builder's field: refuses a non-prime order
+        return lambda budget: build_trunc_vi_category(q, n, name=name,
+                                                      budget=budget)
     raise ValueError(f"unknown standard kind {kind!r}")

@@ -3,19 +3,21 @@
 A vector at x is killed by a sieve S when every member of S acts as zero on
 it; the torsion part of a module gathers, at each object, everything killed
 by some cover. For stable rules this is a submodule, and for genuine
-topologies the torsion and torsion-free classes form a hereditary pair,
-which verify_torsion_pair probes on sampled modules. Annihilator sieves
-run the correspondence in the other direction, from modules back to rules.
+topologies the torsion and torsion-free classes form a hereditary pair.
+verify_torsion_pair decides the pair by a certificate on the rule's
+sieves, each failure backed by a module the module-level code checks.
+Annihilator sieves run the correspondence in the other direction, from
+modules back to rules.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import linalg, modrep
 from .errors import (
+    FinsiteError,
     InfiniteFieldUnsupported,
     PreconditionFailed,
     Record,
@@ -31,6 +33,7 @@ from .sieves import (  # perfbench/selftest.py rebinds torsion.all_sieves
     _mask_index,
     all_sieves,  # noqa: F401
     make_sieve,
+    maximal_sieve,
     sieve_sort_key,
 )
 from .topology import (
@@ -41,7 +44,6 @@ from .topology import (
 )
 
 _ENUMERATION_CAP = 200_000
-_HOM_PAIR_CAP = 400  # (torsion, torsion-free) sample pairs whose hom is solved
 
 
 def sieve_kernel(v: KModule, s: Sieve) -> list[Vector]:
@@ -221,7 +223,12 @@ def inclusion_closure(cat: FiniteCategory,
 # torsion pair verification
 
 class TorsionPairReport(Record):
-    """Outcome of sampling-based torsion-pair verification."""
+    """Outcome of the torsion-pair certificate, with any sampled evidence.
+
+    Each condition is decided by the certificate, or refuted by a module
+    witness; witnesses whose key starts with "sampled_" come from the
+    seeded samples.
+    """
 
     hom_vanishes: bool
     closed_under_submodules: bool
@@ -257,114 +264,86 @@ def is_torsion(cat: FiniteCategory, j: GrothendieckTopology,
     return all(len(spans[x]) == v.dims[x] for x in cat.objects)
 
 
-def _is_torsion_free(cat: FiniteCategory, j: GrothendieckTopology,
-                     v: KModule) -> tuple[bool, tuple | None]:
-    spans = torsion_spans(cat, j, v)
-    for x in cat.objects:
-        if spans[x]:
-            return False, (x, tuple(v.field.fmt(a) for a in spans[x][0]))
-    return True, None
-
-
-def _random_submodule(v: KModule,
-                      rng: random.Random) -> tuple[KModule, ModuleMap] | None:
-    busy = [x for x in v.cat.objects if v.dims[x] > 0]
-    if not busy:
-        return None
-    spans: dict[str, list[Vector]] = {}
-    for _ in range(rng.randint(1, 2)):
-        x = rng.choice(busy)
-        spans.setdefault(x, []).append(
-            tuple(modrep._random_entry(v.field, rng) for _ in range(v.dims[x])))
-    return modrep.submodule_from_spans(v, spans, close=True)
+def _torsion_in_quotient(cat: FiniteCategory, j: GrothendieckTopology,
+                         v: KModule) -> tuple | None:
+    """A torsion vector (x, entries) of v modulo its torsion part, or None
+    when that quotient is torsion-free."""
+    _, incl = _torsion_part(cat, j, v)
+    q, _ = modrep.quotient_module(v, incl)
+    spans = torsion_spans(cat, j, q)
+    return next(((x, tuple(q.field.fmt(a) for a in spans[x][0]))
+                 for x in cat.objects if spans[x]), None)
 
 
 def verify_torsion_pair(cat: FiniteCategory, j: GrothendieckTopology,
                         field: FieldSpec = GF(2), sample_count: int = 20,
                         seed: int = 0, max_dim: int = 3,
-                        extra_modules: Sequence[KModule] = (),
                         ) -> TorsionPairReport:
-    """Probe the torsion/torsion-free pair on sampled modules.
+    """Decide whether the rule's torsion and torsion-free modules form a
+    hereditary torsion pair, by a certificate on its sieves.
 
-    Samples are the sieve-quotient generators of the rule, any caller
-    supplied modules, and pseudo-random modules. Verified on the samples:
-    module maps from torsion to torsion-free vanish; the torsion class is
-    closed under submodules and quotients; and each sample modulo its
-    torsion part is torsion-free. Failures are recorded as witness
-    entries, not raised: for rules that are stable but not transitive the
-    last condition is exactly where the pair breaks.
+    Only stability is required of the rule, so that the negative cases are
+    observable. For a stable rule, maps from torsion to torsion-free
+    modules vanish and torsion is closed under quotients: a map sends a
+    vector killed by a cover to one killed by the same cover. The closure
+    j+ of the rule under enlargement, maximal sieves added, has the same
+    torsion modules, and check_axioms on j+ decides the rest:
 
-    Only stability is required of the rule. The torsion computation needs
-    nothing more, and demanding full topology-hood here would make the
-    negative cases unobservable.
+    - transitive: j+ is a topology, so the pair holds (the Gabriel-filter
+      correspondence, Stenström, Rings of Quotients, ch. VI);
+    - not, first witness (x, S, T): P(x)/T extends the torsion P(x)/(S+T)
+      by the torsion (S+T)/T and is not torsion, so its quotient by its
+      torsion part is not torsion-free: "quotient_torsion_free" holds
+      (x, S, T, dims of P(x)/T) and a torsion vector of that quotient;
+    - not intersection closed, first witness (x, S, T): P(x)/(S ∩ T) lies
+      diagonally in the torsion P(x)/S + P(x)/T and is not torsion:
+      "submodule" holds (x, S, T, dims of P(x)/(S ∩ T)).
+
+    The module-level code checks each witness module. Killed vectors form
+    a subspace when j+ is intersection closed, which makes the first one
+    sure; otherwise a witness the check refutes raises FinsiteError. Each
+    of the sample_count seeded random modules must be torsion-free modulo
+    its torsion part; a failure, under "sampled_quotient_torsion_free" as
+    (index, dims) and a torsion vector, fails the verdict.
     """
     require_stable(cat, j)
-    rng = random.Random(f"finsite:pair:{field.label()}:{seed}")
-    samples: list[KModule] = []
-    for x in cat.objects:
-        for s in j.covers_at(x):
-            samples.append(modrep.sieve_quotient_module(cat, field, s).quotient)
-    samples.extend(extra_modules)
-    for _ in range(sample_count):
-        samples.append(modrep.random_module(cat, field,
-                                            seed=rng.randrange(2 ** 30),
-                                            max_dim=max_dim))
-
-    torsion_list: list[tuple[int, KModule]] = []
-    free_list: list[tuple[int, KModule]] = []
-    tf_witnesses: list[tuple] = []
-    for idx, v in enumerate(samples):
-        # t is v's torsion part: v is torsion when t is all of it, and
-        # torsion-free when t is zero
-        t, incl = _torsion_part(cat, j, v)
-        q, _ = modrep.quotient_module(v, incl)
-        q_free, bad = _is_torsion_free(cat, j, q)
-        if not q_free:
-            tf_witnesses.append((idx, dict(v.dims)) + bad)
-        if not v.is_zero() and t.dims == v.dims:
-            torsion_list.append((idx, v))
-        if not t.is_zero() and is_torsion(cat, j, t):
-            torsion_list.append((idx, t))
-        if q_free and not q.is_zero():
-            free_list.append((idx, q))
-        if not v.is_zero() and t.is_zero():
-            free_list.append((idx, v))
-
-    hom_witnesses: list[tuple] = []
-    pairs = itertools.islice(itertools.product(torsion_list, free_list),
-                             _HOM_PAIR_CAP)
-    for (i, t), (k, f) in pairs:
-        if modrep.hom_space(t, f):
-            hom_witnesses.append((i, k, dict(t.dims), dict(f.dims)))
-
-    sub_witnesses: list[tuple] = []
-    quo_witnesses: list[tuple] = []
-    for i, t in torsion_list[:12]:
-        made = _random_submodule(t, rng)
-        if made is None:
-            continue
-        w, w_incl = made
-        if not is_torsion(cat, j, w):
-            sub_witnesses.append((i, dict(w.dims)))
-        t_over_w, _ = modrep.quotient_module(t, w_incl)
-        if not is_torsion(cat, j, t_over_w):
-            quo_witnesses.append((i, dict(t_over_w.dims)))
-
+    closed = inclusion_closure(cat, {
+        x: (*j.covers.get(x, ()), maximal_sieve(cat, x)) for x in cat.objects})
+    axioms = check_axioms(cat, closed)
     witnesses: dict[str, tuple] = {}
-    if hom_witnesses:
-        witnesses["hom"] = tuple(hom_witnesses)
-    if sub_witnesses:
-        witnesses["submodule"] = tuple(sub_witnesses)
-    if quo_witnesses:
-        witnesses["quotient"] = tuple(quo_witnesses)
-    if tf_witnesses:
-        witnesses["quotient_torsion_free"] = tuple(tf_witnesses)
+    for x, s, t in axioms.witnesses.get("transitivity", ())[:1]:
+        q = modrep.sieve_quotient_module(cat, field, Sieve(x, t)).quotient
+        bad = _torsion_in_quotient(cat, j, q)
+        if bad is None:
+            raise FinsiteError(f"P({x})/{t} has a torsion-free quotient,"
+                               f" though {s} forces {t}")
+        witnesses["quotient_torsion_free"] = ((x, s, t, dict(q.dims)) + bad,)
+    for x, s, t in axioms.witnesses.get("intersection", ())[:1]:
+        meet = make_sieve(cat, x, set(s) & set(t))
+        q = modrep.sieve_quotient_module(cat, field, meet).quotient
+        if is_torsion(cat, j, q):
+            raise FinsiteError(f"P({x})/{meet.members} is torsion, though"
+                               f" {meet.members} is no cover")
+        witnesses["submodule"] = ((x, s, t, dict(q.dims)),)
+
+    rng = random.Random(f"finsite:pair:{field.label()}:{seed}")
+    sampled = []
+    for idx in range(sample_count):
+        v = modrep.random_module(cat, field, seed=rng.randrange(2 ** 30),
+                                 max_dim=max_dim)
+        bad = _torsion_in_quotient(cat, j, v)
+        if bad is not None:
+            sampled.append((idx, dict(v.dims)) + bad)
+    if sampled:
+        witnesses["sampled_quotient_torsion_free"] = tuple(sampled)
     return TorsionPairReport(
-        hom_vanishes=not hom_witnesses,
-        closed_under_submodules=not sub_witnesses,
-        closed_under_quotients=not quo_witnesses,
-        quotients_torsion_free=not tf_witnesses,
-        sample_count=len(samples),
+        hom_vanishes=True,
+        closed_under_submodules="submodule" not in witnesses,
+        closed_under_quotients=True,
+        quotients_torsion_free=not ({"quotient_torsion_free",
+                                     "sampled_quotient_torsion_free"}
+                                    & witnesses.keys()),
+        sample_count=sample_count,
         witnesses=witnesses,
     )
 

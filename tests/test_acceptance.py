@@ -12,7 +12,8 @@ from itertools import product
 
 from conftest import chain, diamond, ei_fixture_categories, idem_monoid, quiver2
 
-from finsite import fincat, linalg, modrep, sheaves, topology, torsion, typen
+from finsite import (fincat, linalg, modrep, sheaves, sieves, topology, torsion,
+                     typen)
 from finsite.modrep import GF, parse_field_label
 
 QQ = parse_field_label("Q")
@@ -226,8 +227,8 @@ def test_07_hereditary_torsion_pairs():
         for cat in (quiver2(), chain(2), chain(3),
                     fincat.build_trunc_fi_category(2)):
             for j in topology.enumerate_topologies(cat):
-                rep = torsion.verify_torsion_pair(
-                    cat, j, GF(2), sample_count=12, seed=0, max_dim=2)
+                rep = torsion.verify_torsion_pair(cat, j, GF(2),
+                                                  sample_count=0)
                 assert rep.passed, (cat.name, rep.witnesses)
 
         cat = chain(3)
@@ -268,14 +269,22 @@ def test_07_hereditary_torsion_pairs():
                 break
         assert witness is not None
         assert max(witness.dims.values()) <= 2
-        rep = torsion.verify_torsion_pair(cat, rule, field, sample_count=10,
-                                          seed=0, max_dim=2,
-                                          extra_modules=(witness,))
-        assert not rep.quotients_torsion_free
-        assert "quotient_torsion_free" in rep.witnesses
-        assert not rep.passed
         found = tuple(witness.dims[x] for x in cat.objects)
-        return f"24 rules pass; stable non-transitive rule fails at dims {found}"
+        assert found == (1, 1, 0)
+        # the certificate fails the rule with no samples, at a module of
+        # the dims the search found: P(x)/T for its transitivity witness
+        rep = torsion.verify_torsion_pair(cat, rule, field, sample_count=0)
+        assert not rep.passed and not rep.quotients_torsion_free
+        (x, _, t, dims, *_), = rep.witnesses["quotient_torsion_free"]
+        assert tuple(dims[y] for y in cat.objects) == found
+        q = modrep.sieve_quotient_module(cat, field,
+                                         sieves.Sieve(x, t)).quotient
+        _, incl = torsion.torsion_submodule(cat, rule, q)
+        quot, _ = modrep.quotient_module(q, incl)
+        assert torsion.torsion_class(cat, rule, quot).classification \
+            == "torsion"
+        return (f"24 rules pass; stable non-transitive rule fails at dims"
+                f" {found}, the certificate's witness")
     _gate(7, "hereditary torsion pairs", None, body)
 
 
@@ -303,19 +312,18 @@ def test_09_rigid_equivalence():
                             ("C3", fincat.cyclic_group_table(3)),
                             ("S3", fincat.symmetric_group_table(3))):
             fixtures.append(fincat.build_monoid_category(table, name=name))
-        rules = samples = 0
+        rules = injectives = 0
         for cat in fixtures:
-            topos = topology.enumerate_topologies(cat)
-            per_rule = -(-50 // len(topos))
-            for j in topos:
+            for j in topology.enumerate_topologies(cat):
                 assert topology.rigidity(cat, j).rigid, cat.name
-                rep = sheaves.verify_rigid_equivalence(
-                    cat, j, GF(2), sample_count=per_rule, seed=0, max_dim=2)
-                assert rep.passed, (cat.name, rep.witnesses)
+                for field in (GF(2), GF(3)):
+                    rep = sheaves.verify_rigid_equivalence(cat, j, field,
+                                                           sample_count=0)
+                    assert rep.passed, (cat.name, rep.witnesses)
+                    injectives += len(rep.irreducibles)
                 rules += 1
-                samples += rep.sample_count
-        assert samples >= 50 * len(fixtures)
-        return f"{rules} rules rigid, {samples} equivalence samples"
+        return (f"{rules} rules rigid, certified on {injectives} coinduced"
+                f" standard injectives over F2 and F3")
     _gate(9, "rigid equivalence", None, body)
 
 

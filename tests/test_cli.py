@@ -60,18 +60,15 @@ def test_exit_code_contract(tmp_path):
 
 
 def test_linear_system_budget_is_exit_3(monkeypatch):
-    # the sheaf check's first dense system is a compatibility system; the
-    # torsion-pair probe's is a naturality system; both share one cap
-    cases = [
-        (["sheaf", "check", "--category", "quiver2", "--topology", "dense",
-          "--module", SHEAF], "compatibility"),
-        (["torsion", "pair", "--category", "quiver2", "--topology", "dense",
-          "--field", "Fp:2"], "naturality"),
-    ]
-    for argv, _ in cases:
-        assert run(argv)[0] == 0
-    monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", 1)
-    for argv, system in cases:
+    # the sheaf check solves compatibility systems of at most 8 entries on
+    # this module (2 equations in 4 unknowns), then naturality systems of
+    # 24 and fewer for the perpendicularity test: a cap of 1 stops it at
+    # the first, a cap of 8 at the second; both systems share the one cap
+    argv = ["sheaf", "check", "--category", "quiver2", "--topology", "dense",
+            "--module", SHEAF]
+    assert run(argv)[0] == 0
+    for cap, system in ((1, "compatibility"), (8, "naturality")):
+        monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", cap)
         code, text = run(argv)
         assert code == 3, text
         assert text.startswith(f"SizeBudgetExceeded: {system} system of"), text
@@ -518,11 +515,52 @@ def test_builtin_category_bug_is_not_an_input_error(monkeypatch, name):
     ("trunc_vi:2", "not enough values to unpack (expected 3, got 2)"),
     ("trunc_fi:", "invalid literal for int() with base 10: ''"),
     ("chain-1", "chain length must be natural, got -1"),
+    ("trunc_fi:-1", "truncation size must be natural, got -1"),
+    ("trunc_vi:2:-1", "truncation size must be natural, got -1"),
     ("nowhere", "unknown builtin category 'nowhere'"),
 ])
 def test_bad_builtin_names_are_input_errors(name, text):
     code, out = run(["topology", "enumerate", "--category", name])
     assert (code, out) == (2, f"error: category: MalformedInput: {text}\n")
+
+
+def test_category_build_bug_is_not_an_input_error(monkeypatch):
+    # the params are input, but an error raised while building or checking
+    # the category they describe is a bug
+    argv = ["category", "build", "--kind", "trunc_fi", "--params", '{"n": 2}']
+    assert run(argv)[0] == 0
+
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(fincat, "_collect_violations", broken)
+    with pytest.raises(KeyError):
+        run(argv)
+
+
+@pytest.mark.parametrize(("kind", "params", "text"), [
+    ("trunc_fi", '{"n": -1}', "truncation size must be natural, got -1"),
+    ("trunc_vi", '{"q": 2, "n": -2}', "truncation size must be natural, got -2"),
+    ("trunc_vi", '{"q": 4, "n": 1}', "field order must be prime, got 4"),
+    ("trunc_fi", '{}', "missing key 'n'"),
+    ("poset", '{"objects": ["a", 1]}', "expected strings for objects, got ['a', 1]"),
+    ("poset", '{"objects": [["a"]]}', "expected strings for objects, got [['a']]"),
+    ("poset", '{"objects": ["a", "b"], "leq": [["a"]]}',
+     "expected 2 entries for a leq pair, got ['a']"),
+    ("free_acyclic_quiver", '{"vertices": ["x"], "arrows": [["f", "x"]]}',
+     "expected 3 entries for an arrow (id, source, target),"
+     " got ['f', 'x']"),
+    ("orbit", '{"group": [[0, 1], [1, 0]], "subgroups": [[0, 2]]}',
+     "group elements must be indices into the table"),
+    ("orbit", '{"group": [[0, 1], [1, -1]]}',
+     "group elements must be indices into the table"),
+    ("poset", '{"objects": [], "name": 5}', "expected strings for the name, got [5]"),
+    ("orbit", '{"group": "C2", "subgroups": [["0", "x"]]}',
+     "invalid literal for int() with base 10: 'x'"),
+])
+def test_bad_category_params_are_input_errors(kind, params, text):
+    code, out = run(["category", "build", "--kind", kind, "--params", params])
+    assert (code, out) == (2, f"error: params: MalformedInput: {text}\n")
 
 
 def test_long_chain_is_refused_before_its_closure():

@@ -453,7 +453,8 @@ def test_truncations_match_the_formatted_name_builds(kind, args):
 def test_orbit_documents_are_unchanged(group, digest):
     # the SHA-256 of the document json.dumps writes for each orbit
     # category, as the builder wrote it before the scan on positions
-    cat = fincat.build_standard_category("orbit", {"group": group})
+    cat = fincat.standard_builder("orbit", {"group": group})(
+        fincat.DEFAULT_BUDGET)
     text = json.dumps(fincat.category_to_doc(cat))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -604,12 +605,23 @@ def test_trunc_vi_counts():
     assert len(c.hom("0", "1")) == 1
 
 
+def test_negative_truncations_are_refused():
+    # a truncation at n < 0 would be the empty category
+    for build in (lambda: fincat.build_trunc_fi_category(-1),
+                  lambda: fincat.build_trunc_vi_category(2, -1),
+                  lambda: fincat.standard_builder("trunc_fi", {"n": -1})):
+        with pytest.raises(ValueError, match="must be natural, got -1"):
+            build()
+    assert fincat.build_trunc_fi_category(0).objects == ("0",)
+
+
 def test_standard_builder_dispatch():
-    c = fincat.build_standard_category(
-        "poset", {"objects": ["0", "1"], "leq": [["0", "1"]]})
+    c = fincat.standard_builder(
+        "poset", {"objects": ["0", "1"], "leq": [["0", "1"]]})(
+        fincat.DEFAULT_BUDGET)
     assert len(c.morphisms) == 3
     with pytest.raises(ValueError):
-        fincat.build_standard_category("nope", {})
+        fincat.standard_builder("nope", {})
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,28 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsite import fincat, linalg, modrep, sheaves, sieves, topology, torsion
-from finsite.errors import FinsiteError, NotRigid, PreconditionFailed
+from finsite.errors import (
+    FinsiteError,
+    NotRigid,
+    PreconditionFailed,
+    ValidationFailed,
+)
 from finsite.linalg import GF, QQ, Mat
 
-from conftest import chain, constant_module, diamond, idem_monoid, quiver2
+from conftest import (
+    chain,
+    constant_module,
+    diamond,
+    ei_fixture_categories,
+    idem_monoid,
+    quiver2,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -417,7 +431,9 @@ def test_rigid_equivalence_dense_quiver(cat_quiver2):
                                            sample_count=6, max_dim=2)
     assert rep.passed, rep.witnesses
     assert rep.irreducibles == ("y",)
-    assert rep.sample_count > 6
+    assert rep.sample_count == 6
+    assert rep == sheaves.verify_rigid_equivalence(cat_quiver2, dense,
+                                                   sample_count=6, max_dim=2)
 
 
 def test_rigid_equivalence_all_chain2_topologies(cat_chain2):
@@ -437,80 +453,99 @@ def test_rigid_equivalence_no_irreducibles(cat_quiver2):
     assert rep.irreducibles == ()
 
 
-def test_rigid_equivalence_records_a_failed_counit(cat_quiver2, monkeypatch):
+def two_point_core():
+    """diamond with the rule whose irreducible objects are a and b."""
+    cat = diamond()
+    j = next(j for j in topology.enumerate_topologies(cat)
+             if topology.irreducible_objects(cat, j) == ["a", "b"])
+    return cat, j
+
+
+def test_rigid_equivalence_records_a_failed_counit(monkeypatch):
+    cat, j = two_point_core()
     real = modrep.coinduction_with_counit
     calls = []
 
-    def degenerate_first_two(cat, sub, w):
-        # the first two calls coinduce the sampled core modules
+    def degenerate_first(cat, sub, w):
+        # the calls coinduce the standard injectives of the core, in order
         calls.append(w)
-        if len(calls) <= 2:
-            raise PreconditionFailed("counit degenerate at y")
+        if len(calls) == 1:
+            raise PreconditionFailed("counit degenerate at a")
         return real(cat, sub, w)
 
-    monkeypatch.setattr(modrep, "coinduction_with_counit",
-                        degenerate_first_two)
-    dense = topology.named_topology(cat_quiver2, "dense")
-    rep = sheaves.verify_rigid_equivalence(cat_quiver2, dense,
-                                           sample_count=2, max_dim=2)
-    assert not rep.restrict_after_coinduce_identity
-    assert len(rep.witnesses["restrict_coinduce"]) == 2
-    assert rep.coinduction_makes_sheaves
-    assert rep.coinduce_after_restrict_identity
-
-
-def test_rigid_equivalence_records_a_degenerate_unit(cat_quiver2,
-                                                     monkeypatch):
-    def degenerate(cat, sub, v):
-        # a unit one dimension short of square at every object
-        coind, _ = modrep.coinduction_with_counit(
-            cat, sub, modrep.restriction(cat, sub, v))
-        bigger = modrep.direct_sum(cat, v.field,
-                                   [coind, constant_module(cat, v.field)])
-        return bigger, modrep.make_module_map(
-            v, bigger, {x: linalg.zeros(v.field, bigger.dims[x], v.dims[x])
-                        for x in cat.objects})
-
-    monkeypatch.setattr(modrep, "coinduction_unit", degenerate)
-    dense = topology.named_topology(cat_quiver2, "dense")
-    rep = sheaves.verify_rigid_equivalence(cat_quiver2, dense,
-                                           sample_count=3, max_dim=2)
+    monkeypatch.setattr(modrep, "coinduction_with_counit", degenerate_first)
+    rep = sheaves.verify_rigid_equivalence(cat, j, sample_count=0)
+    assert len(calls) == 2
+    assert not rep.passed and not rep.restrict_after_coinduce_identity
+    assert rep.witnesses == {"restrict_coinduce": (("a", {"a": 1, "b": 0}),)}
+    # a core object whose coinduction fails certifies no leg through it
+    assert not rep.coinduction_makes_sheaves
     assert not rep.coinduce_after_restrict_identity
-    assert [i for i, _ in rep.witnesses["coinduce_restrict"]] == [0, 1, 2]
-    assert rep.restrict_after_coinduce_identity
-    assert rep.coinduction_makes_sheaves
     assert rep.torsion_matches_restriction
+
+
+def test_rigid_equivalence_records_a_coinduction_that_is_no_sheaf(
+        monkeypatch):
+    cat, j = two_point_core()
+    real = sheaves.sheaf_status
+
+    def no_sheaf(cat, j, v):
+        status = real(cat, j, v)
+        return sheaves.SheafStatus(separated=status.separated, sheaf=False,
+                                   witnesses=status.witnesses)
+
+    monkeypatch.setattr(sheaves, "sheaf_status", no_sheaf)
+    rep = sheaves.verify_rigid_equivalence(cat, j, sample_count=0)
+    assert [y for y, _ in rep.witnesses["sheaf"]] == ["a", "b"]
+    assert set(rep.witnesses) == {"sheaf"}
+    assert not rep.coinduction_makes_sheaves
+    assert not rep.coinduce_after_restrict_identity
+    assert rep.restrict_after_coinduce_identity
+    assert rep.torsion_matches_restriction
+
+
+def test_rigid_equivalence_records_a_sampled_disagreement(cat_quiver2,
+                                                          monkeypatch):
+    dense = topology.named_topology(cat_quiver2, "dense")
+    monkeypatch.setattr(torsion, "is_torsion", lambda cat, j, v: True)
+    rep = sheaves.verify_rigid_equivalence(cat_quiver2, dense,
+                                           sample_count=4, max_dim=2)
+    # every sample nonzero at y disagrees with the patched torsion test
+    samples = [modrep.random_module(cat_quiver2, F2, seed, 2)
+               for seed in sampled_seeds("rigid", F2, 0, 4)]
+    assert [i for i, _ in rep.witnesses["sampled_torsion"]] == [
+        i for i, v in enumerate(samples) if v.dims["y"]]
+    assert rep.witnesses["sampled_torsion"]
+    assert not rep.passed and not rep.torsion_matches_restriction
+    assert rep.coinduction_makes_sheaves
 
 
 def test_rigid_equivalence_builds_its_subcategory_once(monkeypatch):
     # the subcategory of irreducibles is kept on the category, and with it
-    # the representables sampled on it: a second probe builds nothing
-    cat = diamond()
-    j = next(j for j in topology.enumerate_topologies(cat)
-             if topology.rigidity(cat, j).rigid
-             and 0 < len(topology.irreducible_objects(cat, j))
-             < len(cat.objects))
-    categories, representables = [], []
+    # the standard injectives coinduced from it: a second check builds
+    # neither
+    cat, j = two_point_core()
+    categories, relabels = [], []
     make_category = fincat.make_category
-    build = modrep._postcomposition_module
+    relabel = modrep._relabel
 
     def counted_category(name, *args, **kwargs):
         categories.append(name)
         return make_category(name, *args, **kwargs)
 
-    def counted_build(sub, field, basis):
-        representables.append(sub.name)
-        return build(sub, field, basis)
+    def counted_relabel(*args):
+        relabels.append(args)
+        return relabel(*args)
 
     monkeypatch.setattr(fincat, "make_category", counted_category)
-    monkeypatch.setattr(modrep, "_postcomposition_module", counted_build)
+    monkeypatch.setattr(modrep, "_relabel", counted_relabel)
     first = sheaves.verify_rigid_equivalence(cat, j, sample_count=3)
-    assert len(categories) == 1 and categories[0].startswith("diamond|")
-    assert categories[0] in representables
+    assert categories == ["diamond|a,b"]
+    assert relabels
     categories.clear()
-    representables.clear()
+    relabels.clear()
     assert sheaves.verify_rigid_equivalence(cat, j, sample_count=3) == first
-    assert categories == [] and representables == []
+    assert categories == [] and relabels == []
 
 
 def test_rigid_equivalence_rejects_nonrigid(cat_idem_monoid):
@@ -529,3 +564,95 @@ def test_rigid_equivalence_report_doc(cat_chain2):
     assert set(doc["conditions"]) == {
         "torsion_matches_restriction", "coinduction_makes_sheaves",
         "restrict_after_coinduce_identity", "coinduce_after_restrict_identity"}
+
+
+
+# ---------------------------------------------------------------------------
+# the rigid-equivalence certificate against the sampled probe it replaced,
+# kept as an oracle
+
+def sampled_seeds(kind, field, seed, count):
+    """The module seeds a report draws for its samples."""
+    rng = random.Random(f"finsite:{kind}:{field.label()}:{seed}")
+    return [rng.randrange(2 ** 30) for _ in range(count)]
+
+
+def old_verify_rigid_equivalence(cat, j, field=F2, sample_count=20, seed=0,
+                                 max_dim=2):
+    """Probe the equivalence on samples: torsion against vanishing on the
+    core for the rule's sieve quotients and sampled modules, the counit and
+    sheafness of coinduced sampled core modules, and the unit on sheafified
+    samples. Returns the verdict and the witnesses."""
+    report = topology.rigidity(cat, j)
+    if not report.rigid:
+        raise NotRigid(f"failures at {[y for y, _ in report.failures]}")
+    d_objs = topology.irreducible_objects(cat, j)
+    sub = fincat.full_subcategory(cat, d_objs)
+    rng = random.Random(f"finsite:rigid:{field.label()}:{seed}")
+    witnesses = {"torsion": [], "sheaf": [], "restrict_coinduce": [],
+                 "coinduce_restrict": []}
+    samples = [modrep.sieve_quotient_module(cat, field, s).quotient
+               for x in cat.objects for s in j.covers_at(x)]
+    samples.extend(modrep.random_module(cat, field, seed=rng.randrange(2 ** 30),
+                                        max_dim=max_dim)
+                   for _ in range(sample_count))
+    for idx, v in enumerate(samples):
+        if torsion.is_torsion(cat, j, v) != all(v.dims[x] == 0
+                                                 for x in d_objs):
+            witnesses["torsion"].append((idx, dict(v.dims)))
+    for i in range(sample_count):
+        w = modrep.random_module(sub, field, seed=rng.randrange(2 ** 30),
+                                 max_dim=max_dim)
+        try:
+            coind, _ = modrep.coinduction_with_counit(cat, sub, w)
+        except (PreconditionFailed, ValidationFailed):
+            witnesses["restrict_coinduce"].append((i, dict(w.dims)))
+            continue
+        if not sheaves.sheaf_status(cat, j, coind).sheaf:
+            witnesses["sheaf"].append((i, dict(w.dims)))
+    for i in range(sample_count):
+        v = modrep.random_module(cat, field, seed=rng.randrange(2 ** 30),
+                                 max_dim=max_dim)
+        vs, _ = sheaves.sheafify(cat, j, v)
+        _, unit = modrep.coinduction_unit(cat, sub, vs)
+        if not all(linalg.is_invertible(field, unit.components[x])
+                   for x in cat.objects):
+            witnesses["coinduce_restrict"].append((i, dict(vs.dims)))
+    packed = {k: tuple(w) for k, w in witnesses.items() if w}
+    return not packed, packed
+
+
+RIGID_RULES = [(cat, j) for cat in ei_fixture_categories()
+               for j in topology.enumerate_topologies(cat)
+               if topology.rigidity(cat, j).rigid]
+
+
+def test_every_fixture_rule_is_rigid_and_certified():
+    # every enumerated rule on the EI fixtures is rigid; the certificate
+    # passes each one with no samples, and coinduces one standard
+    # injective per irreducible object
+    assert len(RIGID_RULES) == sum(
+        len(topology.enumerate_topologies(cat))
+        for cat in ei_fixture_categories())
+    for cat, j in RIGID_RULES:
+        for field in (F2, F3):
+            rep = sheaves.verify_rigid_equivalence(cat, j, field,
+                                                   sample_count=0)
+            assert rep.passed, (cat.name, rep.witnesses)
+            assert rep.witnesses == {} and rep.sample_count == 0
+            assert rep.irreducibles == tuple(
+                topology.irreducible_objects(cat, j))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rule=st.sampled_from(RIGID_RULES), field=st.sampled_from((F2, F3)),
+       seed=st.integers(0, 10_000))
+def test_rigid_certificate_matches_the_sampled_oracle(rule, field, seed):
+    cat, j = rule
+    passed, witnesses = old_verify_rigid_equivalence(cat, j, field,
+                                                     sample_count=2,
+                                                     seed=seed)
+    rep = sheaves.verify_rigid_equivalence(cat, j, field, sample_count=2,
+                                           seed=seed)
+    assert rep.passed == passed, witnesses
+    assert rep.sample_count == 2

@@ -40,9 +40,6 @@ ALLOWED = {
                          "FI's and VI's full subcategories",
     "contains": "Echelon's membership test, the oracle the tests hold its "
                 "incremental span against",
-    "extra_modules": "verify_torsion_pair's extra samples: the acceptance "
-                     "gate hands it the witness of a non-transitive rule, "
-                     "which is not among the rule's generators",
 }
 
 

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import functools
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsite import fincat, linalg, modrep, sieves, topology, torsion
 from finsite.errors import (
+    FinsiteError,
     PreconditionFailed,
     ShapeMismatch,
     SizeBudgetExceeded,
@@ -240,16 +245,75 @@ def test_torsion_pair_fails_without_transitivity(cat_chain3):
     rule = nontransitive_chain3_rule(cat_chain3)
     report = topology.check_axioms(cat_chain3, rule)
     assert report.stability_ok and not report.transitivity_ok
-    # quotient of the representable at 0 by the long arrow: its torsion
-    # part sits in the middle and leaves a torsion quotient behind
+    # the certificate's witness is the quotient of the representable at 0
+    # by the long arrow: its torsion part sits in the middle and leaves a
+    # torsion quotient behind
+    rep = torsion.verify_torsion_pair(cat_chain3, rule, sample_count=0)
+    assert not rep.passed and not rep.quotients_torsion_free
+    assert rep.closed_under_submodules
+    assert rep.witnesses == {"quotient_torsion_free": (
+        ("0", ("0->1", "0->2"), ("0->2",), {"0": 1, "1": 1, "2": 0},
+         "0", ("1",)),)}
     s = sieves.make_sieve(cat_chain3, "0", ["0->2"])
     witness_module = modrep.sieve_quotient_module(cat_chain3, F2, s).quotient
-    assert witness_module.dims == {"0": 1, "1": 1, "2": 0}
-    rep = torsion.verify_torsion_pair(cat_chain3, rule, sample_count=4,
-                                      extra_modules=(witness_module,))
-    assert not rep.quotients_torsion_free
-    assert "quotient_torsion_free" in rep.witnesses
-    assert not rep.passed
+    # the old probe finds the same failure on that module, after the five
+    # generators of the rule
+    old = old_verify_torsion_pair(cat_chain3, rule, F2, sample_count=0,
+                                  extra_modules=(witness_module,))
+    assert old.witnesses["quotient_torsion_free"] == (
+        (5, {"0": 1, "1": 1, "2": 0}, "0", ("1",)),)
+
+
+def test_torsion_pair_submodule_witness(cat_quiver2):
+    # covers {f} and {g} at x but not their intersection, the empty sieve
+    # (the empty sieve at y keeps the rule stable): P(x)/{} = P(x) sits
+    # diagonally in P(x)/{f} + P(x)/{g} and is not torsion
+    rule = topology.make_rule(cat_quiver2, {
+        "x": [sieves.make_sieve(cat_quiver2, "x", ["f"]),
+              sieves.make_sieve(cat_quiver2, "x", ["g"])],
+        "y": [sieves.make_sieve(cat_quiver2, "y", ()),
+              sieves.maximal_sieve(cat_quiver2, "y")]})
+    rep = torsion.verify_torsion_pair(cat_quiver2, rule, sample_count=0)
+    assert not rep.closed_under_submodules and not rep.quotients_torsion_free
+    assert rep.hom_vanishes and rep.closed_under_quotients
+    assert rep.witnesses["submodule"] == (
+        ("x", ("f",), ("g",), {"x": 1, "y": 2}),)
+    confirm_witnesses(cat_quiver2, rule, F2, rep)
+
+
+def test_unconfirmed_witnesses_are_library_bugs(cat_chain3, cat_quiver2,
+                                                monkeypatch):
+    rule = nontransitive_chain3_rule(cat_chain3)
+    with monkeypatch.context() as patch:
+        patch.setattr(torsion, "_torsion_in_quotient", lambda *args: None)
+        with pytest.raises(FinsiteError, match="torsion-free quotient"):
+            torsion.verify_torsion_pair(cat_chain3, rule, sample_count=0)
+    rule = topology.make_rule(cat_quiver2, {
+        "x": [sieves.make_sieve(cat_quiver2, "x", ["f"]),
+              sieves.make_sieve(cat_quiver2, "x", ["g"])],
+        "y": [sieves.make_sieve(cat_quiver2, "y", ()),
+              sieves.maximal_sieve(cat_quiver2, "y")]})
+    monkeypatch.setattr(torsion, "is_torsion", lambda *args: True)
+    with pytest.raises(FinsiteError, match="is no cover"):
+        torsion.verify_torsion_pair(cat_quiver2, rule, sample_count=0)
+
+
+def test_sampled_failures_fail_the_verdict(cat_quiver2, monkeypatch):
+    dense = topology.named_topology(cat_quiver2, "dense")
+    calls = []
+
+    def broken(cat, j, v):
+        calls.append(v)
+        return ("x", ("1",))
+
+    monkeypatch.setattr(torsion, "_torsion_in_quotient", broken)
+    rep = torsion.verify_torsion_pair(cat_quiver2, dense, sample_count=3,
+                                      max_dim=2)
+    assert len(calls) == 3
+    assert not rep.passed and not rep.quotients_torsion_free
+    assert [w[0] for w in rep.witnesses["sampled_quotient_torsion_free"]] \
+        == [0, 1, 2]
+    assert set(rep.witnesses) == {"sampled_quotient_torsion_free"}
 
 
 def test_torsion_pair_scans_stability_once(cat_trunc_fi2, monkeypatch):
@@ -449,3 +513,192 @@ def test_torsion_spans_match_all_covers_on_quiver_representations(field, data):
               for x in cat.objects}
     j = topology.make_rule(cat, covers)
     assert torsion.torsion_spans(cat, j, v) == old_torsion_spans(cat, j, v)
+
+
+# ---------------------------------------------------------------------------
+# the torsion-pair certificate against the sampled probe it replaced, kept
+# as an oracle
+
+HOM_PAIR_CAP = 400  # (torsion, torsion-free) sample pairs whose hom is solved
+
+
+def torsion_vector(cat, j, v):
+    """The first nonzero torsion vector (x, entries) of v, or None."""
+    spans = torsion.torsion_spans(cat, j, v)
+    return next(((x, tuple(v.field.fmt(a) for a in spans[x][0]))
+                 for x in cat.objects if spans[x]), None)
+
+
+def random_submodule(v, rng):
+    busy = [x for x in v.cat.objects if v.dims[x] > 0]
+    if not busy:
+        return None
+    spans = {}
+    for _ in range(rng.randint(1, 2)):
+        x = rng.choice(busy)
+        spans.setdefault(x, []).append(
+            tuple(modrep._random_entry(v.field, rng) for _ in range(v.dims[x])))
+    return modrep.submodule_from_spans(v, spans, close=True)
+
+
+def old_verify_torsion_pair(cat, j, field=F2, sample_count=20, seed=0,
+                            max_dim=3, extra_modules=()):
+    """Probe the pair on the rule's sieve-quotient generators, the extra
+    modules and sampled modules: hom from torsion to torsion-free, random
+    submodules and quotients of torsion samples, and each sample modulo
+    its torsion part."""
+    topology.require_stable(cat, j)
+    rng = random.Random(f"finsite:pair:{field.label()}:{seed}")
+    samples = []
+    for x in cat.objects:
+        for s in j.covers_at(x):
+            samples.append(modrep.sieve_quotient_module(cat, field, s).quotient)
+    samples.extend(extra_modules)
+    for _ in range(sample_count):
+        samples.append(modrep.random_module(cat, field,
+                                            seed=rng.randrange(2 ** 30),
+                                            max_dim=max_dim))
+
+    torsion_list, free_list, tf_witnesses = [], [], []
+    for idx, v in enumerate(samples):
+        t, incl = torsion._torsion_part(cat, j, v)
+        q, _ = modrep.quotient_module(v, incl)
+        bad = torsion_vector(cat, j, q)
+        q_free = bad is None
+        if not q_free:
+            tf_witnesses.append((idx, dict(v.dims)) + bad)
+        if not v.is_zero() and t.dims == v.dims:
+            torsion_list.append((idx, v))
+        if not t.is_zero() and torsion.is_torsion(cat, j, t):
+            torsion_list.append((idx, t))
+        if q_free and not q.is_zero():
+            free_list.append((idx, q))
+        if not v.is_zero() and t.is_zero():
+            free_list.append((idx, v))
+
+    hom_witnesses = []
+    pairs = itertools.islice(itertools.product(torsion_list, free_list),
+                             HOM_PAIR_CAP)
+    for (i, t), (k, f) in pairs:
+        if modrep.hom_space(t, f):
+            hom_witnesses.append((i, k, dict(t.dims), dict(f.dims)))
+
+    sub_witnesses, quo_witnesses = [], []
+    for i, t in torsion_list[:12]:
+        made = random_submodule(t, rng)
+        if made is None:
+            continue
+        w, w_incl = made
+        if not torsion.is_torsion(cat, j, w):
+            sub_witnesses.append((i, dict(w.dims)))
+        t_over_w, _ = modrep.quotient_module(t, w_incl)
+        if not torsion.is_torsion(cat, j, t_over_w):
+            quo_witnesses.append((i, dict(t_over_w.dims)))
+
+    witnesses = {}
+    for key, found in (("hom", hom_witnesses), ("submodule", sub_witnesses),
+                       ("quotient", quo_witnesses),
+                       ("quotient_torsion_free", tf_witnesses)):
+        if found:
+            witnesses[key] = tuple(found)
+    return torsion.TorsionPairReport(
+        hom_vanishes=not hom_witnesses,
+        closed_under_submodules=not sub_witnesses,
+        closed_under_quotients=not quo_witnesses,
+        quotients_torsion_free=not tf_witnesses,
+        sample_count=len(samples),
+        witnesses=witnesses,
+    )
+
+
+PAIR_FIXTURES = [chain(2), chain(3), quiver2(),
+                 fincat.build_orbit_category(fincat.cyclic_group_table(3),
+                                             name="orbit_C3")[0],
+                 fincat.build_trunc_fi_category(2)]
+
+
+@functools.lru_cache(maxsize=None)
+def stable_rules(index):
+    """Every stable rule on PAIR_FIXTURES[index]: any set of sieves per
+    object, so rules that are not inclusion closed, lack a maximal sieve or
+    cover nothing at an object come up too."""
+    cat = PAIR_FIXTURES[index]
+    choices = [[c for k in range(len(u) + 1)
+                for c in itertools.combinations(u, k)]
+               for u in (sieves.all_sieves(cat, x) for x in cat.objects)]
+    rules = (topology.make_rule(cat, dict(zip(cat.objects, pick)))
+             for pick in itertools.product(*choices))
+    return [j for j in rules if topology.check_stability_only(cat, j) is None]
+
+
+def confirm_witnesses(cat, j, field, rep):
+    """Check each certificate witness with the module-level code."""
+    for x, s, t, dims, *bad in rep.witnesses.get("quotient_torsion_free", ()):
+        q = modrep.sieve_quotient_module(cat, field,
+                                         sieves.Sieve(x, t)).quotient
+        assert dict(q.dims) == dims
+        assert torsion.is_torsion(cat, j, modrep.sieve_quotient_module(
+            cat, field, sieves.Sieve(x, s)).quotient)
+        _, incl = torsion.torsion_submodule(cat, j, q)
+        quot, _ = modrep.quotient_module(q, incl)
+        assert not quot.is_zero() and torsion.is_torsion(cat, j, quot)
+        assert torsion_vector(cat, j, quot) == tuple(bad)
+    for x, s, t, dims in rep.witnesses.get("submodule", ()):
+        meet = sieves.make_sieve(cat, x, set(s) & set(t))
+        q = modrep.sieve_quotient_module(cat, field, meet).quotient
+        assert dict(q.dims) == dims
+        assert not torsion.is_torsion(cat, j, q)
+        for cover in (s, t):
+            assert torsion.is_torsion(cat, j, modrep.sieve_quotient_module(
+                cat, field, sieves.Sieve(x, cover)).quotient)
+
+
+@pytest.mark.parametrize("index", range(len(PAIR_FIXTURES)),
+                         ids=[c.name for c in PAIR_FIXTURES])
+def test_torsion_pair_certificate_on_every_stable_rule(index):
+    cat = PAIR_FIXTURES[index]
+    failing = 0
+    for j in stable_rules(index):
+        closed = torsion.inclusion_closure(cat, {
+            x: (*j.covers[x], sieves.maximal_sieve(cat, x))
+            for x in cat.objects})
+        transitive = topology.check_axioms(cat, closed).transitivity_ok
+        for field in (F2, GF(3)):
+            rep = torsion.verify_torsion_pair(cat, j, field, sample_count=0)
+            assert rep.passed == transitive
+            assert rep.passed == (not rep.witnesses)
+            confirm_witnesses(cat, j, field, rep)
+            if not rep.passed:
+                failing += 1
+                # the old probe, handed the certificate's module, fails too
+                x, _, t, *_ = rep.witnesses["quotient_torsion_free"][0]
+                q = modrep.sieve_quotient_module(cat, field,
+                                                 sieves.Sieve(x, t)).quotient
+                assert not old_verify_torsion_pair(
+                    cat, j, field, sample_count=0,
+                    extra_modules=(q,)).quotients_torsion_free
+    assert failing > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), field=st.sampled_from((F2, GF(3))),
+       seed=st.integers(0, 10_000))
+def test_torsion_pair_certificate_matches_the_sampled_oracle(data, field,
+                                                             seed):
+    # the oracle can only miss failures: each condition it refutes, the
+    # certificate refutes too, and the certificate is deterministic
+    index = data.draw(st.integers(0, len(PAIR_FIXTURES) - 1))
+    cat = PAIR_FIXTURES[index]
+    j = data.draw(st.sampled_from(stable_rules(index)))
+    old = old_verify_torsion_pair(cat, j, field, sample_count=4, seed=seed,
+                                  max_dim=2)
+    rep = torsion.verify_torsion_pair(cat, j, field, sample_count=0)
+    for condition in ("hom_vanishes", "closed_under_submodules",
+                      "closed_under_quotients", "quotients_torsion_free"):
+        assert getattr(old, condition) or not getattr(rep, condition)
+    sampled = torsion.verify_torsion_pair(cat, j, field, sample_count=4,
+                                          seed=seed, max_dim=2)
+    assert sampled.passed == rep.passed
+    assert sampled.sample_count == 4
+    assert {k: w for k, w in sampled.witnesses.items()
+            if not k.startswith("sampled_")} == rep.witnesses
