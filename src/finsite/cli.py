@@ -15,12 +15,12 @@ name to its flag and `add_argument` keywords; `build_parser` reads both.
 Before dispatch, `_resolve_inputs` turns the inputs a command declares into
 library objects, always in this order: the category (under --budget) onto
 `args.cat`, the topology onto `args.j`, the module onto `args.v`, the field
-onto `args.field` and the spec onto `args.spec`; a horizon, when given, is
-then checked to be natural. The first unusable input in that order is the one
-reported, whatever the command, and handlers start from the resolved
-objects. `category validate` declares its document as `category_doc`, which
-the resolver skips: for that command an invalid category is the verdict
-(exit 1), not unusable input.
+onto `args.field` and the spec onto `args.spec`; a horizon, when given,
+and a sample count are then checked to be natural. The first unusable
+input in that order is the one reported, whatever the command, and
+handlers start from the resolved objects. `category validate` declares
+its document as `category_doc`, which the resolver skips: for that command
+an invalid category is the verdict (exit 1), not unusable input.
 """
 
 from __future__ import annotations
@@ -157,6 +157,10 @@ def _resolve_inputs(args) -> None:
         with parsing("horizon"):
             if args.horizon is not None and args.horizon < 0:
                 raise ValueError("horizon must be natural")
+    if "samples" in names:
+        with parsing("samples"):
+            if args.samples < 0:
+                raise ValueError("sample count must be natural")
 
 
 # ---------------------------------------------------------------------------

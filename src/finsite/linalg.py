@@ -13,8 +13,8 @@ incremental subspace (span_basis wraps it): it grows one vector at a time
 and tests membership with `contains`, without a fresh elimination. There
 is no separate inverse and no hstack: modrep._quotient builds [B | I] row
 by row and reads a complement and its inverse off one rref of it.
-`identity` builds each identity matrix once per (field, size) and hands
-out that one immutable value on every later call.
+`identity` and `zeros` build each identity and zero matrix once per
+(field, shape) and hand out that one immutable value on every later call.
 
 `Mat` and `FieldSpec` are records (`errors.Record`): their fields are their
 annotations, and equality, hash, repr, copying and the refusal of
@@ -23,20 +23,20 @@ entries). `Mat` declares its three slots and its own constructor, which
 takes the fields positionally and checks that the entries have the
 declared shape on every construction, internal ones included, because a
 mis-sized matrix would otherwise surface far from its cause, as an
-IndexError inside an elimination or as a wrong verdict. One sheaf check
-builds hundreds of thousands of matrices, more than half of them empty, so
+IndexError inside an elimination or as a wrong verdict. A pass of the
+sheaf benchmark builds about 100,000 matrices, a fifth of them empty, so
 the per-call constant is their cost: the check is one length test and one
 plain loop over the rows (`any` over a generator would start a frame per
 call), the slots are set through their member descriptors, bound once
 below the class, and the kernels build their outputs with list
-comprehensions. matmul with no rows on the left or no columns on the
-right, and rref of a matrix with no rows or no columns, return at once
-after the shape check: such a result has no entries, so it is the one the
-general path would build, and kernel_basis reaches it through rref.
-solve_matrix with no columns on either side needs no elimination: with
-none in b the solution is empty, and with none in a it is the empty
-matrix when b is zero and does not exist otherwise. `FieldSpec` checks in
-its constructor that a finite order is prime.
+comprehensions. A result with a zero dimension is fixed by its shape, so
+this module alone decides it, with no arithmetic: matmul with any zero
+dimension, the inner one included, returns the shared zero, rref of a
+matrix with no rows or no columns returns it at once (kernel_basis reaches
+that through rref), and solve_matrix with no columns on either side needs
+no elimination: with none in b the solution is empty, and with none in a
+it is zero when b is zero and does not exist otherwise. `FieldSpec` checks
+in its constructor that a finite order is prime.
 """
 
 from __future__ import annotations
@@ -179,13 +179,19 @@ def from_cols(cols: Sequence[Sequence], rows: int | None = None) -> Mat:
     return Mat(rows, len(cols), tuple(zip(*cols)) if cols else ((),) * rows)
 
 
-def zeros(field: FieldSpec, rows: int, cols: int) -> Mat:
-    return Mat(rows, cols, ((field.zero(),) * cols,) * rows)
-
-
-# the identities built so far, by (field order, size); a few dozen small
-# matrices, all the sizes a run meets, so nothing is ever evicted
+# the zeros and identities built so far, by field order and shape: all
+# the shapes a run meets (a zero shares one row), so nothing is evicted
+_zeros: dict[tuple[int | None, int, int], Mat] = {}
 _identities: dict[tuple[int | None, int], Mat] = {}
+
+
+def zeros(field: FieldSpec, rows: int, cols: int) -> Mat:
+    """The rows x cols zero matrix over field, shared like identity's."""
+    m = _zeros.get((field.p, rows, cols))
+    if m is None:
+        m = _zeros[field.p, rows, cols] = Mat(
+            rows, cols, ((field.zero(),) * cols,) * rows)
+    return m
 
 
 def identity(field: FieldSpec, n: int) -> Mat:
@@ -204,16 +210,12 @@ def mat_eq_zero(m: Mat) -> bool:
     return all(x == 0 for r in m.entries for x in r)
 
 
-def _columns(b: Mat) -> tuple[tuple, ...]:
-    return tuple(zip(*b.entries)) if b.rows else ((),) * b.cols
-
-
 def matmul(field: FieldSpec, a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    if not a.rows or not b.cols:
-        return Mat(a.rows, b.cols, ((),) * a.rows)
-    cols = _columns(b)
+    if not a.rows or not a.cols or not b.cols:
+        return zeros(field, a.rows, b.cols)
+    cols = tuple(zip(*b.entries))
     p = field.p
     if p is None:
         zero = Fraction(0)

@@ -114,8 +114,8 @@ def sheaf_status(cat: FiniteCategory, j: GrothendieckTopology,
                 sheaf = False
                 cols = [amap.col(i) for i in range(amap.cols)]
                 i = linalg.Echelon(field, space.dimension, cols).missing_unit()
-                cokernel_w.append((x, s.members,
-                                   tuple(field.fmt(a) for a in space.basis[i])))
+                cokernel_w.append((x, s.members, tuple(
+                    field.fmt(a) for a in space.basis.col(i))))
     witnesses: dict[str, tuple] = {}
     if kernel_w:
         witnesses["kernel"] = tuple(kernel_w)

@@ -32,6 +32,10 @@ from .sieves import Sieve, all_sieves, make_sieve, pullback_sieve
 from .topology import GrothendieckTopology, check_stability_only, make_rule
 
 
+_MAX_CENSUS_HORIZON = 12  # spec_census(h) builds 2^(h+1) specs
+_MAX_WINDOW = 100_000  # validate_spec holds one value per position
+
+
 class _Marker:
     """Identity-compared sentinel for the two infinite rank values."""
 
@@ -264,7 +268,7 @@ def validate_spec(spec: DSpec, horizon: int | None = None) -> SpecValidation:
     horizon that stops before the end of the spec's data (the word, and
     the cutoff of a nongeneric spec) is unusable input: it raises
     ValidationFailed, so the CLI reports it without catching library
-    errors.
+    errors. A window past _MAX_WINDOW raises SizeBudgetExceeded.
     """
     if horizon is None:
         horizon = len(spec.indicator) + (spec.cutoff or 0) + 3
@@ -272,6 +276,8 @@ def validate_spec(spec: DSpec, horizon: int | None = None) -> SpecValidation:
         raise ValidationFailed("horizon", [Violation(
             MALFORMED_INPUT, (),
             f"horizon {horizon} does not cover the spec {spec!r}")])
+    if horizon > _MAX_WINDOW:
+        raise SizeBudgetExceeded(f"window {horizon} exceeds {_MAX_WINDOW}")
     return validate_d_sequence(d_sequence(spec, horizon))
 
 
@@ -342,9 +348,13 @@ def spec_census(horizon: int) -> SpecCensus:
     of positions. Nongeneric: all cutoffs up to the horizon with a free
     word below the cutoff's last position, which must read zero; both
     families have exactly 2^horizon members and every member validates.
+    A horizon past _MAX_CENSUS_HORIZON raises SizeBudgetExceeded.
     """
     if horizon < 0:
         raise ValueError("horizon must be natural")
+    if horizon > _MAX_CENSUS_HORIZON:
+        raise SizeBudgetExceeded(
+            f"census horizon {horizon} exceeds {_MAX_CENSUS_HORIZON}")
     generic = [make_spec("generic", word, tail=0)
                for word in itertools.product((0, 1), repeat=horizon)]
     nongeneric = [make_spec("nongeneric", (), cutoff=0)]

@@ -53,6 +53,13 @@ def test_exit_code_contract(tmp_path):
         (["topology", "enumerate", "--category", "chain-1"], 2),
         (["topology", "check", "--category", "quiver2",
           "--topology", str(stray_object)], 2),
+        (["torsion", "pair", "--category", "chain3", "--topology", "dense",
+          "--samples", "-1"], 2),
+        (["sheaf", "equivalence", "--category", "chain3",
+          "--topology", "dense", "--samples", "-3"], 2),
+        (["typen", "census", "--horizon", "30"], 3),
+        (["typen", "validate", "--spec", SPEC_110,
+          "--horizon", "20000000"], 3),
     ]
     for argv, want in cases:
         code, text = run(argv)

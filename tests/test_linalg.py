@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +93,22 @@ def test_identity_is_built_once_per_field_and_size(field):
                    for x in r)
         assert linalg.identity(field, n) is first
         assert linalg._identities[field.p, n] is first
+
+
+@pytest.mark.parametrize("field", (GF(2), GF(3), QQ))
+def test_zeros_are_built_once_per_field_and_shape(field):
+    for r, c in itertools.product(range(4), repeat=2):
+        fresh = Mat(r, c, tuple(tuple(field.zero() for _ in range(c))
+                                for _ in range(r)))
+        first = linalg.zeros(field, r, c)
+        assert first == fresh
+        assert all(type(x) is type(field.zero()) for row in first.entries
+                   for x in row)
+        assert linalg.zeros(field, r, c) is first
+        # a zero inner dimension gives that shared zero, with no arithmetic
+        product = linalg.matmul(field, linalg.zeros(field, r, 0),
+                                linalg.zeros(field, 0, c))
+        assert product is first
 
 
 def test_zero_shape_matrices():

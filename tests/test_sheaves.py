@@ -52,7 +52,7 @@ def block(space, family, member):
     """The block of a family at one member: up to the next member's."""
     i = space.members.index(member)
     end = (space.offsets[space.members[i + 1]]
-           if i + 1 < len(space.members) else space.total)
+           if i + 1 < len(space.members) else space.basis.rows)
     return tuple(family[space.offsets[member]:end])
 
 
@@ -87,11 +87,10 @@ def matching_colimit_dimension(cat, j, v, x):
             if i == k or not covers[k].member_set < covers[i].member_set:
                 continue
             restricted = linalg.from_cols(
-                [restrict_family(big, fam, covers[k]) for fam in big.basis],
-                rows=small.total)
-            coords = linalg.solve_matrix(
-                field, linalg.from_cols(small.basis, rows=small.total),
-                restricted)
+                [restrict_family(big, big.basis.col(b), covers[k])
+                 for b in range(big.dimension)],
+                rows=small.basis.rows)
+            coords = linalg.solve_matrix(field, small.basis, restricted)
             assert coords is not None, "restricted family escaped the space"
             for b in range(big.dimension):
                 row = [field.zero()] * total
@@ -124,7 +123,7 @@ def test_matching_space_compatibility(cat_chain3):
     space = sheaves.matching_space(p0, s)
     # the block at 0->2 is forced by the block at 0->1
     assert space.dimension == 1
-    fam = space.basis[0]
+    fam = space.basis.col(0)
     pushed = p0.apply("1->2", block(space, fam, "0->1"))
     assert pushed == block(space, fam, "0->2")
 
@@ -143,12 +142,11 @@ def test_restrict_family_subsieve_only(cat_quiver2):
     big = sieves.maximal_sieve(cat_quiver2, "x")
     small = sieves.make_sieve(cat_quiver2, "x", ["f", "g"])
     space = sheaves.matching_space(v, big)
-    fam = space.basis[0]
+    fam = space.basis.col(0)
     restricted = restrict_family(space, fam, small)
     assert len(restricted) == 2 * v.dims["y"]
     with pytest.raises(PreconditionFailed):
-        restrict_family(sheaves.matching_space(v, small),
-                                space.basis[0][:2], big)
+        restrict_family(sheaves.matching_space(v, small), fam[:2], big)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +307,14 @@ def old_reindexing_action(cat, w, families, escaped):
     for u in cat.morphisms:
         src, dst = families[cat.dom[u]], families[cat.cod[u]]
         cols = []
-        for fam in src.basis:
+        for fam in map(src.basis.col, range(src.dimension)):
             col = []
             for g in dst.members:
                 off = src.offsets[cat.compose(g, u)]
                 col.extend(fam[off:off + w.dims[cat.cod[g]]])
             cols.append(col)
         action[u] = linalg.solve_matrix(
-            w.field, linalg.from_cols(dst.basis, rows=dst.total),
-            linalg.from_cols(cols, rows=dst.total))
+            w.field, dst.basis, linalg.from_cols(cols, rows=dst.basis.rows))
         if action[u] is None:
             raise escaped(u)
     return action

@@ -108,6 +108,20 @@ def test_validate_spec_rejects_a_short_horizon():
     assert typen.validate_spec(word, horizon=4).valid
 
 
+def test_windows_have_budgets():
+    # the largest windows still run, and one past them is refused
+    word = typen.make_spec("generic", (1, 1, 0), tail=0)
+    assert typen.validate_spec(word, horizon=typen._MAX_WINDOW).valid
+    with pytest.raises(SizeBudgetExceeded):
+        typen.validate_spec(word, horizon=typen._MAX_WINDOW + 1)
+    # the default window reaches past a cutoff, so a far cutoff is refused
+    far = typen.make_spec("nongeneric", (), cutoff=10 ** 9)
+    with pytest.raises(SizeBudgetExceeded):
+        typen.validate_spec(far)
+    with pytest.raises(SizeBudgetExceeded):
+        typen.spec_census(typen._MAX_CENSUS_HORIZON + 1)
+
+
 def test_raw_sequence_examples():
     assert typen.validate_d_sequence((2, 1, 0, 0)).valid
     assert typen.validate_d_sequence((1, 0, NEG_INF)).valid
