@@ -6,7 +6,7 @@ with no amalgamation. One application of the plus construction repairs
 it, and the repair is exactly coinduction from the irreducible core {y}.
 """
 from finsite import linalg, modrep, sheaves, topology
-from finsite.fincat import build_quiver_category
+from finsite.fincat import build_quiver_category, full_subcategory
 from finsite.modrep import GF
 
 
@@ -27,7 +27,7 @@ def main() -> None:
           f"(kernel dims {kernel.dims})")
     print(f"now a sheaf: {sheaves.sheaf_status(cat, dense, fixed).sheaf}")
 
-    sub = topology.full_subcategory(cat, ["y"])
+    sub = full_subcategory(cat, ["y"])
     coinduced, _ = modrep.coinduction_unit(cat, sub, p_x)
     _, unit = modrep.coinduction_unit(cat, sub, fixed)
     invertible = all(linalg.is_invertible(field, unit.components[x])

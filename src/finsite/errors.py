@@ -215,10 +215,6 @@ class NotDirectedEI(FinsiteError):
     """The operation is defined only for directed EI categories."""
 
 
-class NotAnIdeal(FinsiteError):
-    """The object set is not closed under morphisms out of it."""
-
-
 class NotFullSubcategory(FinsiteError):
     """The given category is not a full subcategory of the ambient one."""
 

@@ -19,6 +19,12 @@ Every category, stock or document, is fully validated when it is made
 check works on morphism positions and decides all triples through a
 composable pair with one tuple comparison (_collect_violations), so it
 costs about as much as building the composition table.
+
+Every stock category (poset, free quiver, monoid, orbit, and the FI and VI
+truncations) is built by one function, _from_arrows, from a list of
+(dom, cod, data) arrows: each composite is named by looking its data up,
+and the composition table, whose order reaches the order of reported
+violations, follows the arrow order alone, never a set's hash order.
 """
 
 from __future__ import annotations
@@ -26,9 +32,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from operator import itemgetter, mul
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
+from . import linalg
 from .errors import (
     BAD_COMPOSITE,
     DANGLING_ENDPOINT,
@@ -284,6 +291,36 @@ def make_category(name: str, objects: Sequence[str],
     return _index(name, objects, dom, cod, identity, compose)
 
 
+def _from_arrows(name: str, objects: Sequence[str],
+                 arrows: Sequence[tuple[str, str, Any]],
+                 compose: Callable[[Any, Any], Any],
+                 label: Callable[[str, str, Any], str],
+                 unit: Callable[[str], Any],
+                 budget: SizeBudget) -> FiniteCategory:
+    """The category whose morphisms are arrows, (dom, cod, data) triples in
+    order, each named label(dom, cod, data); the one builder of every stock
+    category. g f is the arrow (dom f, cod g, compose(data g, data f)),
+    named by lookup, and the identity at o the arrow with data unit(o).
+    The table lists g f for f in arrow order, then g in arrow order out of
+    cod f, so its order follows the arrows alone. The budget is checked on
+    the arrows before anything is composed."""
+    budget.check(len(objects), len(arrows), _composable_triples(
+        Counter((d, c) for d, c, _ in arrows)))
+    morphisms = []
+    name_of: dict[tuple[str, str, Any], str] = {}
+    out_of: dict[str, list] = {o: [] for o in objects}
+    for d, c, data in arrows:
+        m = name_of[d, c, data] = label(d, c, data)
+        morphisms.append((m, d, c))
+        out_of[d].append((m, c, data))
+    table = {}
+    for (f, d, c), (_, _, data_f) in zip(morphisms, arrows):
+        for g, e, data_g in out_of[c]:
+            table[g, f] = name_of[d, e, compose(data_g, data_f)]
+    identity = {o: name_of[o, o, unit(o)] for o in objects}
+    return make_category(name, objects, morphisms, identity, table, budget)
+
+
 # ---------------------------------------------------------------------------
 # documents
 
@@ -530,58 +567,24 @@ def build_orbit_category(group_table: Sequence[Sequence[int]],
         obj_of[h] = f"G/H{len(h)}{suffix}"
     objects = [obj_of[h] for h in classes]
 
-    def cosets_mapping(k: frozenset[int], h: frozenset[int]) -> list[int]:
-        """Canonical reps g (min of coset gH) with g^-1 K g contained in H:
+    def cosets_mapping(k: frozenset[int], h: frozenset[int],
+                       ) -> list[frozenset[int]]:
+        """The cosets gH with g^-1 K g contained in H, by least element:
         the equivariant maps G/K -> G/H."""
-        reps = []
-        seen_cosets: set[frozenset[int]] = set()
-        for g in range(n):
-            coset = frozenset(table[g][x] for x in h)
-            if coset in seen_cosets:
-                continue
-            seen_cosets.add(coset)
-            gi = group_inverse(table, g)
-            if all(table[table[gi][x]][g] in h for x in k):
-                reps.append(min(coset))
-        return sorted(reps)
+        cosets = {frozenset(table[g][x] for x in h) for g in range(n)}
+        return [c for c in sorted(cosets, key=min) if conjugate_subgroup(
+            table, k, group_inverse(table, min(c))) <= h]
 
-    # stored arrow G/H -> G/K: one per equivariant map G/K -> G/H
-    morphisms: list[tuple[str, str, str]] = []
-    rep_of: dict[tuple[str, str, int], str] = {}
-    arrows: dict[tuple[str, str], list[int]] = {}
-    for h in classes:
-        for k in classes:
-            reps = cosets_mapping(k, h)
-            if not reps:
-                continue
-            arrows[(obj_of[h], obj_of[k])] = reps
-            for g in reps:
-                mid = f"[{obj_of[h]}>{obj_of[k]}]g{g}"
-                morphisms.append((mid, obj_of[h], obj_of[k]))
-                rep_of[(obj_of[h], obj_of[k], g)] = mid
-    budget.check(len(objects), len(morphisms), _composable_triples(
-        Counter((d, c) for _, d, c in morphisms)))
-
-    def coset_min(g: int, h: frozenset[int]) -> int:
-        return min(table[g][x] for x in h)
-
+    # stored arrow G/H -> G/K, with its coset gH: one per equivariant map
+    # G/K -> G/H. The coset (b*a)H of a composite is b times the coset aH,
+    # whichever b of bK is taken, as a^-1 K a lies in H.
+    arrows = [(obj_of[h], obj_of[k], c) for h in classes for k in classes
+              for c in cosets_mapping(k, h)]
     sub_of_obj = {obj_of[h]: h for h in classes}
-    compose: dict[tuple[str, str], str] = {}
-    for (x, y), reps_u in arrows.items():
-        hx = sub_of_obj[x]
-        for (y2, z), reps_v in arrows.items():
-            if y2 != y:
-                continue
-            for a in reps_u:          # u: x -> y, map G/K_y -> G/H_x, coset a*Hx
-                for b in reps_v:      # v: y -> z, map G/L_z -> G/K_y, coset b*Ky
-                    c = coset_min(table[b][a], hx)
-                    u = rep_of[(x, y, a)]
-                    v = rep_of[(y, z, b)]
-                    compose[(v, u)] = rep_of[(x, z, c)]
-
-    identity = {obj_of[h]: rep_of[(obj_of[h], obj_of[h], coset_min(0, h))]
-                for h in classes}
-    cat = make_category(name, objects, morphisms, identity, compose, budget)
+    cat = _from_arrows(name, objects, arrows,
+                       lambda v, u: frozenset(table[min(v)][x] for x in u),
+                       lambda x, y, c: f"[{x}>{y}]g{min(c)}",
+                       sub_of_obj.__getitem__, budget)
     return cat, OrbitData({o: len(s) for o, s in sub_of_obj.items()})
 
 
@@ -612,22 +615,16 @@ def build_poset_category(objects: Sequence[str],
                 if not reach[b] <= reach[a]:
                     reach[a] |= reach[b]
                     changed = True
+    # each object's upper set in name order: set order follows the hash seed
+    above = {a: sorted(reach[a]) for a in objects}
     for a in objects:
-        for b in reach[a]:
+        for b in above[a]:
             if a != b and a in reach[b]:
                 raise NotAPoset(f"{a} and {b} are comparable both ways")
-
-    def mid(a: str, b: str) -> str:
-        return f"1_{a}" if a == b else f"{a}->{b}"
-
-    morphisms = [(mid(a, b), a, b) for a in objects for b in sorted(reach[a])]
-    identity = {o: mid(o, o) for o in objects}
-    compose = {}
-    for a in objects:
-        for b in reach[a]:
-            for c in reach[b]:
-                compose[(mid(b, c), mid(a, b))] = mid(a, c)
-    return make_category(name, objects, morphisms, identity, compose, budget)
+    return _from_arrows(
+        name, objects, [(a, b, None) for a in objects for b in above[a]],
+        lambda g, f: None, lambda a, b, _: f"1_{a}" if a == b else f"{a}->{b}",
+        lambda o: None, budget)
 
 
 def build_quiver_category(vertices: Sequence[str],
@@ -648,129 +645,90 @@ def build_quiver_category(vertices: Sequence[str],
     for aid, s, t in arrows:
         out[s].append((aid, t))
 
-    # paths by BFS; cycle <=> path count exceeds a safe cap or revisit growth
-    paths: dict[str, tuple[tuple[str, ...], str, str]] = {}
-    for v in vertices:
-        paths[f"1_{v}"] = ((), v, v)
-    frontier = list(paths.items())
+    # paths (source, target, arrow ids) by length; a path longer than the
+    # arrow count repeats an arrow, so the quiver has a cycle
+    frontier = [(v, v, ()) for v in vertices]
+    paths = list(frontier)
     while frontier:
-        nxt = []
-        for pid, (seq, s, t) in frontier:
-            for aid, t2 in out[t]:
-                seq2 = seq + (aid,)
-                if len(seq2) > len(arrows):
-                    raise CyclicQuiver("a path repeats an arrow count bound")
-                pid2 = ".".join(reversed(seq2))
-                nxt.append((pid2, (seq2, s, t2)))
-                paths[pid2] = (seq2, s, t2)
-        frontier = nxt
+        frontier = [(s, t2, seq + (aid,)) for s, t, seq in frontier
+                    for aid, t2 in out[t]]
+        if frontier and len(frontier[0][2]) > len(arrows):
+            raise CyclicQuiver("a path repeats an arrow count bound")
+        paths += frontier
         if len(paths) > budget.max_morphisms:
             raise SizeBudgetExceeded("path explosion in quiver build")
-
-    morphisms = [(pid, s, t) for pid, (_, s, t) in sorted(paths.items())]
-    identity = {v: f"1_{v}" for v in vertices}
-    # the empty path exists at every vertex, so keys carry the source too
-    name_of = {(s, seq): pid for pid, (seq, s, _) in paths.items()}
-    compose = {}
-    for pid_f, (seq_f, sf, tf) in paths.items():
-        for pid_g, (seq_g, sg, tg) in paths.items():
-            if sg == tf:
-                compose[(pid_g, pid_f)] = name_of[(sf, seq_f + seq_g)]
-    return make_category(name, vertices, morphisms, identity, compose, budget)
+    return _from_arrows(
+        name, vertices, paths, lambda g, f: f + g,
+        lambda s, _, seq: ".".join(reversed(seq)) if seq else f"1_{s}",
+        lambda v: (), budget)
 
 
-def _check_truncation(budget: SizeBudget, n: int,
-                      hom_size: Callable[[int, int], int]) -> None:
-    """Check the budget on a truncation with objects 0..n and hom_size(m, k)
-    morphisms m -> k for m <= k, none for m > k, before any is built: its
-    composable triples are the sum over m <= k <= l <= r of
-    hom_size(m, k) hom_size(k, l) hom_size(l, r)."""
-    budget.check(n + 1, 0, 0)
+def _truncation(name: str, n: int, hom_size: Callable[[int, int], int],
+                injections: Callable[[int, int], Iterable],
+                compose: Callable[[Any, Any], Any],
+                label: Callable[[str, str, Any], str],
+                unit: Callable[[int], Any],
+                budget: SizeBudget) -> FiniteCategory:
+    """The truncation with objects "0".."n" and, for m <= k, the
+    injections(m, k) as its morphisms m -> k, of which there are
+    hom_size(m, k); none for m > k. The budget is checked on those counts,
+    and on the composable triples they give (the sum over m <= k <= l <= r
+    of hom_size(m, k) hom_size(k, l) hom_size(l, r)), before any injection
+    is listed."""
+    budget.check(_natural(n) + 1, 0, 0)
     sizes = {(m, k): hom_size(m, k)
              for m in range(n + 1) for k in range(m, n + 1)}
     budget.check(n + 1, sum(sizes.values()), _composable_triples(sizes))
+    arrows = [(str(m), str(k), data)
+              for m, k in sizes for data in injections(m, k)]
+    return _from_arrows(name, [str(m) for m in range(n + 1)], arrows,
+                        compose, label, lambda o: unit(int(o)), budget)
 
 
 def build_trunc_fi_category(n: int, name: str | None = None,
                             budget: SizeBudget = DEFAULT_BUDGET) -> FiniteCategory:
     """Truncation at n of the category of finite sets with injections:
     objects "0".."n", morphisms the injections {0..m-1} -> {0..k-1}, of
-    which there are k!/(k-m)!; the budget is checked on that count, and on
-    the composable triples it gives, before any is built. A negative n
-    raises ValueError."""
-    _check_truncation(budget, _natural(n), lambda m, k: math.perm(k, m))
-    objects = [str(m) for m in range(n + 1)]
-
-    def mid(m: int, k: int, img: tuple[int, ...]) -> str:
-        return f"[{m}>{k}]({','.join(map(str, img))})"
-
-    # each injection's name, keyed by its data (m, k, image)
-    name_of: dict[tuple[int, int, tuple[int, ...]], str] = {}
-    inj = []
-    for m in range(n + 1):
-        for k in range(m, n + 1):
-            for img in itertools.permutations(range(k), m):
-                i = name_of[m, k, img] = mid(m, k, img)
-                inj.append((i, m, k, img))
-    morphisms = [(i, str(m), str(k)) for i, m, k, _ in inj]
-    identity = {str(m): name_of[m, m, tuple(range(m))] for m in range(n + 1)}
-    out_of: dict[int, list] = {k: [] for k in range(n + 1)}
-    for g, k, l, img_g in inj:
-        out_of[k].append((g, l, img_g))
-    compose = {}
-    for f, m, k, img_f in inj:
-        for g, l, img_g in out_of[k]:
-            compose[(g, f)] = name_of[m, l, tuple(map(img_g.__getitem__, img_f))]
-    return make_category(name or f"trunc_fi_{n}", objects, morphisms,
-                         identity, compose, budget)
+    which there are k!/(k-m)!, each by its image tuple; the budget is
+    checked on that count, and on the composable triples it gives, before
+    any is built. A negative n raises ValueError."""
+    return _truncation(
+        name or f"trunc_fi_{n}", n, lambda m, k: math.perm(k, m),
+        lambda m, k: itertools.permutations(range(k), m),
+        lambda g, f: tuple(map(g.__getitem__, f)),
+        lambda m, k, img: f"[{m}>{k}]({','.join(map(str, img))})",
+        lambda m: tuple(range(m)), budget)
 
 
 def build_trunc_vi_category(q: int, n: int, name: str | None = None,
                             budget: SizeBudget = DEFAULT_BUDGET) -> FiniteCategory:
     """Truncation at n of the category of F_q vector spaces with injective
-    linear maps. q must be prime (the package's fields are prime fields).
-    There are (q^k - 1)(q^k - q)...(q^k - q^(m-1)) injections of F_q^m into
-    F_q^k; the budget is checked on their count, and on the composable
-    triples it gives, before any matrix is ranked. A negative n raises
-    ValueError."""
-    from . import linalg
-
+    linear maps, each by the rows of its matrix. q must be prime (the
+    package's fields are prime fields). There are (q^k - 1)(q^k - q)...
+    (q^k - q^(m-1)) injections of F_q^m into F_q^k; the budget is checked on
+    their count, and on the composable triples it gives, before any matrix
+    is ranked. A negative n raises ValueError."""
     field = linalg.GF(q)
-    _check_truncation(budget, _natural(n),
-                      lambda m, k: math.prod(q ** k - q ** i for i in range(m)))
-    objects = [str(m) for m in range(n + 1)]
 
-    def all_matrices(rows: int, cols: int) -> list[linalg.Mat]:
-        cells = list(itertools.product(range(q), repeat=rows * cols))
-        return [linalg.Mat(rows, cols, tuple(tuple(c[i * cols + j] for j in range(cols))
-                                             for i in range(rows)))
-                for c in cells]
+    def injections(m: int, k: int) -> Iterator[tuple]:
+        for c in itertools.product(range(q), repeat=k * m):
+            rows = tuple(c[i * m:(i + 1) * m] for i in range(k))
+            if linalg.rank(field, linalg.Mat(k, m, rows)) == m:
+                yield rows
 
-    def mid(m: int, k: int, a: linalg.Mat) -> str:
-        flat = ",".join(str(x) for r in a.entries for x in r)
-        return f"[{m}>{k}]({flat})"
+    def compose(g: tuple, f: tuple) -> tuple:
+        # the rows of linalg.matmul's product, kept as plain tuples: they
+        # key the lookup of the composite, and a Mat hashes in Python
+        cols = tuple(zip(*f))
+        return tuple([tuple([sum(map(mul, row, col)) % q for col in cols])
+                      for row in g])
 
-    # each injection's name, keyed by its data (m, k, entries)
-    name_of: dict[tuple[int, int, tuple], str] = {}
-    inj = []
-    for m in range(n + 1):
-        for k in range(m, n + 1):
-            for a in all_matrices(k, m):
-                if linalg.rank(field, a) == m:
-                    i = name_of[m, k, a.entries] = mid(m, k, a)
-                    inj.append((i, m, k, a))
-    morphisms = [(i, str(m), str(k)) for i, m, k, _ in inj]
-    identity = {str(m): name_of[m, m, linalg.identity(field, m).entries]
-                for m in range(n + 1)}
-    out_of: dict[int, list] = {k: [] for k in range(n + 1)}
-    for g, k, l, ag in inj:
-        out_of[k].append((g, l, ag))
-    compose = {}
-    for f, m, k, af in inj:
-        for g, l, ag in out_of[k]:
-            compose[(g, f)] = name_of[m, l, linalg.matmul(field, ag, af).entries]
-    return make_category(name or f"trunc_vi_{q}_{n}", objects, morphisms,
-                         identity, compose, budget)
+    return _truncation(
+        name or f"trunc_vi_{q}_{n}", n,
+        lambda m, k: math.prod(q ** k - q ** i for i in range(m)),
+        injections, compose,
+        lambda m, k, rows: f"[{m}>{k}]({','.join(map(str, sum(rows, ())))})",
+        lambda m: linalg.identity(field, m).entries, budget)
 
 
 def build_monoid_category(table: Sequence[Sequence[int]],
@@ -788,11 +746,9 @@ def build_monoid_category(table: Sequence[Sequence[int]],
         ["1"] + [f"m{i}" for i in range(1, n)])
     if len(names) != n or len(set(names)) != n:
         raise ValidationFailed(name, [Violation(DUPLICATE_ID, tuple(names))])
-    morphisms = [(names[i], "*", "*") for i in range(n)]
-    compose = {(names[i], names[j]): names[table[i][j]]
-               for i in range(n) for j in range(n)}
-    return make_category(name, ["*"], morphisms, {"*": names[0]}, compose,
-                         budget)
+    return _from_arrows(name, ["*"], [("*", "*", i) for i in range(n)],
+                        lambda i, j: table[i][j], lambda d, c, i: names[i],
+                        lambda o: 0, budget)
 
 
 _GROUP_TABLES = {
@@ -874,8 +830,6 @@ def standard_builder(kind: str, params: Mapping[str, Any] | None = None,
         return lambda budget: build_trunc_fi_category(n, name=name,
                                                       budget=budget)
     if kind == "trunc_vi":
-        from . import linalg
-
         q, n = int(params["q"]), _natural(int(params["n"]))
         linalg.GF(q)  # the builder's field: refuses a non-prime order
         return lambda budget: build_trunc_vi_category(q, n, name=name,

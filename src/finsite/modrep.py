@@ -463,11 +463,10 @@ def hom_space(v: KModule, w: KModule) -> list[ModuleMap]:
 # submodules and quotients
 
 def _saturate(v: KModule, spans: Mapping[str, linalg.Echelon],
-              done: dict[str, int], close: bool) -> None:
+              done: dict[str, int]) -> None:
     """Add to spans[cod f] the images under f of the basis at dom f, for
     every morphism f but the identities, which fix every vector, until
-    nothing new appears; close=False raises PreconditionFailed at the
-    first image outside its span instead.
+    nothing new appears.
 
     done[f] counts the basis vectors at dom f already pushed through f;
     spans only grow, so their images need no second test. Each pass takes
@@ -484,16 +483,15 @@ def _saturate(v: KModule, spans: Mapping[str, linalg.Echelon],
             start, done[f] = done[f], len(basis)
             for b in basis[start:done[f]]:
                 if target.add(v.apply(f, b)):
-                    if not close:
-                        raise PreconditionFailed(
-                            f"spans not closed under the action at {f}")
                     changed = True
 
 
 def _submodule(v: KModule, spans: Mapping[str, linalg.Echelon],
                ) -> tuple[KModule, ModuleMap]:
     """The submodule on action-closed spans, with its inclusion. The
-    basis at each object is independent, so an identity acts by I."""
+    basis at each object is independent, so an identity acts by I. The
+    solves are the closure check: spans not closed raise PreconditionFailed
+    at the first morphism, in _non_identities order, that leaves them."""
     field = v.field
     cat = v.cat
     dims = {x: spans[x].rank for x in cat.objects}
@@ -521,7 +519,8 @@ def submodule_from_spans(v: KModule, spans: Mapping[str, Sequence[Vector]],
     """
     echelons = {x: linalg.Echelon(v.field, v.dims[x], spans.get(x, ()))
                 for x in v.cat.objects}
-    _saturate(v, echelons, dict.fromkeys(v.cat.morphisms, 0), close)
+    if close:
+        _saturate(v, echelons, dict.fromkeys(v.cat.morphisms, 0))
     return _submodule(v, echelons)
 
 
@@ -960,7 +959,7 @@ def random_module(cat: FiniteCategory, field: FieldSpec, seed: int,
 
     done = dict.fromkeys(cat.morphisms, 0)
     while True:
-        _saturate(free, relations, done, close=True)
+        _saturate(free, relations, done)
         y = next((y for y in cat.objects
                   if free.dims[y] - relations[y].rank > max_dim), None)
         if y is None:

@@ -41,7 +41,6 @@ from typing import Iterable, Mapping
 
 from .errors import (
     FinsiteError,
-    NotAnIdeal,
     NotDirectedEI,
     OreConditionFails,
     Record,
@@ -50,12 +49,7 @@ from .errors import (
     UnknownObject,
     parsing,
 )
-from .fincat import (
-    FiniteCategory,
-    OrbitData,
-    classify_category,
-    full_subcategory,
-)
+from .fincat import FiniteCategory, OrbitData, classify_category
 from .sieves import (
     Sieve,
     _mask_index,
@@ -473,33 +467,6 @@ def rigidity(cat: FiniteCategory, j: GrothendieckTopology) -> RigidityReport:
         minimal = {x: minimal_covering_sieve(cat, j, x) for x in cat.objects}
     return RigidityReport(rigid=rigid, irreducibles=tuple(irr),
                           minimal_covers=minimal, failures=tuple(failures))
-
-
-def restrict_to_ideal(cat: FiniteCategory, j: GrothendieckTopology,
-                      ideal_objs: Iterable[str],
-                      ) -> tuple[FiniteCategory, GrothendieckTopology]:
-    """Restrict a topology to an ideal (an upward closed object set: every
-    morphism out of the ideal stays in it). Covers restrict memberwise; for
-    an ideal the member sets are unchanged because every morphism out of an
-    ideal object already lands in the ideal. It serves the paper's
-    statement that topologies restrict to ideals, the step toward the full
-    subcategories of FI and VI.
-    """
-    ideal = list(dict.fromkeys(ideal_objs))
-    ideal_set = set(ideal)
-    for x in ideal:
-        if x not in cat.identity:
-            raise UnknownObject(x)
-        for f in cat.morphisms_from(x):
-            if cat.cod[f] not in ideal_set:
-                raise NotAnIdeal(f"{x} maps to {cat.cod[f]} outside the ideal")
-    sub = full_subcategory(cat, ideal)
-    sub_mors = set(sub.morphisms)
-    covers = {}
-    for x in ideal:
-        covers[x] = [Sieve(x, tuple(m for m in s.members if m in sub_mors))
-                     for s in j.covers_at(x)]
-    return sub, make_rule(sub, covers)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,10 @@ def test_exit_code_contract(tmp_path):
           "--samples", "-1"], 2),
         (["sheaf", "equivalence", "--category", "chain3",
           "--topology", "dense", "--samples", "-3"], 2),
+        (["torsion", "pair", "--category", "chain3", "--topology", "dense",
+          "--samples", "100000000"], 3),
+        (["sheaf", "equivalence", "--category", "chain3",
+          "--topology", "dense", "--samples", "10001"], 3),
         (["typen", "census", "--horizon", "30"], 3),
         (["typen", "validate", "--spec", SPEC_110,
           "--horizon", "20000000"], 3),
@@ -64,6 +68,15 @@ def test_exit_code_contract(tmp_path):
     for argv, want in cases:
         code, text = run(argv)
         assert code == want, (argv, code, text)
+
+
+def test_sample_budget_admits_its_cap(monkeypatch):
+    monkeypatch.setattr(finsite.cli, "_MAX_SAMPLES", 2)
+    argv = ["torsion", "pair", "--category", "chain3", "--topology", "dense"]
+    assert run(argv + ["--samples", "2"])[0] == 0
+    code, text = run(argv + ["--samples", "3"])
+    assert code == 3 and text.startswith(
+        "SizeBudgetExceeded: 3 samples exceeds budget 2"), text
 
 
 def test_linear_system_budget_is_exit_3(monkeypatch):

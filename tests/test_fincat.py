@@ -4,15 +4,25 @@ import copy
 import hashlib
 import itertools
 import json
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import MISSING, dataclass, fields
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain, diamond, ei_fixture_categories, idem_monoid
+from conftest import (
+    chain,
+    diamond,
+    ei_fixture_categories,
+    idem_monoid,
+    quiver2,
+)
 
+import finsite
 from finsite import fincat, linalg, topology
 from finsite.errors import (
     BAD_COMPOSITE,
@@ -122,6 +132,16 @@ def test_quiver_rejects_cycle():
         fincat.build_quiver_category(["v"], [("loop", "v", "v")])
 
 
+@pytest.mark.parametrize("arrows", [
+    [("f", "x", "y"), ("f", "x", "y")],
+    [("f", "x", "y"), ("f", "x", "z")],
+    # the arrow a.b and the path b then a share a name
+    [("a.b", "x", "y"), ("b", "x", "z"), ("a", "z", "y")]])
+def test_quiver_refuses_two_morphisms_of_one_name(arrows):
+    with pytest.raises(ValidationFailed, match="DuplicateId"):
+        fincat.build_quiver_category("xyz", arrows)
+
+
 def test_trunc_fi_hom_sizes():
     c = fincat.build_trunc_fi_category(2)
     assert len(c.hom("1", "2")) == 2
@@ -219,7 +239,7 @@ def stock_builds():
 @pytest.mark.parametrize("build", stock_builds())
 def test_counted_triples_are_the_built_triples(monkeypatch, build):
     """make_category counts the composable triples of its morphism list,
-    and the orbit builder checks that count before its composition."""
+    and _from_arrows checks that count before it composes."""
     n = composable_triples(build(fincat.DEFAULT_BUDGET))
     monkeypatch.setattr(fincat, "_MAX_TRIPLES", n)
     build(fincat.DEFAULT_BUDGET)
@@ -457,6 +477,68 @@ def test_orbit_documents_are_unchanged(group, digest):
         fincat.DEFAULT_BUDGET)
     text = json.dumps(fincat.category_to_doc(cat))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(("build", "digest"), [
+    (lambda: chain(3),
+     "cfa4395309e33843315a30a819090c81eb6674ef46a3224793f23bf20479dc3d"),
+    (diamond,
+     "03b2b1a4e01c75d823f9362f24bb206ccb180208e5bd5250e4508845585242b5"),
+    (quiver2,
+     "3a581d1d5389b89f0b92ec3d0d4cfae231304a0175048d24cd7ef1c979173c2e"),
+    (lambda: fincat.build_quiver_category(
+        "xyz", [("f", "x", "y"), ("g", "x", "y"), ("h", "y", "z")]),
+     "b6fc2f9d09244866be90ec163b1afe449ccf9342af7373ebca4e08beddff21f1"),
+    (idem_monoid,
+     "40a844878948c1fcba29bfd7a2237e5bf280337ba11ecbd9a6ec8825fdd60ac2"),
+    (lambda: fincat.build_monoid_category(fincat.symmetric_group_table(3)),
+     "b2b6d0f0f4341d06beb704295043579a179fab6e51a1acc933e38c9a6e262c77")])
+def test_poset_quiver_and_monoid_documents_are_unchanged(build, digest):
+    # the SHA-256 of the document json.dumps writes, as each builder wrote
+    # it before every stock category came from one arrow table
+    text = json.dumps(fincat.category_to_doc(build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# a diamond module on which V(a->1) V(0->a) and V(b->1) V(0->b) both differ
+# from V(0->1): the CLI reports the two violations in compose_table order
+_DIAMOND_MODULE = {
+    "field": {"Fp": 2}, "dims": {"0": 1, "a": 1, "b": 1, "1": 1},
+    "action": {m: [["0" if m == "0->1" else "1"]]
+               for m in ("1_0", "1_a", "1_b", "1_1", "0->a", "0->b",
+                         "a->1", "b->1", "0->1")}}
+
+_STOCK_ORDERS = """
+import sys
+from conftest import chain, diamond, idem_monoid, quiver2
+from finsite import fincat
+from finsite.cli import run
+for cat in (chain(3), diamond(), quiver2(), idem_monoid(),
+            fincat.build_orbit_category(fincat.symmetric_group_table(3))[0],
+            fincat.build_trunc_fi_category(3),
+            fincat.build_trunc_vi_category(2, 2)):
+    print(cat.name, list(cat.compose_table))
+print(run(["torsion", "classify", "--category", "diamond",
+           "--topology", "dense", "--module", sys.argv[1]]))
+"""
+
+
+def test_stock_categories_do_not_follow_the_hash_seed(tmp_path):
+    module = tmp_path / "diamond_module.json"
+    module.write_text(json.dumps(_DIAMOND_MODULE))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(
+        os.path.abspath(finsite.__file__))), tests])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _STOCK_ORDERS,
+                               str(module)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert "('a->1', '0->a'); FunctorialityViolation" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_full_subcategory(cat_trunc_fi2):

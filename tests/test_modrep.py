@@ -720,6 +720,44 @@ def test_sieve_presentation_maps_are_natural():
                                            check=True)
 
 
+# the closure check submodule_from_spans(close=False) made before it left
+# the check to _submodule's solves, kept as the oracle: one pass over the
+# non-identities, raising at the first image of a basis vector that falls
+# outside its span
+
+def old_closure_check(v, spans):
+    echelons = {x: linalg.Echelon(v.field, v.dims[x], spans.get(x, ()))
+                for x in v.cat.objects}
+    for f in modrep._non_identities(v.cat):
+        target = echelons[v.cat.cod[f]]
+        for b in echelons[v.cat.dom[f]].basis:
+            if target.add(v.apply(f, b)):
+                raise PreconditionFailed(
+                    f"spans not closed under the action at {f}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(cat=fixtures, field=fields, seed=st.integers(0, 10_000),
+       data=st.data())
+def test_unclosed_spans_fail_as_the_verify_pass_did(cat, field, seed, data):
+    v = modrep.random_module(cat, field, seed, 3)
+    spans = {x: [tuple(field.of(a) for a in data.draw(
+                    st.lists(st.integers(-2, 2), min_size=v.dims[x],
+                             max_size=v.dims[x])))
+                 for _ in range(data.draw(st.integers(0, 2)))]
+             for x in cat.objects}
+    try:
+        old_closure_check(v, spans)
+    except PreconditionFailed as err:
+        with pytest.raises(PreconditionFailed) as got:
+            modrep.submodule_from_spans(v, spans, close=False)
+        assert str(got.value) == str(err)
+    else:
+        sub, _ = modrep.submodule_from_spans(v, spans, close=False)
+        assert (module_bytes(sub)
+                == module_bytes(modrep.submodule_from_spans(v, spans)[0]))
+
+
 def assert_quotients_match(v, incl):
     q, proj = modrep.quotient_module(v, incl)
     q_old, proj_old = old_quotient_module(v, incl)

@@ -36,8 +36,6 @@ PACKAGE = os.path.join(ROOT, "src", "finsite")
 OUTSIDE = ("demos", "perfbench")
 
 ALLOWED = {
-    "restrict_to_ideal": "topologies restrict to ideals, the step toward "
-                         "FI's and VI's full subcategories",
     "contains": "Echelon's membership test, the oracle the tests hold its "
                 "incremental span against",
 }
