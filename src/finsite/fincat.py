@@ -736,10 +736,17 @@ def build_monoid_category(table: Sequence[Sequence[int]],
                           name: str = "monoid",
                           budget: SizeBudget = DEFAULT_BUDGET) -> FiniteCategory:
     """One-object category from a monoid multiplication table.
-    table[i][j] = i after j; element 0 must be the unit. The object is "*"."""
+    table[i][j] = i after j, an element index in range(n); element 0 must be
+    the unit. The object is "*"."""
     n = len(table)
     if any(len(r) != n for r in table):
         raise NotAGroupTable("table is not square")
+    for i, row in enumerate(table):
+        for j, e in enumerate(row):
+            if e not in range(n):
+                raise NotAGroupTable(
+                    f"entry {e!r} at row {i}, column {j} is not an element"
+                    f" index in range({n})")
     if any(table[0][j] != j or table[j][0] != j for j in range(n)):
         raise NotAGroupTable("element 0 must be the unit")
     names = list(element_names) if element_names else (

@@ -398,9 +398,10 @@ def map_from_vector(v: KModule, w: KModule, vec: Vector) -> ModuleMap:
     return make_module_map(v, w, comps, check=False)
 
 
-# entries (equations x unknowns) of one dense naturality or compatibility
-# system; the largest the tier-1 tests (acceptance gates included) build
-# have 4,165 and 720 entries, and the sheaf benchmark's 250 and 162
+# entries (equations x unknowns) of one dense naturality, compatibility or
+# torsion kernel system; the largest the tier-1 tests (acceptance gates
+# included) build have 4,165, 6,480 and 136 entries, and the sheaf
+# benchmark's 250, 162 and 243
 _HOM_SYSTEM_CAP = 250_000
 
 

@@ -9,6 +9,18 @@ and the perpendicularity test against sieve-quotient generators. They are
 provably equivalent, and sheaf_verdict cross-checks them against each
 other on every call.
 
+The amalgamation and perpendicularity tests run on the least covers only
+(GrothendieckTopology.least_covers), for a topology the one minimum cover
+per object. For a stable rule every P(x)/S is torsion, and every torsion
+module is a quotient of a sum of the P(x)/S with S a least cover, a
+vector killed by a cover being killed by each cover inside it; the
+torsion class is hereditary. So Hom(-, V) vanishes on all torsion exactly
+when it vanishes on these generators, and for torsion-free V so does Ext^1
+(Geigle and Lenzing, Perpendicular categories with applications to
+representations and sheaves, J. Algebra 144, 1991). The separated, sheaf
+and perpendicular verdicts are those over every cover; each witness list
+is the all-covers list restricted to the least covers.
+
 Sheafification applies the plus construction twice, over the minimal cover
 of each object; for finite intersection-closed cover sets the filtered
 colimit of matching spaces collapses onto that minimum, an equality the
@@ -87,11 +99,15 @@ class PerpendicularStatus(Record):
 
 def sheaf_status(cat: FiniteCategory, j: GrothendieckTopology,
                  v: KModule) -> SheafStatus:
-    """Amalgamation test over every cover of every object.
+    """Amalgamation test over the least covers of every object.
 
     Separated when every induced-family map is injective, a sheaf when all
-    are bijective. The rule is expected to have passed check_axioms; the
-    verdicts are meaningless for arbitrary rules.
+    are bijective. On a stable rule these are the verdicts over every
+    cover: a vector killed by a cover is killed by each cover inside it,
+    and a family on a larger cover is amalgamated by the amalgamation of
+    its restriction to a least cover inside it, the pullbacks of that cover
+    being covers on which V is separated. On an unstable rule the sheaf
+    verdict is meaningless.
     """
     field = v.field
     separated = True
@@ -99,7 +115,7 @@ def sheaf_status(cat: FiniteCategory, j: GrothendieckTopology,
     kernel_w: list[tuple] = []
     cokernel_w: list[tuple] = []
     for x in cat.objects:
-        for s in j.covers_at(x):
+        for s in j.least_covers(x):
             space = matching_space(v, s)
             amap = modrep.induced_family_map(v, x, space)
             ker = linalg.kernel_basis(field, amap)
@@ -132,9 +148,11 @@ def saturation_status(cat: FiniteCategory, j: GrothendieckTopology,
     measures how much of the quotient's torsion fails to lift; the verdict
     does not depend on the embedding, which the tests confirm by building
     the category with its objects, hence the summands, in another order.
+    Stability is checked once, for all three torsion parts.
     """
     field = v.field
-    tsub, t_incl = torsion.torsion_submodule(cat, j, v)
+    require_stable(cat, j)
+    tsub, t_incl = torsion._torsion_part(cat, j, v)
     torsion_free = tsub.total_dim() == 0
     witnesses: dict[str, tuple] = {}
     if not torsion_free:
@@ -145,8 +163,8 @@ def saturation_status(cat: FiniteCategory, j: GrothendieckTopology,
                 break
     i0, iota = modrep.canonical_injective_embedding(v)
     c, proj = modrep.cokernel_of_map(iota)
-    ti, ti_incl = torsion.torsion_submodule(cat, j, i0)
-    tc, tc_incl = torsion.torsion_submodule(cat, j, c)
+    ti, ti_incl = torsion._torsion_part(cat, j, i0)
+    tc, tc_incl = torsion._torsion_part(cat, j, c)
     r1_zero = True
     r1_w: list[tuple] = []
     for x in cat.objects:
@@ -168,16 +186,20 @@ def saturation_status(cat: FiniteCategory, j: GrothendieckTopology,
 
 def perpendicular_status(cat: FiniteCategory, j: GrothendieckTopology,
                          v: KModule) -> PerpendicularStatus:
-    """Generator test: restriction along each sieve inclusion must be a
-    bijection from maps out of the representable to maps out of the sieve
-    submodule. Injectivity kills maps from the quotient; surjectivity
-    kills its first extension group, the representable being projective.
+    """Generator test on the least covers: restriction along each sieve
+    inclusion must be a bijection from maps out of the representable to
+    maps out of the sieve submodule. Injectivity kills maps from the
+    quotient; surjectivity kills its first extension group, the
+    representable being projective. The P(x)/S generate the torsion class
+    (module docstring), so hom_zero is Hom vanishing on all torsion, and
+    ext1_zero, Ext^1 vanishing on these generators, is Ext^1 vanishing on
+    all torsion when hom_zero holds: perpendicular is the all-covers verdict.
     """
     field = v.field
     hom_w: list[tuple] = []
     ext_w: list[tuple] = []
     for x in cat.objects:
-        for s in j.covers_at(x):
+        for s in j.least_covers(x):
             pres = modrep.sieve_quotient_module(cat, field, s)
             hp = modrep.hom_space(pres.ambient, v)
             hs = modrep.hom_space(pres.sub, v)

@@ -75,6 +75,18 @@ class GrothendieckTopology(Record):
             raise UnknownObject(x)
         return sorted(self.covers[x], key=sieve_sort_key)
 
+    def least_covers(self, x: str) -> list[Sieve]:
+        """The covers at x with no smaller cover inside them, in covers_at
+        order; for a topology, the one minimum cover. covers_at lists every
+        proper subsieve of a cover before it, so a cover is kept exactly
+        when no cover kept before it lies inside it."""
+        least: list[tuple[Sieve, frozenset[str]]] = []
+        for s in self.covers_at(x):
+            members = s.member_set
+            if not any(u <= members for _, u in least):
+                least.append((s, members))
+        return [s for s, _ in least]
+
     def total_cover_count(self) -> int:
         return sum(len(v) for v in self.covers.values())
 

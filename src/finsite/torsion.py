@@ -52,9 +52,16 @@ def sieve_kernel(v: KModule, s: Sieve) -> list[Vector]:
     Every member's matrix is stacked; composites add no condition, so the
     kernel (hence the row space and its echelon form) is a generating
     set's. The empty sieve kills nothing, so it yields the whole space.
+    A stack of more than modrep._HOM_SYSTEM_CAP entries, counted from the
+    dims before it is built, raises SizeBudgetExceeded.
     """
-    stacked = linalg.vstack([v.action[f] for f in s.members],
-                            cols=v.dims[s.base])
+    rows = sum(v.dims[v.cat.cod[f]] for f in s.members)
+    cols = v.dims[s.base]
+    if rows * cols > modrep._HOM_SYSTEM_CAP:
+        raise SizeBudgetExceeded(
+            f"kernel system of {rows} rows in {cols} unknowns exceeds"
+            f" {modrep._HOM_SYSTEM_CAP} entries")
+    stacked = linalg.vstack([v.action[f] for f in s.members], cols=cols)
     return linalg.kernel_basis(v.field, stacked)
 
 
@@ -65,22 +72,17 @@ def torsion_spans(cat: FiniteCategory, j: GrothendieckTopology,
     No stability requirement: this is the raw objectwise computation, and
     it only assembles into a submodule for stable rules.
 
-    Only the minimal covers are eliminated. S ⊆ S' gives ker S' ⊆ ker S,
-    and covers_at lists every proper subsieve of a cover before it, so the
-    kernel of a cover containing an earlier one lies in the span already
-    gathered: the greedy basis is the one the kernels of all covers give.
-    A zero space has the empty basis.
+    Only the least covers (GrothendieckTopology.least_covers) are
+    eliminated. S ⊆ S' gives ker S' ⊆ ker S, so the kernel of every cover
+    lies in the span of the least covers' kernels: the basis is the one
+    the kernels of all covers give. A zero space has the empty basis.
     """
     spans: dict[str, list[Vector]] = {}
     for x in cat.objects:
         vecs: list[Vector] = []
         if v.dims[x]:
-            used: list[frozenset[str]] = []
-            for s in j.covers_at(x):
-                members = s.member_set
-                if not any(u <= members for u in used):
-                    used.append(members)
-                    vecs.extend(sieve_kernel(v, s))
+            for s in j.least_covers(x):
+                vecs.extend(sieve_kernel(v, s))
         spans[x] = linalg.span_basis(v.field, vecs, v.dims[x])
     return spans
 

@@ -80,18 +80,35 @@ def test_sample_budget_admits_its_cap(monkeypatch):
 
 
 def test_linear_system_budget_is_exit_3(monkeypatch):
-    # the sheaf check solves compatibility systems of at most 8 entries on
-    # this module (2 equations in 4 unknowns), then naturality systems of
-    # 24 and fewer for the perpendicularity test: a cap of 1 stops it at
-    # the first, a cap of 8 at the second; both systems share the one cap
-    argv = ["sheaf", "check", "--category", "quiver2", "--topology", "dense",
-            "--module", SHEAF]
+    # on the least covers of trunc_fi(2) under dense, the sheaf check solves
+    # compatibility systems of at most 16 entries (4 equations in 4
+    # unknowns), then torsion kernel systems of at most 48 (8 rows in 6
+    # unknowns) for the saturation test, then naturality systems of 84 and
+    # fewer for the perpendicularity test: caps of 1, 16 and 48 stop it at
+    # each in turn; all three systems share the one cap
+    argv = ["sheaf", "check", "--category", "trunc_fi:2", "--topology",
+            "dense", "--module", os.path.join(DATA, "trunc_fi2_module.json")]
     assert run(argv)[0] == 0
-    for cap, system in ((1, "compatibility"), (8, "naturality")):
+    for cap, system in ((1, "compatibility"), (16, "kernel"),
+                        (48, "naturality")):
         monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", cap)
         code, text = run(argv)
         assert code == 3, text
         assert text.startswith(f"SizeBudgetExceeded: {system} system of"), text
+
+
+def test_torsion_kernel_budget_is_exit_3(monkeypatch):
+    # the minimum dense cover of x is {f, g}: its kernel system stacks two
+    # rows of the module in its two unknowns at x, 4 entries
+    argv = ["torsion", "classify", "--category", "quiver2", "--topology",
+            "dense", "--module", SHEAF]
+    monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", 4)
+    assert run(argv)[0] == 0
+    monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", 3)
+    code, text = run(argv)
+    assert code == 3, text
+    assert text.startswith("SizeBudgetExceeded: kernel system of 2 rows in 2"
+                           " unknowns exceeds 3 entries"), text
 
 
 def test_huge_truncation_is_refused_at_once():

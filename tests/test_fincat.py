@@ -680,6 +680,14 @@ def test_orbit_rejects_bad_table():
         fincat.build_orbit_category([[0, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("entry", [5, -1, "a"])
+def test_monoid_rejects_an_entry_that_is_no_element(entry):
+    with pytest.raises(NotAGroupTable) as err:
+        fincat.build_monoid_category([[0, 1], [1, entry]])
+    assert str(err.value) == (f"entry {entry!r} at row 1, column 1 is not an"
+                              " element index in range(2)")
+
+
 def test_trunc_vi_counts():
     c = fincat.build_trunc_vi_category(2, 2)
     assert len(c.hom("1", "2")) == 3
