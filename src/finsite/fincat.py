@@ -129,16 +129,15 @@ class FiniteCategory(Record):
         return self.identity.get(self.dom[m]) == m
 
 
-def _kept(cat: FiniteCategory, name: str,
-          build: Callable[[FiniteCategory], Any]) -> Any:
-    """build(cat), made on the first call and kept on the instance under
+def _kept(record: Record, name: str, build: Callable[[Any], Any]) -> Any:
+    """build(record), made on the first call and kept on the instance under
     name. It is no field of the record, so repr, equality, pickling and
-    documents never see it."""
+    documents never see it. A build that raises keeps nothing."""
     try:
-        return getattr(cat, name)
+        return getattr(record, name)
     except AttributeError:
-        value = build(cat)
-        object.__setattr__(cat, name, value)
+        value = build(record)
+        object.__setattr__(record, name, value)
         return value
 
 

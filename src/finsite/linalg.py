@@ -176,17 +176,31 @@ def from_cols(cols: Sequence[Sequence], rows: int | None = None) -> Mat:
         if len(c) != rows:
             raise ShapeMismatch(f"column of length {len(c)} in a matrix "
                                 f"of {rows} rows")
-    return Mat(rows, len(cols), tuple(zip(*cols)) if cols else ((),) * rows)
+    if not rows or not cols:
+        return _empty(rows, len(cols))
+    return Mat(rows, len(cols), tuple(zip(*cols)))
 
 
 # the zeros and identities built so far, by field order and shape: all
-# the shapes a run meets (a zero shares one row), so nothing is evicted
+# the shapes a run meets (a zero shares one row), so nothing is evicted;
+# a shape with a zero dimension holds no entries, so one serves every field
+_empties: dict[tuple[int, int], Mat] = {}
 _zeros: dict[tuple[int | None, int, int], Mat] = {}
 _identities: dict[tuple[int | None, int], Mat] = {}
 
 
+def _empty(rows: int, cols: int) -> Mat:
+    """The shared rows x cols matrix, rows or cols being 0."""
+    m = _empties.get((rows, cols))
+    if m is None:
+        m = _empties[rows, cols] = Mat(rows, cols, ((),) * rows)
+    return m
+
+
 def zeros(field: FieldSpec, rows: int, cols: int) -> Mat:
     """The rows x cols zero matrix over field, shared like identity's."""
+    if not rows or not cols:
+        return _empty(rows, cols)
     m = _zeros.get((field.p, rows, cols))
     if m is None:
         m = _zeros[field.p, rows, cols] = Mat(
@@ -250,12 +264,14 @@ def vstack(mats: Sequence[Mat], cols: int | None = None) -> Mat:
     if not mats:
         if cols is None:
             raise ShapeMismatch("vstack of nothing needs an explicit column count")
-        return Mat(0, cols, ())
+        return _empty(0, cols)
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ShapeMismatch("vstack column mismatch")
-    return Mat(sum(m.rows for m in mats), cols,
-               tuple(r for m in mats for r in m.entries))
+    rows = sum(m.rows for m in mats)
+    if not rows or not cols:
+        return _empty(rows, cols)
+    return Mat(rows, cols, tuple(r for m in mats for r in m.entries))
 
 
 def block_diag(field: FieldSpec, mats: Sequence[Mat]) -> Mat:

@@ -393,6 +393,9 @@ def map_to_vector(m: ModuleMap) -> Vector:
 def map_from_vector(v: KModule, w: KModule, vec: Vector) -> ModuleMap:
     comps = {}
     for x, r, c, off in _map_layout(v, w):
+        if not r or not c:
+            comps[x] = linalg.zeros(v.field, r, c)  # shared, as it is empty
+            continue
         comps[x] = Mat(r, c, tuple(tuple(vec[off + i * c + j] for j in range(c))
                                    for i in range(r)))
     return make_module_map(v, w, comps, check=False)

@@ -21,12 +21,12 @@ representations and sheaves, J. Algebra 144, 1991). The separated, sheaf
 and perpendicular verdicts are those over every cover; each witness list
 is the all-covers list restricted to the least covers.
 
-Sheafification applies the plus construction twice, over the minimal cover
+Sheafification applies the plus construction twice, over the minimum cover
 of each object; for finite intersection-closed cover sets the filtered
 colimit of matching spaces collapses onto that minimum, an equality the
 tests check against the colimit over every cover. One plus step is
 modrep.family_module over the minimum covers, the construction behind
-coinduction too; sheafify checks the rule once for both steps.
+coinduction too; the rule keeps its least covers and stability verdict.
 
 For a rigid topology, verify_rigid_equivalence decides the equivalence of
 sheaves with modules on the irreducible objects by coinducing each
@@ -52,7 +52,7 @@ from .modrep import CompatibleFamilies, KModule, ModuleMap
 from .sieves import Sieve
 from .topology import (
     GrothendieckTopology,
-    minimal_covering_sieve,
+    check_axioms,
     require_stable,
     rigidity,
 )
@@ -148,11 +148,9 @@ def saturation_status(cat: FiniteCategory, j: GrothendieckTopology,
     measures how much of the quotient's torsion fails to lift; the verdict
     does not depend on the embedding, which the tests confirm by building
     the category with its objects, hence the summands, in another order.
-    Stability is checked once, for all three torsion parts.
     """
     field = v.field
-    require_stable(cat, j)
-    tsub, t_incl = torsion._torsion_part(cat, j, v)
+    tsub, t_incl = torsion.torsion_submodule(cat, j, v)
     torsion_free = tsub.total_dim() == 0
     witnesses: dict[str, tuple] = {}
     if not torsion_free:
@@ -163,8 +161,8 @@ def saturation_status(cat: FiniteCategory, j: GrothendieckTopology,
                 break
     i0, iota = modrep.canonical_injective_embedding(v)
     c, proj = modrep.cokernel_of_map(iota)
-    ti, ti_incl = torsion._torsion_part(cat, j, i0)
-    tc, tc_incl = torsion._torsion_part(cat, j, c)
+    ti, ti_incl = torsion.torsion_submodule(cat, j, i0)
+    tc, tc_incl = torsion.torsion_submodule(cat, j, c)
     r1_zero = True
     r1_w: list[tuple] = []
     for x in cat.objects:
@@ -279,16 +277,16 @@ def sheaf_verdict(cat: FiniteCategory, j: GrothendieckTopology,
 
 def _minimum_covers(cat: FiniteCategory,
                     j: GrothendieckTopology) -> dict[str, tuple[str, ...]]:
-    """The members of each object's minimum cover, after checking that it
-    is a cover and that the rule is stable, which keeps each minimum cover
-    closed under precomposition."""
+    """The members of each object's minimum cover, its one least cover
+    (which lies inside every cover), after checking that the rule is
+    stable, which keeps each minimum cover closed under precomposition."""
     members = {}
     for x in cat.objects:
-        s = minimal_covering_sieve(cat, j, x)
-        if s not in j.covers.get(x, frozenset()):
+        least = j.least_covers(x)
+        if len(least) != 1:
             raise PreconditionFailed(
-                f"covers at {x} are not intersection closed, no minimum sieve")
-        members[x] = s.members
+                f"no minimum cover at {x}: {len(least)} least covers")
+        members[x] = least[0].members
     require_stable(cat, j)
     return members
 
@@ -304,14 +302,12 @@ def plus_construction(cat: FiniteCategory, j: GrothendieckTopology,
 
 def sheafify(cat: FiniteCategory, j: GrothendieckTopology,
              v: KModule) -> tuple[KModule, ModuleMap]:
-    """Two plus steps over the minimum covers, checked once; the result is
-    verified to be a sheaf, and the unit's kernel and cokernel are verified
-    torsion, at runtime."""
-    members = _minimum_covers(cat, j)
-    p1, families1 = modrep.family_module(cat, v, members)
-    p2, families2 = modrep.family_module(cat, p1, members)
-    unit = modrep.compose_maps(modrep.family_unit(p1, p2, families2),
-                               modrep.family_unit(v, p1, families1))
+    """Two plus steps, their units composed; the result is verified to be
+    a sheaf, and the unit's kernel and cokernel are verified torsion, at
+    runtime."""
+    p1, unit1 = plus_construction(cat, j, v)
+    p2, unit2 = plus_construction(cat, j, p1)
+    unit = modrep.compose_maps(unit2, unit1)
     if not sheaf_status(cat, j, p2).sheaf:
         raise FinsiteError("double plus construction is not a sheaf")
     ker, _ = modrep.kernel_of_map(unit)
@@ -370,7 +366,8 @@ def verify_rigid_equivalence(cat: FiniteCategory, j: GrothendieckTopology,
                              ) -> RigidEquivalenceReport:
     """Decide the equivalence between sheaves and modules on the irreducible
     objects D of a rigid topology, by a certificate on the standard
-    injectives I_y of D, one per y in D.
+    injectives I_y of D, one per y in D. A rule that check_axioms rejects
+    raises PreconditionFailed, naming the failed axioms, before rigidity.
 
     - Torsion is vanishing on D: that is rigidity, checked here.
     - Coinduction makes sheaves, and restriction undoes it: each I_y's
@@ -388,6 +385,11 @@ def verify_rigid_equivalence(cat: FiniteCategory, j: GrothendieckTopology,
     when it vanishes on D; a failure, under "sampled_torsion" as (index,
     dims), fails the verdict.
     """
+    failed = [k for k in ("maximal", "stability", "transitivity")
+              if k in check_axioms(cat, j).witnesses]
+    if failed:
+        raise PreconditionFailed(f"not a topology: the {', '.join(failed)}"
+                                 " axioms fail")
     report = rigidity(cat, j)
     if not report.rigid:
         raise NotRigid(f"failures at {[y for y, _ in report.failures]}")

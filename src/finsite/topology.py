@@ -6,7 +6,9 @@ axiom, stability under pullback, and transitivity, and reports witnesses for
 every failure. Rules and topologies are the same data. check_axioms is the
 only scan of a rule's axioms and closure properties: saturate_rule, the
 smallest topology containing a rule, is a fixpoint over its witnesses, and
-torsion's annihilator round trip reads its closure witnesses.
+torsion's annihilator round trip reads its closure witnesses. A rule
+keeps its least covers, and its first stability witness on its own
+category (cat is j.cat), once worked out (fincat._kept).
 
 On a finite category every topology's covers at x are closed under finite
 intersection and inclusion, hence form the up-set of a unique minimum sieve.
@@ -49,7 +51,7 @@ from .errors import (
     UnknownObject,
     parsing,
 )
-from .fincat import FiniteCategory, OrbitData, classify_category
+from .fincat import FiniteCategory, OrbitData, _kept, classify_category
 from .sieves import (
     Sieve,
     _mask_index,
@@ -77,15 +79,16 @@ class GrothendieckTopology(Record):
 
     def least_covers(self, x: str) -> list[Sieve]:
         """The covers at x with no smaller cover inside them, in covers_at
-        order; for a topology, the one minimum cover. covers_at lists every
-        proper subsieve of a cover before it, so a cover is kept exactly
-        when no cover kept before it lies inside it."""
-        least: list[tuple[Sieve, frozenset[str]]] = []
-        for s in self.covers_at(x):
-            members = s.member_set
-            if not any(u <= members for _, u in least):
-                least.append((s, members))
-        return [s for s, _ in least]
+        order, kept on the rule; for a topology, the one minimum cover."""
+        kept = _kept(self, "_least_covers", lambda j: {})
+        if x not in kept:
+            least: list[tuple[Sieve, frozenset[str]]] = []
+            for s in self.covers_at(x):  # every proper subsieve first
+                members = s.member_set
+                if not any(u <= members for _, u in least):
+                    least.append((s, members))
+            kept[x] = [s for s, _ in least]
+        return list(kept[x])
 
     def total_cover_count(self) -> int:
         return sum(len(v) for v in self.covers.values())
@@ -251,7 +254,14 @@ def _stability_violations(cat: FiniteCategory, covers, cov, pull):
 def check_stability_only(cat: FiniteCategory,
                          j: GrothendieckTopology) -> tuple | None:
     """First stability violation (x, sieve members, f), or None. Only the
-    covers are pulled back; no sieve universe is built."""
+    covers are pulled back; no sieve universe is built. Kept on j for
+    cat j.cat; any other category is scanned afresh."""
+    if cat is not j.cat:
+        return _stability_scan(cat, j)
+    return _kept(j, "_stability_witness", lambda j: _stability_scan(cat, j))
+
+
+def _stability_scan(cat: FiniteCategory, j: GrothendieckTopology):
     covers = _cover_masks(cat, j)
     cov = {x: {m for _, m in pairs} for x, pairs in covers.items()}
     return next(_stability_violations(cat, covers, cov,

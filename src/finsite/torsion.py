@@ -91,17 +91,11 @@ def torsion_submodule(cat: FiniteCategory, j: GrothendieckTopology,
                       v: KModule) -> tuple[KModule, ModuleMap]:
     """The torsion part of v, as a module with its inclusion.
 
-    Requires stability, the exact strength needed for the objectwise
-    kernels to be closed under the action; the closure is re-verified by
-    the submodule constructor.
+    Requires stability, which the rule keeps once checked: the exact
+    strength needed for the objectwise kernels to be closed under the
+    action. The submodule constructor re-verifies the closure.
     """
     require_stable(cat, j)
-    return _torsion_part(cat, j, v)
-
-
-def _torsion_part(cat: FiniteCategory, j: GrothendieckTopology,
-                  v: KModule) -> tuple[KModule, ModuleMap]:
-    """torsion_submodule for a rule already known to be stable."""
     return modrep.submodule_from_spans(v, torsion_spans(cat, j, v), close=False)
 
 
@@ -270,7 +264,7 @@ def _torsion_in_quotient(cat: FiniteCategory, j: GrothendieckTopology,
                          v: KModule) -> tuple | None:
     """A torsion vector (x, entries) of v modulo its torsion part, or None
     when that quotient is torsion-free."""
-    _, incl = _torsion_part(cat, j, v)
+    _, incl = torsion_submodule(cat, j, v)
     q, _ = modrep.quotient_module(v, incl)
     spans = torsion_spans(cat, j, q)
     return next(((x, tuple(q.field.fmt(a) for a in spans[x][0]))

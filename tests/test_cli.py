@@ -27,6 +27,12 @@ def test_exit_code_contract(tmp_path):
     stray_object = tmp_path / "stray_object.json"
     stray_object.write_text(json.dumps({"covers": {
         "x": [["1_x", "f", "g"]], "y": [["1_y"]], "zz": []}}))
+    no_topology = tmp_path / "no_topology.json"  # every axiom fails
+    no_topology.write_text(json.dumps({"covers": {
+        "x": [["1_x", "f", "g"]], "y": [[]]}}))
+    no_cover_at_x = tmp_path / "no_cover_at_x.json"
+    no_cover_at_x.write_text(json.dumps({"covers": {
+        "x": [], "y": [["1_y"]]}}))
     cases = [
         (["category", "validate", "--category", QUIVER], 0),
         (["category", "validate", "--category", "no_such_builtin"], 2),
@@ -61,6 +67,10 @@ def test_exit_code_contract(tmp_path):
           "--samples", "100000000"], 3),
         (["sheaf", "equivalence", "--category", "chain3",
           "--topology", "dense", "--samples", "10001"], 3),
+        (["sheaf", "equivalence", "--category", "quiver2", "--samples", "0",
+          "--topology", str(no_topology)], 1),
+        (["sheaf", "sheafify", "--category", "quiver2",
+          "--topology", str(no_cover_at_x), "--module", P_Y], 1),
         (["typen", "census", "--horizon", "30"], 3),
         (["typen", "validate", "--spec", SPEC_110,
           "--horizon", "20000000"], 3),

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsite import linalg
+from finsite import linalg, modrep
 from finsite.errors import ShapeMismatch
 from finsite.linalg import GF, QQ, Mat, from_cols, from_rows
 
-from conftest import hstack
+from conftest import chain, hstack
 
 
 def F(*args) -> Fraction:
@@ -109,6 +109,24 @@ def test_zeros_are_built_once_per_field_and_shape(field):
         product = linalg.matmul(field, linalg.zeros(field, r, 0),
                                 linalg.zeros(field, 0, c))
         assert product is first
+        if r and c:
+            continue
+        # an empty shape holds no entries: one matrix serves every field,
+        # and the builders that meet the shape hand it out too
+        assert all(linalg.zeros(other, r, c) is first
+                   for other in (GF(2), GF(3), QQ))
+        assert from_cols([(field.zero(),) * r] * c, rows=r) is first
+        assert linalg.vstack([first, linalg.zeros(field, 0, c)]) is first
+        if not r:
+            assert linalg.vstack([], cols=c) is first
+    # maps between P(0) on chain2 and the zero module have empty components
+    cat = chain(2)
+    p = modrep.yoneda_module(cat, field, "0")
+    zero = modrep.zero_module(cat, field)
+    for m in (modrep.map_from_vector(p, zero, ()),
+              modrep.map_from_vector(zero, p, ())):
+        for comp in m.components.values():
+            assert comp is linalg.zeros(GF(2), comp.rows, comp.cols)
 
 
 def test_zero_shape_matrices():

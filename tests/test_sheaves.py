@@ -298,18 +298,23 @@ def old_perpendicular_status(cat, j, v):
 DETECTOR_FIXTURES = ei_fixture_categories()
 
 
-@functools.lru_cache(maxsize=None)
-def all_stable_rules(index):
-    """Every stable rule on DETECTOR_FIXTURES[index], 444 on the diamond:
-    any set of sieves per object, so rules that are not inclusion or
-    intersection closed, or cover nothing at an object, come up too."""
-    cat = DETECTOR_FIXTURES[index]
+def every_rule(cat):
+    """Every rule on cat: any set of sieves per object, so rules that are
+    not inclusion or intersection closed, or cover nothing at an object,
+    come up too."""
     choices = [[c for k in range(len(u) + 1)
                 for c in itertools.combinations(u, k)]
                for u in (sieves.all_sieves(cat, x) for x in cat.objects)]
-    rules = (topology.make_rule(cat, dict(zip(cat.objects, pick)))
-             for pick in itertools.product(*choices))
-    return [j for j in rules if topology.check_stability_only(cat, j) is None]
+    return (topology.make_rule(cat, dict(zip(cat.objects, pick)))
+            for pick in itertools.product(*choices))
+
+
+@functools.lru_cache(maxsize=None)
+def all_stable_rules(index):
+    """Every stable rule on DETECTOR_FIXTURES[index], 444 on the diamond."""
+    cat = DETECTOR_FIXTURES[index]
+    return [j for j in every_rule(cat)
+            if topology.check_stability_only(cat, j) is None]
 
 
 def assert_detectors_match_the_oracles(cat, j, v):
@@ -368,11 +373,9 @@ def test_detectors_match_the_oracles_on_several_least_covers():
     assert seen == 24
 
 
-def test_verdict_solves_once_per_object_and_checks_stability_once(
-        monkeypatch):
+def test_verdict_solves_once_per_object(monkeypatch):
     # on a topology the least covers are the one minimum cover per object:
-    # one compatibility system per object, two hom spaces per object, and
-    # one stability scan for the three torsion parts of the saturation test
+    # one compatibility system per object and two hom spaces per object
     calls = []
     stage = [None]
 
@@ -391,10 +394,8 @@ def test_verdict_solves_once_per_object_and_checks_stability_once(
                 stage[0] = None
         return call
 
-    for module, name in ((modrep, "compatible_families"),
-                         (modrep, "hom_space"),
-                         (topology, "check_stability_only")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for name in ("compatible_families", "hom_space"):
+        monkeypatch.setattr(modrep, name, counted(name, getattr(modrep, name)))
     for name in ("sheaf_status", "saturation_status", "perpendicular_status"):
         monkeypatch.setattr(sheaves, name, staged(name, getattr(sheaves, name)))
     for cat in (quiver2(), chain(3), diamond()):
@@ -405,8 +406,30 @@ def test_verdict_solves_once_per_object_and_checks_stability_once(
             sheaves.sheaf_verdict(cat, j, v)
             assert calls.count(("sheaf_status", "compatible_families")) == n
             assert calls.count(("perpendicular_status", "hom_space")) == 2 * n
-            assert [c for c in calls if c[1] == "check_stability_only"] == [
-                ("saturation_status", "check_stability_only")]
+
+
+def test_one_stability_scan_per_rule_along_the_sheaf_path(monkeypatch):
+    # the rule keeps its stability witness: the verdict, sheafify, torsion
+    # class, torsion pair and rigid certificate scan each rule object once
+    # between them
+    scans = []
+    scan = topology._stability_scan
+
+    def counted(cat, j):
+        scans.append(j)
+        return scan(cat, j)
+
+    monkeypatch.setattr(topology, "_stability_scan", counted)
+    cat = diamond()
+    for j in topology.enumerate_topologies(cat):
+        v = modrep.random_module(cat, F3, seed=1, max_dim=2)
+        scans.clear()
+        sheaves.sheaf_verdict(cat, j, v)
+        sheaves.sheafify(cat, j, v)
+        torsion.torsion_class(cat, j, v)
+        torsion.verify_torsion_pair(cat, j, F3, sample_count=2, max_dim=2)
+        sheaves.verify_rigid_equivalence(cat, j, F3, sample_count=2)
+        assert len(scans) == 1 and scans[0] is j
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +492,16 @@ def test_sheafify_maximal_collapses_everything(cat_quiver2):
 
 
 def test_sheafify_checks_the_rule_once(cat_quiver2, monkeypatch):
+    # both plus steps ask for stability; the rule keeps the answer, so the
+    # scan runs once
     calls = []
+    scan = topology._stability_scan
 
     def counted(cat, j):
         calls.append(j)
-        return topology.require_stable(cat, j)
+        return scan(cat, j)
 
-    monkeypatch.setattr(sheaves, "require_stable", counted)
+    monkeypatch.setattr(topology, "_stability_scan", counted)
     dense = topology.named_topology(cat_quiver2, "dense")
     sheaves.sheafify(cat_quiver2, dense, dense_sheaf_module(cat_quiver2, F2))
     assert calls == [dense]
@@ -734,6 +760,30 @@ def test_rigid_equivalence_rejects_nonrigid(cat_idem_monoid):
     assert not topology.rigidity(cat_idem_monoid, dense).rigid
     with pytest.raises(NotRigid):
         sheaves.verify_rigid_equivalence(cat_idem_monoid, dense)
+
+
+def test_rigid_equivalence_refuses_a_rule_that_is_no_topology():
+    # rigidity alone holds on rules the certificate's argument does not
+    # cover; each is refused, naming its failed axioms, and every rigid
+    # topology among the same rules still passes
+    refused = passed = 0
+    for cat in (quiver2(), chain(3)):
+        for j in every_rule(cat):
+            if not topology.rigidity(cat, j).rigid:
+                continue
+            failed = [k for k in ("maximal", "stability", "transitivity")
+                      if k in topology.check_axioms(cat, j).witnesses]
+            if not failed:
+                passed += 1
+                assert sheaves.verify_rigid_equivalence(
+                    cat, j, sample_count=0).passed
+                continue
+            refused += 1
+            with pytest.raises(PreconditionFailed) as err:
+                sheaves.verify_rigid_equivalence(cat, j, sample_count=0)
+            assert str(err.value) == (
+                f"not a topology: the {', '.join(failed)} axioms fail")
+    assert (refused, passed) == (174, 12)
 
 
 def test_rigid_equivalence_report_doc(cat_chain2):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -545,3 +546,71 @@ def test_topology_doc_roundtrip(cat_quiver2):
     doc = topology.topology_to_doc(d)
     back = topology.topology_from_doc(cat_quiver2, doc)
     assert back == d
+
+
+# ---------------------------------------------------------------------------
+# the facts a rule keeps: its first stability witness and its least covers
+
+KEPT_FIXTURES = ei_fixture_categories()
+# equal to KEPT_FIXTURES, index by index, and other objects
+KEPT_TWINS = ei_fixture_categories()
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except FinsiteError as err:
+        return (type(err), str(err))
+
+
+def least_covers_oracle(j, x):
+    covers = j.covers_at(x)
+    return [s for s in covers
+            if not any(t.member_set < s.member_set for t in covers)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kept_facts_match_a_fresh_scan(data):
+    index = data.draw(st.integers(0, len(KEPT_FIXTURES) - 1))
+    cat, twin = KEPT_FIXTURES[index], KEPT_TWINS[index]
+    assert cat == twin and cat is not twin
+    covers = {x: data.draw(st.lists(st.sampled_from(sieves.all_sieves(cat, x)),
+                                    unique=True, max_size=4))
+              for x in cat.objects}
+    if data.draw(st.booleans()):
+        # a member tuple filed as a sieve unchecked: the scan may raise
+        # InvalidSieve or WrongDomain
+        x = data.draw(st.sampled_from(cat.objects))
+        members = data.draw(st.sets(st.sampled_from(cat.morphisms),
+                                    min_size=1, max_size=3))
+        covers[x].append(sieves.Sieve(x, tuple(sorted(members))))
+    scans = []
+    scan = topology._stability_scan
+
+    def counted(on, rule):
+        scans.append("own" if on is cat else "twin")
+        return scan(on, rule)
+
+    j = topology.make_rule(cat, covers)
+    with mock.patch.object(topology, "_stability_scan", counted):
+        fresh = outcome(topology.check_stability_only, cat,
+                        topology.make_rule(cat, covers))
+        # a category equal to j.cat, but another object, keeps nothing
+        assert outcome(topology.check_stability_only, twin, j) == fresh
+        assert scans == ["own", "twin"]
+        for _ in range(2):
+            assert outcome(topology.check_stability_only, cat, j) == fresh
+            assert outcome(topology.check_stability_only, twin, j) == fresh
+        raised = fresh[0] != "ok"
+        # a scan that raises keeps nothing, so it raises again
+        assert scans == ["own", "twin"] * 2 + ["own"] * raised + ["twin"]
+        if not raised:
+            stable = outcome(topology.require_stable, cat, j)
+            assert (stable == ("ok", None)) == (fresh[1] is None)
+            assert len(scans) == 5
+    for x in cat.objects:
+        least = least_covers_oracle(j, x)
+        assert j.least_covers(x) == least
+        assert j.least_covers(x) == least
+        assert topology.make_rule(cat, covers).least_covers(x) == least

@@ -317,16 +317,19 @@ def test_sampled_failures_fail_the_verdict(cat_quiver2, monkeypatch):
 
 
 def test_torsion_pair_scans_stability_once(cat_trunc_fi2, monkeypatch):
+    # a new rule with the covers of each enumerated one, so nothing is kept
+    # on it before the torsion pair runs
     rules = topology.enumerate_topologies(cat_trunc_fi2)
     scans = []
-    scan = topology.check_stability_only
+    scan = topology._stability_scan
 
     def counting(cat, j):
         scans.append(cat.name)
         return scan(cat, j)
 
-    monkeypatch.setattr(topology, "check_stability_only", counting)
+    monkeypatch.setattr(topology, "_stability_scan", counting)
     for j in (rules[0], rules[-1]):
+        j = topology.make_rule(cat_trunc_fi2, j.covers)
         scans.clear()
         torsion.verify_torsion_pair(cat_trunc_fi2, j, sample_count=20)
         assert len(scans) == 1
@@ -561,7 +564,7 @@ def old_verify_torsion_pair(cat, j, field=F2, sample_count=20, seed=0,
 
     torsion_list, free_list, tf_witnesses = [], [], []
     for idx, v in enumerate(samples):
-        t, incl = torsion._torsion_part(cat, j, v)
+        t, incl = torsion.torsion_submodule(cat, j, v)
         q, _ = modrep.quotient_module(v, incl)
         bad = torsion_vector(cat, j, q)
         q_free = bad is None
