@@ -1,20 +1,28 @@
 """Exact dense linear algebra over the rationals or a prime field.
 
 Entries are Fraction (rationals) or int in range(p) (prime fields); no
-floating point anywhere. Matrices carry their shape explicitly so zero-row
-and zero-column cases stay unambiguous. Elimination pivots on the first
-nonzero entry in row-major order, so echelon forms, kernels, and selected
-bases are reproducible across runs.
+floating point anywhere. Every constructor keeps them so (`FieldSpec.of`,
+`parse`, and the kernels' outputs), and the eliminations rely on it: over
+F2 a row operation is XOR, and a pivot equal to 1 is not rescaled.
+Matrices carry their shape explicitly so zero-row and zero-column cases
+stay unambiguous. Elimination pivots on the first nonzero entry in
+row-major order, so echelon forms, kernels, and selected bases are
+reproducible across runs.
 
-The matrices are tiny, so the cost is per-scalar Python overhead. The hot
-kernels (matmul, mat_vec, rref) branch on the field once per call: ints
-with one local modulus over F_p, Fractions over Q. `Echelon` is the one
-incremental subspace (span_basis wraps it): it grows one vector at a time
-and tests membership with `contains`, without a fresh elimination. There
-is no separate inverse and no hstack: modrep._quotient builds [B | I] row
-by row and reads a complement and its inverse off one rref of it.
-`identity` and `zeros` build each identity and zero matrix once per
-(field, shape) and hand out that one immutable value on every later call.
+The matrices are tiny, so the cost is per-scalar Python overhead, and the
+kernels branch on the field per call or per row, never per scalar. matmul
+and mat_vec reduce with one local modulus over F_p. In the eliminations
+(rref, behind rank, kernel_basis and solve_matrix, and Echelon) a row
+operation is one comprehension: x ^ y over F2, (x - f y) % p over an odd
+prime, x - f y over Q. Inverses come from `_inverse`: below _TABLE_BOUND
+a table of all p, built on first use, and pow above, so a large prime
+costs no O(p) table. `Echelon` is the one incremental subspace
+(span_basis wraps it): it grows one vector at a time and tests membership
+with `contains`, without a fresh elimination. There is no separate
+inverse and no hstack: modrep._quotient builds [B | I] row by row and
+reads a complement and its inverse off one rref of it. `identity` and
+`zeros` build each identity and zero matrix once per (field, shape) and
+hand out that one immutable value on every later call.
 
 `Mat` and `FieldSpec` are records (`errors.Record`): their fields are their
 annotations, and equality, hash, repr, copying and the refusal of
@@ -24,26 +32,28 @@ takes the fields positionally and checks that the entries have the
 declared shape on every construction, internal ones included, because a
 mis-sized matrix would otherwise surface far from its cause, as an
 IndexError inside an elimination or as a wrong verdict. A pass of the
-sheaf benchmark builds about 100,000 matrices, a fifth of them empty, so
-the per-call constant is their cost: the check is one length test and one
-plain loop over the rows (`any` over a generator would start a frame per
-call), the slots are set through their member descriptors, bound once
-below the class, and the kernels build their outputs with list
-comprehensions. A result with a zero dimension is fixed by its shape, so
-this module alone decides it, with no arithmetic: matmul with any zero
-dimension, the inner one included, returns the shared zero, rref of a
-matrix with no rows or no columns returns it at once (kernel_basis reaches
-that through rref), and solve_matrix with no columns on either side needs
-no elimination: with none in b the solution is empty, and with none in a
-it is zero when b is zero and does not exist otherwise. `FieldSpec` checks
-in its constructor that a finite order is prime.
+sheaf benchmark builds about 62,000 matrices, so the check is one length
+test and one plain loop over the rows, the slots are set through their
+member descriptors, bound once below the class, and the kernels build
+their outputs with list comprehensions. A matrix with a zero dimension
+holds no entries: it is one shared value per shape, which `make_mat` (for
+callers whose shape may be empty), `zeros`, `from_cols` and `vstack` hand
+out. Such a result is fixed by its shape, so this module alone decides
+it, with no arithmetic: matmul with any zero dimension, the inner one
+included, returns the shared zero, rref of a matrix with no rows or no
+columns returns it at once (kernel_basis reaches that through rref), and
+solve_matrix with no columns on either side needs no elimination: with
+none in b the solution is empty, and with none in a it is zero when b is
+zero and does not exist otherwise. `FieldSpec` checks in its constructor
+that a finite order is prime.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import Record, ShapeMismatch
 
@@ -81,22 +91,8 @@ class FieldSpec(Record):
             return int(n) % self.p
         return Fraction(n)
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.p is not None else a + b
-
     def sub(self, a, b):
         return (a - b) % self.p if self.p is not None else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p is not None else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.p is not None else -a
-
-    def inv(self, a):
-        if self.p is not None:
-            return pow(a, -1, self.p)
-        return Fraction(1) / a
 
     def parse(self, s: str):
         """Parse a serialized entry: "2", "-3/7" (rationals allowed / only)."""
@@ -197,6 +193,15 @@ def _empty(rows: int, cols: int) -> Mat:
     return m
 
 
+def make_mat(rows: int, cols: int, entries: tuple[tuple, ...]) -> Mat:
+    """Mat(rows, cols, entries), or the shared matrix when rows or cols is 0."""
+    if rows and cols:
+        return Mat(rows, cols, entries)
+    if len(entries) != rows or any(entries):
+        raise ShapeMismatch(f"entries do not match shape {rows}x{cols}")
+    return _empty(rows, cols)
+
+
 def zeros(field: FieldSpec, rows: int, cols: int) -> Mat:
     """The rows x cols zero matrix over field, shared like identity's."""
     if not rows or not cols:
@@ -214,7 +219,7 @@ def identity(field: FieldSpec, n: int) -> Mat:
     m = _identities.get((field.p, n))
     if m is None:
         z, o = field.zero(), field.one()
-        m = _identities[field.p, n] = Mat(
+        m = _identities[field.p, n] = make_mat(
             n, n, tuple([tuple([o if i == j else z for j in range(n)])
                          for i in range(n)]))
     return m
@@ -241,23 +246,23 @@ def matmul(field: FieldSpec, a: Mat, b: Mat) -> Mat:
     return Mat(a.rows, b.cols, out)
 
 
-def _scaled(p: int | None, c, xs) -> tuple:
-    """The entries of c xs, reduced mod p over F_p."""
-    if p is None:
-        return tuple([c * x for x in xs])
-    return tuple([c * x % p for x in xs])
+_TABLE_BOUND = 1024
+_inverses: dict[int | None, Callable] = {None: Fraction(1).__truediv__}
 
 
-def _axpy(p: int | None, xs, c, ys) -> list:
-    """The entries of xs - c ys, reduced mod p over F_p."""
-    if p is None:
-        return [x - c * y for x, y in zip(xs, ys)]
-    return [(x - c * y) % p for x, y in zip(xs, ys)]
+def _inverse(p: int | None) -> Callable:
+    """x -> 1/x over the field of order p (None: Q), made once per order:
+    a table below _TABLE_BOUND, pow above it, so no field costs O(p)."""
+    if p not in _inverses:
+        _inverses[p] = ((0, *[pow(x, -1, p) for x in range(1, p)]).__getitem__
+                        if p < _TABLE_BOUND else partial(pow, exp=-1, mod=p))
+    return _inverses[p]
 
 
 def transpose(a: Mat) -> Mat:
-    return Mat(a.cols, a.rows, tuple(tuple(a.entries[i][j] for i in range(a.rows))
-                                     for j in range(a.cols)))
+    return make_mat(a.cols, a.rows,
+                    tuple(tuple(a.entries[i][j] for i in range(a.rows))
+                          for j in range(a.cols)))
 
 
 def vstack(mats: Sequence[Mat], cols: int | None = None) -> Mat:
@@ -268,10 +273,8 @@ def vstack(mats: Sequence[Mat], cols: int | None = None) -> Mat:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ShapeMismatch("vstack column mismatch")
-    rows = sum(m.rows for m in mats)
-    if not rows or not cols:
-        return _empty(rows, cols)
-    return Mat(rows, cols, tuple(r for m in mats for r in m.entries))
+    return make_mat(sum(m.rows for m in mats), cols,
+                    tuple(r for m in mats for r in m.entries))
 
 
 def block_diag(field: FieldSpec, mats: Sequence[Mat]) -> Mat:
@@ -285,7 +288,7 @@ def block_diag(field: FieldSpec, mats: Sequence[Mat]) -> Mat:
                 out[r0 + i][c0 + j] = m.entries[i][j]
         r0 += m.rows
         c0 += m.cols
-    return Mat(rows, cols, tuple(tuple(r) for r in out))
+    return make_mat(rows, cols, tuple(tuple(r) for r in out))
 
 
 def rref(field: FieldSpec, a: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -307,11 +310,18 @@ def rref(field: FieldSpec, a: Mat) -> tuple[Mat, tuple[int, ...]]:
         m[r], m[pr] = m[pr], m[r]
         # rows r onwards are zero left of c, the pivot row among them, so
         # row operations need only the columns from c on
-        tail = m[r][c:] = _scaled(p, field.inv(m[r][c]), m[r][c:])
-        for i in range(a.rows):
-            f = m[i][c]
+        tail = m[r][c:]
+        q = tail[0]
+        if q != 1:
+            q = _inverse(p)(q)
+            tail = m[r][c:] = ([q * x % p for x in tail] if p
+                               else [q * x for x in tail])
+        for i, row in enumerate(m):
+            f = row[c]
             if i != r and f != 0:
-                m[i][c:] = _axpy(p, m[i][c:], f, tail)
+                row[c:] = ([x ^ y for x, y in zip(row[c:], tail)] if p == 2
+                           else [(x - f * y) % p for x, y in zip(row[c:], tail)]
+                           if p else [x - f * y for x, y in zip(row[c:], tail)])
         pivots.append(c)
         r += 1
     return Mat(a.rows, a.cols, tuple(map(tuple, m))), tuple(pivots)
@@ -326,12 +336,13 @@ def kernel_basis(field: FieldSpec, a: Mat) -> list[Vector]:
     r, pivots = rref(field, a)
     pivot_set = set(pivots)
     free = [c for c in range(a.cols) if c not in pivot_set]
+    p, zero, one = field.p, field.zero(), field.one()
     basis = []
     for fc in free:
-        v = [field.zero()] * a.cols
-        v[fc] = field.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(r.entries[i][fc])
+        v = [zero] * a.cols
+        v[fc] = one
+        for row, pc in zip(r.entries, pivots):
+            v[pc] = -row[fc] % p if p else -row[fc]
         basis.append(tuple(v))
     return basis
 
@@ -393,7 +404,9 @@ class Echelon:
         for c, row in self._rows.items():
             f = w[c]
             if f != 0:
-                w[c:] = _axpy(p, w[c:], f, row)
+                w[c:] = ([x ^ y for x, y in zip(w[c:], row)] if p == 2
+                         else [(x - f * y) % p for x, y in zip(w[c:], row)]
+                         if p else [x - f * y for x, y in zip(w[c:], row)])
         return w
 
     def contains(self, v: Vector) -> bool:
@@ -406,11 +419,18 @@ class Echelon:
         if c is None:
             return False
         p = self.field.p
-        row = list(_scaled(p, self.field.inv(w[c]), w[c:]))
+        row = w[c:]
+        q = row[0]
+        if q != 1:
+            q = _inverse(p)(q)
+            row = [q * x % p for x in row] if p else [q * x for x in row]
         for pc, other in self._rows.items():
-            f = other[c - pc] if pc < c else 0
+            k = c - pc
+            f = other[k] if k > 0 else 0
             if f != 0:
-                other[c - pc:] = _axpy(p, other[c - pc:], f, row)
+                other[k:] = ([x ^ y for x, y in zip(other[k:], row)] if p == 2
+                             else [(x - f * y) % p for x, y in zip(other[k:], row)]
+                             if p else [x - f * y for x, y in zip(other[k:], row)])
         self._rows[c] = row
         self.basis.append(tuple(v))
         return True

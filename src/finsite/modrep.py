@@ -277,9 +277,9 @@ def _relabel(field: FieldSpec, src: Sequence, dst: Sequence,
     index = {h: i for i, h in enumerate(dst)}
     zero, one = field.zero(), field.one()
     targets = [index.get(image(a)) for a in src]
-    return Mat(len(dst), len(src),
-               tuple([tuple([one if t == i else zero for t in targets])
-                      for i in range(len(dst))]))
+    return linalg.make_mat(len(dst), len(src), tuple(
+        [tuple([one if t == i else zero for t in targets])
+         for i in range(len(dst))]))
 
 
 def _postcomposition_module(cat: FiniteCategory, field: FieldSpec,
@@ -393,11 +393,8 @@ def map_to_vector(m: ModuleMap) -> Vector:
 def map_from_vector(v: KModule, w: KModule, vec: Vector) -> ModuleMap:
     comps = {}
     for x, r, c, off in _map_layout(v, w):
-        if not r or not c:
-            comps[x] = linalg.zeros(v.field, r, c)  # shared, as it is empty
-            continue
-        comps[x] = Mat(r, c, tuple(tuple(vec[off + i * c + j] for j in range(c))
-                                   for i in range(r)))
+        comps[x] = linalg.make_mat(r, c, tuple(
+            tuple(vec[off + i * c + j] for j in range(c)) for i in range(r)))
     return make_module_map(v, w, comps, check=False)
 
 
@@ -459,7 +456,7 @@ def hom_space(v: KModule, w: KModule) -> list[ModuleMap]:
     n, rows = _naturality_rows(v, w)
     if n == 0:
         return []
-    a = Mat(len(rows), n, tuple(rows))
+    a = linalg.make_mat(len(rows), n, tuple(rows))
     return [map_from_vector(v, w, k) for k in linalg.kernel_basis(v.field, a)]
 
 
@@ -583,7 +580,7 @@ def _quotient(v: KModule,
         k = sum(1 for p in pivots if p < b.cols)
         comp[x] = tuple(p - b.cols for p in pivots[k:])
         dims[x] = d = n - k
-        p_x = projections[x] = Mat(
+        p_x = projections[x] = linalg.make_mat(
             d, n, tuple([row[b.cols:] for row in r.entries[k:]]))
         # P B = 0, empty when d or b.cols is 0, and P R = I
         if ((d and b.cols
@@ -723,7 +720,7 @@ def canonical_injective_embedding(v: KModule) -> tuple[KModule, ModuleMap]:
             for i in range(v.dims[x]):
                 for h in cat.hom(y, x):
                     rows.append(v.action[h].entries[i])
-        comps[y] = Mat(i0.dims[y], v.dims[y], tuple(rows))
+        comps[y] = linalg.make_mat(i0.dims[y], v.dims[y], tuple(rows))
     iota = make_module_map(v, i0, comps, check=True)
     for y in cat.objects:
         # the identity row at x = y makes this a monomorphism
@@ -792,7 +789,7 @@ def compatible_families(cat: FiniteCategory, w: KModule,
                 row[offsets[f] + b] = wg.entries[a][b]
             row[offsets[gf] + a] = field.sub(row[offsets[gf] + a], field.one())
             rows.append(tuple(row))
-    system = Mat(len(rows), total, tuple(rows))
+    system = linalg.make_mat(len(rows), total, tuple(rows))
     return CompatibleFamilies(members, offsets, linalg.from_cols(
         linalg.kernel_basis(field, system), rows=total))
 
@@ -830,7 +827,7 @@ def family_module(cat: FiniteCategory, w: KModule,
         for g in dst.members:
             off = src.offsets[cat.compose(g, u)]
             rows.extend(src.basis.entries[off:off + w.dims[cat.cod[g]]])
-        action[u] = linalg.solve_matrix(w.field, dst.basis, Mat(
+        action[u] = linalg.solve_matrix(w.field, dst.basis, linalg.make_mat(
             dst.basis.rows, src.dimension, tuple(rows)))
         if action[u] is None:
             raise FinsiteError(
@@ -890,8 +887,8 @@ def coinduction_with_counit(cat: FiniteCategory, sub: FiniteCategory,
     counit_comps = {}
     for d in sub.objects:
         base = families[d].offsets[cat.identity[d]]
-        comp = Mat(w.dims[d], coind.dims[d],
-                   families[d].basis.entries[base:base + w.dims[d]])
+        comp = linalg.make_mat(w.dims[d], coind.dims[d],
+                               families[d].basis.entries[base:base + w.dims[d]])
         if not linalg.is_invertible(w.field, comp):
             raise PreconditionFailed(f"counit degenerate at {d}")
         counit_comps[d] = comp

@@ -385,8 +385,8 @@ def verify_rigid_equivalence(cat: FiniteCategory, j: GrothendieckTopology,
     when it vanishes on D; a failure, under "sampled_torsion" as (index,
     dims), fails the verdict.
     """
-    failed = [k for k in ("maximal", "stability", "transitivity")
-              if k in check_axioms(cat, j).witnesses]
+    broken = check_axioms(cat, j).witnesses
+    failed = [k for k in ("maximal", "stability", "transitivity") if k in broken]
     if failed:
         raise PreconditionFailed(f"not a topology: the {', '.join(failed)}"
                                  " axioms fail")

@@ -8,7 +8,8 @@ only scan of a rule's axioms and closure properties: saturate_rule, the
 smallest topology containing a rule, is a fixpoint over its witnesses, and
 torsion's annihilator round trip reads its closure witnesses. A rule
 keeps its least covers, and its first stability witness on its own
-category (cat is j.cat), once worked out (fincat._kept).
+category (cat is j.cat), once worked out (fincat._kept); its covers are
+read-only, so what it keeps cannot go stale.
 
 On a finite category every topology's covers at x are closed under finite
 intersection and inclusion, hence form the up-set of a unique minimum sieve.
@@ -66,11 +67,29 @@ from .sieves import (
 DEFAULT_ENUM_BUDGET = 200_000
 
 
+class _Covers(dict):
+    """A dict that refuses writes, and copies and pickles as a new one."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a cover rule's covers are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _Covers, (dict(self),)
+
+
 class GrothendieckTopology(Record):
-    """A cover rule; certified as a topology only by check_axioms."""
+    """A cover rule, with its covers copied read-only; certified as a
+    topology only by check_axioms."""
 
     cat: FiniteCategory
     covers: Mapping[str, frozenset[Sieve]]
+
+    def __init__(self, cat: FiniteCategory, covers: Mapping) -> None:
+        object.__setattr__(self, "cat", cat)
+        object.__setattr__(self, "covers", _Covers(covers))
 
     def covers_at(self, x: str) -> list[Sieve]:
         if x not in self.covers:

@@ -3,7 +3,10 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
+import sys
+import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 from fractions import Fraction
 from operator import mul
 
@@ -11,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsite import linalg, modrep
+from finsite import linalg, modrep, sheaves, topology, torsion
 from finsite.errors import ShapeMismatch
 from finsite.linalg import GF, QQ, Mat, from_cols, from_rows
 
-from conftest import chain, hstack
+from conftest import chain, hstack, quiver2
 
 
 def F(*args) -> Fraction:
@@ -23,16 +26,16 @@ def F(*args) -> Fraction:
 
 
 def test_field_arithmetic_rationals():
-    assert QQ.add(F(1, ), F(2)) == F(3)
-    assert QQ.inv(F(-3, )) == F(-1, 3)
+    assert QQ.sub(F(1, ), F(2)) == F(-1)
+    assert linalg._inverse(None)(F(-3, )) == F(-1, 3)
     assert QQ.parse("-3/7") == Fraction(-3, 7)
     assert QQ.fmt(Fraction(-3, 7)) == "-3/7"
 
 
 def test_field_arithmetic_mod_p():
     f5 = GF(5)
-    assert f5.add(3, 4) == 2
-    assert f5.inv(2) == 3
+    assert f5.sub(3, 4) == 4
+    assert linalg._inverse(5)(2) == 3
     assert f5.of(-1) == 4
     assert f5.parse("-1") == 4
 
@@ -119,6 +122,14 @@ def test_zeros_are_built_once_per_field_and_shape(field):
         assert linalg.vstack([first, linalg.zeros(field, 0, c)]) is first
         if not r:
             assert linalg.vstack([], cols=c) is first
+        assert linalg.make_mat(r, c, ((),) * r) is first
+        assert linalg.block_diag(field, [linalg.zeros(field, r, 0),
+                                         linalg.zeros(field, 0, c)]) is first
+        with pytest.raises(ShapeMismatch):
+            linalg.make_mat(r, c, ((),) * (r + 1))
+        if r:
+            with pytest.raises(ShapeMismatch):
+                linalg.make_mat(r, c, ((),) * (r - 1) + ((field.zero(),),))
     # maps between P(0) on chain2 and the zero module have empty components
     cat = chain(2)
     p = modrep.yoneda_module(cat, field, "0")
@@ -127,6 +138,27 @@ def test_zeros_are_built_once_per_field_and_shape(field):
               modrep.map_from_vector(zero, p, ())):
         for comp in m.components.values():
             assert comp is linalg.zeros(GF(2), comp.rows, comp.cols)
+    # the sheaf path builds no empty matrix afresh: each comes from _empty,
+    # which builds one per shape
+    fresh = []
+    init = Mat.__init__
+
+    def counted(self, rows, cols, entries):
+        if not rows or not cols:
+            fresh.append(sys._getframe(1).f_code.co_name)
+        init(self, rows, cols, entries)
+
+    with mock.patch.object(Mat, "__init__", counted):
+        for cat in (chain(3), quiver2()):
+            for j in topology.enumerate_topologies(cat):
+                v = modrep.random_module(cat, field, 1, 2)
+                sheaves.sheaf_verdict(cat, j, v)
+                sheaves.sheafify(cat, j, v)
+                torsion.torsion_class(cat, j, v)
+                if topology.rigidity(cat, j).rigid:
+                    sheaves.verify_rigid_equivalence(cat, j, field,
+                                                     sample_count=0)
+    assert set(fresh) <= {"_empty"}
 
 
 def test_zero_shape_matrices():
@@ -236,6 +268,18 @@ def test_complement_indices_match_in_span_scan(field, dim, data):
 # per-field kernels and Echelon against FieldSpec-dispatch references: the
 # generic scalar-at-a-time code the kernels replaced, kept here as oracles
 
+def old_inv(field, a):
+    """FieldSpec.inv as it was: pow over F_p, Fraction division over Q."""
+    if field.p is not None:
+        return pow(a, -1, field.p)
+    return Fraction(1) / a
+
+
+def old_neg(field, a):
+    """FieldSpec.neg as it was."""
+    return (-a) % field.p if field.p is not None else -a
+
+
 def ref_matmul(field, a, b):
     out = []
     for i in range(a.rows):
@@ -243,7 +287,7 @@ def ref_matmul(field, a, b):
         for j in range(b.cols):
             acc = field.zero()
             for k in range(a.cols):
-                acc = field.add(acc, field.mul(a.entries[i][k], b.entries[k][j]))
+                acc = field.of(acc + a.entries[i][k] * b.entries[k][j])
             row.append(acc)
         out.append(tuple(row))
     return Mat(a.rows, b.cols, tuple(out))
@@ -264,12 +308,12 @@ def ref_rref(field, a):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        inv = old_inv(field, m[r][c])
+        m[r] = [field.of(inv * x) for x in m[r]]
         for i in range(a.rows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+                m[i] = [field.sub(x, field.of(f * y)) for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return Mat(a.rows, a.cols, tuple(tuple(row) for row in m)), tuple(pivots)
@@ -356,7 +400,7 @@ def vector_families(draw):
         combo = [field.zero()] * dim
         for w in picks:
             c = draw(entry)
-            combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, w)]
+            combo = [field.of(x + c * y) for x, y in zip(combo, w)]
         vectors.insert(draw(st.integers(0, len(vectors))), tuple(combo))
     return field, dim, vectors
 
@@ -402,8 +446,11 @@ def test_kernels_on_empty_shapes(field):
 
 
 # ---------------------------------------------------------------------------
-# the kernels as they were before empty operands returned at once, copied
-# verbatim as oracles for the shapes with a zero dimension
+# the kernels as they were before empty operands returned at once and before
+# the row work went per field (an inverse table, no scaling at a unit pivot,
+# XOR over F2), kept as oracles for the shapes with a zero dimension and for
+# the row work over every field; they read inverses and negatives through
+# old_inv and old_neg, the FieldSpec methods they called
 
 def old_columns(b):
     return tuple(zip(*b.entries)) if b.rows else ((),) * b.cols
@@ -450,7 +497,7 @@ def old_rref(field, a):
         else:
             continue
         m[r], m[pr] = m[pr], m[r]
-        tail = m[r][c:] = old_scaled(p, field.inv(m[r][c]), m[r][c:])
+        tail = m[r][c:] = old_scaled(p, old_inv(field, m[r][c]), m[r][c:])
         for i in range(a.rows):
             f = m[i][c]
             if i != r and f != 0:
@@ -469,7 +516,7 @@ def old_kernel_basis(field, a):
         v = [field.zero()] * a.cols
         v[fc] = field.one()
         for i, pc in enumerate(pivots):
-            v[pc] = field.neg(r.entries[i][fc])
+            v[pc] = old_neg(field, r.entries[i][fc])
         basis.append(tuple(v))
     return basis
 
@@ -488,6 +535,52 @@ def old_solve_matrix(field, a, b):
     for i, pc in enumerate(pivots):
         x[pc] = r.entries[i][a.cols:]
     return Mat(a.cols, b.cols, tuple(map(tuple, x)))
+
+
+class OldEchelon:
+    """linalg.Echelon as it was, on old_scaled and old_axpy."""
+
+    def __init__(self, field, dim, vectors=()):
+        self.field = field
+        self.dim = dim
+        self.basis = []
+        self._rows = {}
+        for v in vectors:
+            self.add(v)
+
+    def _residue(self, v):
+        p = self.field.p
+        w = list(v)
+        for c, row in self._rows.items():
+            f = w[c]
+            if f != 0:
+                w[c:] = old_axpy(p, w[c:], f, row)
+        return w
+
+    def contains(self, v):
+        return not any(x != 0 for x in self._residue(v))
+
+    def add(self, v):
+        w = self._residue(v)
+        c = next((i for i, x in enumerate(w) if x != 0), None)
+        if c is None:
+            return False
+        p = self.field.p
+        row = list(old_scaled(p, old_inv(self.field, w[c]), w[c:]))
+        for pc, other in self._rows.items():
+            f = other[c - pc] if pc < c else 0
+            if f != 0:
+                other[c - pc:] = old_axpy(p, other[c - pc:], f, row)
+        self._rows[c] = row
+        self.basis.append(tuple(v))
+        return True
+
+    def missing_unit(self):
+        for i in range(self.dim):
+            row = self._rows.get(i)
+            if row is None or any(x != 0 for x in row[1:]):
+                return i
+        return None
 
 
 @st.composite
@@ -522,6 +615,103 @@ def test_kernels_on_empty_shapes_match_the_old_kernels(shaped):
     if a.rows != b.cols:
         with pytest.raises(ShapeMismatch):
             linalg.matmul(field, b, a)
+
+
+ROW_WORK_FIELDS = (GF(2), GF(3), GF(5), GF(7), GF(1000003), QQ)
+
+
+def structured_entries(field):
+    """Entries with 0, 1 and -1 drawn often, so unit and non-unit pivots,
+    zeros and cancellations all occur, over every field."""
+    if field.is_finite:
+        return st.one_of(st.sampled_from((0, 1, field.p - 1)),
+                         st.integers(0, field.p - 1))
+    return st.one_of(st.sampled_from((F(0), F(1), F(-1))),
+                     st.fractions(-3, 3, max_denominator=3))
+
+
+@st.composite
+def row_work_inputs(draw):
+    """(field, a, b): a r x k with some rows combinations of earlier ones,
+    so rank deficiency occurs, and b r x n, a times a matrix half of the
+    time, so solvable and unsolvable systems both occur."""
+    field = draw(st.sampled_from(ROW_WORK_FIELDS))
+    entry = structured_entries(field)
+    k, n = draw(st.integers(0, 9)), draw(st.integers(0, 3))
+    rows = [[draw(entry) for _ in range(k)]
+            for _ in range(draw(st.integers(0, 6)))]
+    for i in range(1, len(rows)):
+        if draw(st.integers(0, 3)) == 0:
+            c = draw(entry)
+            rows[i] = [field.of(x + c * y)
+                       for x, y in zip(rows[i], rows[draw(st.integers(0, i - 1))])]
+    a = Mat(len(rows), k, tuple(map(tuple, rows)))
+    if draw(st.booleans()):
+        b = old_matmul(field, a, Mat(k, n, tuple(
+            tuple(draw(entry) for _ in range(n)) for _ in range(k))))
+    else:
+        b = Mat(a.rows, n, tuple(tuple(draw(entry) for _ in range(n))
+                                 for _ in range(a.rows)))
+    return field, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_work_inputs(), st.data())
+def test_row_work_matches_the_old_kernels(inputs, data):
+    # repr compares entry types too (int, Fraction), so the outputs are
+    # the old ones bit for bit, not only equal
+    field, a, b = inputs
+    for got, want in ((linalg.rref(field, a), old_rref(field, a)),
+                      (linalg.kernel_basis(field, a),
+                       old_kernel_basis(field, a)),
+                      (linalg.solve_matrix(field, a, b),
+                       old_solve_matrix(field, a, b))):
+        assert got == want and repr(got) == repr(want)
+    vectors = list(a.entries) + list(map(tuple, old_rref(field, a)[0].entries))
+    span, old = linalg.Echelon(field, a.cols), OldEchelon(field, a.cols)
+    assert [span.add(v) for v in vectors] == [old.add(v) for v in vectors]
+    assert repr(span.basis) == repr(old.basis)
+    assert repr(span._rows) == repr(old._rows)
+    assert span.missing_unit() == old.missing_unit()
+    entry = structured_entries(field)
+    probes = [tuple(data.draw(entry) for _ in range(a.cols))
+              for _ in range(3)]
+    probes += [linalg.identity(field, a.cols).col(i) for i in range(a.cols)]
+    for w in probes:
+        assert span.contains(w) == old.contains(w)
+        assert repr(span._residue(w)) == repr(old._residue(w))
+
+
+def test_inverses_come_from_a_table_below_the_bound_only():
+    for p in (2, 3, 5, 7, 1021, 1031, 1000003):
+        inverse = linalg._inverse(p)
+        assert inverse is linalg._inverse(p)
+        for x in {1, min(2, p - 1), p // 2, p - 1}:
+            assert inverse(x) * x % p == 1
+        # below the bound a bound method of the table, a tuple of p entries
+        table = getattr(inverse, "__self__", None)
+        assert ((isinstance(table, tuple) and len(table) == p)
+                == (p < linalg._TABLE_BOUND))
+
+
+def test_a_large_prime_builds_no_inverse_table():
+    p = 1000003
+    field = GF(p)
+    a = Mat(3, 4, ((2, 5, 0, 7), (4, 10, 3, 1), (0, 0, 6, p - 1)))
+    linalg._inverses.pop(p, None)
+    tracemalloc.start()
+    try:
+        r, pivots = linalg.rref(field, a)
+        kernel = linalg.kernel_basis(field, a)
+        span = linalg.Echelon(field, 4, a.entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a table of p inverses would hold p ints: tens of megabytes
+    assert peak < 200_000
+    assert (r, pivots) == old_rref(field, a)
+    assert kernel == old_kernel_basis(field, a)
+    assert span.basis == OldEchelon(field, 4, a.entries).basis
 
 
 # ---------------------------------------------------------------------------

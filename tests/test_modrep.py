@@ -791,7 +791,7 @@ def test_quotient_matches_two_elimination_oracle(cat, field, seed, max_dim,
                                 max_size=len(basis)))
     combo = [field.zero()] * sum(v.dims[x] * w.dims[x] for x in cat.objects)
     for c, h in zip(coeffs, basis):
-        combo = [field.add(a, field.mul(field.of(c), b))
+        combo = [field.of(a + c * b)
                  for a, b in zip(combo, modrep.map_to_vector(h))]
     h = modrep.make_module_map(
         w, v, modrep.map_from_vector(w, v, tuple(combo)).components)
@@ -929,7 +929,7 @@ def test_cokernels_and_samples_match_the_oracle(cat, field, monkeypatch):
             for h in modrep.hom_space(w, v)[:2]:
                 coeff = field.of(rng.randint(1, 2))
                 h = modrep.map_from_vector(w, v, tuple(
-                    field.mul(coeff, a) for a in modrep.map_to_vector(h)))
+                    field.of(coeff * a) for a in modrep.map_to_vector(h)))
                 assert quotient_outcome(
                     lambda: modrep.cokernel_of_map(h)) == quotient_outcome(
                     lambda: old_quotient_module(v, image_of_map(h)[1]))
@@ -1142,7 +1142,7 @@ def sample_modules(cat, field):
 def changed(field, m):
     """m with its first entry moved by one."""
     rows = [list(r) for r in m.entries]
-    rows[0][0] = field.add(rows[0][0], field.one())
+    rows[0][0] = field.of(rows[0][0] + 1)
     return Mat(m.rows, m.cols, tuple(map(tuple, rows)))
 
 

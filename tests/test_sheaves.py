@@ -98,7 +98,8 @@ def matching_colimit_dimension(cat, j, v, x):
                 row = [field.zero()] * total
                 row[offsets[i] + b] = field.one()
                 for idx in range(small.dimension):
-                    row[offsets[k] + idx] = field.neg(coords[idx, b])
+                    row[offsets[k] + idx] = field.sub(field.zero(),
+                                                        coords[idx, b])
                 rows.append(tuple(row))
     relations = Mat(len(rows), total, tuple(rows))
     return total - linalg.rank(field, relations)
@@ -784,6 +785,30 @@ def test_rigid_equivalence_refuses_a_rule_that_is_no_topology():
             assert str(err.value) == (
                 f"not a topology: the {', '.join(failed)} axioms fail")
     assert (refused, passed) == (174, 12)
+
+
+def test_rigid_equivalence_checks_the_axioms_once(monkeypatch):
+    # one axiom scan per call, whether the rule passes or is refused
+    calls = []
+    scan = topology._check_axioms
+
+    def counted(*args):
+        calls.append(args[1])
+        return scan(*args)
+
+    monkeypatch.setattr(topology, "_check_axioms", counted)
+    checked = 0
+    for j in every_rule(quiver2()):
+        if not topology.rigidity(j.cat, j).rigid:
+            continue
+        calls.clear()
+        try:
+            sheaves.verify_rigid_equivalence(j.cat, j, sample_count=0)
+        except PreconditionFailed:
+            pass
+        assert calls == [j]
+        checked += 1
+    assert checked > 0
 
 
 def test_rigid_equivalence_report_doc(cat_chain2):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 from unittest import mock
 
 import pytest
@@ -614,3 +616,41 @@ def test_kept_facts_match_a_fresh_scan(data):
         assert j.least_covers(x) == least
         assert j.least_covers(x) == least
         assert topology.make_rule(cat, covers).least_covers(x) == least
+
+
+def test_covers_are_read_only_and_survive_copies():
+    # kept facts cannot go stale: covers refuse every write, a mapping
+    # handed to make_rule is copied, and copies and pickles rebuild a rule
+    # that is equal, read-only too, and keeps the same facts as a fresh one
+    cat = quiver2()
+    unstable = topology.make_rule(cat, {"x": [sieves.make_sieve(cat, "x", ["f"])],
+                                        "y": [sieves.maximal_sieve(cat, "y")]})
+    sieve = sieves.maximal_sieve(cat, "x")
+    writes = (lambda c: c.__setitem__("x", frozenset()),
+              lambda c: c.__delitem__("x"), lambda c: c.clear(),
+              lambda c: c.pop("x"), lambda c: c.popitem(),
+              lambda c: c.setdefault("z", frozenset()),
+              lambda c: c.update(x=frozenset()),
+              lambda c: c.__ior__({"x": frozenset()}))
+    for j in [*topology.enumerate_topologies(cat), unstable]:
+        given_covers = {x: set(j.covers[x]) for x in cat.objects}
+        rule = topology.make_rule(cat, given_covers)
+        witness = topology.check_stability_only(cat, rule)
+        least = {x: rule.least_covers(x) for x in cat.objects}
+        given_covers["x"].add(sieve)
+        given_covers["y"] = set()
+        before = dict(rule.covers)
+        for write in writes:
+            with pytest.raises(TypeError):
+                write(rule.covers)
+        assert rule.covers == before == j.covers
+        for twin in (copy.copy(rule), copy.deepcopy(rule),
+                     pickle.loads(pickle.dumps(rule))):
+            assert twin == rule and twin is not rule
+            with pytest.raises(TypeError):
+                twin.covers["x"] = frozenset()
+            fresh = topology.make_rule(twin.cat, dict(twin.covers))
+            for on in (rule, twin, fresh):
+                assert topology.check_stability_only(on.cat, on) == witness
+                assert {x: on.least_covers(x) for x in cat.objects} == least
+    assert topology.check_stability_only(cat, unstable) is not None
