@@ -8,11 +8,6 @@ after; both go into the benchmark's extra_info, with its median scaled by
 REFERENCE_S over their mean, which reads as seconds on the machine at a
 fixed speed. The scaled figures are in the saved JSON
 (`--benchmark-json FILE`), not in the terminal table.
-
-The saved JSON keeps each benchmark's summary statistics and extra_info,
-not the timing of every round: the fastest kernels run close to a million
-rounds each, and with every round the file of the whole suite runs to
-hundreds of megabytes.
 """
 
 from __future__ import annotations
@@ -43,8 +38,3 @@ def reference_speed(request):
         benchmark.extra_info["scaled_median_s"] = (
             benchmark.stats.stats.median * refspeed.REFERENCE_S
             / ((before + after) / 2))
-
-
-def pytest_benchmark_update_json(config, benchmarks, output_json):
-    for bench in output_json["benchmarks"]:
-        bench["stats"].pop("data", None)

@@ -11,18 +11,20 @@ reproducible across runs.
 
 The matrices are tiny, so the cost is per-scalar Python overhead, and the
 kernels branch on the field per call or per row, never per scalar. matmul
-and mat_vec reduce with one local modulus over F_p. In the eliminations
-(rref, behind rank, kernel_basis and solve_matrix, and Echelon) a row
-operation is one comprehension: x ^ y over F2, (x - f y) % p over an odd
-prime, x - f y over Q. Inverses come from `_inverse`: below _TABLE_BOUND
-a table of all p, built on first use, and pow above, so a large prime
-costs no O(p) table. `Echelon` is the one incremental subspace
-(span_basis wraps it): it grows one vector at a time and tests membership
-with `contains`, without a fresh elimination. There is no separate
-inverse and no hstack: modrep._quotient builds [B | I] row by row and
-reads a complement and its inverse off one rref of it. `identity` and
-`zeros` build each identity and zero matrix once per (field, shape) and
-hand out that one immutable value on every later call.
+and mat_vec reduce with one local modulus over F_p. The eliminations
+(rref, behind rank, kernel_basis and solve_matrix, and Echelon) share two
+row helpers: `_monic` scales a pivot row to lead with 1 (one pow, or one
+Fraction division, unless it leads with 1 already) and `_axpy` subtracts
+a multiple of one row from another in one comprehension: x ^ y over F2,
+(x - f y) % p over an odd prime, x - f y over Q. `Echelon` is the one
+incremental subspace (span_basis wraps it): it grows one vector at a time
+and tests membership with `contains`, without a fresh elimination. Each
+kept row is zero before its pivot, 1 at it and 0 at every other kept
+pivot, so a vector's residue is zero exactly when it lies in the span.
+There is no separate inverse and no hstack: modrep._quotient builds
+[B | I] row by row and reads a complement and its inverse off one rref of
+it. `identity` and `zeros` build each identity and zero matrix once per
+(field, shape) and hand out that one immutable value on every later call.
 
 `Mat` and `FieldSpec` are records (`errors.Record`): their fields are their
 annotations, and equality, hash, repr, copying and the refusal of
@@ -51,9 +53,8 @@ that a finite order is prime.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import Record, ShapeMismatch
 
@@ -246,17 +247,24 @@ def matmul(field: FieldSpec, a: Mat, b: Mat) -> Mat:
     return Mat(a.rows, b.cols, out)
 
 
-_TABLE_BOUND = 1024
-_inverses: dict[int | None, Callable] = {None: Fraction(1).__truediv__}
+def _monic(p: int | None, xs: list) -> list:
+    """xs scaled so that its first entry, nonzero, is 1; xs itself when it
+    is 1 already, as it always is over F2."""
+    q = xs[0]
+    if q == 1:
+        return xs
+    q = pow(q, -1, p) if p else 1 / q
+    return [q * x % p for x in xs] if p else [q * x for x in xs]
 
 
-def _inverse(p: int | None) -> Callable:
-    """x -> 1/x over the field of order p (None: Q), made once per order:
-    a table below _TABLE_BOUND, pow above it, so no field costs O(p)."""
-    if p not in _inverses:
-        _inverses[p] = ((0, *[pow(x, -1, p) for x in range(1, p)]).__getitem__
-                        if p < _TABLE_BOUND else partial(pow, exp=-1, mod=p))
-    return _inverses[p]
+def _axpy(p: int | None, f, xs, ys) -> list:
+    """The entries of xs - f ys for f != 0: x ^ y over F2, where f is 1,
+    reduced mod p over an odd prime, Fractions over Q."""
+    if p == 2:
+        return [x ^ y for x, y in zip(xs, ys)]
+    if p:
+        return [(x - f * y) % p for x, y in zip(xs, ys)]
+    return [x - f * y for x, y in zip(xs, ys)]
 
 
 def transpose(a: Mat) -> Mat:
@@ -310,18 +318,11 @@ def rref(field: FieldSpec, a: Mat) -> tuple[Mat, tuple[int, ...]]:
         m[r], m[pr] = m[pr], m[r]
         # rows r onwards are zero left of c, the pivot row among them, so
         # row operations need only the columns from c on
-        tail = m[r][c:]
-        q = tail[0]
-        if q != 1:
-            q = _inverse(p)(q)
-            tail = m[r][c:] = ([q * x % p for x in tail] if p
-                               else [q * x for x in tail])
+        tail = m[r][c:] = _monic(p, m[r][c:])
         for i, row in enumerate(m):
             f = row[c]
             if i != r and f != 0:
-                row[c:] = ([x ^ y for x, y in zip(row[c:], tail)] if p == 2
-                           else [(x - f * y) % p for x, y in zip(row[c:], tail)]
-                           if p else [x - f * y for x, y in zip(row[c:], tail)])
+                row[c:] = _axpy(p, f, row[c:], tail)
         pivots.append(c)
         r += 1
     return Mat(a.rows, a.cols, tuple(map(tuple, m))), tuple(pivots)
@@ -404,9 +405,7 @@ class Echelon:
         for c, row in self._rows.items():
             f = w[c]
             if f != 0:
-                w[c:] = ([x ^ y for x, y in zip(w[c:], row)] if p == 2
-                         else [(x - f * y) % p for x, y in zip(w[c:], row)]
-                         if p else [x - f * y for x, y in zip(w[c:], row)])
+                w[c:] = _axpy(p, f, w[c:], row)
         return w
 
     def contains(self, v: Vector) -> bool:
@@ -419,18 +418,11 @@ class Echelon:
         if c is None:
             return False
         p = self.field.p
-        row = w[c:]
-        q = row[0]
-        if q != 1:
-            q = _inverse(p)(q)
-            row = [q * x % p for x in row] if p else [q * x for x in row]
+        row = _monic(p, w[c:])
         for pc, other in self._rows.items():
-            k = c - pc
-            f = other[k] if k > 0 else 0
+            f = other[c - pc] if pc < c else 0
             if f != 0:
-                other[k:] = ([x ^ y for x, y in zip(other[k:], row)] if p == 2
-                             else [(x - f * y) % p for x, y in zip(other[k:], row)]
-                             if p else [x - f * y for x, y in zip(other[k:], row)])
+                other[c - pc:] = _axpy(p, f, other[c - pc:], row)
         self._rows[c] = row
         self.basis.append(tuple(v))
         return True

@@ -27,7 +27,7 @@ def F(*args) -> Fraction:
 
 def test_field_arithmetic_rationals():
     assert QQ.sub(F(1, ), F(2)) == F(-1)
-    assert linalg._inverse(None)(F(-3, )) == F(-1, 3)
+    assert linalg._monic(None, [F(-3), F(1)]) == [F(1), F(-1, 3)]
     assert QQ.parse("-3/7") == Fraction(-3, 7)
     assert QQ.fmt(Fraction(-3, 7)) == "-3/7"
 
@@ -35,7 +35,8 @@ def test_field_arithmetic_rationals():
 def test_field_arithmetic_mod_p():
     f5 = GF(5)
     assert f5.sub(3, 4) == 4
-    assert linalg._inverse(5)(2) == 3
+    assert linalg._monic(5, [2, 1, 0]) == [1, 3, 0]
+    assert linalg._axpy(5, 2, [1, 4], [3, 3]) == [0, 3]
     assert f5.of(-1) == 4
     assert f5.parse("-1") == 4
 
@@ -447,10 +448,10 @@ def test_kernels_on_empty_shapes(field):
 
 # ---------------------------------------------------------------------------
 # the kernels as they were before empty operands returned at once and before
-# the row work went per field (an inverse table, no scaling at a unit pivot,
-# XOR over F2), kept as oracles for the shapes with a zero dimension and for
-# the row work over every field; they read inverses and negatives through
-# old_inv and old_neg, the FieldSpec methods they called
+# the row work went per field (no scaling at a unit pivot, XOR over F2),
+# kept as oracles for the shapes with a zero dimension and for the row work
+# over every field; they read inverses and negatives through old_inv and
+# old_neg, the FieldSpec methods they called
 
 def old_columns(b):
     return tuple(zip(*b.entries)) if b.rows else ((),) * b.cols
@@ -682,23 +683,10 @@ def test_row_work_matches_the_old_kernels(inputs, data):
         assert repr(span._residue(w)) == repr(old._residue(w))
 
 
-def test_inverses_come_from_a_table_below_the_bound_only():
-    for p in (2, 3, 5, 7, 1021, 1031, 1000003):
-        inverse = linalg._inverse(p)
-        assert inverse is linalg._inverse(p)
-        for x in {1, min(2, p - 1), p // 2, p - 1}:
-            assert inverse(x) * x % p == 1
-        # below the bound a bound method of the table, a tuple of p entries
-        table = getattr(inverse, "__self__", None)
-        assert ((isinstance(table, tuple) and len(table) == p)
-                == (p < linalg._TABLE_BOUND))
-
-
-def test_a_large_prime_builds_no_inverse_table():
+def test_a_large_prime_stays_cheap():
     p = 1000003
     field = GF(p)
     a = Mat(3, 4, ((2, 5, 0, 7), (4, 10, 3, 1), (0, 0, 6, p - 1)))
-    linalg._inverses.pop(p, None)
     tracemalloc.start()
     try:
         r, pivots = linalg.rref(field, a)
@@ -707,7 +695,8 @@ def test_a_large_prime_builds_no_inverse_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a table of p inverses would hold p ints: tens of megabytes
+    # anything of size p, such as a table of inverses, would take tens
+    # of megabytes
     assert peak < 200_000
     assert (r, pivots) == old_rref(field, a)
     assert kernel == old_kernel_basis(field, a)
