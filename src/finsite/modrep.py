@@ -11,8 +11,9 @@ every Hom space, kernel, and limit in the package a finite matrix problem.
 
 Compatible families over morphisms closed under precomposition, acted on
 by reindexing (family_module, with its unit family_unit), are both ways
-the package builds sheaves: coinduction from a full subcategory, and the
-plus construction over each object's minimum cover.
+the package builds sheaves: coinduction from a full subcategory, for a
+subcategory topology, and the plus construction over each object's
+minimum cover, for any other rule.
 
 Representables and sieve presentations are immutable values of (category,
 field, object or sieve), asked for again by every detector and sampler,
@@ -401,7 +402,7 @@ def map_from_vector(v: KModule, w: KModule, vec: Vector) -> ModuleMap:
 # entries (equations x unknowns) of one dense naturality, compatibility or
 # torsion kernel system; the largest the tier-1 tests (acceptance gates
 # included) build have 4,165, 6,480 and 136 entries, and the sheaf
-# benchmark's 250, 162 and 243
+# benchmark's 243, 162 and 243
 _HOM_SYSTEM_CAP = 250_000
 
 
@@ -458,6 +459,20 @@ def hom_space(v: KModule, w: KModule) -> list[ModuleMap]:
         return []
     a = linalg.make_mat(len(rows), n, tuple(rows))
     return [map_from_vector(v, w, k) for k in linalg.kernel_basis(v.field, a)]
+
+
+def yoneda_maps(v: KModule, x: str) -> list[ModuleMap]:
+    """Basis of the maps from the representable at x to v, by Yoneda: one
+    map per basis vector e_i of v at x, sending the basis vector of
+    h: x -> y to V_h e_i. Each map's naturality is checked."""
+    cat = v.cat
+    p = yoneda_module(cat, v.field, x)
+    hom = [(y, cat.hom(x, y)) for y in cat.objects]
+    return [make_module_map(p, v, {
+        y: linalg.make_mat(v.dims[y], len(hs), tuple(
+            tuple(v.action[h].entries[r][i] for h in hs)
+            for r in range(v.dims[y])))
+        for y, hs in hom}, check=True) for i in range(v.dims[x])]
 
 
 # ---------------------------------------------------------------------------

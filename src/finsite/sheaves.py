@@ -21,12 +21,20 @@ representations and sheaves, J. Algebra 144, 1991). The separated, sheaf
 and perpendicular verdicts are those over every cover; each witness list
 is the all-covers list restricted to the least covers.
 
-Sheafification applies the plus construction twice, over the minimum cover
-of each object; for finite intersection-closed cover sets the filtered
-colimit of matching spaces collapses onto that minimum, an equality the
-tests check against the colimit over every cover. One plus step is
-modrep.family_module over the minimum covers, the construction behind
-coinduction too; the rule keeps its least covers and stability verdict.
+Sheafification reads the rule off its minimum covers, one per object.
+When each is J_D's, the sieve of the maps into D for D the objects whose
+minimum cover is maximal, the torsion modules are those vanishing on D and
+the sheaves are the coinduced modules: a(V) = coind_D res_D V, with the
+unit of restriction and coinduction. The paper's theorem makes every
+topology on an artinian EI category such a J_D. On any other rule, such
+as one on a monoid whose minimum cover is neither maximal nor empty, it
+applies the plus construction twice over the minimum covers; for finite intersection-closed cover sets the filtered colimit of
+matching spaces collapses onto that minimum, an equality the tests check
+against the colimit over every cover. Both paths are modrep.family_module
+(coinduction over the maps into D, a plus step over the minimum covers),
+and the tests check the first against the second, up to the one
+isomorphism under V. The rule keeps its least covers and stability
+verdict.
 
 For a rigid topology, verify_rigid_equivalence decides the equivalence of
 sheaves with modules on the irreducible objects by coinducing each
@@ -55,6 +63,7 @@ from .topology import (
     check_axioms,
     require_stable,
     rigidity,
+    subcategory_sieve,
 )
 
 
@@ -192,6 +201,10 @@ def perpendicular_status(cat: FiniteCategory, j: GrothendieckTopology,
     (module docstring), so hom_zero is Hom vanishing on all torsion, and
     ext1_zero, Ext^1 vanishing on these generators, is Ext^1 vanishing on
     all torsion when hom_zero holds: perpendicular is the all-covers verdict.
+
+    Hom(P(x), V) is V(x) by Yoneda (modrep.yoneda_maps); Hom(S, V) is
+    solved from the naturality equations, independently of the matching
+    families the amalgamation test uses.
     """
     field = v.field
     hom_w: list[tuple] = []
@@ -199,7 +212,7 @@ def perpendicular_status(cat: FiniteCategory, j: GrothendieckTopology,
     for x in cat.objects:
         for s in j.least_covers(x):
             pres = modrep.sieve_quotient_module(cat, field, s)
-            hp = modrep.hom_space(pres.ambient, v)
+            hp = modrep.yoneda_maps(v, x)
             hs = modrep.hom_space(pres.sub, v)
             target_len = sum(v.dims[y] * pres.sub.dims[y] for y in cat.objects)
             basis_mat = linalg.from_cols([modrep.map_to_vector(h) for h in hs],
@@ -302,21 +315,29 @@ def plus_construction(cat: FiniteCategory, j: GrothendieckTopology,
 
 def sheafify(cat: FiniteCategory, j: GrothendieckTopology,
              v: KModule) -> tuple[KModule, ModuleMap]:
-    """Two plus steps, their units composed; the result is verified to be
-    a sheaf, and the unit's kernel and cokernel are verified torsion, at
-    runtime."""
-    p1, unit1 = plus_construction(cat, j, v)
-    p2, unit2 = plus_construction(cat, j, p1)
-    unit = modrep.compose_maps(unit2, unit1)
-    if not sheaf_status(cat, j, p2).sheaf:
-        raise FinsiteError("double plus construction is not a sheaf")
+    """The sheaf of v with its unit. On a J_D rule, read off the minimum
+    covers, it is coind_D res_D v with the unit of restriction and
+    coinduction; on any other rule, two plus steps with their units
+    composed. The result is verified to be a sheaf, and the unit's kernel
+    and cokernel are verified torsion, at runtime."""
+    members = _minimum_covers(cat, j)
+    core = [x for x in cat.objects if cat.identity[x] in members[x]]
+    if all(members[x] == subcategory_sieve(cat, core, x).members
+           for x in cat.objects):
+        sh, unit = modrep.coinduction_unit(cat, full_subcategory(cat, core), v)
+    else:
+        p1, unit1 = plus_construction(cat, j, v)
+        sh, unit2 = plus_construction(cat, j, p1)
+        unit = modrep.compose_maps(unit2, unit1)
+    if not sheaf_status(cat, j, sh).sheaf:
+        raise FinsiteError("sheafification is not a sheaf")
     ker, _ = modrep.kernel_of_map(unit)
     if not torsion.is_torsion(cat, j, ker):
         raise FinsiteError("sheafification unit kernel is not torsion")
     coker, _ = modrep.cokernel_of_map(unit)
     if not torsion.is_torsion(cat, j, coker):
         raise FinsiteError("sheafification unit cokernel is not torsion")
-    return p2, unit
+    return sh, unit
 
 
 # ---------------------------------------------------------------------------

@@ -287,17 +287,19 @@ def verify_torsion_pair(cat: FiniteCategory, j: GrothendieckTopology,
 
     - transitive: j+ is a topology, so the pair holds (the Gabriel-filter
       correspondence, Stenström, Rings of Quotients, ch. VI);
-    - not, first witness (x, S, T): P(x)/T extends the torsion P(x)/(S+T)
-      by the torsion (S+T)/T and is not torsion, so its quotient by its
+    - not, witness (x, S, T): P(x)/T extends the torsion P(x)/(S+T) by
+      the torsion (S+T)/T and is not torsion, so its quotient by its
       torsion part is not torsion-free: "quotient_torsion_free" holds
       (x, S, T, dims of P(x)/T) and a torsion vector of that quotient;
-    - not intersection closed, first witness (x, S, T): P(x)/(S ∩ T) lies
+    - not intersection closed, witness (x, S, T): P(x)/(S ∩ T) lies
       diagonally in the torsion P(x)/S + P(x)/T and is not torsion:
       "submodule" holds (x, S, T, dims of P(x)/(S ∩ T)).
 
-    The module-level code checks each witness module. Killed vectors form
-    a subspace when j+ is intersection closed, which makes the first one
-    sure; otherwise a witness the check refutes raises FinsiteError. Each
+    The module-level code checks the witness modules in check_axioms'
+    order and reports the first it confirms. Killed vectors form a
+    subspace when j+ is intersection closed, which makes every
+    transitivity witness sure; otherwise, when the check refutes every
+    witness of a kind, FinsiteError is raised. Each
     of the sample_count seeded random modules must be torsion-free modulo
     its torsion part; a failure, under "sampled_quotient_torsion_free" as
     (index, dims) and a torsion vector, fails the verdict.
@@ -307,20 +309,29 @@ def verify_torsion_pair(cat: FiniteCategory, j: GrothendieckTopology,
         x: (*j.covers.get(x, ()), maximal_sieve(cat, x)) for x in cat.objects})
     axioms = check_axioms(cat, closed)
     witnesses: dict[str, tuple] = {}
-    for x, s, t in axioms.witnesses.get("transitivity", ())[:1]:
+    found = axioms.witnesses.get("transitivity", ())
+    for x, s, t in found:
         q = modrep.sieve_quotient_module(cat, field, Sieve(x, t)).quotient
         bad = _torsion_in_quotient(cat, j, q)
-        if bad is None:
-            raise FinsiteError(f"P({x})/{t} has a torsion-free quotient,"
-                               f" though {s} forces {t}")
-        witnesses["quotient_torsion_free"] = ((x, s, t, dict(q.dims)) + bad,)
-    for x, s, t in axioms.witnesses.get("intersection", ())[:1]:
+        if bad is not None:
+            witnesses["quotient_torsion_free"] = ((x, s, t, dict(q.dims))
+                                                  + bad,)
+            break
+    else:
+        if found:
+            raise FinsiteError(f"each of {len(found)} P(x)/T has a torsion-free"
+                               " quotient, though a cover forces T")
+    found = axioms.witnesses.get("intersection", ())
+    for x, s, t in found:
         meet = make_sieve(cat, x, set(s) & set(t))
         q = modrep.sieve_quotient_module(cat, field, meet).quotient
-        if is_torsion(cat, j, q):
-            raise FinsiteError(f"P({x})/{meet.members} is torsion, though"
-                               f" {meet.members} is no cover")
-        witnesses["submodule"] = ((x, s, t, dict(q.dims)),)
+        if not is_torsion(cat, j, q):
+            witnesses["submodule"] = ((x, s, t, dict(q.dims)),)
+            break
+    else:
+        if found:
+            raise FinsiteError(f"each of {len(found)} P(x)/(S ∩ T) is torsion,"
+                               " though S ∩ T is no cover")
 
     rng = random.Random(f"finsite:pair:{field.label()}:{seed}")
     sampled = []

@@ -93,18 +93,33 @@ def test_linear_system_budget_is_exit_3(monkeypatch):
     # on the least covers of trunc_fi(2) under dense, the sheaf check solves
     # compatibility systems of at most 16 entries (4 equations in 4
     # unknowns), then torsion kernel systems of at most 48 (8 rows in 6
-    # unknowns) for the saturation test, then naturality systems of 84 and
-    # fewer for the perpendicularity test: caps of 1, 16 and 48 stop it at
-    # each in turn; all three systems share the one cap
+    # unknowns) for the saturation test, then naturality systems of at most
+    # 32 (8 equations in 4 unknowns), Hom(S, V) only, for the
+    # perpendicularity test: caps of 1 and 16 stop the check at the first
+    # two; all three systems share the one cap
     argv = ["sheaf", "check", "--category", "trunc_fi:2", "--topology",
             "dense", "--module", os.path.join(DATA, "trunc_fi2_module.json")]
     assert run(argv)[0] == 0
     for cap, system in ((1, "compatibility"), (16, "kernel"),
-                        (48, "naturality")):
+                        (31, "kernel")):
         monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", cap)
         code, text = run(argv)
         assert code == 3, text
         assert text.startswith(f"SizeBudgetExceeded: {system} system of"), text
+    # the saturation test's kernel system on the injective hull I of V at a
+    # cover S has at least the rows and unknowns of the naturality system of
+    # Hom(S, V), so the check never reaches the latter first; the
+    # perpendicularity test alone refuses it
+    cat = fincat.standard_builder("trunc_fi", {"n": 2})(fincat.DEFAULT_BUDGET)
+    with open(os.path.join(DATA, "trunc_fi2_module.json"),
+              encoding="utf-8") as handle:
+        v = modrep.validate_module(cat, json.load(handle))
+    dense = topology.named_topology(cat, "dense")
+    with pytest.raises(SizeBudgetExceeded,
+                       match="^naturality system of 8 equations in 4 unknowns"):
+        sheaves.perpendicular_status(cat, dense, v)
+    monkeypatch.setattr(modrep, "_HOM_SYSTEM_CAP", 32)
+    assert not sheaves.perpendicular_status(cat, dense, v).perpendicular
 
 
 def test_torsion_kernel_budget_is_exit_3(monkeypatch):

@@ -189,6 +189,38 @@ def test_hom_space_members_are_natural(cat_quiver2):
         modrep.make_module_map(v, w, phi.components, check=True)
 
 
+YONEDA_CATS = [*ei_fixture_categories(), idem_monoid(),
+               fincat.build_monoid_category(fincat.cyclic_group_table(3),
+                                            name="C3"),
+               fincat.build_orbit_category(fincat.symmetric_group_table(3),
+                                           name="orbit_S3")[0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cat=st.sampled_from(YONEDA_CATS), field=st.sampled_from((F2, F3, QQ)),
+       seed=st.integers(0, 10_000), max_dim=st.integers(0, 3), data=st.data())
+def test_yoneda_maps_span_the_hom_space(cat, field, seed, max_dim, data):
+    # the maps h -> V_h e_i are a basis of Hom(P(x), V): as many as dim V(x),
+    # and spanning what the naturality solve, the oracle, finds
+    v = modrep.random_module(cat, field, seed, max_dim)
+    x = data.draw(st.sampled_from(cat.objects))
+    p = modrep.yoneda_module(cat, field, x)
+    maps = modrep.yoneda_maps(v, x)
+    oracle = modrep.hom_space(p, v)
+    assert len(maps) == len(oracle) == v.dims[x]
+    assert all(m.source is p and m.target is v for m in maps)
+    vecs = [modrep.map_to_vector(m) for m in maps]
+    both = vecs + [modrep.map_to_vector(m) for m in oracle]
+    n = len(both[0]) if both else 0
+    assert (len(linalg.span_basis(field, vecs, n))
+            == len(linalg.span_basis(field, both, n)) == v.dims[x])
+    # e_i is where the identity of x sends its basis vector
+    at_x = cat.hom(x, x).index(cat.identity[x])
+    for i, m in enumerate(maps):
+        assert m.components[x].col(at_x) == tuple(
+            field.one() if k == i else field.zero() for k in range(v.dims[x]))
+
+
 def test_hom_space_system_budget(monkeypatch, cat_quiver2):
     v = dense_sheaf_module(cat_quiver2, F3)
     w = modrep.yoneda_module(cat_quiver2, F3, "x")

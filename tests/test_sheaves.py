@@ -376,7 +376,8 @@ def test_detectors_match_the_oracles_on_several_least_covers():
 
 def test_verdict_solves_once_per_object(monkeypatch):
     # on a topology the least covers are the one minimum cover per object:
-    # one compatibility system per object and two hom spaces per object
+    # one compatibility system and one hom space per object, the maps out
+    # of the representable being read off by Yoneda
     calls = []
     stage = [None]
 
@@ -406,7 +407,7 @@ def test_verdict_solves_once_per_object(monkeypatch):
             calls.clear()
             sheaves.sheaf_verdict(cat, j, v)
             assert calls.count(("sheaf_status", "compatible_families")) == n
-            assert calls.count(("perpendicular_status", "hom_space")) == 2 * n
+            assert calls.count(("perpendicular_status", "hom_space")) == n
 
 
 def test_one_stability_scan_per_rule_along_the_sheaf_path(monkeypatch):
@@ -506,6 +507,123 @@ def test_sheafify_checks_the_rule_once(cat_quiver2, monkeypatch):
     dense = topology.named_topology(cat_quiver2, "dense")
     sheaves.sheafify(cat_quiver2, dense, dense_sheaf_module(cat_quiver2, F2))
     assert calls == [dense]
+
+
+def double_plus(cat, j, v):
+    """The oracle: two plus steps, their units composed."""
+    p1, unit1 = sheaves.plus_construction(cat, j, v)
+    p2, unit2 = sheaves.plus_construction(cat, j, p1)
+    return p2, modrep.compose_maps(unit2, unit1)
+
+
+def maps_under(a, b):
+    """Every psi: cod a -> cod b with psi a = b, a and b out of one module:
+    none or one, the solution being checked unique."""
+    field = a.source.field
+    basis = [modrep.map_to_vector(h)
+             for h in modrep.hom_space(a.target, b.target)]
+    n = len(modrep.map_to_vector(b))
+    system = linalg.from_cols(
+        [modrep.map_to_vector(modrep.compose_maps(
+            modrep.map_from_vector(a.target, b.target, h), a)) for h in basis],
+        rows=n)
+    assert linalg.rank(field, system) == len(basis)  # psi a = 0 forces 0
+    coeffs = linalg.solve_matrix(field, system, linalg.from_cols(
+        [modrep.map_to_vector(b)], rows=n))
+    if coeffs is None:
+        return []
+    m = sum(a.target.dims[x] * b.target.dims[x] for x in a.source.cat.objects)
+    psi = linalg.mat_vec(field, linalg.from_cols(basis, rows=m), coeffs.col(0))
+    return [modrep.map_from_vector(a.target, b.target, psi)]
+
+
+ORBIT_CATS = [fincat.build_orbit_category(fincat.cyclic_group_table(n),
+                                          name=f"orbit_C{n}")[0]
+              for n in (2, 4)]
+
+
+@st.composite
+def jd_rules(draw):
+    """A J_D rule on a random poset of up to four objects, an EI fixture or
+    an orbit category."""
+    kind = draw(st.sampled_from(("poset", "fixture", "orbit")))
+    if kind == "poset":
+        objs = [f"p{i}" for i in range(draw(st.integers(1, 4)))]
+        order = draw(st.permutations(objs))
+        cat = fincat.build_poset_category(
+            objs, [(a, b) for a, b in itertools.combinations(order, 2)
+                   if draw(st.booleans())])
+    elif kind == "fixture":
+        cat = draw(st.sampled_from(ei_fixture_categories()))
+    else:
+        cat = draw(st.sampled_from(ORBIT_CATS))
+    return cat, draw(st.sampled_from(
+        topology.enumerate_consistent_families(cat)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule=jd_rules(), field=st.sampled_from((F2, F3, QQ)),
+       seed=st.integers(0, 10_000), max_dim=st.integers(0, 2))
+def test_coinduction_sheafification_matches_the_double_plus(rule, field, seed,
+                                                           max_dim):
+    # on J_D, sheafify is coind_D res_D: one psi under V, from it to V++
+    # with psi after its unit the plus unit, and psi invertible
+    cat, j = rule
+    v = modrep.random_module(cat, field, seed, max_dim)
+    sh, unit = sheaves.sheafify(cat, j, v)
+    core = fincat.full_subcategory(cat, topology.irreducible_objects(cat, j))
+    coind, coind_unit = modrep.coinduction_unit(cat, core, v)
+    assert modrep.module_to_doc(sh) == modrep.module_to_doc(coind)
+    assert unit.components == coind_unit.components
+    plus, plus_unit = double_plus(cat, j, v)
+    (psi,) = maps_under(unit, plus_unit)
+    assert all(linalg.is_invertible(field, psi.components[x])
+               for x in cat.objects)
+
+
+def one_object_rules_with_minimum_covers(cat):
+    """Every stable rule on a one-object category with one least cover."""
+    (x,) = cat.objects
+    universe = sieves.all_sieves(cat, x)
+    rules = (topology.make_rule(cat, {x: pick})
+             for k in range(1, len(universe) + 1)
+             for pick in itertools.combinations(universe, k))
+    return [j for j in rules if topology.check_stability_only(cat, j) is None
+            and len(j.least_covers(x)) == 1]
+
+
+def test_sheafify_takes_coinduction_exactly_on_jd_rules(monkeypatch):
+    # every topology of the EI fixtures is a J_D, rigid, and coinduced;
+    # on a monoid, D is everything or nothing, so a minimum cover that is
+    # neither maximal nor empty takes the double plus construction
+    calls = []
+    for mod, name in ((modrep, "coinduction_unit"),
+                      (sheaves, "plus_construction")):
+        def counted(*args, fn=getattr(mod, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(mod, name, counted)
+    cases = [(cat, j, True) for cat in ei_fixture_categories()
+             for j in topology.enumerate_topologies(cat)]
+    assert all(topology.rigidity(cat, j).rigid for cat, j, _ in cases)
+    monoids = [idem_monoid(),
+               fincat.build_monoid_category(fincat.cyclic_group_table(3),
+                                            name="C3"),
+               fincat.build_monoid_category([[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+                                            name="zero_monoid")]
+    for cat in monoids:
+        (x,) = cat.objects
+        for j in one_object_rules_with_minimum_covers(cat):
+            least = j.least_covers(x)[0]
+            cases.append((cat, j, least in (sieves.maximal_sieve(cat, x),
+                                            sieves.make_sieve(cat, x, ()))))
+    assert (len(cases), sum(not jd for *_, jd in cases)) == (61, 4)
+    for cat, j, jd in cases:
+        v = modrep.random_module(cat, F3, seed=2, max_dim=2)
+        calls.clear()
+        sheaves.sheafify(cat, j, v)
+        assert calls == (["coinduction_unit"] if jd
+                         else ["plus_construction"] * 2), (cat.name, j)
 
 
 # ---------------------------------------------------------------------------

@@ -722,6 +722,44 @@ def test_torsion_pair_certificate_never_stops_short():
     assert (runs, passed) == (1629, 795)
 
 
+def test_torsion_pair_certificate_tries_every_witness(monkeypatch):
+    # {f} covers x and the empty sieve covers y: the closure is not
+    # transitive, with four witnesses at x. With the first refused, the
+    # report cites the second; with all four refused, it raises
+    cat = quiver2()
+    j = topology.make_rule(cat, {
+        "x": [sieves.make_sieve(cat, "x", ["f"])],
+        "y": [sieves.make_sieve(cat, "y", []),
+              sieves.maximal_sieve(cat, "y")]})
+    closed = torsion.inclusion_closure(cat, {
+        x: (*j.covers[x], sieves.maximal_sieve(cat, x)) for x in cat.objects})
+    found = topology.check_axioms(cat, closed).witnesses["transitivity"]
+    assert len(found) == 4
+    plain = torsion.verify_torsion_pair(cat, j, F2, sample_count=0)
+    assert plain.witnesses["quotient_torsion_free"][0][:3] == found[0]
+    confirm = torsion._torsion_in_quotient
+    refuted = []
+
+    def refute(first):
+        def call(cat, j, v):
+            refuted.append(v)
+            return None if len(refuted) <= first else confirm(cat, j, v)
+        return call
+
+    monkeypatch.setattr(torsion, "_torsion_in_quotient", refute(1))
+    rep = torsion.verify_torsion_pair(cat, j, F2, sample_count=0)
+    assert len(refuted) == 2
+    (cited,) = rep.witnesses["quotient_torsion_free"]
+    assert cited[:3] == found[1]
+    assert not rep.quotients_torsion_free and not rep.passed
+    confirm_witnesses(cat, j, F2, rep)
+    refuted.clear()
+    monkeypatch.setattr(torsion, "_torsion_in_quotient", refute(4))
+    with pytest.raises(FinsiteError, match="each of 4 P"):
+        torsion.verify_torsion_pair(cat, j, F2, sample_count=0)
+    assert len(refuted) == 4
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), field=st.sampled_from((F2, GF(3))),
        seed=st.integers(0, 10_000))
