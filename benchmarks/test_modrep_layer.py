@@ -38,8 +38,11 @@ def inputs(name: str, label: str):
     cat, field = CATEGORIES[name](), FIELDS[label]
     v = modrep.random_module(cat, field, SEED, 3)
     x = next(x for x in cat.objects if v.dims[x])
+    spans = {y: linalg.Echelon(field, v.dims[y]) for y in cat.objects}
+    spans[x].add((field.one(),) * v.dims[x])
+    modrep._saturate(v, spans, dict.fromkeys(cat.morphisms, 0))
     _, incl = modrep.submodule_from_spans(
-        v, {x: [(field.one(),) * v.dims[x]]})
+        v, {y: e.basis for y, e in spans.items()})
     h = modrep.hom_space(modrep.yoneda_module(cat, field, x), v)[0]
     return cat, field, v, incl, h
 

@@ -47,7 +47,8 @@ columns returns it at once (kernel_basis reaches that through rref), and
 solve_matrix with no columns on either side needs no elimination: with
 none in b the solution is empty, and with none in a it is zero when b is
 zero and does not exist otherwise. `FieldSpec` checks in its constructor
-that a finite order is prime.
+that a finite order is prime, by deterministic Miller-Rabin, and refuses
+an order past the bound where that test is exact (SizeBudgetExceeded).
 """
 
 from __future__ import annotations
@@ -56,7 +57,20 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import Record, ShapeMismatch
+from .errors import Record, ShapeMismatch, SizeBudgetExceeded
+
+# Miller-Rabin to bases 2..41 is exact below the bound (Sorenson-Webster 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of 2 <= n < _MR_BOUND, by deterministic Miller-Rabin."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    return n in _MR_BASES or all(
+        pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+        for a in _MR_BASES)
 
 
 class FieldSpec(Record):
@@ -66,7 +80,11 @@ class FieldSpec(Record):
 
     def __init__(self, p: int | None = None) -> None:
         if p is not None:
-            if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+            if p >= _MR_BOUND:
+                raise SizeBudgetExceeded(
+                    f"field order {p} is not below {_MR_BOUND}, where"
+                    " primality is decided")
+            if p < 2 or not _is_prime(p):
                 raise ValueError(f"field order must be prime, got {p}")
         object.__setattr__(self, "p", p)
 

@@ -502,16 +502,19 @@ def _saturate(v: KModule, spans: Mapping[str, linalg.Echelon],
                     changed = True
 
 
-def _submodule(v: KModule, spans: Mapping[str, linalg.Echelon],
-               ) -> tuple[KModule, ModuleMap]:
-    """The submodule on action-closed spans, with its inclusion. The
-    basis at each object is independent, so an identity acts by I. The
-    solves are the closure check: spans not closed raise PreconditionFailed
-    at the first morphism, in _non_identities order, that leaves them."""
+def submodule_from_spans(v: KModule, spans: Mapping[str, Sequence[Vector]]
+                         ) -> tuple[KModule, ModuleMap]:
+    """Submodule spanned by the given vectors, which must be closed under
+    the action, with its inclusion. Its basis at x is the span_basis of
+    the vectors at x, independent, so an identity acts by I. The solves
+    are the closure check: spans not closed raise PreconditionFailed at
+    the first morphism, in _non_identities order, that leaves them."""
     field = v.field
     cat = v.cat
-    dims = {x: spans[x].rank for x in cat.objects}
-    comps = {x: linalg.from_cols(spans[x].basis, rows=v.dims[x])
+    bases = {x: linalg.span_basis(field, spans.get(x, ()), v.dims[x])
+             for x in cat.objects}
+    dims = {x: len(bases[x]) for x in cat.objects}
+    comps = {x: linalg.from_cols(bases[x], rows=v.dims[x])
              for x in cat.objects}
     action = _identity_action(cat, field, dims)
     for f in _non_identities(cat):
@@ -523,21 +526,6 @@ def _submodule(v: KModule, spans: Mapping[str, linalg.Echelon],
     sub = make_module(cat, field, dims, action, check=False)
     incl = make_module_map(sub, v, comps, check=False)
     return sub, incl
-
-
-def submodule_from_spans(v: KModule, spans: Mapping[str, Sequence[Vector]],
-                         close: bool = True) -> tuple[KModule, ModuleMap]:
-    """Submodule spanned by the given vectors, with its inclusion.
-
-    close=True saturates the spans under the action first; close=False
-    requires the spans to be action-closed already and raises
-    PreconditionFailed otherwise.
-    """
-    echelons = {x: linalg.Echelon(v.field, v.dims[x], spans.get(x, ()))
-                for x in v.cat.objects}
-    if close:
-        _saturate(v, echelons, dict.fromkeys(v.cat.morphisms, 0))
-    return _submodule(v, echelons)
 
 
 def quotient_module(v: KModule,
@@ -636,7 +624,7 @@ def kernel_of_map(m: ModuleMap) -> tuple[KModule, ModuleMap]:
     field = m.source.field
     spans = {x: linalg.kernel_basis(field, m.components[x])
              for x in m.source.cat.objects}
-    return submodule_from_spans(m.source, spans, close=False)
+    return submodule_from_spans(m.source, spans)
 
 
 def cokernel_of_map(m: ModuleMap) -> tuple[KModule, ModuleMap]:

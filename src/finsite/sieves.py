@@ -10,14 +10,17 @@ set bits of a mask, read upward, are the sorted members of its Sieve. The
 mask index (_Index) holds, for each morphism f: x -> y, its bit at x
 (bit[x][f], the int 1 << i), its principal mask (the sieve f generates),
 and pre[f]: for each g out of y, in that order, the bit of g.f at x. So
-f*(S) has bit i exactly when pre[f][i] meets S; union is |, intersection
-&, and S lies inside T when S & ~T is 0. Each category has one index,
-built when the category is first used for sieves (_mask_index) and kept
-on its instance, outside the record's fields, by fincat._kept, the helper
-modrep keeps its representables with; only the index's constructor reads
-composition. The tuple Sieve appears only at the boundaries: arguments
-and results, covers, witnesses and documents. It becomes a mask through
-_Index.mask alone.
+f*(S) has bit i exactly when pre[f][i] meets S (_Index.pull); union is |,
+intersection &, and S lies inside T when S & ~T is 0. Each category has
+one index, built when the category is first used for sieves (_mask_index)
+and kept on its instance, outside the record's fields, by fincat._kept;
+only the index's constructor reads composition. It is also the category's
+one sieve table: _Index.universe lists the sieves on x once, in canonical
+order, and keeps them, as masks and Sieves, with their pullbacks along
+each f out of x. DEFAULT_MAX_SIEVES is read at each call: a scan past it
+keeps nothing, and a kept list past it is scanned again, so refused. The
+tuple Sieve appears only at the boundaries: arguments and results, covers,
+witnesses and documents. It becomes a mask through _Index.mask alone.
 """
 
 from __future__ import annotations
@@ -75,10 +78,12 @@ def sieve_sort_key(s: Sieve):
 
 class _Index:
     """The mask index of a category: bit, pre and principal for every
-    morphism. It keeps the category's mappings, not the category, so the
-    index kept on the category makes no reference cycle."""
+    morphism, and the sieve table kept as it is read (universe). It keeps
+    the category's mappings, not the category, so the index kept on the
+    category makes no reference cycle."""
 
-    __slots__ = ("dom", "cod", "out_of", "bit", "pre", "principal")
+    __slots__ = ("dom", "cod", "out_of", "bit", "pre", "principal",
+                 "universes")
 
     def __init__(self, cat: FiniteCategory) -> None:
         self.dom, self.cod, self.out_of = cat.dom, cat.cod, cat.out_of
@@ -92,6 +97,7 @@ class _Index:
             for f in out_of[x]:
                 row = pre[f] = [at[compose[g, f]] for g in out_of[cod[f]]]
                 principal[f] = reduce(or_, row, 0)
+        self.universes: dict[str, tuple] = {}
 
     def mask(self, x: str, s: Sieve) -> int:
         """The mask of the members of s: the one conversion of a Sieve to a
@@ -139,9 +145,9 @@ class _Index:
                 out |= 1 << i
         return out
 
-    def masks(self, x: str) -> list[int]:
+    def scan(self, x: str) -> list[int]:
         """The mask of every sieve on x, in the canonical order of
-        sieve_sort_key (size, then members).
+        sieve_sort_key (size, then members): the universe builder.
 
         Each f out of x in turn adds principal(f) | s for every s found so
         far, starting from the empty sieve. A sieve is the union of the
@@ -162,6 +168,18 @@ class _Index:
         # bits are in name order: comparing set bits upward compares members
         return sorted(found, key=lambda m: (m.bit_count(), [
             i for i in range(m.bit_length()) if m >> i & 1]))
+
+    def universe(self, x: str) -> tuple:
+        """(masks, Sieves, pulls) of the sieves S on x in canonical order;
+        pulls[i] maps the mask of S to that of f*(S), f the i-th morphism
+        out of x. Kept from the first call; callers must not change it."""
+        kept = self.universes.get(x)
+        if kept is None or len(kept[0]) > DEFAULT_MAX_SIEVES:
+            masks = self.scan(x)  # past the budget, it raises
+            kept = self.universes[x] = (
+                masks, [self.sieve(x, m) for m in masks],
+                [{m: self.pull(f, m) for m in masks} for f in self.out_of[x]])
+        return kept
 
 
 def _mask_index(cat: FiniteCategory) -> _Index:
@@ -221,8 +239,7 @@ def all_sieves(cat: FiniteCategory, x: str) -> list[Sieve]:
     """Every sieve on x, canonically ordered (size, then member tuple)."""
     if x not in cat.identity:
         raise UnknownObject(x)
-    index = _mask_index(cat)
-    return [index.sieve(x, m) for m in index.masks(x)]
+    return list(_mask_index(cat).universe(x)[1])
 
 
 def pullback_sieve(cat: FiniteCategory, s: Sieve, f: str) -> Sieve:
@@ -234,10 +251,7 @@ def pullback_sieve(cat: FiniteCategory, s: Sieve, f: str) -> Sieve:
     if cat.dom.get(f) != s.base:
         raise WrongDomain(f"{f!r} is not a morphism out of {s.base}")
     index = _mask_index(cat)
-    m = index.mask(s.base, s)
-    y = cat.cod[f]
-    return Sieve(y, tuple([g for g, b in zip(cat.out_of[y], index.pre[f])
-                           if m & b]))
+    return index.sieve(cat.cod[f], index.pull(f, index.mask(s.base, s)))
 
 
 def sieve_to_doc(s: Sieve) -> dict:

@@ -19,15 +19,13 @@ minimum sieves, which together are necessary and sufficient for the up-set
 rule to be a topology. Its budget counts the (object, sieve) pairs tried,
 and every rule it emits is re-verified by check_axioms' full scan.
 
-The search and that certificate share the sieve tables of one call
-(_Tables: every sieve on each object as a mask, and the pullback of each
-along every morphism). The tables are built per call. The mask index they
-are built from is built once per category, and kept on it, by the sieves
-module; every other mask here (the stability scan, the named and J_D
-rules, minimum covers) comes from that same index. The certificate shares
-nothing else: it re-derives all three axioms and both closure checks from
-the rule's own covers, and never reads the search's pruning conditions or
-their tables.
+The sieve tables (every sieve on each object, and its pullback along
+each morphism) are the category's, kept by its mask index in the sieves
+module, so the search, check_axioms, saturate_rule and the named and J_D
+rules read one set; the stability scan pulls back only the covers. The
+certificate shares nothing else with the search: it re-derives all three
+axioms and both closure checks from the rule's own covers, and never
+reads the search's pruning conditions.
 
 The subcategory topology J_D of an object set D covers x by every sieve
 containing the morphisms from x into D (subcategory_sieve). On a finite
@@ -174,23 +172,6 @@ class AxiomReport(Record):
         return self.maximal_ok and self.stability_ok and self.transitivity_ok
 
 
-class _Tables:
-    """The sieve tables that the topology search and its certificate share,
-    built once per call from the category's mask index: per object x, the
-    mask of every sieve on x in canonical order (universe), the Sieves of
-    those masks, and per morphism f, the pullback f*(S) of every sieve S
-    on dom f (pull[f][S])."""
-
-    def __init__(self, cat: FiniteCategory) -> None:
-        index = _mask_index(cat)
-        self.universe = {x: index.masks(x) for x in cat.objects}
-        self.sieves = {x: [index.sieve(x, m) for m in u]
-                       for x, u in self.universe.items()}
-        self.pull = {f: {m: index.pull(f, m)
-                         for m in self.universe[cat.dom[f]]}
-                     for f in cat.morphisms}
-
-
 def _cover_masks(cat: FiniteCategory, j: GrothendieckTopology
                  ) -> dict[str, list[tuple[Sieve, int]]]:
     """Per object, the covers in canonical order, each with its mask. A
@@ -214,38 +195,33 @@ def check_axioms(cat: FiniteCategory, j: GrothendieckTopology) -> AxiomReport:
     Transitivity witnesses are collected exhaustively: every pair (S, T) with
     S a cover forcing the non-cover T is recorded.
     """
-    return _check_axioms(cat, j, _Tables(cat))
-
-
-def _check_axioms(cat: FiniteCategory, j: GrothendieckTopology,
-                  tables: _Tables) -> AxiomReport:
-    """check_axioms on tables already built for cat."""
+    universes = {x: _mask_index(cat).universe(x) for x in cat.objects}
     covers = _cover_masks(cat, j)
     cov = {x: {m for _, m in pairs} for x, pairs in covers.items()}
-    pull, cod = tables.pull, cat.cod
+    cod = cat.cod
     found: dict[str, list[tuple]] = {
         "maximal": [],
-        "stability": list(_stability_violations(
-            cat, covers, cov, lambda f, m: pull[f][m])),
+        "stability": list(_stability_violations(cat, covers, cov)),
         "transitivity": [], "inclusion": [], "intersection": []}
     for x in cat.objects:
         pairs, jx = covers[x], cov[x]
         outs = cat.out_of[x]
         if (1 << len(outs)) - 1 not in jx:
             found["maximal"].append((x,))
-        universe = list(zip(tables.universe[x], tables.sieves[x]))
-        for t, ts in universe:
+        masks, sieves, pulls = universes[x]
+        for t, ts in zip(masks, sieves):
             if t in jx:
                 continue
             # the members f of x whose pullback f*(T) is a cover
             good = 0
             for i, f in enumerate(outs):
-                if pull[f][t] in cov[cod[f]]:
+                if pulls[i][t] in cov[cod[f]]:
                     good |= 1 << i
             found["transitivity"].extend(
                 (x, s.members, ts.members) for s, m in pairs if not m & ~good)
         found["inclusion"].extend(
-            (x, s.members, ts.members) for s, m in pairs for t, ts in universe
+            (x, s.members, ts.members) for s, m in pairs
+            for t, ts in zip(masks, sieves)
             if not m & ~t and t not in jx)
         found["intersection"].extend(
             (x, s.members, t.members)
@@ -258,11 +234,12 @@ def _check_axioms(cat: FiniteCategory, j: GrothendieckTopology,
         {kind: tuple(w) for kind, w in found.items() if w})
 
 
-def _stability_violations(cat: FiniteCategory, covers, cov, pull):
+def _stability_violations(cat: FiniteCategory, covers, cov):
     """Every stability violation (x, sieve members, f), in order; stability
     quantifies over every morphism out of x, not only the sieve's members.
-    covers[x] lists (Sieve, mask) in canonical order, cov[x] is the set of
-    their masks, and pull(f, m) is f*(S) for the mask m of S."""
+    covers[x] lists (Sieve, mask) in canonical order and cov[x] is the set
+    of their masks. Only the covers are pulled back (_Index.pull)."""
+    pull = _mask_index(cat).pull
     for x in cat.objects:
         for s, m in covers[x]:
             for f in cat.out_of[x]:
@@ -283,8 +260,7 @@ def check_stability_only(cat: FiniteCategory,
 def _stability_scan(cat: FiniteCategory, j: GrothendieckTopology):
     covers = _cover_masks(cat, j)
     cov = {x: {m for _, m in pairs} for x, pairs in covers.items()}
-    return next(_stability_violations(cat, covers, cov,
-                                      _mask_index(cat).pull), None)
+    return next(_stability_violations(cat, covers, cov), None)
 
 
 def require_stable(cat: FiniteCategory, j: GrothendieckTopology) -> None:
@@ -309,7 +285,7 @@ def named_topology(cat: FiniteCategory, kind: str) -> GrothendieckTopology:
         # for every f out of x
         index = _mask_index(cat)
         return make_rule(cat, {
-            x: [index.sieve(x, m) for m in index.masks(x)
+            x: [s for m, s in zip(*index.universe(x)[:2])
                 if all(m & index.principal[f] for f in cat.out_of[x])]
             for x in cat.objects})
     if kind == "atomic":
@@ -353,8 +329,10 @@ def enumerate_topologies(cat: FiniteCategory) -> list[GrothendieckTopology]:
     the same sieve tables, so correctness never rests on the pruning; a
     rejected one is a library bug and raises FinsiteError.
     """
-    tables = _Tables(cat)
-    universe, sieves = tables.universe, tables.sieves
+    idx = _mask_index(cat)
+    universe, sieves, pulls = {}, {}, {}
+    for x in cat.objects:
+        universe[x], sieves[x], pulls[x] = idx.universe(x)
     order = sorted(cat.objects, key=lambda x: len(cat.morphisms_from(x)))
     pos = {x: i for i, x in enumerate(order)}
     # above[x][a]: bitmask of the sieves on x containing sieve a
@@ -365,11 +343,12 @@ def enumerate_topologies(cat: FiniteCategory) -> list[GrothendieckTopology]:
     # contains sieve b on cod f
     index = {x: {s: i for i, s in enumerate(u)} for x, u in universe.items()}
     forced = {}
-    for f in cat.morphisms:
-        y = cat.cod[f]
-        pull = [index[y][tables.pull[f][s]] for s in universe[cat.dom[f]]]
-        forced[f] = [sum(1 << a for a, p in enumerate(pull) if up >> p & 1)
-                     for up in above[y]]
+    for x in cat.objects:
+        for f, table in zip(cat.out_of[x], pulls[x]):
+            y = cat.cod[f]
+            pull = [index[y][p] for p in table.values()]
+            forced[f] = [sum(1 << a for a, p in enumerate(pull)
+                             if up >> p & 1) for up in above[y]]
     # stability of f is tested at the later of its two endpoints; the
     # transitivity of (x, a) once the codomains of a's members are placed
     edges_at: list[list[str]] = [[] for _ in order]
@@ -402,7 +381,7 @@ def enumerate_topologies(cat: FiniteCategory) -> list[GrothendieckTopology]:
             rule = make_rule(cat, {x: [s for b, s in enumerate(sieves[x])
                                        if above[x][m[x]] >> b & 1]
                                    for x in cat.objects})
-            if not _check_axioms(cat, rule, tables).is_topology:
+            if not check_axioms(cat, rule).is_topology:
                 raise FinsiteError(
                     f"topology search on {cat.name} emitted a rule that "
                     "check_axioms rejects")
@@ -449,12 +428,10 @@ def enumerate_consistent_families(cat: FiniteCategory
     if not (flags.directed and flags.ei):
         raise NotDirectedEI(f"{cat.name} is not directed EI")
     index = _mask_index(cat)
-    universe = {x: [(m, index.sieve(x, m)) for m in index.masks(x)]
-                for x in cat.objects}
 
     def upset(d: tuple[str, ...], x: str) -> list[Sieve]:
         low = index.mask(x, subcategory_sieve(cat, d, x))
-        return [s for m, s in universe[x] if not low & ~m]
+        return [s for m, s in zip(*index.universe(x)[:2]) if not low & ~m]
 
     out = [make_rule(cat, {x: upset(d, x) for x in cat.objects})
            for r in range(len(cat.objects) + 1)
@@ -526,11 +503,10 @@ def saturate_rule(cat: FiniteCategory,
     So the fixpoint is the least topology, and every round that does not
     end the loop adds a sieve of the finite universe, so the loop ends.
     """
-    tables = _Tables(cat)
     covers = {x: set(j.covers.get(x, frozenset())) for x in cat.objects}
     while True:
         rule = make_rule(cat, covers)
-        report = _check_axioms(cat, rule, tables)
+        report = check_axioms(cat, rule)
         if report.is_topology:
             return rule
         for (x,) in report.witnesses.get("maximal", ()):

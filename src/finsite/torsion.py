@@ -96,7 +96,7 @@ def torsion_submodule(cat: FiniteCategory, j: GrothendieckTopology,
     action. The submodule constructor re-verifies the closure.
     """
     require_stable(cat, j)
-    return modrep.submodule_from_spans(v, torsion_spans(cat, j, v), close=False)
+    return modrep.submodule_from_spans(v, torsion_spans(cat, j, v))
 
 
 class TorsionReport(Record):
@@ -210,7 +210,7 @@ def inclusion_closure(cat: FiniteCategory,
     out = {}
     for x in cat.objects:
         base = [index.mask(x, s) for s in covers.get(x, ())]
-        out[x] = [index.sieve(x, t) for t in index.masks(x)
+        out[x] = [ts for t, ts in zip(*index.universe(x)[:2])
                   if any(not s & ~t for s in base)]
     return make_rule(cat, out)
 

@@ -40,6 +40,16 @@ def hstack(mats, rows):
                             for i in range(rows)))
 
 
+def closed_spans(v: modrep.KModule, spans) -> dict:
+    """The spans closed under v's action, as random_module closes its
+    relations: what submodule_from_spans needs for the submodule the
+    vectors generate."""
+    echelons = {x: linalg.Echelon(v.field, v.dims[x], spans.get(x, ()))
+                for x in v.cat.objects}
+    modrep._saturate(v, echelons, dict.fromkeys(v.cat.morphisms, 0))
+    return {x: e.basis for x, e in echelons.items()}
+
+
 def constant_module(cat: fincat.FiniteCategory, field) -> modrep.KModule:
     """k at every object, every morphism acting by 1."""
     one = linalg.identity(field, 1)

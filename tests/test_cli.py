@@ -74,6 +74,15 @@ def test_exit_code_contract(tmp_path):
         (["typen", "census", "--horizon", "30"], 3),
         (["typen", "validate", "--spec", SPEC_110,
           "--horizon", "20000000"], 3),
+        # primality by Miller-Rabin: decided at once, refused past its bound
+        (["torsion", "pair", "--category", "chain2", "--topology", "dense",
+          "--field", "Fp:1000000000000000003", "--samples", "0"], 0),
+        (["torsion", "pair", "--category", "chain2", "--topology", "dense",
+          "--field", "Fp:1000000016000000063", "--samples", "0"], 2),
+        (["torsion", "pair", "--category", "chain2", "--topology", "dense",
+          "--field", "Fp:3215031751", "--samples", "0"], 2),
+        (["torsion", "pair", "--category", "chain2", "--topology", "dense",
+          "--field", "Fp:3317044064679887385961981", "--samples", "0"], 3),
     ]
     for argv, want in cases:
         code, text = run(argv)

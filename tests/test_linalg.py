@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import sys
+import time
 import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsite import linalg, modrep, sheaves, topology, torsion
-from finsite.errors import ShapeMismatch
+from finsite.errors import ShapeMismatch, SizeBudgetExceeded
 from finsite.linalg import GF, QQ, Mat, from_cols, from_rows
 
 from conftest import chain, hstack, quiver2
@@ -44,6 +45,56 @@ def test_field_arithmetic_mod_p():
 def test_nonprime_field_rejected():
     with pytest.raises(ValueError):
         GF(6)
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-5, 10 ** 6))
+def test_primality_matches_trial_division(n):
+    try:
+        GF(n)
+    except ValueError:
+        assert not trial_division_is_prime(n)
+    else:
+        assert trial_division_is_prime(n)
+
+
+def test_primality_of_small_orders_matches_trial_division():
+    assert [n for n in range(2, 5000) if linalg._is_prime(n)] == [
+        n for n in range(2, 5000) if trial_division_is_prime(n)]
+
+
+@pytest.mark.parametrize(("n", "prime"), [
+    (10 ** 18 + 3, True),
+    (2 ** 61 - 1, True),
+    ((10 ** 9 + 7) * (10 ** 9 + 9), False),
+    (3215031751, False),  # a strong pseudoprime to bases 2, 3, 5 and 7
+    # a strong pseudoprime to every prime base up to 37
+    (318665857834031151167461, False),
+])
+def test_large_orders_are_decided_at_once(n, prime):
+    started = time.perf_counter()
+    try:
+        GF(n)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted is prime
+    assert time.perf_counter() - started < 0.1
+
+
+def test_orders_past_the_exact_bound_are_refused():
+    # the least strong pseudoprime to every prime base up to 41, where
+    # Miller-Rabin to those bases stops being exact
+    with pytest.raises(SizeBudgetExceeded):
+        GF(3317044064679887385961981)
+    with pytest.raises(SizeBudgetExceeded):
+        GF(10 ** 30 + 57)
+    with pytest.raises(ValueError):
+        GF(3317044064679887385961981 - 1)  # even, and just below the bound
 
 
 def test_rref_and_rank():

@@ -29,6 +29,7 @@ from finsite.linalg import GF, QQ, Mat
 
 from conftest import (
     chain,
+    closed_spans,
     constant_module,
     diamond,
     ei_fixture_categories,
@@ -300,8 +301,8 @@ def test_submodule_requires_closure(cat_quiver2):
     # the span of 1_x at x is not closed under postcomposition by f
     spans = {"x": [(F2.one(),)], "y": []}
     with pytest.raises(PreconditionFailed):
-        modrep.submodule_from_spans(px, spans, close=False)
-    sub, incl = modrep.submodule_from_spans(px, spans, close=True)
+        modrep.submodule_from_spans(px, spans)
+    sub, incl = modrep.submodule_from_spans(px, closed_spans(px, spans))
     assert sub.dims == px.dims  # 1_x generates everything
 
 
@@ -311,7 +312,7 @@ def image_of_map(m):
     by without building it."""
     spans = {x: [m.components[x].col(j) for j in range(m.components[x].cols)]
              for x in m.source.cat.objects}
-    return modrep.submodule_from_spans(m.target, spans, close=False)
+    return modrep.submodule_from_spans(m.target, spans)
 
 
 def test_quotient_and_exactness(cat_quiver2):
@@ -752,8 +753,8 @@ def test_sieve_presentation_maps_are_natural():
                                            check=True)
 
 
-# the closure check submodule_from_spans(close=False) made before it left
-# the check to _submodule's solves, kept as the oracle: one pass over the
+# the closure check submodule_from_spans made before it left the check to
+# its solves, kept as the oracle: one pass over the
 # non-identities, raising at the first image of a basis vector that falls
 # outside its span
 
@@ -782,12 +783,12 @@ def test_unclosed_spans_fail_as_the_verify_pass_did(cat, field, seed, data):
         old_closure_check(v, spans)
     except PreconditionFailed as err:
         with pytest.raises(PreconditionFailed) as got:
-            modrep.submodule_from_spans(v, spans, close=False)
+            modrep.submodule_from_spans(v, spans)
         assert str(got.value) == str(err)
     else:
-        sub, _ = modrep.submodule_from_spans(v, spans, close=False)
-        assert (module_bytes(sub)
-                == module_bytes(modrep.submodule_from_spans(v, spans)[0]))
+        sub, _ = modrep.submodule_from_spans(v, spans)
+        assert (module_bytes(sub) == module_bytes(
+            modrep.submodule_from_spans(v, closed_spans(v, spans))[0]))
 
 
 def assert_quotients_match(v, incl):
@@ -811,7 +812,7 @@ def test_quotient_matches_two_elimination_oracle(cat, field, seed, max_dim,
             spans[x] = [tuple(field.of(a) for a in data.draw(
                 st.lists(st.integers(-2, 2), min_size=v.dims[x],
                          max_size=v.dims[x])))]
-    _, incl = modrep.submodule_from_spans(v, spans)
+    _, incl = modrep.submodule_from_spans(v, closed_spans(v, spans))
     assert_quotients_match(v, incl)
     doubled = {x: hstack([incl.components[x]] * 2, rows=v.dims[x])
                for x in cat.objects}
@@ -854,7 +855,8 @@ def test_quotient_with_dependent_columns_and_zero_objects(cat_quiver2):
         assert_quotients_match(incl.target, doubled)
         _, zero_incl = modrep.submodule_from_spans(py, {})
         assert_quotients_match(py, zero_incl)
-        _, all_incl = modrep.submodule_from_spans(v, {"x": [(field.one(), )]})
+        _, all_incl = modrep.submodule_from_spans(
+            v, closed_spans(v, {"x": [(field.one(), )]}))
         q, _ = modrep.quotient_module(v, all_incl)
         assert q.dims == {"x": 0, "y": 1}
         assert_quotients_match(v, all_incl)
@@ -933,7 +935,7 @@ def test_quotients_match_the_oracle_on_every_fixture(cat, field):
                                for _ in range(v.dims[x]))
                          for _ in range(rng.randint(0, 2))]
                      for x in cat.objects if v.dims[x]}
-            _, incl = modrep.submodule_from_spans(v, drawn)
+            _, incl = modrep.submodule_from_spans(v, closed_spans(v, drawn))
             raw = {x: linalg.from_cols(drawn.get(x, []), rows=v.dims[x])
                    for x in cat.objects}
             for comps in (incl.components,
@@ -1289,7 +1291,8 @@ def test_unchecked_builders_act_by_identities():
             built.append(modrep.canonical_injective_embedding(v)[0])
             spans = {x: [tuple(field.one() for _ in range(v.dims[x]))]
                      for x in cat.objects if v.dims[x]}
-            built.append(modrep.submodule_from_spans(v, spans)[0])
+            built.append(
+                modrep.submodule_from_spans(v, closed_spans(v, spans))[0])
             maps = modrep.hom_space(v, w)
             built.extend(modrep.kernel_of_map(m)[0] for m in maps[:2])
             sub = fincat.full_subcategory(cat, cat.objects[1:])
@@ -1411,7 +1414,7 @@ def test_zero_terms_make_no_products(monkeypatch):
 
 
 def test_zero_sources_make_no_solves(monkeypatch):
-    # the three arrows out of 0 have a zero source, so _submodule,
+    # the three arrows out of 0 have a zero source, so submodule_from_spans,
     # family_module and family_unit do no arithmetic for them, and a->1
     # and b->1 are still solved for. A product with a zero dimension, and
     # a solve with no columns on either side, is fixed by its shape
@@ -1438,9 +1441,7 @@ def test_zero_sources_make_no_solves(monkeypatch):
         monkeypatch.setattr(linalg, "matmul", counted_matmul)
         monkeypatch.setattr(linalg, "solve_matrix", counted_solve)
         # spans k at a and 1: a->1 is solved for, b->1 starts at a zero span
-        sub, _ = modrep._submodule(v, {
-            "0": linalg.Echelon(field, 0), "a": linalg.Echelon(field, 1, [one]),
-            "b": linalg.Echelon(field, 1), "1": linalg.Echelon(field, 1, [one])})
+        sub, _ = modrep.submodule_from_spans(v, {"a": [one], "1": [one]})
         assert sub.dims == {"0": 0, "a": 1, "b": 0, "1": 1}
         assert calls == ["matmul", "solve"]
         calls.clear()
@@ -1463,13 +1464,11 @@ def test_images_into_zero_spaces_are_still_tested(monkeypatch):
         one = (field.one(),)
         # the image of 1_x under f is not in the zero span at y
         with pytest.raises(PreconditionFailed, match="not closed"):
-            modrep._submodule(px, {"x": linalg.Echelon(field, 1, [one]),
-                                   "y": linalg.Echelon(field, 2)})
+            modrep.submodule_from_spans(px, {"x": [one]})
         # nor in the line spanned by g at y
         with pytest.raises(PreconditionFailed, match="not closed"):
-            modrep._submodule(px, {
-                "x": linalg.Echelon(field, 1, [one]),
-                "y": linalg.Echelon(field, 2, [(field.zero(), field.one())])})
+            modrep.submodule_from_spans(px, {
+                "x": [one], "y": [(field.zero(), field.one())]})
         # a family space with blocks but no families: a nonzero induced or
         # reindexed family escapes it
         v = constant_module(chain(2), field)

@@ -908,13 +908,13 @@ def test_rigid_equivalence_refuses_a_rule_that_is_no_topology():
 def test_rigid_equivalence_checks_the_axioms_once(monkeypatch):
     # one axiom scan per call, whether the rule passes or is refused
     calls = []
-    scan = topology._check_axioms
+    scan = sheaves.check_axioms
 
     def counted(*args):
         calls.append(args[1])
         return scan(*args)
 
-    monkeypatch.setattr(topology, "_check_axioms", counted)
+    monkeypatch.setattr(sheaves, "check_axioms", counted)
     checked = 0
     for j in every_rule(quiver2()):
         if not topology.rigidity(j.cat, j).rigid:

@@ -466,19 +466,60 @@ def test_one_index_build_per_category(monkeypatch):
 
 
 def test_enumeration_builds_its_sieve_tables_once(monkeypatch):
+    # the search, its certificates, and every later reader of the sieves
+    # share the tables the mask index keeps: one universe scan per
+    # (category, object), and one pullback table per morphism
     cat = chain(6)
-    calls = []
-    masks = sieves._Index.masks
+    scans, tables = [], {}
+    scan, universe = sieves._Index.scan, sieves._Index.universe
 
-    def counted(index, x, *args):
-        calls.append(x)
-        return masks(index, x, *args)
+    def scanned(index, x, *args):
+        scans.append((index, x))
+        return scan(index, x, *args)
 
-    monkeypatch.setattr(sieves._Index, "masks", counted)
+    def read(index, x, *args):
+        out = universe(index, x, *args)
+        # the tables themselves are held, so no two share an id
+        for f, table in zip(index.out_of[x], out[2]):
+            tables.setdefault((index, f), []).append(table)
+        return out
+
+    monkeypatch.setattr(sieves._Index, "scan", scanned)
+    monkeypatch.setattr(sieves._Index, "universe", read)
     rules_found = topology.enumerate_topologies(cat)
     assert len(rules_found) == 64
-    # one universe per object for the search and all 64 certificates
-    assert sorted(calls) == sorted(cat.objects)
+    for j in rules_found:
+        assert topology.check_axioms(cat, j).is_topology
+    topology.saturate_rule(cat, topology.make_rule(
+        cat, {"0": [sieves.make_sieve(cat, "0", ["0->5"])]}))
+    for x in cat.objects:
+        sieves.all_sieves(cat, x)
+    torsion.inclusion_closure(cat, rules_found[10])
+    topology.enumerate_consistent_families(cat)
+    index = sieves._mask_index(cat)
+    assert all(i is index for i, _ in scans + list(tables))
+    assert sorted(x for _, x in scans) == sorted(cat.objects)
+    assert sorted(f for _, f in tables) == sorted(cat.morphisms)
+    for kept in tables.values():
+        assert len(kept) > 1 and all(t is kept[0] for t in kept)
+
+
+def test_kept_sieves_answer_to_the_budget_of_each_call(monkeypatch):
+    cat = chain(4)
+    index = sieves._mask_index(cat)
+    kept = sieves.all_sieves(cat, "1")
+    monkeypatch.setattr(sieves, "DEFAULT_MAX_SIEVES", len(kept) - 1)
+    # a refused scan keeps nothing; a kept list past the budget is refused
+    with pytest.raises(SizeBudgetExceeded, match="sieves on 0"):
+        sieves.all_sieves(cat, "0")
+    assert "0" not in index.universes
+    with pytest.raises(SizeBudgetExceeded, match="sieves on 1"):
+        sieves.all_sieves(cat, "1")
+    with pytest.raises(SizeBudgetExceeded):
+        topology.check_axioms(cat, topology.named_topology(cat, "trivial"))
+    monkeypatch.undo()
+    assert sieves.all_sieves(cat, "1") == kept
+    assert len(sieves.all_sieves(cat, "0")) == len(kept) + 1
 
 
 def test_stability_scan_builds_no_sieve_universe(monkeypatch):
@@ -487,7 +528,7 @@ def test_stability_scan_builds_no_sieve_universe(monkeypatch):
     def refuse(*args):
         raise AssertionError("the stability scan listed a sieve universe")
 
-    monkeypatch.setattr(sieves._Index, "masks", refuse)
+    monkeypatch.setattr(sieves._Index, "scan", refuse)
     for cat in MASK_CATS:
         for j in ENUMERATED[cat.name]:
             topology.require_stable(cat, j)

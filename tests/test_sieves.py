@@ -229,13 +229,13 @@ def test_sieve_doc_roundtrip(cat_quiver2):
 WORK_SCRIPT = """
 from finsite import fincat, sieves
 orders = []
-masks = sieves._Index.masks
+scan = sieves._Index.scan
 def recording(index, x, *args):
-    out = masks(index, x, *args)
+    out = scan(index, x, *args)
     # the principal masks, in scan order, fix every union the scan makes
     orders.append(([index.principal[f] for f in index.out_of[x]], out))
     return out
-sieves._Index.masks = recording
+sieves._Index.scan = recording
 orbit, _ = fincat.build_orbit_category(fincat.symmetric_group_table(3))
 diamond = fincat.build_poset_category(
     ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])

@@ -18,6 +18,11 @@ keyword or by position, by some call in the package (outside the function
 itself), in demos/ or in perfbench/. Calls are matched by the function's
 name, so a call through another function of the same name counts too.
 
+A defaulted parameter must also take two values: when every such call
+passes it, each as the same literal, and that literal is not the default,
+the parameter is a knob with one value in use. Drop it, and let the
+function do what that value does.
+
 The checks go by name: a reused name such as `row` passes them. The few
 names that only the tests and the paper's statements need are listed in
 ALLOWED, each with its reason. A name that fails has lost its last
@@ -192,8 +197,24 @@ def _calls(tree: ast.AST):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def unpassed_options() -> list[str]:
-    lib = library()
+def _defaulted(fn: ast.FunctionDef):
+    """(position or None for keyword-only, name, default node) for every
+    defaulted parameter of fn."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i, a.arg, args.defaults[i - first])
+           for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg, d) for a, d in zip(args.kwonlyargs,
+                                              args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _callers(lib: dict[str, ast.Module]):
+    """(module, function, its calls) for every public top-level function:
+    every call of its name in the package outside the function itself,
+    in demos/ and in perfbench/."""
     # every call, walked once and keyed by the called name: in the package
     # with the top-level statement that encloses it, outside it bare
     package_calls = defaultdict(list)
@@ -205,23 +226,50 @@ def unpassed_options() -> list[str]:
     for tree in outside_trees():
         for name, call in _calls(tree):
             outside_calls[name].append(call)
-    missing = []
     for module, fn in public_functions(lib):
-        args = fn.args
-        positional = args.posonlyargs + args.args
-        defaulted = [(i, a.arg) for i, a in enumerate(positional)
-                     if i >= len(positional) - len(args.defaults)]
-        defaulted += [(None, a.arg) for a, d in
-                      zip(args.kwonlyargs, args.kw_defaults) if d is not None]
         calls = [call for top, call in package_calls[fn.name]
                  if top is not fn]
-        calls += outside_calls[fn.name]
-        for index, arg in defaulted:
+        yield module, fn, calls + outside_calls[fn.name]
+
+
+def unpassed_options() -> list[str]:
+    missing = []
+    for module, fn, calls in _callers(library()):
+        for index, arg, _ in _defaulted(fn):
             if arg in ALLOWED:
                 continue
             if not any(_passes(call, index, arg) for call in calls):
                 missing.append(f"{module}.{fn.name}({arg})")
     return missing
+
+
+def _literal(node: ast.AST | None) -> str | None:
+    """The repr of a literal expression's value, or None for any other
+    expression and for no expression."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError, SyntaxError):
+        return None
+
+
+def _passed(call: ast.Call, index: int | None, name: str) -> ast.AST | None:
+    """The expression the call passes for the parameter, or None when it
+    passes none or passes it through *args or **kwargs."""
+    if index is not None and len(call.args) > index and not any(
+            isinstance(a, ast.Starred) for a in call.args[:index + 1]):
+        return call.args[index]
+    return next((k.value for k in call.keywords if k.arg == name), None)
+
+
+def one_valued_options() -> list[str]:
+    found = []
+    for module, fn, calls in _callers(library()):
+        for index, arg, default in _defaulted(fn):
+            values = {_literal(_passed(call, index, arg)) for call in calls}
+            if (len(values) == 1 and None not in values
+                    and values != {_literal(default)}):
+                found.append(f"{module}.{fn.name}({arg})")
+    return found
 
 
 def test_every_public_name_has_a_caller():
@@ -234,6 +282,10 @@ def test_every_member_is_read():
 
 def test_every_option_is_passed():
     assert unpassed_options() == []
+
+
+def test_every_option_takes_two_values():
+    assert one_valued_options() == []
 
 
 def test_allowed_names_exist():

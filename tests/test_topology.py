@@ -211,8 +211,8 @@ def test_small_enumeration_budget_is_refused(monkeypatch):
 
 def test_rejected_leaf_is_an_error_not_a_drop(cat_quiver2, monkeypatch):
     rejected = topology.AxiomReport(True, False, True, True, True)
-    # the search certifies through the scan behind check_axioms
-    monkeypatch.setattr(topology, "_check_axioms", lambda *a, **k: rejected)
+    # the search certifies through check_axioms
+    monkeypatch.setattr(topology, "check_axioms", lambda *a, **k: rejected)
     with pytest.raises(FinsiteError):
         topology.enumerate_topologies(cat_quiver2)
 

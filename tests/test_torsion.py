@@ -21,6 +21,7 @@ from finsite.linalg import GF, QQ, Mat
 
 from conftest import (
     chain,
+    closed_spans,
     constant_module,
     ei_fixture_categories,
     idem_monoid,
@@ -142,7 +143,7 @@ def test_torsion_left_exact(seed):
         return
     x0 = busy[0]
     spans = {x0: [tuple(F2.of(i == 0) for i in range(v.dims[x0]))]}
-    w, incl = modrep.submodule_from_spans(v, spans, close=True)
+    w, incl = modrep.submodule_from_spans(v, closed_spans(v, spans))
     tv = torsion.torsion_spans(cat, dense, v)
     tw = torsion.torsion_spans(cat, dense, w)
     for x in cat.objects:
@@ -541,7 +542,7 @@ def random_submodule(v, rng):
         x = rng.choice(busy)
         spans.setdefault(x, []).append(
             tuple(modrep._random_entry(v.field, rng) for _ in range(v.dims[x])))
-    return modrep.submodule_from_spans(v, spans, close=True)
+    return modrep.submodule_from_spans(v, closed_spans(v, spans))
 
 
 def old_verify_torsion_pair(cat, j, field=F2, sample_count=20, seed=0,
