@@ -12,9 +12,11 @@ and supplies construction, equality, hash, repr, copying and pickling, and
 refuses assignment. Unlike a frozen dataclass it generates no code, so it
 adds nothing to the start-up every CLI call pays. Its constructor binds
 keyword arguments and defaults at run time; records built in hot loops
-are built positionally, which skips that step, and `Sieve`, built and
-hashed tens of thousands of times per topology search, spells out its own
-two-field constructor, equality and hash.
+are built positionally, which skips that step. `Sieve`, built and hashed
+tens of thousands of times per topology search, spells out its own
+two-field constructor, equality and hash; `typen.DSpec` and
+`typen.SpecValidation`, built once per spec a census emits and validates,
+spell out positional constructors and keep the rest from `Record`.
 """
 
 from __future__ import annotations

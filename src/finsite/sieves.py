@@ -247,11 +247,16 @@ def pullback_sieve(cat: FiniteCategory, s: Sieve, f: str) -> Sieve:
 
     Stability in cover rules is expressed with this operation; it is
     functorial: pulling back along f then g equals pulling back along g.f.
+    The members are listed in one pass over pre[f], whose i-th bit is that
+    of g.f for the i-th g out of cod(f); no sieve universe is built or read.
     """
     if cat.dom.get(f) != s.base:
         raise WrongDomain(f"{f!r} is not a morphism out of {s.base}")
     index = _mask_index(cat)
-    return index.sieve(cat.cod[f], index.pull(f, index.mask(s.base, s)))
+    m = index.mask(s.base, s)
+    y = cat.cod[f]
+    return Sieve(y, tuple([g for g, b in zip(index.out_of[y], index.pre[f])
+                           if m & b]))
 
 
 def sieve_to_doc(s: Sieve) -> dict:

@@ -12,6 +12,12 @@ starting there.
 
 Everything here is word arithmetic; truncation_crosscheck grounds it by
 rebuilding the same data concretely on a finite truncation and comparing.
+A census validates thousands of specs, so the per-spec path is kept
+lean: d_sequence reads a window in one pass over one list of bits (the
+word, then the tail up to any cutoff), only d_value reads a single
+position (_bit), and DSpec and SpecValidation spell out positional
+constructors, as Sieve does. spec_from_doc refuses any document entry
+that is not an integer.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .topology import GrothendieckTopology, check_stability_only, make_rule
 
 _MAX_CENSUS_HORIZON = 12  # spec_census(h) builds 2^(h+1) specs
 _MAX_WINDOW = 100_000  # validate_spec holds one value per position
+_BITS = frozenset((0, 1))
 
 
 class _Marker:
@@ -99,6 +106,13 @@ class DSpec(Record):
     tail: int
     cutoff: int | None
 
+    def __init__(self, kind: str, indicator: tuple[int, ...], tail: int,
+                 cutoff: int | None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "indicator", indicator)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "cutoff", cutoff)
+
     def __repr__(self) -> str:
         word = "".join(str(b) for b in self.indicator)
         if self.kind == "generic":
@@ -112,8 +126,8 @@ def make_spec(kind: str, indicator: Sequence[int], tail: int = 0,
     validate_spec's job. Nongeneric indicator entries at or past the
     cutoff are dropped, since the negative-infinity tail overrides them.
     """
-    word = tuple(int(b) for b in indicator)
-    if any(b not in (0, 1) for b in word):
+    word = tuple(map(int, indicator))
+    if not _BITS.issuperset(word):
         raise ValueError("indicator entries must be 0 or 1")
     if kind == "generic":
         if tail not in (0, 1):
@@ -139,10 +153,26 @@ def spec_to_doc(spec: DSpec) -> dict:
     return doc
 
 
+def _entry(value: Any, what: str) -> int:
+    """An integer entry of a spec document, as it is: make_spec would
+    truncate a float and read a bool as a bit."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_doc(doc: Mapping[str, Any]) -> DSpec:
-    return make_spec(str(doc["kind"]), doc.get("indicator", ()),
-                     int(doc.get("tail", 0)),
-                     int(doc["cutoff"]) if "cutoff" in doc else None)
+    """Read a spec document. Each indicator entry, the tail and the
+    cutoff must be an integer, and the indicator no string; anything else
+    (a bool, a float, a string) raises ValueError."""
+    indicator = doc.get("indicator", ())
+    if isinstance(indicator, str):
+        raise ValueError(f"indicator must be a list, got {indicator!r}")
+    return make_spec(str(doc["kind"]),
+                     [_entry(b, "indicator entry") for b in indicator],
+                     _entry(doc.get("tail", 0), "tail"),
+                     _entry(doc["cutoff"], "cutoff") if "cutoff" in doc
+                     else None)
 
 
 def _bit(spec: DSpec, n: int) -> int:
@@ -171,23 +201,32 @@ def d_value(spec: DSpec, n: int) -> DValue:
 
 
 def d_sequence(spec: DSpec, length: int) -> tuple[DValue, ...]:
-    """d_value at 0, ..., length - 1, in one pass from the right: the run
-    at a 0 bit is 0, at a 1 bit one more than the run after it, and an
-    infinite run stays infinite. d_value supplies the run at length."""
+    """d_value at 0, ..., length - 1, in one pass from the right over one
+    list of bits: the word, then the tail bit out to the window or, on a
+    nongeneric spec, to the cutoff if that comes first. The run at a 0 bit
+    is 0, at a 1 bit one more than the run after it, and an infinite run
+    stays infinite. Past the list, a generic spec's run is infinite under
+    a tail of 1 and 0 otherwise, and a nongeneric spec's run stops at the
+    cutoff, from which on every position reads negative infinity."""
     if length <= 0:
         return ()
-    run = d_value(spec, length)
-    if run is NEG_INF:  # every bit past a cutoff is 0
-        run = 0
-    out = []
-    for n in range(length - 1, -1, -1):
-        if not _bit(spec, n):
+    word, tail = spec.indicator, spec.tail
+    end = max(length, len(word))
+    if spec.kind == "nongeneric":
+        end = min(end, spec.cutoff)
+        run = spec.cutoff - end if tail else 0
+    else:
+        run = INF if tail else 0
+    # built from the right: the positions past a cutoff come first
+    out = [NEG_INF] * (length - end)
+    for b in reversed([*word[:end], *[tail] * (end - len(word))]):
+        if not b:
             run = 0
         elif run is not INF:
             run += 1
-        out.append(NEG_INF if spec.kind == "nongeneric" and n >= spec.cutoff
-                   else run)
+        out.append(run)
     out.reverse()
+    del out[length:]
     return tuple(out)
 
 
@@ -200,6 +239,13 @@ class SpecValidation(Record):
     pieces_ok: bool
     violation: str | None
 
+    def __init__(self, valid: bool, recurrence_ok: bool, pieces_ok: bool,
+                 violation: str | None) -> None:
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "recurrence_ok", recurrence_ok)
+        object.__setattr__(self, "pieces_ok", pieces_ok)
+        object.__setattr__(self, "violation", violation)
+
     def to_doc(self) -> dict:
         return {
             "valid": self.valid,
@@ -211,18 +257,15 @@ class SpecValidation(Record):
 
 def _check_recurrence(values: Sequence[DValue]) -> str | None:
     """Nonzero values must step down by one; both infinities absorb."""
-    for n in range(len(values) - 1):
-        a, b = values[n], values[n + 1]
-        if a is NEG_INF and b is not NEG_INF:
-            return f"position {n}: -inf must persist, got {d_fmt(b)}"
-        if a is INF and b is not INF:
-            return f"position {n}: inf must persist, got {d_fmt(b)}"
-        if isinstance(a, int) and a != 0:
-            if b is not INF and b != a - 1:
-                return (f"position {n}: {a} must be followed by {a - 1},"
-                        f" got {d_fmt(b)}")
+    for n, a, b in zip(itertools.count(), values, values[1:]):
+        if a is INF or a is NEG_INF:
+            if b is not a:
+                return f"position {n}: {d_fmt(a)} must persist, got {d_fmt(b)}"
+        elif a != 0 and isinstance(a, int) and b != a - 1:
             if b is INF:
                 return f"position {n}: {a} must be followed by {a - 1}"
+            return (f"position {n}: {a} must be followed by {a - 1},"
+                    f" got {d_fmt(b)}")
     return None
 
 

@@ -47,6 +47,19 @@ def test_exit_code_contract(tmp_path):
         (["typen", "validate", "--spec",
           '{"kind": "nongeneric", "indicator": [1, 1], "cutoff": 2}'], 1),
         (["typen", "crosscheck", "--spec", SPEC_110, "--horizon", "5"], 3),
+        # spec entries are integers: nothing is truncated or read as a bit
+        (["typen", "validate", "--spec",
+          '{"kind": "generic", "indicator": [1.5, 0.7], "tail": 0}'], 2),
+        (["typen", "validate", "--spec",
+          '{"kind": "generic", "indicator": "110", "tail": 0}'], 2),
+        (["typen", "validate", "--spec",
+          '{"kind": "nongeneric", "indicator": [1, 0], "cutoff": 2.9}'], 2),
+        (["typen", "validate", "--spec",
+          '{"kind": "generic", "indicator": [true, false], "tail": 0}'], 2),
+        (["typen", "validate", "--spec",
+          '{"kind": "generic", "indicator": [1, 0], "tail": false}'], 2),
+        (["typen", "validate", "--spec",
+          '{"kind": "nongeneric", "indicator": [1, 0], "cutoff": 2}'], 0),
         (["topology", "enumerate", "--category", "chain4",
           "--budget", "3"], 3),
         (["topology", "enumerate", "--category", "idem_monoid",

@@ -532,3 +532,22 @@ def test_stability_scan_builds_no_sieve_universe(monkeypatch):
     for cat in MASK_CATS:
         for j in ENUMERATED[cat.name]:
             topology.require_stable(cat, j)
+
+
+def test_pullback_builds_no_sieve_universe(monkeypatch):
+    # pullback_sieve lists f*(S) from pre[f] alone: a universe scan would
+    # list every sieve on cod f and answer to DEFAULT_MAX_SIEVES
+    def refuse(*args):
+        raise AssertionError("pullback_sieve listed a sieve universe")
+
+    monkeypatch.setattr(sieves._Index, "scan", refuse)
+    cat = chain(6)
+    pulled = 0
+    for x in cat.objects:
+        for found in old_all_sieves(cat, x):
+            s = sieves.make_sieve(cat, x, found.members)
+            for f in cat.morphisms_from(x):
+                assert (sieves.pullback_sieve(cat, s, f)
+                        == old_pullback_sieve(cat, s, f)), (s, f)
+                pulled += 1
+    assert pulled == 112 and not sieves._mask_index(cat).universes

@@ -3,10 +3,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsite import typen
 from finsite.errors import PreconditionFailed, SizeBudgetExceeded, ValidationFailed
-from finsite.typen import INF, NEG_INF
+from finsite.typen import INF, NEG_INF, DSpec, d_fmt
 
 
 def oracle_valid(values) -> bool:
@@ -24,6 +26,171 @@ def oracle_valid(values) -> bool:
         if isinstance(a, int) and a > 0 and b != a - 1:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the per-position implementations, kept as oracles: d_sequence read each
+# bit through _bit, the recurrence indexed both neighbours, and make_spec
+# checked each entry; the fast paths must agree with them byte for byte
+
+def old_make_spec(kind, indicator, tail=0, cutoff=None):
+    word = tuple(int(b) for b in indicator)
+    if any(b not in (0, 1) for b in word):
+        raise ValueError("indicator entries must be 0 or 1")
+    if kind == "generic":
+        if tail not in (0, 1):
+            raise ValueError("tail must be 0 or 1")
+        if cutoff is not None:
+            raise ValueError("generic specs have no cutoff")
+        return DSpec("generic", word, tail, None)
+    if kind == "nongeneric":
+        if cutoff is None or cutoff < 0:
+            raise ValueError("nongeneric specs need a natural cutoff")
+        return DSpec("nongeneric", word[:cutoff], 0, cutoff)
+    raise ValueError(f"unknown spec kind {kind!r}")
+
+
+def old_bit(spec, n):
+    if spec.kind == "nongeneric" and n >= spec.cutoff:
+        return 0
+    if n < len(spec.indicator):
+        return spec.indicator[n]
+    return spec.tail
+
+
+def old_d_sequence(spec, length):
+    if length <= 0:
+        return ()
+    run = typen.d_value(spec, length)
+    if run is NEG_INF:
+        run = 0
+    out = []
+    for n in range(length - 1, -1, -1):
+        if not old_bit(spec, n):
+            run = 0
+        elif run is not INF:
+            run += 1
+        out.append(NEG_INF if spec.kind == "nongeneric" and n >= spec.cutoff
+                   else run)
+    out.reverse()
+    return tuple(out)
+
+
+def old_check_recurrence(values):
+    for n in range(len(values) - 1):
+        a, b = values[n], values[n + 1]
+        if a is NEG_INF and b is not NEG_INF:
+            return f"position {n}: -inf must persist, got {d_fmt(b)}"
+        if a is INF and b is not INF:
+            return f"position {n}: inf must persist, got {d_fmt(b)}"
+        if isinstance(a, int) and a != 0:
+            if b is not INF and b != a - 1:
+                return (f"position {n}: {a} must be followed by {a - 1},"
+                        f" got {d_fmt(b)}")
+            if b is INF:
+                return f"position {n}: {a} must be followed by {a - 1}"
+    return None
+
+
+def old_check_pieces(values):
+    i = 0
+    n = len(values)
+    while i < n:
+        v = values[i]
+        if v is NEG_INF:
+            for k in range(i, n):
+                if values[k] is not NEG_INF:
+                    return f"position {k}: -inf tail interrupted"
+            return None
+        if v is INF:
+            for k in range(i, n):
+                if values[k] is not INF:
+                    return f"position {k}: inf tail interrupted"
+            return None
+        if not isinstance(v, int) or v < 0:
+            return f"position {i}: not a natural number"
+        expected = v
+        while expected > 0:
+            i += 1
+            expected -= 1
+            if i >= n:
+                return None
+            if values[i] != expected:
+                return (f"position {i}: descending piece expected"
+                        f" {expected}, got {d_fmt(values[i])}")
+        i += 1
+    return None
+
+
+def old_validation_doc(values):
+    rec = old_check_recurrence(values)
+    pieces = old_check_pieces(values)
+    return {"valid": rec is None and pieces is None,
+            "recurrence_ok": rec is None, "pieces_ok": pieces is None,
+            "violation": rec if rec is not None else pieces}
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def assert_spec_reads_as_before(spec, length):
+    seq = typen.d_sequence(spec, length)
+    assert seq == old_d_sequence(spec, length), (spec, length)
+    assert typen.validate_d_sequence(seq).to_doc() == old_validation_doc(
+        seq), (spec, length)
+
+
+def test_validation_matches_the_old_routes_exhaustively():
+    alphabet = (0, 1, 2, INF, NEG_INF)
+    for n in range(6):
+        for values in itertools.product(alphabet, repeat=n):
+            assert typen.validate_d_sequence(values).to_doc() == (
+                old_validation_doc(values)), values
+
+
+def test_census_specs_read_as_before_at_every_window():
+    for h in range(11):
+        census = typen.spec_census(h)
+        for spec in census.generic + census.nongeneric:
+            data = max(len(spec.indicator), spec.cutoff or 0)
+            for length in (0, 1, data, data + 1, data + 3,
+                           len(spec.indicator) + (spec.cutoff or 0) + 3):
+                assert_spec_reads_as_before(spec, length)
+            default = len(spec.indicator) + (spec.cutoff or 0) + 3
+            assert typen.validate_spec(spec).to_doc() == old_validation_doc(
+                old_d_sequence(spec, default))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("generic", "nongeneric", "sideways")),
+       st.lists(st.sampled_from((0, 1, 0, 1, 2, -1, True, 1.5, "1")),
+                max_size=12),
+       st.sampled_from((0, 1, 2)),
+       st.one_of(st.none(), st.integers(-1, 14)),
+       st.integers(0, 24))
+def test_random_specs_read_as_before(kind, word, tail, cutoff, length):
+    spec = outcome(typen.make_spec, kind, word, tail=tail, cutoff=cutoff)
+    assert spec == outcome(old_make_spec, kind, word, tail=tail,
+                           cutoff=cutoff)
+    if isinstance(spec, DSpec):
+        assert_spec_reads_as_before(spec, length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from((0, 1)), max_size=10), st.sampled_from((0, 1)),
+       st.integers(0, 14), st.integers(0, 24))
+def test_hand_built_nongeneric_specs_read_as_before(word, tail, cutoff,
+                                                   length):
+    # make_spec gives a nongeneric spec a zero tail and a word inside its
+    # cutoff; one built by hand may have neither, and reads as before
+    spec = DSpec("nongeneric", tuple(word), tail, cutoff)
+    assert typen.d_sequence(spec, length) == old_d_sequence(spec, length)
+    assert typen.d_sequence(spec, length) == tuple(
+        typen.d_value(spec, n) for n in range(length))
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +227,23 @@ def test_make_spec_structural_checks():
     # entries at or past the cutoff are dropped as unreachable
     spec = typen.make_spec("nongeneric", (1, 0, 1, 1), cutoff=2)
     assert spec.indicator == (1, 0)
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "generic", "indicator": [1.5, 0.7], "tail": 0},
+    {"kind": "generic", "indicator": "110", "tail": 0},
+    {"kind": "generic", "indicator": "", "tail": 0},
+    {"kind": "generic", "indicator": [True, False], "tail": 0},
+    {"kind": "generic", "indicator": [1, 0], "tail": True},
+    {"kind": "generic", "indicator": [1, 0], "tail": 0.0},
+    {"kind": "nongeneric", "indicator": [1, 0], "cutoff": 2.9},
+    {"kind": "nongeneric", "indicator": [1, 0], "cutoff": "2"},
+    {"kind": "nongeneric", "indicator": [1, 0], "cutoff": None},
+])
+def test_spec_documents_take_integers_only(doc):
+    # make_spec would read each of these as a spec that validates
+    with pytest.raises(ValueError):
+        typen.spec_from_doc(doc)
 
 
 def test_spec_doc_roundtrip():
