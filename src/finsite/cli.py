@@ -77,9 +77,12 @@ def _builtin_category(name: str) -> Callable[[fincat.SizeBudget],
             ["x", "y"], [("f", "x", "y"), ("g", "x", "y")],
             name="quiver2", budget=budget)
     if name.startswith("chain"):
-        n = int(name[len("chain"):])
+        digits = name[len("chain"):]
+        n = int(digits)
         if n < 0:
             raise ValueError(f"chain length must be natural, got {n}")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"chain length {digits!r} is not decimal digits")
         objs = [str(i) for i in range(n)]
         return lambda budget: fincat.build_poset_category(
             objs, [(str(i), str(i + 1)) for i in range(n - 1)],
@@ -93,14 +96,16 @@ def _builtin_category(name: str) -> Callable[[fincat.SizeBudget],
         return lambda budget: fincat.build_monoid_category(
             [[0, 1], [1, 1]], element_names=["1", "e"], name="idem_monoid",
             budget=budget)
+    # one field per parameter: a value too many is refused, not dropped
     if name.startswith("trunc_fi:"):
-        return fincat.standard_builder("trunc_fi",
-                                       {"n": int(name.split(":")[1])})
+        _, n = name.split(":")
+        return fincat.standard_builder("trunc_fi", {"n": int(n)})
     if name.startswith("trunc_vi:"):
         _, q, n = name.split(":")
         return fincat.standard_builder("trunc_vi", {"q": int(q), "n": int(n)})
     if name.startswith("orbit:"):
-        return fincat.standard_builder("orbit", {"group": name.split(":")[1]})
+        _, group = name.split(":")
+        return fincat.standard_builder("orbit", {"group": group})
     raise ValueError(f"unknown builtin category {name!r}")
 
 

@@ -13,7 +13,7 @@ refuses assignment. Unlike a frozen dataclass it generates no code, so it
 adds nothing to the start-up every CLI call pays. Its constructor binds
 keyword arguments and defaults at run time; records built in hot loops
 are built positionally, which skips that step. `Sieve`, built and hashed
-tens of thousands of times per topology search, spells out its own
+tens of thousands of times per enumeration, spells out its own
 two-field constructor, equality and hash; `typen.DSpec` and
 `typen.SpecValidation`, built once per spec a census emits and validates,
 spell out positional constructors and keep the rest from `Record`.

@@ -43,7 +43,7 @@ DEFAULT_MAX_SIEVES = 4096
 
 class Sieve(Record):
     """A sieve on `base`: its members, sorted and duplicate-free. Built and
-    hashed tens of thousands of times per search, so it spells out the
+    hashed tens of thousands of times per enumeration, so it spells out the
     record's constructor, equality and hash."""
 
     base: str

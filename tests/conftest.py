@@ -31,6 +31,17 @@ def idem_monoid() -> fincat.FiniteCategory:
         [[0, 1], [1, 1]], element_names=["1", "e"], name="idem_monoid")
 
 
+def dihedral_group_table(n: int) -> list[list[int]]:
+    """Multiplication table of the dihedral group of order 2n, as the
+    symmetries of an n-gon's vertices; element 0 is the identity.
+    table[i][j] is "symmetry i after symmetry j"."""
+    perms = sorted({tuple((s * i + k) % n for i in range(n))
+                    for k in range(n) for s in (1, -1)})
+    index = {p: k for k, p in enumerate(perms)}
+    return [[index[tuple(p[q[i]] for i in range(n))] for q in perms]
+            for p in perms]
+
+
 def hstack(mats, rows):
     """The matrices side by side, each with the given number of rows."""
     if any(m.rows != rows for m in mats):

@@ -10,7 +10,9 @@ import sys
 import time
 from itertools import product
 
-from conftest import chain, diamond, ei_fixture_categories, idem_monoid, quiver2
+from conftest import (chain, diamond, dihedral_group_table,
+                      ei_fixture_categories, idem_monoid, quiver2)
+from test_topology import old_search_topologies, search_consistent_families
 
 from finsite import (fincat, linalg, modrep, sheaves, sieves, topology, torsion,
                      typen)
@@ -135,7 +137,7 @@ def test_03_monoid_dichotomy():
     _gate(3, "monoid dichotomy", 5.0, body)
 
 
-# -- 4: direct enumeration equals the consistent-family classification ------
+# -- 4: enumeration by classification equals the old search and the J_D ---
 
 def test_04_classification_crosscheck():
     def body():
@@ -151,14 +153,20 @@ def test_04_classification_crosscheck():
             orb, _ = fincat.build_orbit_category(
                 fincat.cyclic_group_table(p), name=f"orbit_C{p}")
             fixtures.append((f"orbit(C{p})", orb, 4))
-        for name, cat, count in fixtures:
-            direct = {topology.canonical_serialization(j)
-                      for j in topology.enumerate_topologies(cat)}
-            classified = {topology.canonical_serialization(j)
-                          for j in topology.enumerate_consistent_families(cat)}
-            assert direct == classified, name
+        # the backtracking search enumerate_topologies ran before, rule for
+        # rule; orbit(D6) is past its budget, so the family search checks it
+        d6, _ = fincat.build_orbit_category(dihedral_group_table(6),
+                                            name="orbit_D6")
+        oracles = [(name, cat, count, old_search_topologies)
+                   for name, cat, count in fixtures]
+        oracles.append(("orbit(D6)", d6, 1024, search_consistent_families))
+        for name, cat, count, oracle in oracles:
+            direct = [topology.canonical_serialization(j)
+                      for j in topology.enumerate_topologies(cat)]
+            assert direct == [topology.canonical_serialization(j)
+                              for j in oracle(cat)], name
             assert len(direct) == count, (name, len(direct))
-        return f"{len(fixtures)} fixtures set-equal"
+        return f"{len(oracles)} fixtures rule for rule"
     _gate(4, "classification crosscheck", 60.0, body)
 
 

@@ -15,6 +15,8 @@ from finsite.errors import SizeBudgetExceeded
 from finsite.linalg import GF
 from finsite.sheaves import PerpendicularStatus, SaturationStatus, SheafVerdict
 
+from conftest import dihedral_group_table
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 QUIVER = os.path.join(DATA, "quiver2.json")
 SHEAF = os.path.join(DATA, "dense_sheaf.json")
@@ -70,6 +72,14 @@ def test_exit_code_contract(tmp_path):
         (["typen", "pullback", "--object", "-1", "--rank", "2",
           "--deg", "1"], 2),
         (["topology", "enumerate", "--category", "chain-1"], 2),
+        # 2^14 candidate rules: refused before any is built
+        (["topology", "enumerate", "--category", "chain14"], 3),
+        # a builtin name has its exact field count and a decimal length
+        (["topology", "enumerate", "--category", "trunc_fi:2:9"], 2),
+        (["topology", "enumerate", "--category", "orbit:S3:junk"], 2),
+        (["topology", "enumerate", "--category", "trunc_vi:2:3:4"], 2),
+        (["topology", "enumerate", "--category", "chain+3"], 2),
+        (["topology", "enumerate", "--category", "chain 3"], 2),
         (["topology", "check", "--category", "quiver2",
           "--topology", str(stray_object)], 2),
         (["torsion", "pair", "--category", "chain3", "--topology", "dense",
@@ -255,6 +265,21 @@ def test_enumerate_chain7():
                       "--category", "chain7"])
     assert code == 0
     assert json.loads(text)["count"] == 128
+
+
+def test_enumerate_orbit_d6_document(tmp_path):
+    # orbit(D6) is directed EI with 10 objects: its 1,024 topologies are
+    # the J_D, past the budget of the search that enumerated before
+    code, text = run(["--format", "json", "category", "build", "--kind",
+                      "orbit", "--params",
+                      json.dumps({"group": dihedral_group_table(6)})])
+    assert code == 0
+    path = tmp_path / "orbit_d6.json"
+    path.write_text(text)
+    code, text = run(["--format", "json", "topology", "enumerate",
+                      "--category", str(path)])
+    assert code == 0
+    assert json.loads(text)["count"] == 1024
 
 
 def test_sheaf_check_verdict(tmp_path):

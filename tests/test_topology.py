@@ -19,6 +19,7 @@ from finsite.errors import (
 )
 
 from conftest import chain, diamond, ei_fixture_categories, idem_monoid, quiver2
+from test_fincat import _iso_pair
 
 
 def sv(cat, x, members):
@@ -654,3 +655,207 @@ def test_covers_are_read_only_and_survive_copies():
                 assert topology.check_stability_only(on.cat, on) == witness
                 assert {x: on.least_covers(x) for x in cat.objects} == least
     assert topology.check_stability_only(cat, unstable) is not None
+
+
+# ---------------------------------------------------------------------------
+# the enumeration's two paths, against the backtracking search they replace
+
+OLD_ENUM_BUDGET = 200_000
+
+
+def old_search_topologies(cat):
+    """Oracle: the pruned backtracking search that enumerate_topologies ran
+    before it read classify_category, with its budget of 200,000 candidate
+    tests. It assigns one minimum sieve m(x) per object, fewest outgoing
+    morphisms first, and tests two local conditions as soon as every
+    object they mention is assigned: stability (m(cod f) inside
+    f*(m(dom f))) and transitivity (every T on x with m(cod f) inside
+    f*(T) for all f in m(x) contains m(x)). Every complete assignment is
+    certified by check_axioms."""
+    idx = sieves._mask_index(cat)
+    universe, members, pulls = {}, {}, {}
+    for x in cat.objects:
+        universe[x], members[x], pulls[x] = idx.universe(x)
+    order = sorted(cat.objects, key=lambda x: len(cat.morphisms_from(x)))
+    pos = {x: i for i, x in enumerate(order)}
+    # above[x][a]: bitmask of the sieves on x containing sieve a
+    above = {x: [sum(1 << b for b, t in enumerate(u) if not s & ~t)
+                 for s in u]
+             for x, u in universe.items()}
+    # forced[f][b]: bitmask of the sieves S on dom f whose pullback f*(S)
+    # contains sieve b on cod f
+    index = {x: {s: i for i, s in enumerate(u)} for x, u in universe.items()}
+    forced = {}
+    for x in cat.objects:
+        for f, table in zip(cat.out_of[x], pulls[x]):
+            y = cat.cod[f]
+            pull = [index[y][p] for p in table.values()]
+            forced[f] = [sum(1 << a for a, p in enumerate(pull)
+                             if up >> p & 1) for up in above[y]]
+    # stability of f is tested at the later of its two endpoints; the
+    # transitivity of (x, a) once the codomains of a's members are placed
+    edges_at = [[] for _ in order]
+    for f in cat.morphisms:
+        if not cat.is_identity(f):
+            edges_at[max(pos[cat.dom[f]], pos[cat.cod[f]])].append(f)
+    ready = {x: [max([pos[x]] + [pos[cat.cod[f]] for f in s.members])
+                 for s in members[x]]
+             for x in cat.objects}
+    full = {x: (1 << len(universe[x])) - 1 for x in cat.objects}
+    m = {}
+
+    def stable(f):
+        return forced[f][m[cat.cod[f]]] >> m[cat.dom[f]] & 1
+
+    def transitive(x):
+        a = m[x]
+        hyp = full[x]
+        for f in members[x][a].members:
+            hyp &= forced[f][m[cat.cod[f]]]
+        return not hyp & ~above[x][a]
+
+    found = []
+    tests = 0
+
+    def extend(i):
+        nonlocal tests
+        if i == len(order):
+            rule = topology.make_rule(cat, {
+                x: [s for b, s in enumerate(members[x])
+                    if above[x][m[x]] >> b & 1] for x in cat.objects})
+            assert topology.check_axioms(cat, rule).is_topology
+            found.append(rule)
+            return
+        x = order[i]
+        for a in range(len(universe[x])):
+            tests += 1
+            if tests > OLD_ENUM_BUDGET:
+                raise SizeBudgetExceeded(
+                    f"more than {OLD_ENUM_BUDGET} candidate tests")
+            m[x] = a
+            if (all(stable(f) for f in edges_at[i])
+                    and all(transitive(z) for z in order[:i + 1]
+                            if ready[z][m[z]] == i)):
+                extend(i + 1)
+        del m[x]
+
+    extend(0)
+    found.sort(key=topology.topology_sort_key)
+    return found
+
+
+def assert_matches_old_search(cat):
+    got = topology.enumerate_topologies(cat)
+    want = old_search_topologies(cat)
+    assert got == want, cat.name
+    assert ([topology.canonical_serialization(j) for j in got]
+            == [topology.canonical_serialization(j) for j in want]), cat.name
+
+
+@settings(max_examples=30, deadline=None)
+@given(posets())
+def test_enumeration_matches_old_search_on_posets(cat):
+    assert_matches_old_search(cat)
+
+
+@settings(max_examples=30, deadline=None)
+@given(acyclic_quivers())
+def test_enumeration_matches_old_search_on_quivers(cat):
+    assert_matches_old_search(cat)
+
+
+def old_search_fixtures():
+    """The fixed categories of the differential test: the EI fixtures,
+    three groups, three non-group monoids, T3, and two non-directed EI
+    categories."""
+    return [
+        *ei_fixture_categories(),
+        *(fincat.build_monoid_category(table, name=name)
+          for name, table in [("C2", fincat.cyclic_group_table(2)),
+                              ("C3", fincat.cyclic_group_table(3)),
+                              ("S3", fincat.symmetric_group_table(3))]),
+        *(fincat.build_monoid_category(table, element_names=names, name=name)
+          for name, table, names in NON_GROUP_MONOIDS),
+        transformation_monoid(3), indiscrete2(), _iso_pair()]
+
+
+@pytest.mark.parametrize("cat", old_search_fixtures(), ids=lambda c: c.name)
+def test_enumeration_matches_old_search_on_fixtures(cat):
+    assert_matches_old_search(cat)
+
+
+def monoid_is_group(table) -> bool:
+    """A finite monoid is a group exactly when it is left cancellative:
+    every row of its table is a permutation."""
+    return all(len(set(row)) == len(row) for row in table)
+
+
+def brute_force_flags(cat):
+    """classify_category's flags, recomputed without cat.hom or inverses.
+    directed: no two distinct objects reach each other, read off the
+    (dom, cod) pairs of the composition table. ei: End(x) is a group for
+    every x, its table rows g.- for g in End(x)."""
+    reach = {(cat.dom[f], cat.cod[g]) for g, f in cat.compose_table}
+    directed = not any((y, x) in reach for x, y in reach if x != y)
+    ends = {x: [f for f in cat.morphisms if cat.dom[f] == cat.cod[f] == x]
+            for x in cat.objects}
+    ei = all(monoid_is_group([[cat.compose_table[g, f] for f in end]
+                              for g in end]) for end in ends.values())
+    return fincat.CategoryFlags(directed, ei)
+
+
+def flag_fixtures():
+    tables = [("orbit_C2", fincat.cyclic_group_table(2)),
+              ("orbit_C4", fincat.cyclic_group_table(4)),
+              ("orbit_S3", fincat.symmetric_group_table(3))]
+    orbits = [fincat.build_orbit_category(table, name=name)[0]
+              for name, table in tables]
+    truncations = [fincat.build_trunc_fi_category(3),
+                   fincat.build_trunc_vi_category(2, 2),
+                   fincat.build_trunc_vi_category(3, 2)]
+    return old_search_fixtures() + orbits + truncations
+
+
+def assert_flags_pick_the_path(cat):
+    flags = fincat.classify_category(cat)
+    assert flags == brute_force_flags(cat), cat.name
+    with mock.patch.object(topology, "_subcategory_topologies",
+                           wraps=topology._subcategory_topologies) as jd:
+        rules = topology.enumerate_topologies(cat)
+    assert jd.call_count == (flags.directed and flags.ei), cat.name
+    assert all(topology.check_axioms(cat, j).is_topology for j in rules)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(posets(), acyclic_quivers()))
+def test_flags_match_brute_force_and_pick_the_path_on_random(cat):
+    assert_flags_pick_the_path(cat)
+
+
+def test_flags_match_brute_force_and_pick_the_path_on_fixtures():
+    cats = flag_fixtures()
+    for cat in cats:
+        assert_flags_pick_the_path(cat)
+    # the list reaches every branch of both flags
+    flags = [brute_force_flags(c) for c in cats]
+    assert {(f.directed, f.ei) for f in flags} == {
+        (True, True), (True, False), (False, True)}
+
+
+def test_long_chain_is_refused_before_any_rule(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("a rule was built or certified")
+
+    for name in ("make_rule", "check_axioms", "_subcategory_topologies"):
+        monkeypatch.setattr(topology, name, built)
+    with pytest.raises(SizeBudgetExceeded, match="16384 candidate rules"):
+        topology.enumerate_topologies(chain(14))
+
+
+def test_product_budget_counts_candidate_rules(monkeypatch):
+    t3 = transformation_monoid(3)  # one object, 10 sieves
+    monkeypatch.setattr(topology, "DEFAULT_ENUM_BUDGET", 9)
+    with pytest.raises(SizeBudgetExceeded, match="10 candidate rules"):
+        topology.enumerate_topologies(t3)
+    monkeypatch.setattr(topology, "DEFAULT_ENUM_BUDGET", 10)
+    assert len(topology.enumerate_topologies(t3)) == 4
